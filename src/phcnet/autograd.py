@@ -190,8 +190,8 @@ def add_scalar(a, s) -> Node:
 
 def relu(a) -> Node:
     a = _as_node(a)
-    mask = a.value > 0  # subgradient at 0 is 0
-    return Node(np.where(mask, a.value, 0), (a,), lambda g: (g * mask,))
+    out = np.maximum(a.value, 0)
+    return Node(out, (a,), lambda g: (g * (out > 0),))  # subgradient at 0 is 0
 
 
 def sigmoid(a) -> Node:
@@ -292,67 +292,21 @@ def linear(x, w, b=None) -> Node:
     )
 
 
-def _conv1x1(x: Node, w: Node, b, parents) -> Node:
-    """Pointwise convolution as a batched channel matmul (hot path)."""
-    n, cin, h, wd = x.shape
-    cout = w.shape[0]
-    w_mat = w.value.reshape(cout, cin)
-    x_flat = x.value.reshape(n, cin, h * wd)
-    out = np.matmul(w_mat[None], x_flat).reshape(n, cout, h, wd)
-    if b is not None:
-        out += b.value[None, :, None, None]
-
-    def rule(g):
-        g_flat = g.reshape(n, cout, h * wd)
-        gx = None
-        if x.requires_grad:
-            gx = np.matmul(w_mat.T[None], g_flat).reshape(x.shape)
-        gw = None
-        if w.requires_grad:
-            gw = np.einsum("nok,nck->oc", g_flat, x_flat).reshape(w.shape)
-        if b is None:
-            return gx, gw
-        return gx, gw, g.sum(axis=(0, 2, 3))
-
-    return Node(out, parents, rule)
-
-
 def conv2d(x, w, b=None, stride=1, padding=0) -> Node:
-    """Differentiable conv2d; see tensor.conv2d for forward semantics."""
+    """Differentiable conv2d; shares tensor.conv2d's forward bit for bit."""
     x, w = _as_node(x), _as_node(w)
-    n, cin, h, wd = x.shape
-    cout, cin_w, kh, kw = w.shape
-    if cin != cin_w:
-        raise ShapeError(f"conv2d channel mismatch: input {cin}, weight {cin_w}")
-    if b is not None:
-        b = _as_node(b)
-        if b.shape != (cout,):
-            raise ShapeError(f"conv2d bias shape {b.shape} != ({cout},)")
-    parents = (x, w) if b is None else (x, w, b)
-    if (kh, kw) == (1, 1) and T._pair(stride) == (1, 1) and T._pair(padding) == (0, 0):
-        return _conv1x1(x, w, b, parents)
-    ho, wo = T.conv_output_shape((h, wd), (kh, kw), stride, padding)
-    cols = T.im2col(x.value, (kh, kw), stride, padding)
-    w_mat = w.value.reshape(cout, -1)
-    out = cols @ w_mat.T
-    out = np.ascontiguousarray(out.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2))
-    if b is not None:
-        out += b.value[None, :, None, None]
+    b = None if b is None else _as_node(b)
+    out, cols = T.conv2d_forward(x.value, w.value, None if b is None else b.value,
+                                 stride, padding)
 
     def rule(g):
-        g_mat = g.transpose(0, 2, 3, 1).reshape(-1, cout)
-        gx = None
-        if x.requires_grad:
-            g_cols = g_mat @ w_mat
-            gx = T.col2im(g_cols, x.shape, (kh, kw), stride, padding)
-        gw = None
-        if w.requires_grad:
-            gw = (g_mat.T @ cols).reshape(w.shape)
+        gx, gw = T.conv2d_backward(g, cols, w.value, x.shape, stride, padding,
+                                   x.requires_grad, w.requires_grad)
         if b is None:
             return gx, gw
         return gx, gw, g.sum(axis=(0, 2, 3))
 
-    return Node(out, parents, rule)
+    return Node(out, (x, w) if b is None else (x, w, b), rule)
 
 
 def kron(a, b) -> Node:

@@ -11,6 +11,7 @@ save -> load -> save reproduces files bit for bit.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -61,33 +62,40 @@ def save(path, state: dict[str, np.ndarray], model_config: dict) -> None:
             fh.write(raw)
 
 
+def _tensor(path, name, meta, payload) -> np.ndarray:
+    """One tensor of the payload, after checking every field of its entry."""
+    fields = ("dtype", "shape", "offset", "nbytes")
+    if not isinstance(meta, dict) or not all(k in meta for k in fields):
+        raise CheckpointError(f"{path}: tensor {name!r} lacks dtype, shape, offset or nbytes")
+    dtype, shape, offset, nbytes = (meta[k] for k in fields)
+    if dtype not in tuple(_DTYPES) or not isinstance(shape, list) or not all(
+            type(v) is int and v >= 0 for v in (*shape, offset, nbytes)):
+        raise CheckpointError(f"{path}: tensor {name!r} bad dtype, shape, offset or nbytes")
+    raw = payload[offset : offset + nbytes]
+    if len(raw) != nbytes or nbytes != math.prod(shape) * np.dtype(_DTYPES[dtype]).itemsize:
+        raise CheckpointError(f"{path}: tensor {name!r} truncated or not of shape {shape}")
+    return np.frombuffer(raw, dtype=_DTYPES[dtype]).reshape(shape).astype(dtype)
+
+
 def load(path) -> tuple[dict[str, np.ndarray], dict]:
     with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise CheckpointError(f"{path}: bad magic {magic!r}")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        try:
-            header = json.loads(fh.read(hlen).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CheckpointError(f"{path}: malformed header: {exc}") from exc
-        if header.get("format-version") != FORMAT_VERSION:
-            raise CheckpointError(
-                f"{path}: unsupported format version {header.get('format-version')}"
-            )
-        payload = fh.read()
-    state = {}
-    for name, meta in header["tensors"].items():
-        if meta["dtype"] not in _DTYPES:
-            raise CheckpointError(f"{path}: tensor {name!r} bad dtype {meta['dtype']}")
-        raw = payload[meta["offset"] : meta["offset"] + meta["nbytes"]]
-        if len(raw) != meta["nbytes"]:
-            raise CheckpointError(f"{path}: truncated payload for tensor {name!r}")
-        arr = np.frombuffer(raw, dtype=_DTYPES[meta["dtype"]])
-        expected = int(np.prod(meta["shape"], dtype=np.int64)) if meta["shape"] else 1
-        if arr.size != expected:
-            raise CheckpointError(
-                f"{path}: tensor {name!r} size {arr.size} != shape {meta['shape']}"
-            )
-        state[name] = arr.reshape(meta["shape"]).astype(arr.dtype.newbyteorder("="))
-    return state, header["model-config"]
+        raw = fh.read()
+    if raw[: len(MAGIC)] != MAGIC:
+        raise CheckpointError(f"{path}: bad magic {raw[:len(MAGIC)]!r}")
+    start = len(MAGIC) + 8
+    if len(raw) < start:
+        raise CheckpointError(f"{path}: truncated before the header length")
+    (hlen,) = struct.unpack_from("<Q", raw, len(MAGIC))
+    if len(raw) < start + hlen:
+        raise CheckpointError(f"{path}: truncated header")
+    try:
+        header = json.loads(raw[start : start + hlen].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointError(f"{path}: malformed header: {exc}") from exc
+    if not isinstance(header, dict) or header.get("format-version") != FORMAT_VERSION:
+        raise CheckpointError(f"{path}: not a format version {FORMAT_VERSION} header")
+    tensors, config = header.get("tensors"), header.get("model-config")
+    if not isinstance(tensors, dict) or not isinstance(config, dict):
+        raise CheckpointError(f"{path}: header lacks the tensors or model-config object")
+    payload = memoryview(raw)[start + hlen :]
+    return {name: _tensor(path, name, meta, payload) for name, meta in tensors.items()}, config

@@ -162,9 +162,6 @@ class PHTrunk(Module):
                 h = block(h)
         return h
 
-    def __call__(self, x):
-        return self.forward(x)
-
 
 class RefinerStack(Module):
     """Bottleneck refiner blocks applied to pooled features at 1x1 spatial size."""
@@ -185,9 +182,6 @@ class RefinerStack(Module):
         for block in self.blocks:
             h = block(h)
         return ag.reshape(h, (pooled.shape[0], self.channels))
-
-    def __call__(self, pooled):
-        return self.forward(pooled)
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +217,6 @@ class PHResNet(Module):
                 refined, (refined.shape[0], refined.shape[1], 1, 1)
             )
         return self.head(refined)
-
-    def __call__(self, x, taps=None):
-        return self.forward(x, taps)
 
 
 class PHYBOnet(Module):
@@ -277,9 +268,6 @@ class PHYBOnet(Module):
         logit_r = self.head_r(ag.narrow(refined, half, self._channels, axis=1))
         return logit_l, logit_r
 
-    def __call__(self, x_left, x_right, taps=None):
-        return self.forward(x_left, x_right, taps)
-
 
 class Branch(Module):
     """Per-side classifier branch of PHYSEnet: refiners + dense head."""
@@ -321,9 +309,6 @@ class PHYSEnet(Module):
         logit_r = self.branch_r.forward(ag.global_avg_pool(fr), taps, "right")
         return logit_l, logit_r
 
-    def __call__(self, x_left, x_right, taps=None):
-        return self.forward(x_left, x_right, taps)
-
 
 class DoubleConv(Module):
     def __init__(self, n, in_channels, out_channels, scheme, seed):
@@ -339,9 +324,6 @@ class DoubleConv(Module):
     def forward(self, x):
         h = ag.relu(self.bn1(self.phc1(x)))
         return ag.relu(self.bn2(self.phc2(h)))
-
-    def __call__(self, x):
-        return self.forward(x)
 
 
 class PHUNet(Module):
@@ -400,9 +382,6 @@ class PHUNet(Module):
 
     def forward(self, x, taps=None):
         return ag.sigmoid(self.forward_logits(x, taps))
-
-    def __call__(self, x, taps=None):
-        return self.forward(x, taps)
 
 
 # ---------------------------------------------------------------------------

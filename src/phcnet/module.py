@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autograd import Node
+from .errors import CheckpointError, ShapeError
 from . import tensor as T
 
 
@@ -43,6 +44,9 @@ class Module:
         """Replace a registered buffer (used for running statistics updates)."""
         self._buffers[name] = T.as_tensor(value)
         object.__setattr__(self, name, self._buffers[name])
+
+    def __call__(self, *args, **kwargs):
+        return self.forward(*args, **kwargs)
 
     # -- traversal ---------------------------------------------------------
 
@@ -82,14 +86,14 @@ class Module:
         missing = own - set(state)
         extra = set(state) - own
         if strict and (missing or extra):
-            raise KeyError(
+            raise CheckpointError(
                 f"state mismatch: missing {sorted(missing)}, unexpected {sorted(extra)}"
             )
         for name, p in params.items():
             if name in state:
                 src = T.as_tensor(state[name], dtype=p.value.dtype)
                 if src.shape != p.value.shape:
-                    raise ValueError(
+                    raise ShapeError(
                         f"shape mismatch for {name}: {src.shape} vs {p.value.shape}"
                     )
                 p.value[...] = src

@@ -54,9 +54,6 @@ class Linear(Module):
     def forward(self, x):
         return ag.linear(x, self.weight, self.bias)
 
-    def __call__(self, x):
-        return self.forward(x)
-
 
 class BatchNorm2d(Module):
     """Per-channel batch normalization over (N, H, W).
@@ -123,9 +120,6 @@ class BatchNorm2d(Module):
 
         return ag.Node(out, (x, gamma, beta), rule)
 
-    def __call__(self, x):
-        return self.forward(x)
-
 
 class ResidualBlock(Module):
     """Residual block over PHC convolutions (basic or bottleneck refiner).
@@ -180,9 +174,6 @@ class ResidualBlock(Module):
             h = ag.relu(self.bn2(self.phc2(h)))
             h = self.bn3(self.phc3(h))
         return ag.relu(h + skip)
-
-    def __call__(self, x):
-        return self.forward(x)
 
 
 # ---------------------------------------------------------------------------

@@ -109,9 +109,6 @@ class PHCConv2d(Module):
         return ag.conv2d(x, self.build_weight(), self.bias,
                          stride=self.stride, padding=self.padding)
 
-    def __call__(self, x):
-        return self.forward(x)
-
 
 class PHMLinear(Module):
     """Hypercomplex dense layer, the fully connected analogue of PHCConv2d."""
@@ -145,9 +142,6 @@ class PHMLinear(Module):
                 f"expected {self.in_features} input features, got {x.shape[1]}"
             )
         return ag.linear(x, w, self.bias)
-
-    def __call__(self, x):
-        return self.forward(x)
 
 
 def init_layer(layer, seed: int = 0, scheme: str = "fixed-algebra"):

@@ -5,9 +5,14 @@ Tensors are contiguous row-major ``numpy.ndarray`` values of dtype float32
 functions here are pure: they never mutate their inputs, and every shape
 violation raises a recoverable :class:`ShapeError`.
 
-``conv2d`` follows cross-correlation semantics (no kernel flip) and is
-implemented via im2col + matmul; ``conv2d_naive`` is the sliding-window
-reference kept as a test oracle.
+``conv2d`` follows cross-correlation semantics (no kernel flip).  ``im2col``
+pads the input and splits it into its stride phases, channel-major with the
+batch folded into one flat axis, (Sh, Sw, C, N*Hq*Wq).  Every kernel tap is
+then a contiguous shifted slice of one phase, so the forward, the input
+gradient and the weight gradient are each one GEMM per tap, computed on the
+padded grid and cropped; ``col2im``, the exact adjoint of ``im2col``, folds
+an input gradient back.  ``conv2d_naive`` is the sliding-window reference
+kept as a test oracle.
 """
 
 from __future__ import annotations
@@ -120,59 +125,116 @@ def conv_output_shape(hw, khw, stride, padding) -> tuple[int, int]:
     return ho, wo
 
 
-def im2col(x: np.ndarray, khw, stride, padding) -> np.ndarray:
-    """Unfold (N,C,H,W) into patch rows of shape (N*Ho*Wo, C*Kh*Kw)."""
-    n, c, h, w = x.shape
-    kh, kw = khw
+def _layout(x_shape, khw, stride, padding):
+    """Geometry of the im2col layout and of the per-tap GEMMs over it.
+
+    Padded pixel (r, s) lands in phase (r % Sh, s % Sw) at grid position
+    (r // Sh, s // Sw) of an Hq x Wq grid per image; ``phases`` holds, per
+    phase (a, b), the strided input slice it stores and its place in the
+    grid.  Tap (i, j) of output pixel (y, z) reads phase (i % Sh, j % Sw) at
+    (y + i // Sh, z + j // Sw), a fixed flat offset.  Outputs sit at their own
+    flat grid index, all below ``span``, so each of ``taps`` (i, j, a, b,
+    offset) is one shifted slice of the layout and one GEMM.
+    """
+    ho, wo = conv_output_shape(x_shape[2:], khw, stride, padding)
     sh, sw = _pair(stride)
-    ph, pw = _pair(padding)
-    ho, wo = conv_output_shape((h, w), (kh, kw), stride, padding)
-    if ph or pw:
-        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::sh, ::sw]  # (N, C, Ho, Wo, Kh, Kw)
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, c * kh * kw)
-    return np.ascontiguousarray(cols)
+    axes = []
+    for size, s, p in zip(x_shape[2:], (sh, sw), _pair(padding)):
+        firsts = [(a - p) % s for a in range(s)]
+        axes.append((-(-(size + 2 * p) // s), [
+            (slice(y, None, s), slice((y + p) // s, (y + p) // s + len(range(y, size, s))))
+            for y in firsts]))
+    (hq, rows), (wq, cols) = axes
+    phases = [(a, b, (..., yi, zi), (..., yq, zq))
+              for a, (yi, yq) in enumerate(rows) for b, (zi, zq) in enumerate(cols)]
+    taps = [(i, j, i % sh, j % sw, (i // sh) * wq + j // sw)
+            for i in range(khw[0]) for j in range(khw[1])]
+    span = (x_shape[0] - 1) * hq * wq + (ho - 1) * wq + wo
+    return (ho, wo), (hq, wq), phases, span, taps
+
+
+def im2col(x: np.ndarray, khw, stride, padding) -> np.ndarray:
+    """Pad (N,C,H,W) and split it into stride phases, (Sh, Sw, C, N*Hq*Wq).
+
+    Each input pixel is stored once, so the layout is about the size of the
+    padded input whatever the kernel; the rest of each grid is zero.
+    """
+    _, (hq, wq), phases, _, _ = _layout(x.shape, khw, stride, padding)
+    out = np.zeros((*_pair(stride), x.shape[1], x.shape[0], hq, wq), dtype=x.dtype)
+    for a, b, src, dst in phases:
+        out[a, b][dst] = x[src].transpose(1, 0, 2, 3)
+    return out.reshape(*out.shape[:3], -1)
 
 
 def col2im(cols: np.ndarray, x_shape, khw, stride, padding) -> np.ndarray:
-    """Adjoint of im2col: scatter-add patch rows back to an (N,C,H,W) image."""
-    n, c, h, w = x_shape
-    kh, kw = khw
-    sh, sw = _pair(stride)
-    ph, pw = _pair(padding)
-    ho, wo = conv_output_shape((h, w), (kh, kw), stride, padding)
-    cols = cols.reshape(n, ho, wo, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-    img = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=cols.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            img[:, :, i : i + sh * ho : sh, j : j + sw * wo : sw] += cols[:, :, i, j]
-    if ph or pw:
-        img = img[:, :, ph : ph + h, pw : pw + w]
-    return np.ascontiguousarray(img)
+    """Adjoint of im2col: fold the phases back into (N,C,H,W), dropping the padding."""
+    _, (hq, wq), phases, _, _ = _layout(x_shape, khw, stride, padding)
+    grid = cols.reshape(*cols.shape[:3], x_shape[0], hq, wq)
+    img = np.empty(x_shape, dtype=cols.dtype)
+    for a, b, src, dst in phases:
+        img[src] = grid[a, b][dst].transpose(1, 0, 2, 3)
+    return img
 
 
-def conv2d(x, weight, bias=None, stride=1, padding=0) -> np.ndarray:
-    """2D cross-correlation of (N,Cin,H,W) with (Cout,Cin,Kh,Kw) filters."""
+def conv2d_forward(x, weight, bias=None, stride=1, padding=0):
+    """conv2d, also returning the im2col layout that conv2d_backward reuses."""
     x, weight = as_tensor(x), as_tensor(weight)
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(
             f"conv2d expects rank-4 input and weight, got {x.ndim} and {weight.ndim}"
         )
-    n, cin, h, w = x.shape
-    cout, cin_w, kh, kw = weight.shape
-    if cin != cin_w:
-        raise ShapeError(f"conv2d channel mismatch: input {cin}, weight {cin_w}")
-    ho, wo = conv_output_shape((h, w), (kh, kw), stride, padding)
+    cout, cin, kh, kw = weight.shape
+    if x.shape[1] != cin:
+        raise ShapeError(f"conv2d channel mismatch: input {x.shape[1]}, weight {cin}")
+    if bias is not None and np.shape(bias) != (cout,):
+        raise ShapeError(f"conv2d bias shape {np.shape(bias)} != ({cout},)")
+    (ho, wo), (hq, wq), _, span, taps = _layout(x.shape, (kh, kw), stride, padding)
     cols = im2col(x, (kh, kw), stride, padding)
-    out = cols @ weight.reshape(cout, -1).T  # (N*Ho*Wo, Cout)
-    out = out.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2)
-    if bias is not None:
-        bias = as_tensor(bias)
-        if bias.shape != (cout,):
-            raise ShapeError(f"conv2d bias shape {bias.shape} != ({cout},)")
-        out = out + bias[None, :, None, None]
-    return np.ascontiguousarray(out)
+    w_taps = np.ascontiguousarray(weight.transpose(2, 3, 0, 1))
+    dtype = np.result_type(cols, w_taps)
+    grid = np.empty((cout, x.shape[0], hq, wq), dtype=dtype)
+    acc, tmp = grid.reshape(cout, -1)[:, :span], np.empty((cout, span), dtype=dtype)
+    for t, (i, j, a, b, off) in enumerate(taps):
+        np.matmul(w_taps[i, j], cols[a, b, :, off : off + span], out=tmp if t else acc)
+        if t:
+            acc += tmp
+    out = np.empty((x.shape[0], cout, ho, wo), dtype=dtype)
+    crop = grid[:, :, :ho, :wo].transpose(1, 0, 2, 3)
+    np.add(crop, 0 if bias is None else as_tensor(bias)[None, :, None, None], out=out)
+    return out, cols
+
+
+def conv2d_backward(g, cols, weight, x_shape, stride=1, padding=0,
+                    need_x=True, need_w=True):
+    """Input and weight gradients of conv2d_forward, given the output gradient."""
+    cout, cin, kh, kw = weight.shape
+    (ho, wo), (hq, wq), _, span, taps = _layout(x_shape, (kh, kw), stride, padding)
+    grid = np.zeros((cout, x_shape[0], hq, wq), dtype=g.dtype)
+    grid[:, :, :ho, :wo] = g.transpose(1, 0, 2, 3)
+    g_flat = grid.reshape(cout, -1)[:, :span]
+    gx = gw = None
+    if need_w:
+        gw = np.empty((kh, kw, cout, cin), dtype=np.result_type(g, cols))
+        for i, j, a, b, off in taps:
+            np.matmul(g_flat, cols[a, b, :, off : off + span].T, out=gw[i, j])
+        gw = np.ascontiguousarray(gw.transpose(2, 3, 0, 1))
+    if need_x:
+        w_taps = np.ascontiguousarray(weight.transpose(2, 3, 0, 1))
+        g_cols = np.zeros(cols.shape, dtype=np.result_type(g, weight))
+        tmp = np.empty((cin, span), dtype=g_cols.dtype)
+        for i, j, a, b, off in taps:
+            g_cols[a, b, :, off : off + span] += np.matmul(w_taps[i, j].T, g_flat, out=tmp)
+        gx = col2im(g_cols, x_shape, (kh, kw), stride, padding)
+    return gx, gw
+
+
+def conv2d(x, weight, bias=None, stride=1, padding=0) -> np.ndarray:
+    """2D cross-correlation of (N,Cin,H,W) with (Cout,Cin,Kh,Kw) filters.
+
+    One (Cout, Cin) x (Cin, span) GEMM per kernel tap over the im2col layout,
+    summed on the flat phase grid and cropped to (N, Cout, Ho, Wo).
+    """
+    return conv2d_forward(x, weight, bias, stride, padding)[0]
 
 
 def conv2d_naive(x, weight, bias=None, stride=1, padding=0) -> np.ndarray:

@@ -303,7 +303,12 @@ def train(cfg: TrainConfig, manifest: D.Manifest, model, on_epoch=None):
     best_metric, best_state = -np.inf, model.state_dict()
 
     n = len(train_data)
-    batches_per_epoch = max(1, (n + cfg.batch_size - 1) // cfg.batch_size)
+    starts = list(range(0, n, cfg.batch_size))
+    if n % cfg.batch_size == 1 and len(starts) > 1:
+        # a batch of one gives train-mode BatchNorm one value per channel in
+        # the 1x1 refiners, so xhat = 0 and they get no gradient: fold it back
+        starts.pop()
+    named_params = list(model.named_parameters())
     shuffle_seeds = shuffle_root.spawn(cfg.max_epochs)
     workers = _worker_count()
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 0 else None
@@ -311,10 +316,7 @@ def train(cfg: TrainConfig, manifest: D.Manifest, model, on_epoch=None):
         for epoch in range(cfg.max_epochs):
             t0 = time.perf_counter()
             order = np.random.default_rng(shuffle_seeds[epoch]).permutation(n)
-            batches = [
-                order[i * cfg.batch_size : (i + 1) * cfg.batch_size]
-                for i in range(batches_per_epoch)
-            ]
+            batches = np.split(order, starts[1:])
             if pool is not None:
                 prepared = pool.map(
                     lambda idx: _augment_batch(train_data, idx, cfg, epoch), batches
@@ -335,12 +337,17 @@ def train(cfg: TrainConfig, manifest: D.Manifest, model, on_epoch=None):
                     )
                 model.zero_grad()
                 ag.backward(loss)
+                for name, p in named_params:
+                    if p.grad is not None and not np.isfinite(p.grad).all():
+                        raise NumericError(
+                            f"non-finite gradient for {name} at epoch {epoch}"
+                        )
                 opt.step()
                 epoch_loss += lval
             val_metric = _val_metric(model, cfg.stage, val_data)
             entry = {
                 "epoch": epoch,
-                "train_loss": epoch_loss / batches_per_epoch,
+                "train_loss": epoch_loss / len(batches),
                 "val_metric": val_metric,
                 "seconds": time.perf_counter() - t0,
             }

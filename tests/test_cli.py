@@ -2,6 +2,7 @@
 stage chaining with --init, checkpoint inspection."""
 
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -212,3 +213,70 @@ class TestMapsInspect:
         bad.write_bytes(b"not a checkpoint at all")
         code, _, err = run(capsys, "inspect", "--checkpoint", str(bad))
         assert code == 4
+
+
+def _rewrite(src, dst, edit_header=None, cut=None):
+    """Copy a checkpoint, editing its JSON header or truncating its bytes."""
+    raw = Path(src).read_bytes()
+    if edit_header is not None:
+        start = len(ckpt.MAGIC) + 8
+        (hlen,) = struct.unpack_from("<Q", raw, len(ckpt.MAGIC))
+        header = json.loads(raw[start : start + hlen])
+        edit_header(header)
+        text = json.dumps(header).encode()
+        raw = ckpt.MAGIC + struct.pack("<Q", len(text)) + text + raw[start + hlen :]
+    Path(dst).write_bytes(raw if cut is None else raw[:cut])
+    return str(dst)
+
+
+class TestCheckpointErrors:
+    """Every malformed checkpoint ends in exit 4 with a message, never a traceback."""
+
+    def _eval(self, capsys, workspace, path):
+        _, _, data_dir, _ = workspace
+        code, _, err = run(capsys, "eval", "--checkpoint", path,
+                           "--manifest", str(data_dir / "manifest.json"))
+        assert "Traceback" not in err
+        assert err.startswith("error: ")
+        return code, err
+
+    def test_truncated_after_magic(self, workspace, checkpoint, capsys, tmp_path):
+        path = _rewrite(checkpoint, tmp_path / "t.ckpt", cut=len(ckpt.MAGIC) + 3)
+        code, err = self._eval(capsys, workspace, path)
+        assert code == 4 and "truncated" in err
+
+    @pytest.mark.parametrize("key", ["tensors", "model-config"])
+    def test_header_lacks_key(self, workspace, checkpoint, capsys, tmp_path, key):
+        path = _rewrite(checkpoint, tmp_path / "h.ckpt",
+                        edit_header=lambda header: header.pop(key))
+        code, err = self._eval(capsys, workspace, path)
+        assert code == 4 and "tensors or model-config" in err
+
+    @pytest.mark.parametrize("field", ["dtype", "shape", "offset", "nbytes"])
+    def test_entry_lacks_field(self, workspace, checkpoint, capsys, tmp_path, field):
+        def drop(header):
+            del next(iter(header["tensors"].values()))[field]
+
+        path = _rewrite(checkpoint, tmp_path / "e.ckpt", edit_header=drop)
+        code, err = self._eval(capsys, workspace, path)
+        assert code == 4 and "lacks dtype, shape, offset or nbytes" in err
+
+    @pytest.mark.parametrize("change", ["missing", "unexpected"])
+    def test_state_names_differ(self, workspace, checkpoint, capsys, tmp_path, change):
+        state, config = ckpt.load(checkpoint)
+        if change == "missing":
+            del state["trunk.conv1.F"]
+        else:
+            state["trunk.extra"] = np.zeros(2, dtype=np.float32)
+        path = tmp_path / "n.ckpt"
+        ckpt.save(path, state, config)
+        code, err = self._eval(capsys, workspace, str(path))
+        assert code == 4 and change in err
+
+    def test_state_shape_mismatch(self, workspace, checkpoint, capsys, tmp_path):
+        state, config = ckpt.load(checkpoint)
+        state["trunk.conv1.F"] = state["trunk.conv1.F"][..., :1]
+        path = tmp_path / "s.ckpt"
+        ckpt.save(path, state, config)
+        code, err = self._eval(capsys, workspace, str(path))
+        assert code == 4 and "shape mismatch for trunk.conv1.F" in err

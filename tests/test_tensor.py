@@ -1,6 +1,7 @@
 """Tensor kernel: spec examples plus algebraic invariants.
 
-conv2d is checked against the naive sliding-window oracle; kron against
+conv2d is checked against the naive sliding-window oracle and central
+differences, and col2im against the adjoint identity; kron against
 hand-applied definitions.
 """
 
@@ -9,8 +10,26 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from phcnet import autograd as ag
 from phcnet import tensor as T
 from phcnet.errors import ShapeError
+
+# (x shape, w shape, stride, padding); the first five keep their original ids
+CONV_CASES = [
+    pytest.param((2, 3, 8, 9), (4, 3, 3, 3), 1, 0, id="1-0"),
+    pytest.param((2, 3, 8, 9), (4, 3, 3, 3), 1, 1, id="1-1"),
+    pytest.param((2, 3, 8, 9), (4, 3, 3, 3), 2, 0, id="2-0"),
+    pytest.param((2, 3, 8, 9), (4, 3, 3, 3), 2, 1, id="2-1"),
+    pytest.param((2, 3, 8, 9), (4, 3, 3, 3), (1, 2), (2, 0), id="stride4-padding4"),
+    pytest.param((2, 3, 10, 10), (4, 3, 3, 3), 2, 1, id="s2-odd-remainder"),
+    pytest.param((2, 3, 7, 8), (4, 3, 3, 3), 1, (1, 0), id="pad-1-0"),
+    pytest.param((2, 3, 7, 8), (4, 3, 3, 2), 1, 1, id="k3x2"),
+    pytest.param((2, 2, 9, 9), (3, 2, 5, 5), 1, 2, id="k5"),
+    pytest.param((2, 2, 9, 10), (3, 2, 5, 5), 2, 2, id="k5-s2"),
+    pytest.param((2, 4, 5, 6), (3, 4, 1, 1), 1, 0, id="k1-s1"),
+    pytest.param((2, 4, 7, 7), (3, 4, 1, 1), 2, 0, id="k1-s2"),
+    pytest.param((1, 3, 6, 6), (2, 3, 3, 3), 2, 1, id="batch1"),
+]
 
 
 class TestKron:
@@ -80,15 +99,51 @@ class TestConv2d:
             w[c, c, 1, 1] = 1.0
         npt.assert_allclose(T.conv2d(x, w, padding=1), x, atol=1e-7)
 
-    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1), ((1, 2), (2, 0))])
-    def test_matches_naive_oracle(self, stride, padding):
+    @pytest.mark.parametrize("x_shape,w_shape,stride,padding", CONV_CASES)
+    def test_matches_naive_oracle(self, x_shape, w_shape, stride, padding):
         rng = np.random.default_rng(11)
-        x = rng.normal(size=(2, 3, 8, 9)).astype(np.float32)
-        w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
-        b = rng.normal(size=4).astype(np.float32)
+        x = rng.normal(size=x_shape).astype(np.float32)
+        w = rng.normal(size=w_shape).astype(np.float32)
+        b = rng.normal(size=w_shape[0]).astype(np.float32)
         fast = T.conv2d(x, w, b, stride=stride, padding=padding)
         slow = T.conv2d_naive(x, w, b, stride=stride, padding=padding)
         npt.assert_allclose(fast, slow, rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.parametrize("x_shape,w_shape,stride,padding", CONV_CASES)
+    def test_grad_check_float64(self, x_shape, w_shape, stride, padding):
+        rng = np.random.default_rng(12)
+        x = ag.Node(rng.normal(size=x_shape), requires_grad=True)
+        w = ag.Node(rng.normal(size=w_shape), requires_grad=True)
+        b = ag.Node(rng.normal(size=w_shape[0]), requires_grad=True)
+        out_shape = T.conv2d(x.value, w.value, stride=stride, padding=padding).shape
+        cotangent = ag.constant(rng.normal(size=out_shape))
+
+        def f():
+            out = ag.conv2d(x, w, b, stride=stride, padding=padding)
+            return ag.nsum(ag.mul(out, cotangent))
+
+        report = ag.grad_check(f, {"x": x, "w": w, "b": b}, h=1e-6, tol=1e-5)
+        assert report.passed, report.per_param
+
+    @pytest.mark.parametrize("x_shape,w_shape,stride,padding", CONV_CASES)
+    def test_col2im_is_adjoint_of_im2col(self, x_shape, w_shape, stride, padding):
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=x_shape)
+        cols = T.im2col(x, w_shape[2:], stride, padding)
+        y = rng.normal(size=cols.shape)
+        lhs = float(np.vdot(cols, y))
+        rhs = float(np.vdot(x, T.col2im(y, x_shape, w_shape[2:], stride, padding)))
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+    def test_autograd_forward_is_tensor_forward_bitwise(self):
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(3, 4, 9, 10)).astype(np.float32)
+        w = rng.normal(size=(5, 4, 3, 3)).astype(np.float32)
+        b = rng.normal(size=5).astype(np.float32)
+        fast = T.conv2d(x, w, b, stride=2, padding=1)
+        node = ag.conv2d(ag.constant(x), ag.Node(w, requires_grad=True), ag.constant(b),
+                         stride=2, padding=1)
+        assert node.value.tobytes() == fast.tobytes()
 
     def test_linearity(self):
         rng = np.random.default_rng(5)

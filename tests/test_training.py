@@ -9,7 +9,7 @@ from phcnet import autograd as ag
 from phcnet import data as D
 from phcnet import models as MD
 from phcnet import training as TR
-from phcnet.errors import ConfigError
+from phcnet.errors import ConfigError, NumericError
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +133,42 @@ class TestTrainLoop:
         lines = [json.loads(line) for line in path.read_text().splitlines()]
         assert "config" in lines[0] and lines[0]["param_count"] == model.param_count()
         assert all("epoch" in line for line in lines[1:-1])
+
+
+    def test_one_sample_tail_folds_into_previous_batch(self, tmp_path, monkeypatch):
+        manifest = D.gen_synthetic(D.SyntheticSpec(size=24, count=11, seed=30), tmp_path)
+        steps = []
+        step = TR.nn.Adam.step
+        monkeypatch.setattr(TR.nn.Adam, "step", lambda opt: (steps.append(1), step(opt)))
+        model = tiny_model(seed=4)
+        cfg = TR.TrainConfig(stage="two-view", lr=1e-3, max_epochs=2,
+                             batch_size=8, patience=10, seed=0)
+        _, log = TR.train(cfg, manifest, model)
+        assert len(log.split["train"]) == 9
+        assert len(steps) == 2  # one step of 9 per epoch, not 8 then 1
+        refiner_convs = [(name, p) for name, p in model.named_parameters()
+                         if name.startswith("refiners.") and name.endswith(".F")]
+        assert refiner_convs
+        for name, p in refiner_convs:
+            assert np.abs(p.grad).max() > 0, name
+
+    def test_non_finite_gradient_stops_before_the_step(self, tiny_dataset, monkeypatch):
+        model = tiny_model(seed=5)
+        before = {k: v.value.copy() for k, v in model.named_parameters()}
+        backward = TR.ag.backward
+
+        def poisoned(loss):
+            out = backward(loss)
+            model.head.weight.grad[0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(TR.ag, "backward", poisoned)
+        cfg = TR.TrainConfig(stage="two-view", lr=1e-3, max_epochs=1,
+                             batch_size=8, patience=10, seed=0)
+        with pytest.raises(NumericError, match="non-finite gradient for head.weight"):
+            TR.train(cfg, tiny_dataset, model)
+        for name, p in model.named_parameters():
+            npt.assert_array_equal(p.value, before[name])
 
 
 class TestEvaluate:
