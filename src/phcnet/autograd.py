@@ -194,22 +194,20 @@ def relu(a) -> Node:
     return Node(out, (a,), lambda g: (g * (out > 0),))  # subgradient at 0 is 0
 
 
-def sigmoid(a) -> Node:
-    a = _as_node(a)
-    # stable two-sided form
-    v = a.value
+def stable_sigmoid(v: np.ndarray) -> np.ndarray:
+    """Sigmoid of a plain array in the two-sided form that never overflows."""
     out = np.empty_like(v)
     pos = v >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
     ev = np.exp(v[~pos])
     out[~pos] = ev / (1.0 + ev)
-    return Node(out, (a,), lambda g: (g * out * (1.0 - out),))
+    return out
 
 
-def power(a, p: float) -> Node:
+def sigmoid(a) -> Node:
     a = _as_node(a)
-    out = a.value ** p
-    return Node(out, (a,), lambda g: (g * p * a.value ** (p - 1),))
+    out = stable_sigmoid(a.value)
+    return Node(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
 def nsum(a) -> Node:
@@ -267,12 +265,6 @@ def narrow(a, start: int, stop: int, axis: int = 1) -> Node:
     return Node(np.ascontiguousarray(a.value[index]), (a,), rule)
 
 
-def matmul(a, b) -> Node:
-    a, b = _as_node(a), _as_node(b)
-    out = T.matmul(a.value, b.value)
-    return Node(out, (a, b), lambda g: (g @ b.value.T, a.value.T @ g))
-
-
 def linear(x, w, b=None) -> Node:
     """Dense layer y = x @ w.T (+ b) for x (N,Din), w (Dout,Din), b (Dout)."""
     x, w = _as_node(x), _as_node(w)
@@ -307,27 +299,6 @@ def conv2d(x, w, b=None, stride=1, padding=0) -> Node:
         return gx, gw, g.sum(axis=(0, 2, 3))
 
     return Node(out, (x, w) if b is None else (x, w, b), rule)
-
-
-def kron(a, b) -> Node:
-    """Differentiable Kronecker product (rank-2 a, rank>=2 b)."""
-    a, b = _as_node(a), _as_node(b)
-    out = T.kron(a.value, b.value)
-    p, q = a.shape
-    r, s = b.shape[:2]
-    b_flat = b.value.reshape(r, s, -1)
-
-    def rule(g):
-        g5 = g.reshape(p, r, q, s, -1)
-        ga = np.einsum("iujvk,uvk->ij", g5, b_flat) if a.requires_grad else None
-        gb = (
-            np.einsum("iujvk,ij->uvk", g5, a.value).reshape(b.shape)
-            if b.requires_grad
-            else None
-        )
-        return ga, gb
-
-    return Node(out, (a, b), rule)
 
 
 def kron_sum(a, f) -> Node:

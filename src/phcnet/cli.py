@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -122,16 +121,10 @@ def _model_from_config(config: dict, seed: int):
 
 def cmd_gen_synthetic(args) -> int:
     try:
-        spec_doc = json.loads(Path(args.spec).read_text())
-        spec = D.SyntheticSpec(**spec_doc)
-    except OSError as exc:
-        return _fail(EXIT_IO, f"cannot read spec: {exc}")
-    except (TypeError, json.JSONDecodeError, DataError) as exc:
-        return _fail(EXIT_CONFIG, f"bad synthetic spec: {exc}")
-    try:
-        manifest = D.gen_synthetic(spec, args.out)
-    except OSError as exc:
-        return _fail(EXIT_IO, f"cannot write dataset: {exc}")
+        spec = D.SyntheticSpec(**json.loads(Path(args.spec).read_text()))
+    except (TypeError, json.JSONDecodeError) as exc:
+        raise DataError(f"bad synthetic spec: {exc}") from exc
+    manifest = D.gen_synthetic(spec, args.out)
     labels = np.array([e.labels for e in manifest.entries])
     print(
         json.dumps(
@@ -147,100 +140,80 @@ def cmd_gen_synthetic(args) -> int:
 
 
 def cmd_train(args) -> int:
+    config = _load_config(args.config, args.set or [])
+    train_section = dict(config.get("train", {}))
+    train_section["stage"] = args.stage
     try:
-        config = _load_config(args.config, args.set or [])
-        train_section = dict(config.get("train", {}))
-        train_section["stage"] = args.stage
-        try:
-            cfg = TR.TrainConfig(**train_section)
-        except TypeError as exc:
-            raise ConfigError(f"bad train section: {exc}") from exc
-        manifest = _require_manifest(config)
-        model = _model_from_config(config, seed=cfg.seed)
-        if args.init:
-            source_state, source_cfg = ckpt.load(args.init)
-            copied = MODELS.transfer_weights(source_state, source_cfg, model)
-            print(f"transferred {copied} tensors from {args.init}", file=sys.stderr)
-        state, log = TR.train(cfg, manifest, model)
-        result = TR.evaluate(model, manifest, cfg.stage, patch_cfg=cfg)
-        log.final.update(result.to_json())
-        ckpt.save(args.out, state, MODELS.model_config(model))
-        if args.log:
-            log.to_jsonl(args.log)
-        print(json.dumps({"checkpoint": str(args.out), **log.final}))
-        return 0
-    except Exception as exc:  # noqa: BLE001 - mapped to documented exit codes
-        return _fail(_exit_code_for(exc), str(exc))
+        cfg = TR.TrainConfig(**train_section)
+    except TypeError as exc:
+        raise ConfigError(f"bad train section: {exc}") from exc
+    manifest = _require_manifest(config)
+    model = _model_from_config(config, seed=cfg.seed)
+    if args.init:
+        source_state, source_cfg = ckpt.load(args.init)
+        copied = MODELS.transfer_weights(source_state, source_cfg, model)
+        print(f"transferred {copied} tensors from {args.init}", file=sys.stderr)
+    state, log = TR.train(cfg, manifest, model)
+    result = TR.evaluate(model, manifest, cfg.stage, patch_cfg=cfg)
+    log.final.update(result.to_json())
+    ckpt.save(args.out, state, MODELS.model_config(model))
+    if args.log:
+        log.to_jsonl(args.log)
+    print(json.dumps({"checkpoint": str(args.out), **log.final}))
+    return 0
+
+
+def _load_model(path):
+    state, model_cfg = ckpt.load(path)
+    model = MODELS.build_model(model_cfg)
+    model.load_state_dict(state)
+    return model, model_cfg
 
 
 def cmd_eval(args) -> int:
-    try:
-        config = _load_config(args.config, args.set or [])
-        state, model_cfg = ckpt.load(args.checkpoint)
-        model = MODELS.build_model(model_cfg)
-        model.load_state_dict(state)
-        manifest = D.Manifest.load(args.manifest)
-        stage = args.stage or config.get("train", {}).get("stage")
-        if stage is None:
-            stage = _default_stage(model_cfg, manifest)
-        result = TR.evaluate(model, manifest, stage)
-        print(json.dumps(result.to_json()))
-        return 0
-    except Exception as exc:  # noqa: BLE001
-        return _fail(_exit_code_for(exc), str(exc))
-
-
-def _default_stage(model_cfg: dict, manifest: D.Manifest) -> str:
-    kind = model_cfg.get("kind")
-    if kind in ("phybonet", "physenet"):
-        return "four-view"
-    if kind == "phunet":
-        return "segmentation"
-    if model_cfg.get("heads", 1) == 5:
-        return "patch"
-    return "two-view"
+    config = _load_config(args.config, args.set or [])
+    model, model_cfg = _load_model(args.checkpoint)
+    manifest = D.Manifest.load(args.manifest)
+    stage = args.stage or config.get("train", {}).get("stage")
+    if stage is None:
+        stage = TR.default_stage(model_cfg)
+    result = TR.evaluate(model, manifest, stage)
+    print(json.dumps(result.to_json()))
+    return 0
 
 
 def cmd_maps(args) -> int:
-    try:
-        state, model_cfg = ckpt.load(args.checkpoint)
-        model = MODELS.build_model(model_cfg)
-        model.load_state_dict(state)
-        manifest = D.Manifest.load(args.manifest)
-        matches = [e for e in manifest.entries if e.id == args.sample]
-        if not matches:
-            raise ShapeError(f"sample id {args.sample!r} not present in manifest")
-        views = manifest.load_views(matches[0])
-        written = TR.export_maps(model, views, args.out)
-        print(json.dumps({"written": written}))
-        return 0
-    except Exception as exc:  # noqa: BLE001
-        return _fail(_exit_code_for(exc), str(exc))
+    model, _ = _load_model(args.checkpoint)
+    manifest = D.Manifest.load(args.manifest)
+    matches = [e for e in manifest.entries if e.id == args.sample]
+    if not matches:
+        raise ShapeError(f"sample id {args.sample!r} not present in manifest")
+    views = manifest.load_views(matches[0])
+    written = TR.export_maps(model, views, args.out)
+    print(json.dumps({"written": written}))
+    return 0
 
 
 def cmd_inspect(args) -> int:
-    try:
-        state, model_cfg = ckpt.load(args.checkpoint)
-        model = MODELS.build_model(model_cfg)
-        total = model.param_count()
-        ratio = MODELS.hypercomplex_param_ratio(model)
-        rows = [
-            {"name": name, "dtype": str(arr.dtype), "shape": list(arr.shape)}
-            for name, arr in sorted(state.items())
-        ]
-        print(
-            json.dumps(
-                {
-                    "model": model_cfg,
-                    "tensors": rows,
-                    "trainable_params": total,
-                    "ratio_vs_real": round(ratio, 6),
-                }
-            )
+    state, model_cfg = ckpt.load(args.checkpoint)
+    model = MODELS.build_model(model_cfg)
+    total = model.param_count()
+    ratio = MODELS.hypercomplex_param_ratio(model)
+    rows = [
+        {"name": name, "dtype": str(arr.dtype), "shape": list(arr.shape)}
+        for name, arr in sorted(state.items())
+    ]
+    print(
+        json.dumps(
+            {
+                "model": model_cfg,
+                "tensors": rows,
+                "trainable_params": total,
+                "ratio_vs_real": round(ratio, 6),
+            }
         )
-        return 0
-    except Exception as exc:  # noqa: BLE001
-        return _fail(_exit_code_for(exc), str(exc))
+    )
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="run one training stage")
     p.add_argument("--config", required=True, help="JSON run config")
-    p.add_argument("--stage", required=True,
-                   choices=["patch", "two-view", "four-view", "segmentation"])
+    p.add_argument("--stage", required=True, choices=TR.STAGES)
     p.add_argument("--init", help="checkpoint to transfer weights from")
     p.add_argument("--out", required=True, help="output checkpoint path")
     p.add_argument("--log", help="write the run log as line-delimited JSON")
@@ -273,8 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON run config (optional)")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--stage",
-                   choices=["patch", "two-view", "four-view", "segmentation"])
+    p.add_argument("--stage", choices=TR.STAGES)
     p.add_argument("--set", action="append", metavar="PATH=VALUE")
     p.set_defaults(func=cmd_eval)
 
@@ -294,7 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:  # noqa: BLE001 - mapped to documented exit codes
+        return _fail(_exit_code_for(exc), str(exc))
 
 
 if __name__ == "__main__":

@@ -133,10 +133,16 @@ class Manifest:
             doc = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise DataError(f"cannot read manifest {path}: {exc}") from exc
-        if doc.get("manifest-version") != MANIFEST_VERSION:
+        if not isinstance(doc, dict) or doc.get("manifest-version") != MANIFEST_VERSION:
             raise DataError(f"{path}: unsupported manifest version")
-        entries = [Entry(**e) for e in doc["entries"]]
-        return cls(doc["metadata"], entries, root=path.parent)
+        entries, metadata = doc.get("entries"), doc.get("metadata")
+        if not isinstance(entries, list) or not isinstance(metadata, dict):
+            raise DataError(f"{path}: manifest needs an entries list and a metadata object")
+        try:
+            entries = [Entry(**e) for e in entries]
+        except TypeError as exc:
+            raise DataError(f"{path}: bad manifest entry: {exc}") from exc
+        return cls(metadata, entries, root=path.parent)
 
     def load_views(self, entry: Entry) -> np.ndarray:
         """Stack an entry's views into a (V,H,W) float32 array."""
@@ -176,10 +182,12 @@ class SyntheticSpec:
             raise DataError(f"views must be 2 or 4, got {self.views}")
         if self.label_rule not in ("single-view", "cross-view-xor"):
             raise DataError(f"unknown label rule {self.label_rule!r}")
-        if isinstance(self.radius, list):
-            self.radius = tuple(self.radius)
-        if isinstance(self.contrast, list):
-            self.contrast = tuple(self.contrast)
+        for name in ("radius", "contrast"):
+            pair = getattr(self, name)
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2 or not all(
+                    isinstance(v, (int, float)) and type(v) is not bool for v in pair):
+                raise DataError(f"{name} must be a pair of numbers, got {pair!r}")
+            setattr(self, name, tuple(pair))
 
 
 def view_transform_point(point, size: int) -> np.ndarray:

@@ -17,7 +17,7 @@ ordinary residual machinery applies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -32,6 +32,24 @@ from .phc import PHCConv2d, PHMLinear, real_equivalent_count
 # configs
 # ---------------------------------------------------------------------------
 
+def _order(n) -> int:
+    if type(n) is not int or n < 1:
+        raise ConfigError(f"order n must be a positive integer, got {n!r}")
+    return n
+
+
+def _multiple(name: str, value, n: int) -> None:
+    if type(value) is not int or value < 1 or value % n:
+        raise ConfigError(f"{name} {value!r} is not a positive multiple of n={n}")
+
+
+def _blocks(blocks) -> tuple:
+    if not isinstance(blocks, (list, tuple)) or not all(
+            type(b) is int and b >= 0 for b in blocks):
+        raise ConfigError(f"blocks must be a list of block counts, got {blocks!r}")
+    return tuple(blocks)
+
+
 @dataclass
 class PHResNetConfig:
     n: int = 2
@@ -45,12 +63,9 @@ class PHResNetConfig:
     def __post_init__(self):
         if self.in_channels is None:
             self.in_channels = self.n
-        if self.width % self.n:
-            raise ConfigError(f"width {self.width} not divisible by n={self.n}")
-        if self.in_channels % self.n:
-            raise ConfigError(
-                f"input channels {self.in_channels} not divisible by n={self.n}"
-            )
+        self.blocks = _blocks(self.blocks)
+        _multiple("width", self.width, _order(self.n))
+        _multiple("in_channels", self.in_channels, self.n)
 
 
 @dataclass
@@ -63,15 +78,11 @@ class PHYBOnetConfig:
     scheme: str = "fixed-algebra"
 
     def __post_init__(self):
+        self.blocks = _blocks(self.blocks)
         if len(self.blocks) != 4:
             raise ConfigError("PHYBOnet expects four stage block counts")
-        if self.width % self.n_encoder:
-            raise ConfigError(f"width {self.width} not divisible by n={self.n_encoder}")
-        if (4 * self.width) % self.n_bottleneck:
-            raise ConfigError(
-                f"bottleneck input {4 * self.width} not divisible by "
-                f"n={self.n_bottleneck}"
-            )
+        _multiple("width", self.width, _order(self.n_encoder))
+        _multiple("4 * width", 4 * self.width, _order(self.n_bottleneck))
 
 
 @dataclass
@@ -83,8 +94,8 @@ class PHYSEnetConfig:
     scheme: str = "fixed-algebra"
 
     def __post_init__(self):
-        if self.width % self.n:
-            raise ConfigError(f"width {self.width} not divisible by n={self.n}")
+        self.blocks = _blocks(self.blocks)
+        _multiple("width", self.width, _order(self.n))
 
 
 @dataclass
@@ -98,16 +109,8 @@ class PHUNetConfig:
     def __post_init__(self):
         if self.in_channels is None:
             self.in_channels = self.n
-        if self.width % self.n:
-            raise ConfigError(f"width {self.width} not divisible by n={self.n}")
-
-
-_CONFIG_KINDS = {
-    "phresnet": PHResNetConfig,
-    "phybonet": PHYBOnetConfig,
-    "physenet": PHYSEnetConfig,
-    "phunet": PHUNetConfig,
-}
+        _multiple("width", self.width, _order(self.n))
+        _multiple("in_channels", self.in_channels, self.n)
 
 
 def config_to_dict(kind: str, cfg) -> dict:
@@ -117,14 +120,16 @@ def config_to_dict(kind: str, cfg) -> dict:
 
 
 def config_from_dict(d: dict):
-    d = dict(d)
-    kind = d.pop("kind")
-    if kind not in _CONFIG_KINDS:
-        raise ConfigError(f"unknown model kind {kind!r}")
-    for key in ("blocks",):
-        if key in d and isinstance(d[key], list):
-            d[key] = tuple(d[key])
-    return kind, _CONFIG_KINDS[kind](**d)
+    """(kind, config) from a model-config dict; ConfigError names what is wrong."""
+    kind = d.get("kind") if isinstance(d, dict) else None
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise ConfigError(f"model kind {kind!r} is not one of {sorted(KINDS)}")
+    config_class = KINDS[kind].config_class
+    args = {k: v for k, v in d.items() if k != "kind"}
+    unknown = sorted(args.keys() - {f.name for f in fields(config_class)})
+    if unknown:
+        raise ConfigError(f"unknown {kind} config keys {unknown}")
+    return kind, config_class(**args)
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +195,7 @@ class RefinerStack(Module):
 
 class PHResNet(Module):
     kind = "phresnet"
+    config_class = PHResNetConfig
 
     def __init__(self, cfg: PHResNetConfig, seed: int = 0):
         super().__init__()
@@ -221,6 +227,7 @@ class PHResNet(Module):
 
 class PHYBOnet(Module):
     kind = "phybonet"
+    config_class = PHYBOnetConfig
 
     def __init__(self, cfg: PHYBOnetConfig, seed: int = 0):
         super().__init__()
@@ -289,6 +296,7 @@ class Branch(Module):
 
 class PHYSEnet(Module):
     kind = "physenet"
+    config_class = PHYSEnetConfig
 
     def __init__(self, cfg: PHYSEnetConfig, seed: int = 0):
         super().__init__()
@@ -328,6 +336,7 @@ class DoubleConv(Module):
 
 class PHUNet(Module):
     kind = "phunet"
+    config_class = PHUNetConfig
 
     def __init__(self, cfg: PHUNetConfig, seed: int = 0):
         super().__init__()
@@ -385,36 +394,15 @@ class PHUNet(Module):
 
 
 # ---------------------------------------------------------------------------
-# builders and parameter accounting
+# building and parameter accounting
 # ---------------------------------------------------------------------------
 
-def build_phresnet(cfg: PHResNetConfig, seed: int = 0) -> PHResNet:
-    return PHResNet(cfg, seed)
-
-
-def build_phybonet(cfg: PHYBOnetConfig, seed: int = 0) -> PHYBOnet:
-    return PHYBOnet(cfg, seed)
-
-
-def build_physenet(cfg: PHYSEnetConfig, seed: int = 0) -> PHYSEnet:
-    return PHYSEnet(cfg, seed)
-
-
-def build_phunet(cfg: PHUNetConfig, seed: int = 0) -> PHUNet:
-    return PHUNet(cfg, seed)
-
-
-_BUILDERS = {
-    "phresnet": build_phresnet,
-    "phybonet": build_phybonet,
-    "physenet": build_physenet,
-    "phunet": build_phunet,
-}
+KINDS = {cls.kind: cls for cls in (PHResNet, PHYBOnet, PHYSEnet, PHUNet)}
 
 
 def build_model(config: dict, seed: int = 0) -> Module:
     kind, cfg = config_from_dict(config)
-    return _BUILDERS[kind](cfg, seed)
+    return KINDS[kind](cfg, seed)
 
 
 def model_config(model) -> dict:
@@ -442,9 +430,6 @@ def hypercomplex_param_ratio(model: Module) -> float:
 # ---------------------------------------------------------------------------
 # cross-stage weight transfer
 # ---------------------------------------------------------------------------
-
-TRUNK_PREFIXES = ("trunk.",)
-
 
 def _transfer_pairs(source_kind: str, target) -> list[tuple[str, str]]:
     """(source prefix, target prefix) pairs for the supported transfer maps."""

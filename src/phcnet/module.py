@@ -40,11 +40,6 @@ class Module:
         self._buffers[name] = T.as_tensor(value)
         object.__setattr__(self, name, self._buffers[name])
 
-    def _set_buffer(self, name, value):
-        """Replace a registered buffer (used for running statistics updates)."""
-        self._buffers[name] = T.as_tensor(value)
-        object.__setattr__(self, name, self._buffers[name])
-
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
 
@@ -77,38 +72,24 @@ class Module:
         state.update({name: b.copy() for name, b in self.named_buffers()})
         return state
 
-    def load_state_dict(self, state: dict[str, np.ndarray], strict: bool = True):
-        params = dict(self.named_parameters())
-        own = set(params)
-        for module, prefix in self._walk():
-            for bname in list(module._buffers):
-                own.add(prefix + bname)
-        missing = own - set(state)
-        extra = set(state) - own
-        if strict and (missing or extra):
+    def load_state_dict(self, state: dict[str, np.ndarray]):
+        """Copy every parameter and buffer in place from ``state``.
+
+        The names must match exactly (CheckpointError otherwise) and every
+        array must have its target's shape (ShapeError otherwise).
+        """
+        own = {name: p.value for name, p in self.named_parameters()}
+        own.update(self.named_buffers())
+        missing, extra = own.keys() - state.keys(), state.keys() - own.keys()
+        if missing or extra:
             raise CheckpointError(
                 f"state mismatch: missing {sorted(missing)}, unexpected {sorted(extra)}"
             )
-        for name, p in params.items():
-            if name in state:
-                src = T.as_tensor(state[name], dtype=p.value.dtype)
-                if src.shape != p.value.shape:
-                    raise ShapeError(
-                        f"shape mismatch for {name}: {src.shape} vs {p.value.shape}"
-                    )
-                p.value[...] = src
-        for module, prefix in self._walk():
-            for bname in list(module._buffers):
-                full = prefix + bname
-                if full in state:
-                    module._set_buffer(
-                        bname, T.as_tensor(state[full], dtype=module._buffers[bname].dtype)
-                    )
-
-    def _walk(self, prefix: str = ""):
-        yield self, prefix
-        for name, m in self._modules.items():
-            yield from m._walk(prefix + name + ".")
+        for name, dst in own.items():
+            src = T.as_tensor(state[name], dtype=dst.dtype)
+            if src.shape != dst.shape:
+                raise ShapeError(f"shape mismatch for {name}: {src.shape} vs {dst.shape}")
+            dst[...] = src
 
     # -- mode / grads --------------------------------------------------------
 

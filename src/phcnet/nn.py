@@ -23,16 +23,6 @@ def _seeds(seed, k: int):
     return ss.spawn(k)
 
 
-def np_sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable sigmoid on a plain array."""
-    out = np.empty_like(x, dtype=x.dtype)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ev = np.exp(x[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
-
-
 def _softplus(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0) + np.log1p(np.exp(-np.abs(x)))
 
@@ -198,7 +188,7 @@ def bce_with_logits(logits: ag.Node, targets, pos_weight: float = 1.0) -> ag.Nod
     inv = 1.0 / z.size
 
     def rule(g):
-        dz = (-w * y * np_sigmoid(-z) + (1.0 - y) * np_sigmoid(z)) * (g * inv)
+        dz = (-w * y * ag.stable_sigmoid(-z) + (1.0 - y) * ag.stable_sigmoid(z)) * (g * inv)
         return (dz.astype(z.dtype, copy=False),)
 
     return ag.Node(np.asarray(value, dtype=z.dtype), (logits,), rule)

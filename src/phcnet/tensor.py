@@ -44,46 +44,8 @@ def _pair(v) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# elementwise / linear algebra
+# Kronecker product (test oracle for kron_sum)
 # ---------------------------------------------------------------------------
-
-def elementwise(op: str, a, b) -> np.ndarray:
-    """Entrywise add/sub/mul of equally shaped tensors, or scale by a scalar.
-
-    Only scalar-tensor broadcasting is allowed; any other shape mismatch
-    raises ShapeError.
-    """
-    a = as_tensor(a)
-    if op == "scale":
-        if not np.isscalar(b) and np.ndim(b) != 0:
-            raise ShapeError("scale expects a scalar second operand")
-        return a * a.dtype.type(b)
-    if np.isscalar(b) or np.ndim(b) == 0:
-        b_arr = a.dtype.type(b)
-    else:
-        b_arr = as_tensor(b)
-        if b_arr.shape != a.shape:
-            raise ShapeError(
-                f"elementwise {op}: shapes {a.shape} and {b_arr.shape} differ"
-            )
-    if op == "add":
-        return a + b_arr
-    if op == "sub":
-        return a - b_arr
-    if op == "mul":
-        return a * b_arr
-    raise ValueError(f"unknown elementwise op {op!r}")
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product of a (m,k) by b (k,p)."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects rank-2 operands, got {a.ndim} and {b.ndim}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner extents differ: {a.shape} @ {b.shape}")
-    return a @ b
-
 
 def kron(a, b) -> np.ndarray:
     """Kronecker product of a rank-2 ``a`` with the two leading axes of ``b``.
@@ -263,14 +225,6 @@ def conv2d_naive(x, weight, bias=None, stride=1, padding=0) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # pooling / resampling
 # ---------------------------------------------------------------------------
-
-def global_avg_pool(x) -> np.ndarray:
-    """Mean over the H, W axes of an (N,C,H,W) tensor, returning (N,C)."""
-    x = as_tensor(x)
-    if x.ndim != 4:
-        raise ShapeError(f"global_avg_pool expects rank-4 input, got rank {x.ndim}")
-    return x.mean(axis=(2, 3))
-
 
 def max_pool2d(x, size: int = 2):
     """Non-overlapping max pooling; returns (pooled, flat argmax indices).

@@ -3,32 +3,77 @@
 One :func:`train` call runs a single stage (patch pretraining, two-view or
 four-view classification, or segmentation) with seeded shuffling, train-only
 augmentation, early stopping on the validation metric, and best-checkpoint
-retention.  Everything is a deterministic function of (seed, config,
-manifest): repeating a run reproduces the checkpoint bit for bit.
+retention.  Each stage is one :class:`Stage` record; loading, the loss,
+prediction and scoring read it instead of branching on the stage name.
+Everything is a deterministic function of (seed, config, manifest):
+repeating a run reproduces the checkpoint bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
+from numbers import Integral, Real
 
 import numpy as np
 
 from . import autograd as ag
 from . import data as D
 from . import metrics as M
+from . import models as MD
 from . import nn
-from .errors import ConfigError, NumericError, ShapeError
-from .models import PHResNet, PHUNet
+from .errors import ConfigError, NumericError
 
-STAGES = ("patch", "two-view", "four-view", "segmentation")
 
-_DEFAULT_LR = {"patch": 1e-5, "two-view": 1e-5, "four-view": 1e-5,
-               "segmentation": 2e-4}
-_DEFAULT_BATCH = {"patch": 32, "two-view": 8, "four-view": 4, "segmentation": 32}
+@dataclass(frozen=True)
+class Stage:
+    """One training stage: its defaults, what it loads and what it scores.
+
+    ``role`` is "class" (patch pairs, one softmax head over the patch
+    classes), "binary" (one sigmoid head per label of an entry) or "mask"
+    (a per-pixel sigmoid scored against the entry's mask).
+    """
+
+    name: str
+    lr: float
+    batch_size: int
+    views: int    # views per sample; four-view models take them as two sides
+    heads: int    # labels per entry, one binary head each
+    role: str
+    metric: str   # the EvalResult field early stopping watches
+    keep_outputs: bool = False  # see _outputs
+
+
+STAGE = {s.name: s for s in (
+    Stage("patch", 1e-5, 32, views=2, heads=0, role="class", metric="accuracy"),
+    Stage("two-view", 1e-5, 8, views=2, heads=1, role="binary", metric="auc"),
+    Stage("four-view", 1e-5, 4, views=4, heads=2, role="binary", metric="auc",
+          keep_outputs=True),
+    Stage("segmentation", 2e-4, 32, views=2, heads=0, role="mask", metric="dice"),
+)}
+STAGES = tuple(STAGE)
+
+
+def _stage(name) -> Stage:
+    if name not in STAGE:
+        raise ConfigError(f"unknown stage {name!r}; expected one of {STAGES}")
+    return STAGE[name]
+
+
+def default_stage(model_config: dict) -> str:
+    """The stage a model of this config is evaluated on when none is named."""
+    if model_config.get("heads") == len(D.CLASS_NAMES):
+        return "patch"
+    return {"phybonet": "four-view", "physenet": "four-view",
+            "phunet": "segmentation"}.get(model_config.get("kind"), "two-view")
+
+
+def _is_number(value, kind=Real) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass
@@ -47,12 +92,21 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.stage not in STAGES:
-            raise ConfigError(f"unknown stage {self.stage!r}; expected one of {STAGES}")
+        stage = _stage(self.stage)
         if self.lr is None:
-            self.lr = _DEFAULT_LR[self.stage]
+            self.lr = stage.lr
         if self.batch_size is None:
-            self.batch_size = _DEFAULT_BATCH[self.stage]
+            self.batch_size = stage.batch_size
+        for name, low, kind in (("batch_size", 1, Integral), ("max_epochs", 1, Integral),
+                                ("patience", 0, Integral), ("lr", 0, Real),
+                                ("weight_decay", 0, Real)):
+            value = getattr(self, name)
+            if not _is_number(value, kind) or not value >= low:
+                noun = "an integer" if kind is Integral else "a number"
+                raise ConfigError(f"train.{name} must be {noun} >= {low}, got {value!r}")
+        weight = self.pos_weight
+        if weight != "auto" and not (_is_number(weight) and weight > 0):
+            raise ConfigError(f'train.pos_weight must be "auto" or > 0, got {weight!r}')
 
 
 @dataclass
@@ -112,10 +166,10 @@ def summarize_runs(results: list[EvalResult]) -> dict:
 class _StageData:
     """Images, labels and masks for one split, loaded once up front."""
 
-    def __init__(self, manifest: D.Manifest, stage: str, cfg: TrainConfig | None,
+    def __init__(self, manifest: D.Manifest, stage: Stage, cfg: TrainConfig | None,
                  seed: int = 0):
-        self.stage = stage
-        if stage == "patch":
+        self.masks = None
+        if stage.role == "class":
             cfg = cfg or TrainConfig(stage="patch")
             records = D.extract_patches(manifest, per_lesion=cfg.per_lesion,
                                         patch_size=cfg.patch_size, seed=seed)
@@ -123,34 +177,21 @@ class _StageData:
                 raise ConfigError("manifest produced no patches")
             self.x = np.stack([r.views for r in records]).astype(np.float32)
             self.y = np.array([r.label for r in records], dtype=np.int64)
-            self.masks = None
             return
         if not manifest.entries:
             raise ConfigError("manifest has no entries")
-        views = np.stack([manifest.load_views(e) for e in manifest.entries])
+        self.x = np.stack([manifest.load_views(e) for e in manifest.entries])
         labels = np.array([e.labels for e in manifest.entries], dtype=np.int64)
-        vps = views.shape[1]
-        if stage == "two-view":
-            if vps != 2:
-                raise ConfigError(f"two-view stage needs 2 views, manifest has {vps}")
-            self.x, self.y = views, labels[:, 0]
-            self.masks = None
-        elif stage == "four-view":
-            if vps != 4:
-                raise ConfigError(f"four-view stage needs 4 views, manifest has {vps}")
-            if labels.shape[1] != 2:
-                raise ConfigError("four-view stage needs two labels per sample")
-            self.x, self.y = views, labels
-            self.masks = None
-        elif stage == "segmentation":
-            if vps != 2:
-                raise ConfigError("segmentation stage needs 2-view entries")
-            self.x, self.y = views, labels[:, 0]
+        if self.x.shape[1] != stage.views or labels.shape[1] < stage.heads:
+            raise ConfigError(
+                f"{stage.name} stage needs {stage.views} views and {stage.heads} "
+                f"labels per sample, manifest has {self.x.shape[1]} and {labels.shape[1]}"
+            )
+        self.y = labels[:, : stage.heads]
+        if stage.role == "mask":
             self.masks = np.stack(
                 [manifest.load_mask(e) for e in manifest.entries]
             ).astype(np.float32)
-        else:
-            raise ConfigError(f"unknown stage {stage!r}")
 
     def __len__(self):
         return len(self.x)
@@ -173,8 +214,21 @@ def _augment_batch(data: _StageData, idx, cfg: TrainConfig, epoch: int):
 
 
 # ---------------------------------------------------------------------------
-# losses / predictions per stage
+# model calls, losses and scores
 # ---------------------------------------------------------------------------
+
+def _sides(x: ag.Node, stage: Stage) -> list[ag.Node]:
+    """A batch as the model's inputs: four-view models take each side's two
+    views as one input, the others every channel as one."""
+    if stage.views == 2:
+        return [x]
+    return [ag.narrow(x, v, v + 2, axis=1) for v in range(0, stage.views, 2)]
+
+
+def _heads(out) -> tuple:
+    """A model's output as one node per head."""
+    return out if isinstance(out, tuple) else (out,)
+
 
 def _auto_pos_weight(labels: np.ndarray) -> float:
     pos = int((labels == 1).sum())
@@ -184,68 +238,53 @@ def _auto_pos_weight(labels: np.ndarray) -> float:
     return neg / pos
 
 
-def _stage_loss(model, stage, xb, yb, mb, pos_weights):
-    if stage == "patch":
-        logits = model(ag.constant(xb))
-        return nn.cross_entropy(logits, yb)
-    if stage == "two-view":
-        logits = model(ag.constant(xb))
-        return nn.bce_with_logits(logits, yb[:, None].astype(np.float32),
-                                  pos_weight=pos_weights[0])
-    if stage == "four-view":
-        ll, lr = model(ag.constant(xb[:, :2]), ag.constant(xb[:, 2:]))
-        loss_l = nn.bce_with_logits(ll, yb[:, :1].astype(np.float32),
-                                    pos_weight=pos_weights[0])
-        loss_r = nn.bce_with_logits(lr, yb[:, 1:].astype(np.float32),
-                                    pos_weight=pos_weights[1])
-        return loss_l + loss_r
-    # segmentation
-    logits = model.forward_logits(ag.constant(xb))
-    return nn.bce_with_logits(logits, mb[:, None], pos_weight=pos_weights[0])
+def _stage_loss(model, stage: Stage, xb, yb, mb, pos_weights):
+    inputs = _sides(ag.constant(xb), stage)
+    if stage.role == "class":
+        return nn.cross_entropy(model(*inputs), yb)
+    if stage.role == "mask":
+        logits, targets = [model.forward_logits(*inputs)], [mb[:, None]]
+    else:
+        logits = _heads(model(*inputs))
+        targets = [yb[:, h, None].astype(np.float32) for h in range(stage.heads)]
+    return functools.reduce(ag.add, [
+        nn.bce_with_logits(z, t, pos_weight=w)
+        for z, t, w in zip(logits, targets, pos_weights)
+    ])
 
 
-def _predict(model, stage, x, batch_size=32):
-    """Eval-mode probabilities, batched; returns an ndarray."""
-    outs = []
-    for start in range(0, len(x), batch_size):
-        xb = x[start : start + batch_size]
-        if stage == "patch":
-            z = model(ag.constant(xb)).value
-            zmax = z.max(axis=1, keepdims=True)
-            e = np.exp(z - zmax)
-            outs.append(e / e.sum(axis=1, keepdims=True))
-        elif stage == "two-view":
-            outs.append(nn.np_sigmoid(model(ag.constant(xb)).value))
-        elif stage == "four-view":
-            ll, lr = model(ag.constant(xb[:, :2]), ag.constant(xb[:, 2:]))
-            outs.append(
-                np.concatenate(
-                    [nn.np_sigmoid(ll.value), nn.np_sigmoid(lr.value)], axis=1
-                )
-            )
-        else:
-            outs.append(model(ag.constant(xb)).value)
-    return np.concatenate(outs, axis=0)
-
-
-def _multiclass_accuracy(probs: np.ndarray, labels: np.ndarray) -> float:
-    return float((probs.argmax(axis=1) == labels).mean() * 100.0)
-
-
-def _val_metric(model, stage, data: _StageData) -> float:
+def _outputs(model, stage: Stage, x: np.ndarray, batch_size: int) -> list[np.ndarray]:
+    """Eval-mode model outputs over ``x``, batched; one array per head."""
     model.eval()
-    probs = _predict(model, stage, data.x)
-    if stage == "patch":
-        return _multiclass_accuracy(probs, data.y)
-    if stage == "two-view":
-        return M.auc(probs[:, 0], data.y)
-    if stage == "four-view":
-        return 0.5 * (M.auc(probs[:, 0], data.y[:, 0])
-                      + M.auc(probs[:, 1], data.y[:, 1]))
-    dices = [
-        M.dice(probs[i, 0] >= 0.5, data.masks[i] > 0.5) for i in range(len(data))
-    ]
-    return float(np.mean(dices))
+    batches, kept = [], None
+    for start in range(0, len(x), batch_size):
+        out = model(*_sides(ag.constant(x[start : start + batch_size]), stage))
+        batches.append([h.value for h in _heads(out)])
+        # An output holds its whole graph, as parameters require grad.  The
+        # four-view stage keeps the last batch's until the next forward has
+        # returned: freeing it first cost ~20% of four-view eval throughput.
+        # The other stages free theirs at once: keeping it raised two-view
+        # training's peak RSS by over a third.
+        kept = out if stage.keep_outputs else None
+        del out
+    return [np.concatenate(head, axis=0) for head in zip(*batches)]
+
+
+def _evaluate(model, stage: Stage, data: _StageData, batch_size: int = 32) -> EvalResult:
+    """Score the model on a loaded split; validation and evaluate share it."""
+    outs = _outputs(model, stage, data.x, batch_size)
+    if stage.role == "class":
+        e = np.exp(outs[0] - outs[0].max(axis=1, keepdims=True))
+        probs = e / e.sum(axis=1, keepdims=True)
+        return EvalResult(accuracy=float((probs.argmax(axis=1) == data.y).mean() * 100.0))
+    if stage.role == "mask":  # the model's output is already a probability
+        dices = [M.dice(p[0] >= 0.5, m > 0.5) for p, m in zip(outs[0], data.masks)]
+        return EvalResult(dice=float(np.mean(dices)))
+    probs = [ag.stable_sigmoid(z)[:, 0] for z in outs]
+    aucs = [M.auc(p, y) for p, y in zip(probs, data.y.T)]
+    accs = [M.accuracy(p, y) for p, y in zip(probs, data.y.T)]
+    return EvalResult(auc=float(np.mean(aucs)), accuracy=float(np.mean(accs)),
+                      per_head={"auc": aucs, "accuracy": accs} if len(aucs) > 1 else {})
 
 
 # ---------------------------------------------------------------------------
@@ -268,29 +307,21 @@ def train(cfg: TrainConfig, manifest: D.Manifest, model, on_epoch=None):
     epochs-to-target); early stopping monitors the validation metric
     otherwise.  The model is left holding the best-validation weights.
     """
+    stage = STAGE[cfg.stage]
     ss = np.random.SeedSequence(cfg.seed)
     split_seed, shuffle_root, patch_seed = ss.spawn(3)
     train_man, val_man = D.stratified_split(
         manifest, cfg.val_fraction, seed=split_seed
     )
     ps1, ps2 = patch_seed.spawn(2)
-    train_data = _StageData(train_man, cfg.stage, cfg, seed=ps1)
-    val_data = _StageData(val_man, cfg.stage, cfg, seed=ps2)
-
-    if cfg.stage == "four-view":
-        heads = 2
-        head_labels = [train_data.y[:, h] for h in range(2)]
-    elif cfg.stage == "segmentation":
-        heads, head_labels = 1, None
-    else:
-        heads, head_labels = 1, [train_data.y]
+    train_data = _StageData(train_man, stage, cfg, seed=ps1)
+    val_data = _StageData(val_man, stage, cfg, seed=ps2)
     if cfg.pos_weight == "auto":
-        if cfg.stage in ("patch", "segmentation"):
-            pos_weights = [1.0] * heads
-        else:
-            pos_weights = [_auto_pos_weight(lab) for lab in head_labels]
+        # one weight per label head; the mask loss takes a weight of one
+        pos_weights = [_auto_pos_weight(train_data.y[:, h])
+                       for h in range(stage.heads)] or [1.0]
     else:
-        pos_weights = [float(cfg.pos_weight)] * heads
+        pos_weights = [float(cfg.pos_weight)] * max(stage.heads, 1)
 
     opt = nn.Adam(model.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
     stopper = nn.EarlyStopper(cfg.patience, mode="max")
@@ -328,8 +359,7 @@ def train(cfg: TrainConfig, manifest: D.Manifest, model, on_epoch=None):
             model.train()
             epoch_loss = 0.0
             for (xb, mb), idx in zip(prepared, batches):
-                loss = _stage_loss(model, cfg.stage, xb, train_data.y[idx], mb,
-                                   pos_weights)
+                loss = _stage_loss(model, stage, xb, train_data.y[idx], mb, pos_weights)
                 lval = float(loss.value)
                 if not np.isfinite(lval):
                     raise NumericError(
@@ -344,7 +374,7 @@ def train(cfg: TrainConfig, manifest: D.Manifest, model, on_epoch=None):
                         )
                 opt.step()
                 epoch_loss += lval
-            val_metric = _val_metric(model, cfg.stage, val_data)
+            val_metric = getattr(_evaluate(model, stage, val_data), stage.metric)
             entry = {
                 "epoch": epoch,
                 "train_loss": epoch_loss / len(batches),
@@ -371,26 +401,8 @@ def train(cfg: TrainConfig, manifest: D.Manifest, model, on_epoch=None):
 def evaluate(model, manifest: D.Manifest, stage: str,
              batch_size: int = 32, patch_cfg: TrainConfig | None = None) -> EvalResult:
     """Metrics on a manifest without augmentation (eval mode)."""
-    data = _StageData(manifest, stage, patch_cfg)
-    model.eval()
-    probs = _predict(model, stage, data.x, batch_size=batch_size)
-    if stage == "patch":
-        return EvalResult(accuracy=_multiclass_accuracy(probs, data.y))
-    if stage == "two-view":
-        return EvalResult(auc=M.auc(probs[:, 0], data.y),
-                          accuracy=M.accuracy(probs[:, 0], data.y))
-    if stage == "four-view":
-        aucs = [M.auc(probs[:, h], data.y[:, h]) for h in range(2)]
-        accs = [M.accuracy(probs[:, h], data.y[:, h]) for h in range(2)]
-        return EvalResult(
-            auc=float(np.mean(aucs)),
-            accuracy=float(np.mean(accs)),
-            per_head={"auc": aucs, "accuracy": accs},
-        )
-    dices = [
-        M.dice(probs[i, 0] >= 0.5, data.masks[i] > 0.5) for i in range(len(data))
-    ]
-    return EvalResult(dice=float(np.mean(dices)))
+    st = _stage(stage)
+    return _evaluate(model, st, _StageData(manifest, st, patch_cfg), batch_size)
 
 
 # ---------------------------------------------------------------------------
@@ -416,11 +428,8 @@ def activation_maps(model, views: np.ndarray) -> dict[str, np.ndarray]:
     model.eval()
     h, w = views.shape[-2:]
     taps: dict = {}
-    x = ag.constant(views[None].astype(np.float32))
-    if isinstance(model, (PHResNet, PHUNet)):
-        model(x, taps=taps)
-    else:
-        model(ag.narrow(x, 0, 2, axis=1), ag.narrow(x, 2, 4, axis=1), taps=taps)
+    stage = STAGE[default_stage(MD.model_config(model))]
+    model(*_sides(ag.constant(views[None].astype(np.float32)), stage), taps=taps)
     out = {}
     for name, node in taps.items():
         plane = node.value[0].mean(axis=0)
@@ -439,13 +448,10 @@ def input_gradient(forward_scalar, views: np.ndarray) -> np.ndarray:
 
 
 def _max_logit(model, x: ag.Node) -> ag.Node:
-    if isinstance(model, PHResNet):
-        logits = model(x)
-    elif isinstance(model, PHUNet):
-        return ag.nmean(model.forward_logits(x))
-    else:
-        ll, lr = model(ag.narrow(x, 0, 2, axis=1), ag.narrow(x, 2, 4, axis=1))
-        logits = ag.concat([ll, lr], axis=1)
+    stage = STAGE[default_stage(MD.model_config(model))]
+    if stage.role == "mask":
+        return ag.nmean(model.forward_logits(*_sides(x, stage)))
+    logits = ag.concat(list(_heads(model(*_sides(x, stage)))), axis=1)
     head = int(np.argmax(logits.value[0]))
     return ag.reshape(ag.narrow(logits, head, head + 1, axis=1), ())
 

@@ -120,12 +120,12 @@ def _check_layer_law(model):
 def test_criterion_3_parameter_law():
     t0 = time.perf_counter()
     built = [
-        MD.build_phresnet(MD.PHResNetConfig(n=1, width=64), seed=0),
-        MD.build_phresnet(MD.PHResNetConfig(n=2, width=64), seed=0),
-        MD.build_phresnet(MD.PHResNetConfig(n=4, width=64), seed=0),
-        MD.build_phybonet(MD.PHYBOnetConfig(width=16), seed=0),
-        MD.build_physenet(MD.PHYSEnetConfig(width=16), seed=0),
-        MD.build_phunet(MD.PHUNetConfig(n=2, width=8, depth=3), seed=0),
+        MD.PHResNet(MD.PHResNetConfig(n=1, width=64), seed=0),
+        MD.PHResNet(MD.PHResNetConfig(n=2, width=64), seed=0),
+        MD.PHResNet(MD.PHResNetConfig(n=4, width=64), seed=0),
+        MD.PHYBOnet(MD.PHYBOnetConfig(width=16), seed=0),
+        MD.PHYSEnet(MD.PHYSEnetConfig(width=16), seed=0),
+        MD.PHUNet(MD.PHUNetConfig(n=2, width=8, depth=3), seed=0),
     ]
     for model in built:
         _check_layer_law(model)
@@ -239,14 +239,14 @@ def test_criterion_5_metric_unit_vectors():
 
 def test_criterion_6_checkpoint_integrity(tmp_path):
     cfg = MD.PHResNetConfig(n=2, blocks=(1, 1), width=8, refiners=1)
-    model = MD.build_phresnet(cfg, seed=0)
+    model = MD.PHResNet(cfg, seed=0)
     p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
     ckpt.save(p1, model.state_dict(), MD.model_config(model))
     state, config = ckpt.load(p1)
     ckpt.save(p2, state, config)
     assert p1.read_bytes() == p2.read_bytes()
 
-    target = MD.build_physenet(
+    target = MD.PHYSEnet(
         MD.PHYSEnetConfig(width=8, blocks=(1, 1), refiners=1), seed=3
     )
     before = target.state_dict()

@@ -12,7 +12,7 @@ from phcnet.errors import CheckpointError
 @pytest.fixture()
 def model():
     cfg = MD.PHResNetConfig(n=2, blocks=(1, 1), width=4, refiners=1)
-    return MD.build_phresnet(cfg, seed=0)
+    return MD.PHResNet(cfg, seed=0)
 
 
 class TestRoundTrip:
@@ -56,8 +56,8 @@ class TestRoundTrip:
 
     def test_transfer_then_save_is_bitwise_equal_on_mapped(self, tmp_path):
         cfg = MD.PHResNetConfig(n=2, blocks=(1, 1), width=4, refiners=1)
-        source = MD.build_phresnet(cfg, seed=0)
-        target = MD.build_phresnet(cfg, seed=5)
+        source = MD.PHResNet(cfg, seed=0)
+        target = MD.PHResNet(cfg, seed=5)
         src_path = tmp_path / "src.ckpt"
         ckpt.save(src_path, source.state_dict(), MD.model_config(source))
         state, config = ckpt.load(src_path)

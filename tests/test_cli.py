@@ -200,7 +200,7 @@ class TestMapsInspect:
     def test_inspect_width64_ratio_half(self, capsys, tmp_path):
         from phcnet import models as MD
 
-        model = MD.build_phresnet(MD.PHResNetConfig(n=2, width=64), seed=0)
+        model = MD.PHResNet(MD.PHResNetConfig(n=2, width=64), seed=0)
         path = tmp_path / "w64.ckpt"
         ckpt.save(path, model.state_dict(), MD.model_config(model))
         code, out, _ = run(capsys, "inspect", "--checkpoint", str(path))
@@ -280,3 +280,72 @@ class TestCheckpointErrors:
         ckpt.save(path, state, config)
         code, err = self._eval(capsys, workspace, str(path))
         assert code == 4 and "shape mismatch for trunk.conv1.F" in err
+
+    def test_buffer_shape_mismatch(self, workspace, checkpoint, capsys, tmp_path):
+        state, config = ckpt.load(checkpoint)
+        state["trunk.bn1.running_mean"] = state["trunk.bn1.running_mean"][:1]
+        path = tmp_path / "b.ckpt"
+        ckpt.save(path, state, config)
+        code, err = self._eval(capsys, workspace, str(path))
+        assert code == 4 and "shape mismatch for trunk.bn1.running_mean" in err
+
+
+class TestInputErrors:
+    """Bad run configs, model configs, manifests and specs end in exit 2 with
+    an ``error:`` line, never a traceback."""
+
+    def _run(self, capsys, *argv):
+        code, _, err = run(capsys, *argv)
+        assert "Traceback" not in err
+        assert err.startswith("error: ")
+        return code, err
+
+    @pytest.mark.parametrize("override", [
+        "train.batch_size=0", "train.max_epochs=0", "train.patience=-1",
+        'train.lr="x"', "train.lr=-0.1", "train.weight_decay=-1",
+        "train.pos_weight=0", 'train.pos_weight="x"',
+        "model.blocks=5", "model.width=0", "model.in_channels=0",
+    ])
+    def test_bad_train_or_model_value(self, workspace, capsys, tmp_path, override):
+        _, _, _, cfg_path = workspace
+        code, err = self._run(capsys, "train", "--config", str(cfg_path),
+                              "--stage", "two-view", "--out", str(tmp_path / "x.ckpt"),
+                              "--set", override)
+        assert code == 2
+        assert override.split("=")[0].split(".")[1] in err
+
+    @pytest.mark.parametrize("edit", ["drop kind", "extra key"])
+    def test_checkpoint_model_config(self, checkpoint, capsys, tmp_path, edit):
+        def change(header):
+            if edit == "drop kind":
+                del header["model-config"]["kind"]
+            else:
+                header["model-config"]["colour"] = "red"
+
+        path = _rewrite(checkpoint, tmp_path / "c.ckpt", edit_header=change)
+        code, err = self._run(capsys, "inspect", "--checkpoint", path)
+        assert code == 2 and ("kind" in err if edit == "drop kind" else "colour" in err)
+
+    @pytest.mark.parametrize("edit", ["no entries", "no metadata", "unknown field"])
+    def test_bad_manifest(self, workspace, checkpoint, capsys, tmp_path, edit):
+        _, _, data_dir, _ = workspace
+        doc = json.loads((data_dir / "manifest.json").read_text())
+        if edit == "no entries":
+            del doc["entries"]
+        elif edit == "no metadata":
+            del doc["metadata"]
+        else:
+            doc["entries"][0]["colour"] = "red"
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        code, err = self._run(capsys, "eval", "--checkpoint", str(checkpoint),
+                              "--manifest", str(path))
+        assert code == 2 and str(path) in err
+
+    @pytest.mark.parametrize("spec", [{"radius": 3}, {"contrast": [0.5]}])
+    def test_bad_spec_pair(self, capsys, tmp_path, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"size": 32, "count": 2, **spec}))
+        code, err = self._run(capsys, "gen-synthetic", "--spec", str(path),
+                              "--out", str(tmp_path / "o"))
+        assert code == 2 and next(iter(spec)) in err

@@ -22,7 +22,7 @@ def small_phresnet(**overrides):
 
 class TestPHResNet:
     def test_forward_shape_and_finiteness(self):
-        model = MD.build_phresnet(small_phresnet(), seed=0)
+        model = MD.PHResNet(small_phresnet(), seed=0)
         x = np.random.default_rng(0).normal(size=(3, 2, 64, 64)).astype(np.float32)
         out = model(ag.constant(x))
         assert out.shape == (3, 1)
@@ -31,12 +31,12 @@ class TestPHResNet:
     def test_param_reduction_vs_n1(self):
         cfg2 = MD.PHResNetConfig(n=2, width=32, blocks=(2, 2, 2, 2))
         cfg1 = MD.PHResNetConfig(n=1, width=32, blocks=(2, 2, 2, 2), in_channels=2)
-        m2 = MD.build_phresnet(cfg2, seed=0)
-        m1 = MD.build_phresnet(cfg1, seed=0)
+        m2 = MD.PHResNet(cfg2, seed=0)
+        m1 = MD.PHResNet(cfg1, seed=0)
         assert m2.param_count() < 0.52 * m1.param_count()
 
     def test_view_order_matters(self):
-        model = MD.build_phresnet(small_phresnet(), seed=7)
+        model = MD.PHResNet(small_phresnet(), seed=7)
         model.eval()
         rng = np.random.default_rng(1)
         v1 = rng.normal(size=(1, 1, 32, 32)).astype(np.float32)
@@ -46,7 +46,7 @@ class TestPHResNet:
         assert not np.allclose(ab, ba)
 
     def test_param_count_matches_enumeration(self):
-        model = MD.build_phresnet(small_phresnet(), seed=0)
+        model = MD.PHResNet(small_phresnet(), seed=0)
         total = 0
         for m in model.modules():
             if isinstance(m, (phc.PHCConv2d, phc.PHMLinear)):
@@ -67,7 +67,7 @@ class TestPHResNet:
         assert total == model.param_count()
 
     def test_eval_determinism_bitwise(self):
-        model = MD.build_phresnet(small_phresnet(), seed=3)
+        model = MD.PHResNet(small_phresnet(), seed=3)
         model.eval()
         x = np.random.default_rng(2).normal(size=(2, 2, 32, 32)).astype(np.float32)
         a = model(ag.constant(x)).value
@@ -75,8 +75,8 @@ class TestPHResNet:
         npt.assert_array_equal(a, b)
 
     def test_desk_scale_speed(self):
-        model = MD.build_phresnet(MD.PHResNetConfig(n=2, blocks=(1, 1, 1, 1),
-                                                    width=16), seed=0)
+        model = MD.PHResNet(MD.PHResNetConfig(n=2, blocks=(1, 1, 1, 1),
+                                              width=16), seed=0)
         x = ag.constant(
             np.random.default_rng(0).normal(size=(8, 2, 64, 64)).astype(np.float32)
         )
@@ -92,7 +92,7 @@ class TestPHResNet:
             MD.PHResNetConfig(n=2, width=9)
 
     def test_taps(self):
-        model = MD.build_phresnet(small_phresnet(), seed=0)
+        model = MD.PHResNet(small_phresnet(), seed=0)
         taps = {}
         model(ag.constant(np.zeros((1, 2, 32, 32), dtype=np.float32)), taps=taps)
         assert set(taps) == {"encoder", "classifier"}
@@ -103,7 +103,7 @@ class TestPHResNet:
 class TestPHYBOnet:
     def test_shapes(self):
         cfg = MD.PHYBOnetConfig(width=8, blocks=(1, 1, 1, 1), refiners=2)
-        model = MD.build_phybonet(cfg, seed=0)
+        model = MD.PHYBOnet(cfg, seed=0)
         rng = np.random.default_rng(3)
         xl = ag.constant(rng.normal(size=(2, 2, 32, 32)).astype(np.float32))
         xr = ag.constant(rng.normal(size=(2, 2, 32, 32)).astype(np.float32))
@@ -112,7 +112,7 @@ class TestPHYBOnet:
 
     def test_swap_changes_outputs(self):
         cfg = MD.PHYBOnetConfig(width=8, blocks=(1, 1, 1, 1), refiners=2)
-        model = MD.build_phybonet(cfg, seed=5)
+        model = MD.PHYBOnet(cfg, seed=5)
         model.eval()
         rng = np.random.default_rng(4)
         xl = rng.normal(size=(1, 2, 32, 32)).astype(np.float32)
@@ -123,7 +123,7 @@ class TestPHYBOnet:
 
     def test_param_reduction_vs_real_bonet(self):
         cfg = MD.PHYBOnetConfig(width=64)
-        model = MD.build_phybonet(cfg, seed=0)
+        model = MD.PHYBOnet(cfg, seed=0)
         assert model.param_count() < 0.35 * MD.real_equivalent_params(model)
 
     def test_bottleneck_divisibility(self):
@@ -134,14 +134,14 @@ class TestPHYBOnet:
 class TestPHYSEnet:
     def test_shared_encoder_is_one_parameter_store(self):
         cfg = MD.PHYSEnetConfig(width=8, blocks=(1, 1, 1, 1), refiners=2)
-        model = MD.build_physenet(cfg, seed=0)
+        model = MD.PHYSEnet(cfg, seed=0)
         names = [name for name, _ in model.named_parameters()]
         encoder_names = [n for n in names if n.startswith("encoder.")]
         assert len(encoder_names) == len(set(encoder_names))  # registered once
 
     def test_identical_inputs_identical_heads_iff_branches_equal(self):
         cfg = MD.PHYSEnetConfig(width=8, blocks=(1, 1, 1, 1), refiners=2)
-        model = MD.build_physenet(cfg, seed=1)
+        model = MD.PHYSEnet(cfg, seed=1)
         model.eval()
         x = np.random.default_rng(5).normal(size=(2, 2, 32, 32)).astype(np.float32)
         ll, lr = model(ag.constant(x), ag.constant(x))
@@ -157,7 +157,7 @@ class TestPHYSEnet:
 
     def test_shared_gradient_is_sum_of_sides(self):
         cfg = MD.PHYSEnetConfig(width=8, blocks=(1, 1, 1, 1), refiners=2)
-        model = MD.build_physenet(cfg, seed=2)
+        model = MD.PHYSEnet(cfg, seed=2)
         rng = np.random.default_rng(6)
         xl = rng.normal(size=(2, 2, 32, 32)).astype(np.float32)
         xr = rng.normal(size=(2, 2, 32, 32)).astype(np.float32)
@@ -191,7 +191,7 @@ class TestPHYSEnet:
 class TestPHUNet:
     def test_forward_shape_and_range(self):
         cfg = MD.PHUNetConfig(n=2, width=4, depth=2)
-        model = MD.build_phunet(cfg, seed=0)
+        model = MD.PHUNet(cfg, seed=0)
         x = np.random.default_rng(7).normal(size=(2, 2, 64, 64)).astype(np.float32)
         out = model(ag.constant(x))
         assert out.shape == (2, 1, 64, 64)
@@ -200,12 +200,12 @@ class TestPHUNet:
     def test_spatial_divisibility_error(self):
         from phcnet.errors import ShapeError
 
-        model = MD.build_phunet(MD.PHUNetConfig(n=2, width=4, depth=3), seed=0)
+        model = MD.PHUNet(MD.PHUNetConfig(n=2, width=4, depth=3), seed=0)
         with pytest.raises(ShapeError):
             model(ag.constant(np.zeros((1, 2, 20, 20), dtype=np.float32)))
 
     def test_grad_check_tiny_instance(self):
-        model = MD.build_phunet(MD.PHUNetConfig(n=2, width=4, depth=2), seed=1)
+        model = MD.PHUNet(MD.PHUNetConfig(n=2, width=4, depth=2), seed=1)
         for p in model.parameters():
             p.value = p.value.astype(np.float64)
         rng = np.random.default_rng(8)
@@ -222,7 +222,7 @@ class TestPHUNet:
         assert report.passed, sorted(report.per_param.items(), key=lambda kv: -kv[1])[:4]
 
     def test_param_ratio_half_of_real(self):
-        model = MD.build_phunet(MD.PHUNetConfig(n=2, width=8, depth=3), seed=0)
+        model = MD.PHUNet(MD.PHUNetConfig(n=2, width=8, depth=3), seed=0)
         ratio = MD.hypercomplex_param_ratio(model)
         assert abs(ratio - 0.5) < 0.05
 
@@ -236,9 +236,9 @@ class TestTransfer:
 
     def test_patch_to_whole_copies_trunk_only(self):
         res, _, _ = self._small_cfgs()
-        source = MD.build_phresnet(MD.PHResNetConfig(**{**res.__dict__, "heads": 5}),
-                                   seed=0)
-        target = MD.build_phresnet(res, seed=99)
+        source = MD.PHResNet(MD.PHResNetConfig(**{**res.__dict__, "heads": 5}),
+                             seed=0)
+        target = MD.PHResNet(res, seed=99)
         src_state = source.state_dict()
         copied = MD.transfer_weights(src_state, MD.model_config(source), target)
         tgt_state = target.state_dict()
@@ -254,8 +254,8 @@ class TestTransfer:
 
     def test_two_view_to_physenet(self):
         res, yse, _ = self._small_cfgs()
-        source = MD.build_phresnet(res, seed=0)
-        target = MD.build_physenet(yse, seed=1)
+        source = MD.PHResNet(res, seed=0)
+        target = MD.PHYSEnet(yse, seed=1)
         copied = MD.transfer_weights(source.state_dict(), MD.model_config(source),
                                      target)
         src = source.state_dict()
@@ -267,8 +267,8 @@ class TestTransfer:
 
     def test_two_view_to_phybonet_both_encoders(self):
         res, _, ybo = self._small_cfgs()
-        source = MD.build_phresnet(res, seed=0)
-        target = MD.build_phybonet(ybo, seed=1)
+        source = MD.PHResNet(res, seed=0)
+        target = MD.PHYBOnet(ybo, seed=1)
         MD.transfer_weights(source.state_dict(), MD.model_config(source), target)
         src = source.state_dict()
         tgt = target.state_dict()
@@ -278,18 +278,33 @@ class TestTransfer:
                 tgt[prefix + "stages.1.0.phc1.F"], src["trunk.stages.1.0.phc1.F"]
             )
 
+    def test_transferred_buffers_are_copies(self):
+        # both encoders are loaded from the same source arrays; each must keep
+        # its own batch-norm running statistics
+        res, _, ybo = self._small_cfgs()
+        source = MD.PHResNet(res, seed=0)
+        state = source.state_dict()
+        target = MD.PHYBOnet(ybo, seed=1)
+        MD.transfer_weights(state, MD.model_config(source), target)
+        left, right = target.encoder_l.bn1, target.encoder_r.bn1
+        assert left.running_mean is not right.running_mean
+        assert left.running_mean is not state["trunk.bn1.running_mean"]
+        target.train()
+        target(*[ag.constant(np.full((2, 2, 16, 16), v, dtype=np.float32)) for v in (0, 1)])
+        assert not np.array_equal(left.running_mean, right.running_mean)
+
     def test_wrong_width_raises_with_names(self):
         res, _, _ = self._small_cfgs()
-        source = MD.build_phresnet(res, seed=0)
-        target = MD.build_phresnet(small_phresnet(width=16), seed=1)
+        source = MD.PHResNet(res, seed=0)
+        target = MD.PHResNet(small_phresnet(width=16), seed=1)
         with pytest.raises(TransferError) as err:
             MD.transfer_weights(source.state_dict(), MD.model_config(source), target)
         assert "trunk.conv1.F" in str(err.value)
 
     def test_unknown_source_kind(self):
         res, yse, _ = self._small_cfgs()
-        source = MD.build_physenet(yse, seed=0)
-        target = MD.build_phresnet(res, seed=0)
+        source = MD.PHYSEnet(yse, seed=0)
+        target = MD.PHResNet(res, seed=0)
         with pytest.raises(TransferError):
             MD.transfer_weights(source.state_dict(), MD.model_config(source), target)
 
@@ -307,8 +322,8 @@ class TestConfigRoundTrip:
         assert kind2 == kind and cfg2 == cfg
 
     def test_builder_determinism(self):
-        a = MD.build_phresnet(small_phresnet(), seed=11)
-        b = MD.build_phresnet(small_phresnet(), seed=11)
+        a = MD.PHResNet(small_phresnet(), seed=11)
+        b = MD.PHResNet(small_phresnet(), seed=11)
         for (na, pa), (nb, pb) in zip(a.named_parameters(), b.named_parameters()):
             assert na == nb
             npt.assert_array_equal(pa.value, pb.value)

@@ -22,7 +22,7 @@ def tiny_dataset(tmp_path_factory):
 def tiny_model(seed=0, **overrides):
     kw = dict(n=2, blocks=(1, 1), width=4, refiners=1)
     kw.update(overrides)
-    return MD.build_phresnet(MD.PHResNetConfig(**kw), seed=seed)
+    return MD.PHResNet(MD.PHResNetConfig(**kw), seed=seed)
 
 
 class TestTrainLoop:
@@ -114,7 +114,7 @@ class TestTrainLoop:
         assert log.final["best_val_metric"] == best
 
     def test_incompatible_manifest_stage(self, tiny_dataset):
-        model = MD.build_phybonet(
+        model = MD.PHYBOnet(
             MD.PHYBOnetConfig(width=4, blocks=(1, 1, 1, 1), refiners=1), seed=0
         )
         cfg = TR.TrainConfig(stage="four-view", max_epochs=1, seed=0)
@@ -196,7 +196,7 @@ class TestEvaluate:
     def test_four_view_heads(self, tmp_path):
         spec = D.SyntheticSpec(size=24, count=24, views=4, seed=33)
         manifest = D.gen_synthetic(spec, tmp_path)
-        model = MD.build_physenet(
+        model = MD.PHYSEnet(
             MD.PHYSEnetConfig(width=4, blocks=(1, 1), refiners=1), seed=0
         )
         res = TR.evaluate(model, manifest, "four-view")
