@@ -4,6 +4,7 @@ A :class:`Node` wraps an array value together with its parents and a
 backward rule.  Graphs are DAGs built eagerly by the op functions below;
 :func:`backward` traverses them once in reverse topological order,
 accumulating gradients by summation across fan-out, then frees the graph.
+Inside :func:`no_grad` no op output requires grad, so no graph is kept.
 
 :func:`grad_check` compares analytic gradients against central finite
 differences and is the universal correctness oracle for every layer type.
@@ -11,6 +12,7 @@ differences and is the universal correctness oracle for every layer type.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,24 +20,38 @@ import numpy as np
 from .errors import ContractError, NumericError, ShapeError
 from . import tensor as T
 
+_recording = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Build no graph inside the block, in every thread: no op output requires grad."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
+
 
 class Node:
     """One value in the computation graph.
 
     ``backward_rule(grad)`` returns one gradient array (or None) per parent,
     in parent order.  Leaves created with ``requires_grad=True`` collect
-    their gradient in ``.grad``.
+    their gradient in ``.grad``.  A node that does not require grad keeps
+    no parents and no rule, so its inputs are freed with it.
     """
 
     __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward_rule")
 
     def __init__(self, value, parents=(), backward_rule=None, requires_grad=None):
         self.value = T.as_tensor(value)
-        self._parents = tuple(parents)
-        self._backward_rule = backward_rule
         if requires_grad is None:
-            requires_grad = any(p.requires_grad for p in self._parents)
+            requires_grad = _recording and any(p.requires_grad for p in parents)
         self.requires_grad = requires_grad
+        self._parents = tuple(parents) if requires_grad else ()
+        self._backward_rule = backward_rule if requires_grad else None
         self.grad = None
 
     @property

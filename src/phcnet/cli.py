@@ -92,10 +92,16 @@ def _load_config(path: str | None, overrides: list[str]) -> dict:
             config = json.loads(p.read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {p} is not valid JSON: {exc}") from exc
+        if not isinstance(config, dict):
+            raise ConfigError(f"config {p} is not a JSON object")
     config = _apply_overrides(config, overrides)
     version = config.get("config-version", CONFIG_VERSION)
     if version != CONFIG_VERSION:
         raise ConfigError(f"unsupported config-version {version}")
+    for section in ("train", "data", "model"):
+        if not isinstance(config.get(section, {}), dict):
+            raise ConfigError(f"config section {section} is not an object: "
+                              f"{config[section]!r}")
     return config
 
 

@@ -32,10 +32,10 @@ from .phc import PHCConv2d, PHMLinear, real_equivalent_count
 # configs
 # ---------------------------------------------------------------------------
 
-def _order(n) -> int:
-    if type(n) is not int or n < 1:
-        raise ConfigError(f"order n must be a positive integer, got {n!r}")
-    return n
+def _count(name: str, value, low: int) -> int:
+    if type(value) is not int or value < low:
+        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+    return value
 
 
 def _multiple(name: str, value, n: int) -> None:
@@ -64,8 +64,10 @@ class PHResNetConfig:
         if self.in_channels is None:
             self.in_channels = self.n
         self.blocks = _blocks(self.blocks)
-        _multiple("width", self.width, _order(self.n))
+        _multiple("width", self.width, _count("n", self.n, 1))
         _multiple("in_channels", self.in_channels, self.n)
+        _count("refiners", self.refiners, 0)
+        _count("heads", self.heads, 1)
 
 
 @dataclass
@@ -81,8 +83,9 @@ class PHYBOnetConfig:
         self.blocks = _blocks(self.blocks)
         if len(self.blocks) != 4:
             raise ConfigError("PHYBOnet expects four stage block counts")
-        _multiple("width", self.width, _order(self.n_encoder))
-        _multiple("4 * width", 4 * self.width, _order(self.n_bottleneck))
+        _multiple("width", self.width, _count("n_encoder", self.n_encoder, 1))
+        _multiple("4 * width", 4 * self.width, _count("n_bottleneck", self.n_bottleneck, 1))
+        _count("refiners", self.refiners, 0)
 
 
 @dataclass
@@ -95,7 +98,8 @@ class PHYSEnetConfig:
 
     def __post_init__(self):
         self.blocks = _blocks(self.blocks)
-        _multiple("width", self.width, _order(self.n))
+        _multiple("width", self.width, _count("n", self.n, 1))
+        _count("refiners", self.refiners, 0)
 
 
 @dataclass
@@ -109,8 +113,9 @@ class PHUNetConfig:
     def __post_init__(self):
         if self.in_channels is None:
             self.in_channels = self.n
-        _multiple("width", self.width, _order(self.n))
+        _multiple("width", self.width, _count("n", self.n, 1))
         _multiple("in_channels", self.in_channels, self.n)
+        _count("depth", self.depth, 0)
 
 
 def config_to_dict(kind: str, cfg) -> dict:

@@ -259,22 +259,18 @@ class Adam:
 
 
 class EarlyStopper:
-    """Stops once the monitored metric fails to improve for > patience epochs."""
+    """Stops once the metric (higher is better) fails to improve for > patience epochs."""
 
-    def __init__(self, patience: int, mode: str = "max"):
-        if mode not in ("max", "min"):
-            raise ConfigError(f"mode must be 'max' or 'min', got {mode!r}")
+    def __init__(self, patience: int):
         self.patience = patience
-        self.mode = mode
-        self.best = -np.inf if mode == "max" else np.inf
+        self.best = -np.inf
         self.since_improvement = 0
 
     def update(self, metric: float) -> bool:
         """Record one epoch's metric; returns True when training should stop."""
         if not np.isfinite(metric):
             raise NumericError(f"early stopping metric is not finite: {metric}")
-        improved = metric > self.best if self.mode == "max" else metric < self.best
-        if improved:
+        if metric > self.best:
             self.best = metric
             self.since_improvement = 0
         else:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import json
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
@@ -45,21 +44,19 @@ class Stage:
     heads: int    # labels per entry, one binary head each
     role: str
     metric: str   # the EvalResult field early stopping watches
-    keep_outputs: bool = False  # see _outputs
 
 
 STAGE = {s.name: s for s in (
     Stage("patch", 1e-5, 32, views=2, heads=0, role="class", metric="accuracy"),
     Stage("two-view", 1e-5, 8, views=2, heads=1, role="binary", metric="auc"),
-    Stage("four-view", 1e-5, 4, views=4, heads=2, role="binary", metric="auc",
-          keep_outputs=True),
+    Stage("four-view", 1e-5, 4, views=4, heads=2, role="binary", metric="auc"),
     Stage("segmentation", 2e-4, 32, views=2, heads=0, role="mask", metric="dice"),
 )}
 STAGES = tuple(STAGE)
 
 
 def _stage(name) -> Stage:
-    if name not in STAGE:
+    if not isinstance(name, str) or name not in STAGE:
         raise ConfigError(f"unknown stage {name!r}; expected one of {STAGES}")
     return STAGE[name]
 
@@ -107,6 +104,8 @@ class TrainConfig:
         weight = self.pos_weight
         if weight != "auto" and not (_is_number(weight) and weight > 0):
             raise ConfigError(f'train.pos_weight must be "auto" or > 0, got {weight!r}')
+        if not isinstance(self.augment, bool):
+            raise ConfigError(f"train.augment must be true or false, got {self.augment!r}")
 
 
 @dataclass
@@ -256,17 +255,11 @@ def _stage_loss(model, stage: Stage, xb, yb, mb, pos_weights):
 def _outputs(model, stage: Stage, x: np.ndarray, batch_size: int) -> list[np.ndarray]:
     """Eval-mode model outputs over ``x``, batched; one array per head."""
     model.eval()
-    batches, kept = [], None
-    for start in range(0, len(x), batch_size):
-        out = model(*_sides(ag.constant(x[start : start + batch_size]), stage))
-        batches.append([h.value for h in _heads(out)])
-        # An output holds its whole graph, as parameters require grad.  The
-        # four-view stage keeps the last batch's until the next forward has
-        # returned: freeing it first cost ~20% of four-view eval throughput.
-        # The other stages free theirs at once: keeping it raised two-view
-        # training's peak RSS by over a third.
-        kept = out if stage.keep_outputs else None
-        del out
+    batches = []
+    with ag.no_grad():
+        for start in range(0, len(x), batch_size):
+            out = model(*_sides(ag.constant(x[start : start + batch_size]), stage))
+            batches.append([h.value for h in _heads(out)])
     return [np.concatenate(head, axis=0) for head in zip(*batches)]
 
 
@@ -290,14 +283,6 @@ def _evaluate(model, stage: Stage, data: _StageData, batch_size: int = 32) -> Ev
 # ---------------------------------------------------------------------------
 # the training loop
 # ---------------------------------------------------------------------------
-
-def _worker_count() -> int:
-    raw = os.environ.get("PHCNET_THREADS", "1")
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return 1
-
 
 def train(cfg: TrainConfig, manifest: D.Manifest, model, on_epoch=None):
     """Run one training stage; returns (best state dict, RunLog).
@@ -324,7 +309,7 @@ def train(cfg: TrainConfig, manifest: D.Manifest, model, on_epoch=None):
         pos_weights = [float(cfg.pos_weight)] * max(stage.heads, 1)
 
     opt = nn.Adam(model.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
-    stopper = nn.EarlyStopper(cfg.patience, mode="max")
+    stopper = nn.EarlyStopper(cfg.patience)
     log = RunLog(
         config=asdict(cfg),
         param_count=model.param_count(),
@@ -341,21 +326,14 @@ def train(cfg: TrainConfig, manifest: D.Manifest, model, on_epoch=None):
         starts.pop()
     named_params = list(model.named_parameters())
     shuffle_seeds = shuffle_root.spawn(cfg.max_epochs)
-    workers = _worker_count()
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 0 else None
-    try:
+    with ThreadPoolExecutor(max_workers=1) as pool:
         for epoch in range(cfg.max_epochs):
             t0 = time.perf_counter()
             order = np.random.default_rng(shuffle_seeds[epoch]).permutation(n)
             batches = np.split(order, starts[1:])
-            if pool is not None:
-                prepared = pool.map(
-                    lambda idx: _augment_batch(train_data, idx, cfg, epoch), batches
-                )
-            else:
-                prepared = (
-                    _augment_batch(train_data, idx, cfg, epoch) for idx in batches
-                )
+            prepared = pool.map(
+                lambda idx: _augment_batch(train_data, idx, cfg, epoch), batches
+            )
             model.train()
             epoch_loss = 0.0
             for (xb, mb), idx in zip(prepared, batches):
@@ -389,9 +367,6 @@ def train(cfg: TrainConfig, manifest: D.Manifest, model, on_epoch=None):
                 break
             if stopper.update(val_metric):
                 break
-    finally:
-        if pool is not None:
-            pool.shutdown()
     model.load_state_dict(best_state)
     log.final = {"best_val_metric": float(best_metric),
                  "epochs_run": len(log.epochs)}
@@ -429,7 +404,8 @@ def activation_maps(model, views: np.ndarray) -> dict[str, np.ndarray]:
     h, w = views.shape[-2:]
     taps: dict = {}
     stage = STAGE[default_stage(MD.model_config(model))]
-    model(*_sides(ag.constant(views[None].astype(np.float32)), stage), taps=taps)
+    with ag.no_grad():
+        model(*_sides(ag.constant(views[None].astype(np.float32)), stage), taps=taps)
     out = {}
     for name, node in taps.items():
         plane = node.value[0].mean(axis=0)

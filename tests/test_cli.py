@@ -1,12 +1,15 @@
 """CLI contracts: exit codes, machine-readable stdout, config overrides,
-stage chaining with --init, checkpoint inspection."""
+stage chaining with --init, checkpoint inspection, damaged-checkpoint fuzzing."""
 
+import contextlib
+import io
 import json
 import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from phcnet import checkpoint as ckpt
 from phcnet import data as D
@@ -305,6 +308,8 @@ class TestInputErrors:
         'train.lr="x"', "train.lr=-0.1", "train.weight_decay=-1",
         "train.pos_weight=0", 'train.pos_weight="x"',
         "model.blocks=5", "model.width=0", "model.in_channels=0",
+        "model.refiners=-1", 'model.refiners="x"', "model.heads=0",
+        'train.augment="no"',
     ])
     def test_bad_train_or_model_value(self, workspace, capsys, tmp_path, override):
         _, _, _, cfg_path = workspace
@@ -313,6 +318,32 @@ class TestInputErrors:
                               "--set", override)
         assert code == 2
         assert override.split("=")[0].split(".")[1] in err
+
+    @pytest.mark.parametrize("argv, word", [
+        (("train", "--config", "CFG", "--set", "train=5"), "train"),
+        (("train", "--config", "CFG", "--set", "data=5"), "data"),
+        (("train", "--config", "LIST"), "object"),
+        (("eval", "--checkpoint", "CKPT", "--set", "train=5"), "train"),
+        (("eval", "--checkpoint", "CKPT", "--set", "train.stage=[1]"), "stage"),
+        (("train", "--config", "CFG", "--set",
+          'model={"kind": "phunet", "width": 4, "depth": -1}'), "depth"),
+        (("eval", "--checkpoint", "HEADS0"), "heads"),
+    ], ids=["train=5", "data=5", "list config", "eval train=5", "eval stage=[1]",
+            "phunet depth=-1", "checkpoint heads=0"])
+    def test_bad_config_shape(self, workspace, checkpoint, capsys, tmp_path, argv, word):
+        _, _, data_dir, cfg_path = workspace
+        (tmp_path / "list.json").write_text("[]")
+        heads0 = _rewrite(checkpoint, tmp_path / "h.ckpt",
+                          edit_header=lambda h: h["model-config"].update(heads=0))
+        paths = {"CFG": str(cfg_path), "LIST": str(tmp_path / "list.json"),
+                 "CKPT": str(checkpoint), "HEADS0": heads0}
+        argv = [paths.get(arg, arg) for arg in argv]
+        if argv[0] == "train":
+            argv += ["--stage", "two-view", "--out", str(tmp_path / "x.ckpt")]
+        else:
+            argv += ["--manifest", str(data_dir / "manifest.json")]
+        code, err = self._run(capsys, *argv)
+        assert code == 2 and word in err
 
     @pytest.mark.parametrize("edit", ["drop kind", "extra key"])
     def test_checkpoint_model_config(self, checkpoint, capsys, tmp_path, edit):
@@ -349,3 +380,33 @@ class TestInputErrors:
         code, err = self._run(capsys, "gen-synthetic", "--spec", str(path),
                               "--out", str(tmp_path / "o"))
         assert code == 2 and next(iter(spec)) in err
+
+
+class TestCheckpointFuzz:
+    """A truncated or byte-flipped checkpoint ends in a documented exit code
+    for inspect and eval, never a traceback."""
+
+    @settings(max_examples=100, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_damaged_checkpoint(self, workspace, checkpoint, tmp_path_factory, data):
+        _, _, data_dir, _ = workspace
+        raw = bytearray(Path(checkpoint).read_bytes())
+        (hlen,) = struct.unpack_from("<Q", raw, len(ckpt.MAGIC))
+        payload = len(ckpt.MAGIC) + 8 + hlen
+        lo, hi = data.draw(st.sampled_from([(0, payload), (payload, len(raw))]))
+        at = data.draw(st.integers(lo, hi - 1), label="at")
+        if data.draw(st.booleans(), label="truncate"):
+            raw = raw[:at]
+        else:
+            raw[at] ^= data.draw(st.integers(1, 255), label="xor")
+        path = tmp_path_factory.getbasetemp() / "fuzzed.ckpt"
+        path.write_bytes(bytes(raw))
+        for argv in (["inspect", "--checkpoint", str(path)],
+                     ["eval", "--checkpoint", str(path),
+                      "--manifest", str(data_dir / "manifest.json")]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 2, 3, 4, 5), (argv[0], code, err.getvalue())
+            assert "Traceback" not in err.getvalue()

@@ -81,11 +81,11 @@ class TestPHResNet:
             np.random.default_rng(0).normal(size=(8, 2, 64, 64)).astype(np.float32)
         )
         model(x)  # warm up
-        t0 = time.perf_counter()
+        t0 = time.process_time()  # CPU time, so other processes do not count
         out = model(ag.constant(x.value))
         loss = nn.bce_with_logits(out, np.ones((8, 1), dtype=np.float32))
         ag.backward(loss)
-        assert time.perf_counter() - t0 < 1.0
+        assert time.process_time() - t0 < 1.0
 
     def test_width_divisibility(self):
         with pytest.raises(ConfigError):

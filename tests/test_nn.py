@@ -248,20 +248,15 @@ class TestAdam:
 
 class TestEarlyStopper:
     def test_trace_patience_two(self):
-        stopper = nn.EarlyStopper(patience=2, mode="max")
+        stopper = nn.EarlyStopper(patience=2)
         decisions = [stopper.update(m) for m in [0.7, 0.71, 0.70, 0.70, 0.70]]
         assert decisions == [False, False, False, False, True]
 
     def test_monotone_improvement_never_stops(self):
-        stopper = nn.EarlyStopper(patience=0, mode="max")
+        stopper = nn.EarlyStopper(patience=0)
         assert not any(stopper.update(m) for m in np.linspace(0.1, 0.9, 20))
 
     def test_patience_zero_stops_on_first_plateau(self):
-        stopper = nn.EarlyStopper(patience=0, mode="max")
+        stopper = nn.EarlyStopper(patience=0)
         assert not stopper.update(0.5)
         assert stopper.update(0.5)  # not a strict improvement
-
-    def test_min_mode(self):
-        stopper = nn.EarlyStopper(patience=1, mode="min")
-        assert [stopper.update(m) for m in [1.0, 0.9, 0.95, 0.96]] == [
-            False, False, False, True]

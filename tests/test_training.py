@@ -1,5 +1,5 @@
 """Training loop: lr=0 identity, run-log determinism, overfit sanity,
-pos-weight computation, evaluation contracts, map export."""
+pos-weight computation, evaluation contracts, map export, graph-free eval."""
 
 import numpy as np
 import numpy.testing as npt
@@ -8,8 +8,9 @@ import pytest
 from phcnet import autograd as ag
 from phcnet import data as D
 from phcnet import models as MD
+from phcnet import nn
 from phcnet import training as TR
-from phcnet.errors import ConfigError, NumericError
+from phcnet.errors import ConfigError, NumericError, ShapeError
 
 
 @pytest.fixture(scope="module")
@@ -259,3 +260,56 @@ class TestMaps:
             if sal[mask].mean() > sal[~mask].mean():
                 wins += 1
         assert wins >= len(positives) // 2  # weak bound; criterion 12 is stricter
+
+
+class TestNoGrad:
+    @pytest.mark.parametrize("kind", ["phresnet", "phybonet", "physenet", "phunet"])
+    def test_eval_outputs_equal_graph_outputs_and_hold_no_graph(self, kind):
+        model = {
+            "phresnet": lambda: tiny_model(seed=12),
+            "phybonet": lambda: MD.PHYBOnet(
+                MD.PHYBOnetConfig(width=4, blocks=(1, 1, 1, 1), refiners=1), seed=0),
+            "physenet": lambda: MD.PHYSEnet(
+                MD.PHYSEnetConfig(width=4, blocks=(1, 1), refiners=1), seed=0),
+            "phunet": lambda: MD.PHUNet(MD.PHUNetConfig(width=4, depth=2), seed=0),
+        }[kind]()
+        model.eval()
+        rng = np.random.default_rng(13)
+        sides = 2 if kind in ("phybonet", "physenet") else 1
+        inputs = [ag.constant(rng.normal(size=(3, 2, 16, 16)).astype(np.float32))
+                  for _ in range(sides)]
+        with_graph = TR._heads(model(*inputs))
+        with ag.no_grad():
+            without = TR._heads(model(*inputs))
+        for a, b in zip(with_graph, without, strict=True):
+            assert a._parents and a.requires_grad
+            assert a.value.tobytes() == b.value.tobytes()
+            assert b._parents == () and b._backward_rule is None
+            assert ag.backward(ag.nsum(b)) == {}
+
+    def test_exception_inside_no_grad_leaves_recording_on(self):
+        model = tiny_model(seed=13)
+        with pytest.raises(ShapeError), ag.no_grad():
+            model(ag.constant(np.zeros((2, 3, 16, 16), dtype=np.float32)))
+        x = np.random.default_rng(14).normal(size=(4, 2, 16, 16)).astype(np.float32)
+        loss = nn.bce_with_logits(model(ag.constant(x)), np.ones((4, 1), np.float32))
+        ag.backward(loss)
+        assert all(p.grad is not None for p in model.parameters())
+
+    def test_evaluate_builds_no_graph_and_keeps_saliency(self, tiny_dataset):
+        model = tiny_model(seed=14)
+        views = tiny_dataset.load_views(tiny_dataset.entries[0])
+        before = TR.saliency_map(model, views)
+        forward, outputs = model.forward, []
+
+        def recording(*args, **kwargs):
+            outputs.append(forward(*args, **kwargs))
+            return outputs[-1]
+
+        model.forward = recording
+        TR.evaluate(model, tiny_dataset, "two-view")
+        del model.forward
+        assert outputs and all(out._parents == () for out in outputs)
+        assert all(p.requires_grad for p in model.parameters())
+        assert before.any()
+        npt.assert_array_equal(TR.saliency_map(model, views), before)
