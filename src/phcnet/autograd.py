@@ -199,11 +199,6 @@ def scale(a, s) -> Node:
     return Node(a.value * s, (a,), lambda g: (g * s,))
 
 
-def add_scalar(a, s) -> Node:
-    a = _as_node(a)
-    return Node(a.value + a.dtype.type(s), (a,), lambda g: (g,))
-
-
 def relu(a) -> Node:
     a = _as_node(a)
     out = np.maximum(a.value, 0)
@@ -218,12 +213,6 @@ def stable_sigmoid(v: np.ndarray) -> np.ndarray:
     ev = np.exp(v[~pos])
     out[~pos] = ev / (1.0 + ev)
     return out
-
-
-def sigmoid(a) -> Node:
-    a = _as_node(a)
-    out = stable_sigmoid(a.value)
-    return Node(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
 def nsum(a) -> Node:

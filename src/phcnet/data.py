@@ -104,6 +104,23 @@ class Entry:
     def to_json(self) -> dict:
         return asdict(self)
 
+    def check(self) -> None:
+        """Raise DataError naming the first field read from JSON with a bad type."""
+        def list_of(value, ok):
+            return isinstance(value, list) and len(value) > 0 and all(map(ok, value))
+
+        for name, ok, want in (
+            ("id", isinstance(self.id, str), "a string"),
+            ("views", list_of(self.views, lambda v: isinstance(v, str)),
+             "a non-empty list of paths"),
+            ("labels", list_of(self.labels, lambda y: type(y) is int and y in (0, 1)),
+             "a non-empty list of 0/1 integers"),
+            ("mask", self.mask is None or isinstance(self.mask, str), "a path or null"),
+        ):
+            if not ok:
+                raise DataError(f"entry {self.id!r}: {name} must be {want}, "
+                                f"got {getattr(self, name)!r}")
+
 
 class Manifest:
     """Dataset index: entries plus metadata, stored as one JSON document.
@@ -140,8 +157,12 @@ class Manifest:
             raise DataError(f"{path}: manifest needs an entries list and a metadata object")
         try:
             entries = [Entry(**e) for e in entries]
-        except TypeError as exc:
+            for e in entries:
+                e.check()
+        except (TypeError, DataError) as exc:
             raise DataError(f"{path}: bad manifest entry: {exc}") from exc
+        if len({(len(e.views), len(e.labels)) for e in entries}) > 1:
+            raise DataError(f"{path}: entries differ in their number of views or labels")
         return cls(metadata, entries, root=path.parent)
 
     def load_views(self, entry: Entry) -> np.ndarray:

@@ -1,18 +1,25 @@
 """Multi-view architectures built from PHC layers.
 
-* PHResNet: two views stacked channel-wise, n=2, ResNet-pattern trunk
-  (no max pool), global average pooling, bottleneck refiner blocks on the
-  pooled features, dense head.
-* PHYBOnet: two n=2 encoder branches (conv stem + first two stages), an
-  n=4 bottleneck over their concatenation (remaining stages + refiners),
-  pooled vector split in half channel-wise, one dense head per side.
+Every model takes one exam batch (N, V, H, W), views stacked channel-wise,
+and returns one logits node; ``forward(x, taps=None)`` raises ShapeError
+unless V is the model's view count.  A four-view model splits the exam into
+its sides itself: views 0-1 are the left side, views 2-3 the right.
+
+* PHResNet: two views, n=2, ResNet-pattern trunk (no max pool), global
+  average pooling, bottleneck refiner blocks on the pooled features, dense
+  head; logits (N, heads).
+* PHYBOnet: two n=2 encoder branches, one per side (conv stem + first two
+  stages), an n=4 bottleneck over their concatenation (remaining stages +
+  refiners), pooled vector split in half channel-wise, one dense head per
+  side; logits (N, 2), left then right.
 * PHYSEnet: one weight-shared n=2 trunk applied to both sides, then a
-  refiner branch + head per side.
+  refiner branch + head per side; logits (N, 2), left then right.
 * PHUNet: symmetric encoder/decoder with concatenation skips and PHC
-  convolutions, per-pixel sigmoid output.
+  convolutions; mask logits (N, 1, H, W), not probabilities.
 
 Refiner blocks run on pooled features reshaped to (N, C, 1, 1) so the
-ordinary residual machinery applies.
+ordinary residual machinery applies.  The config's ``scheme`` initializes
+every PHC convolution but PHUNet's real-valued (n=1) output projection.
 """
 
 from __future__ import annotations
@@ -141,6 +148,17 @@ def config_from_dict(d: dict):
 # building blocks
 # ---------------------------------------------------------------------------
 
+def _check_views(x, views: int) -> None:
+    if x.ndim != 4 or x.shape[1] != views:
+        raise ShapeError(f"expected an (N, {views}, H, W) batch of views, got {x.shape}")
+
+
+def _left_right(x):
+    """A four-view exam batch as its two sides: views 0-1 and views 2-3."""
+    _check_views(x, 4)
+    return ag.narrow(x, 0, 2, axis=1), ag.narrow(x, 2, 4, axis=1)
+
+
 class PHTrunk(Module):
     """Conv stem + residual stages; stride-2 at the first block of stages 2+."""
 
@@ -159,7 +177,7 @@ class PHTrunk(Module):
             for b in range(count):
                 stride = 2 if (s > 0 and b == 0) else 1
                 stage.append(ResidualBlock(n, channels, out, stride=stride,
-                                           seed=block_seeds[b]))
+                                           scheme=scheme, seed=block_seeds[b]))
                 channels = out
             stages.append(stage)
         self.stages = stages
@@ -176,13 +194,13 @@ class PHTrunk(Module):
 class RefinerStack(Module):
     """Bottleneck refiner blocks applied to pooled features at 1x1 spatial size."""
 
-    def __init__(self, n, channels, count, seed):
+    def __init__(self, n, channels, count, scheme, seed):
         super().__init__()
         seeds = _seeds(seed, max(count, 1))
         blocks = ModuleList()
         for i in range(count):
-            blocks.append(ResidualBlock(n, channels, channels,
-                                        variant="refiner", seed=seeds[i]))
+            blocks.append(ResidualBlock(n, channels, channels, variant="refiner",
+                                        scheme=scheme, seed=seeds[i]))
         self.blocks = blocks
         self.channels = channels
 
@@ -209,15 +227,12 @@ class PHResNet(Module):
         self.trunk = PHTrunk(cfg.n, cfg.in_channels, cfg.width, cfg.blocks,
                              cfg.scheme, seeds[0])
         self.refiners = RefinerStack(cfg.n, self.trunk.out_channels,
-                                     cfg.refiners, seeds[1])
+                                     cfg.refiners, cfg.scheme, seeds[1])
         self.head = Linear(self.trunk.out_channels, cfg.heads,
                            seed=int(seeds[2].generate_state(1)[0]))
 
     def forward(self, x, taps=None):
-        if x.shape[1] != self.cfg.in_channels:
-            raise ShapeError(
-                f"expected {self.cfg.in_channels} input channels, got {x.shape[1]}"
-            )
+        _check_views(x, self.cfg.in_channels)
         feat = self.trunk(x)
         if taps is not None:
             taps["encoder"] = feat
@@ -254,16 +269,17 @@ class PHYBOnet(Module):
             for b in range(count):
                 stride = 2 if b == 0 else 1
                 blocks.append(ResidualBlock(nb, channels, out, stride=stride,
-                                            seed=block_seeds[b]))
+                                            scheme=cfg.scheme, seed=block_seeds[b]))
                 channels = out
         self.bottleneck = blocks
-        self.refiners = RefinerStack(nb, channels, cfg.refiners, seeds[3])
+        self.refiners = RefinerStack(nb, channels, cfg.refiners, cfg.scheme, seeds[3])
         half = channels // 2
         self.head_l = Linear(half, 1, seed=int(seeds[4].generate_state(1)[0]))
         self.head_r = Linear(half, 1, seed=int(seeds[5].generate_state(1)[0]))
         self._channels = channels
 
-    def forward(self, x_left, x_right, taps=None):
+    def forward(self, x, taps=None):
+        x_left, x_right = _left_right(x)
         fl = self.encoder_l(x_left)
         fr = self.encoder_r(x_right)
         if taps is not None:
@@ -278,16 +294,16 @@ class PHYBOnet(Module):
         half = self._channels // 2
         logit_l = self.head_l(ag.narrow(refined, 0, half, axis=1))
         logit_r = self.head_r(ag.narrow(refined, half, self._channels, axis=1))
-        return logit_l, logit_r
+        return ag.concat([logit_l, logit_r], axis=1)
 
 
 class Branch(Module):
     """Per-side classifier branch of PHYSEnet: refiners + dense head."""
 
-    def __init__(self, n, channels, refiners, seed):
+    def __init__(self, n, channels, refiners, scheme, seed):
         super().__init__()
         seeds = _seeds(seed, 2)
-        self.refiners = RefinerStack(n, channels, refiners, seeds[0])
+        self.refiners = RefinerStack(n, channels, refiners, scheme, seeds[0])
         self.head = Linear(channels, 1, seed=int(seeds[1].generate_state(1)[0]))
 
     def forward(self, pooled, taps=None, side=""):
@@ -309,18 +325,17 @@ class PHYSEnet(Module):
         seeds = _seeds(seed, 3)
         self.encoder = PHTrunk(cfg.n, 2, cfg.width, cfg.blocks, cfg.scheme, seeds[0])
         c = self.encoder.out_channels
-        self.branch_l = Branch(cfg.n, c, cfg.refiners, seeds[1])
-        self.branch_r = Branch(cfg.n, c, cfg.refiners, seeds[2])
+        self.branch_l = Branch(cfg.n, c, cfg.refiners, cfg.scheme, seeds[1])
+        self.branch_r = Branch(cfg.n, c, cfg.refiners, cfg.scheme, seeds[2])
 
-    def forward(self, x_left, x_right, taps=None):
+    def forward(self, x, taps=None):
         # one parameter store: the same encoder instance processes both sides
-        fl = self.encoder(x_left)
-        fr = self.encoder(x_right)
+        fl, fr = (self.encoder(side) for side in _left_right(x))
         if taps is not None:
             taps["encoder_left"], taps["encoder_right"] = fl, fr
         logit_l = self.branch_l.forward(ag.global_avg_pool(fl), taps, "left")
         logit_r = self.branch_r.forward(ag.global_avg_pool(fr), taps, "right")
-        return logit_l, logit_r
+        return ag.concat([logit_l, logit_r], axis=1)
 
 
 class DoubleConv(Module):
@@ -369,12 +384,9 @@ class PHUNet(Module):
         self.out_conv = PHCConv2d(1, w, 1, 1, scheme="fixed-algebra",
                                   seed=seeds[2 * d + 1])
 
-    def forward_logits(self, x, taps=None):
+    def forward(self, x, taps=None):
         d = self.cfg.depth
-        if x.shape[1] != self.cfg.in_channels:
-            raise ShapeError(
-                f"expected {self.cfg.in_channels} input channels, got {x.shape[1]}"
-            )
+        _check_views(x, self.cfg.in_channels)
         if x.shape[2] % (2**d) or x.shape[3] % (2**d):
             raise ShapeError(
                 f"spatial extents {x.shape[2]}x{x.shape[3]} not divisible by 2^{d}"
@@ -393,9 +405,6 @@ class PHUNet(Module):
             h = up(ag.upsample_nearest(h, 2))
             h = block(ag.concat([skips[d - 1 - i], h], axis=1))
         return self.out_conv(h)
-
-    def forward(self, x, taps=None):
-        return ag.sigmoid(self.forward_logits(x, taps))
 
 
 # ---------------------------------------------------------------------------

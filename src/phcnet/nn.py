@@ -9,6 +9,8 @@ weight decay (theta *= 1 - lr*lambda before the moment update).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import autograd as ag
@@ -119,7 +121,7 @@ class ResidualBlock(Module):
     """
 
     def __init__(self, n, in_channels, out_channels, stride=1,
-                 variant="basic", seed=0):
+                 variant="basic", scheme="fixed-algebra", seed=0):
         super().__init__()
         if variant not in ("basic", "refiner"):
             raise ConfigError(f"unknown residual variant {variant!r}")
@@ -128,12 +130,12 @@ class ResidualBlock(Module):
         self.out_channels = out_channels
         self.stride = stride
         seeds = _seeds(seed, 4)
+        conv = functools.partial(PHCConv2d, n, bias=False, scheme=scheme)
         if variant == "basic":
-            self.phc1 = PHCConv2d(n, in_channels, out_channels, 3,
-                                  stride=stride, padding=1, bias=False, seed=seeds[0])
+            self.phc1 = conv(in_channels, out_channels, 3, stride=stride, padding=1,
+                             seed=seeds[0])
             self.bn1 = BatchNorm2d(out_channels)
-            self.phc2 = PHCConv2d(n, out_channels, out_channels, 3,
-                                  padding=1, bias=False, seed=seeds[1])
+            self.phc2 = conv(out_channels, out_channels, 3, padding=1, seed=seeds[1])
             self.bn2 = BatchNorm2d(out_channels)
         else:
             mid = out_channels // 4
@@ -141,16 +143,14 @@ class ResidualBlock(Module):
                 raise ConfigError(
                     f"refiner mid channels {mid} not divisible by n={n}"
                 )
-            self.phc1 = PHCConv2d(n, in_channels, mid, 1,
-                                  stride=stride, bias=False, seed=seeds[0])
+            self.phc1 = conv(in_channels, mid, 1, stride=stride, seed=seeds[0])
             self.bn1 = BatchNorm2d(mid)
-            self.phc2 = PHCConv2d(n, mid, mid, 3, padding=1, bias=False, seed=seeds[1])
+            self.phc2 = conv(mid, mid, 3, padding=1, seed=seeds[1])
             self.bn2 = BatchNorm2d(mid)
-            self.phc3 = PHCConv2d(n, mid, out_channels, 1, bias=False, seed=seeds[2])
+            self.phc3 = conv(mid, out_channels, 1, seed=seeds[2])
             self.bn3 = BatchNorm2d(out_channels)
         if stride != 1 or in_channels != out_channels:
-            self.proj = PHCConv2d(n, in_channels, out_channels, 1,
-                                  stride=stride, bias=False, seed=seeds[3])
+            self.proj = conv(in_channels, out_channels, 1, stride=stride, seed=seeds[3])
             self.proj_bn = BatchNorm2d(out_channels)
         else:
             self.proj = None
@@ -252,10 +252,6 @@ class Adam:
             v *= self.beta2
             v += (1.0 - self.beta2) * (g * g)
             p.value -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-
-    def zero_grad(self):
-        for p in self.params:
-            p.grad = None
 
 
 class EarlyStopper:

@@ -173,11 +173,6 @@ def init_layer(layer, seed: int = 0, scheme: str = "fixed-algebra"):
     return layer
 
 
-def param_count(layer) -> int:
-    """Actual trainable scalar count of one PHC/PHM layer."""
-    return sum(p.value.size for p in layer.parameters())
-
-
 def real_equivalent_count(layer) -> int:
     """Parameter count of the real-valued layer with the same geometry."""
     if isinstance(layer, PHCConv2d):
@@ -193,8 +188,8 @@ def real_equivalent_count(layer) -> int:
 
 
 def param_ratio(layer) -> float:
-    """param_count over the real-valued equivalent; approaches 1/n."""
-    return param_count(layer) / real_equivalent_count(layer)
+    """Trainable scalar count over the real-valued equivalent; approaches 1/n."""
+    return layer.param_count() / real_equivalent_count(layer)
 
 
 # ---------------------------------------------------------------------------

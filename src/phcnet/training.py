@@ -5,6 +5,10 @@ four-view classification, or segmentation) with seeded shuffling, train-only
 augmentation, early stopping on the validation metric, and best-checkpoint
 retention.  Each stage is one :class:`Stage` record; loading, the loss,
 prediction and scoring read it instead of branching on the stage name.
+Every model is called as ``model(x)`` on a whole (N, V, H, W) batch and
+returns one logits node: column h of it is binary head h, and a 4-D output
+is a mask.  How a model splits an exam into sides is known to
+:mod:`phcnet.models` alone.
 Everything is a deterministic function of (seed, config, manifest):
 repeating a run reproduces the checkpoint bit for bit.
 """
@@ -23,9 +27,8 @@ import numpy as np
 from . import autograd as ag
 from . import data as D
 from . import metrics as M
-from . import models as MD
 from . import nn
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, DataError, NumericError
 
 
 @dataclass(frozen=True)
@@ -33,14 +36,14 @@ class Stage:
     """One training stage: its defaults, what it loads and what it scores.
 
     ``role`` is "class" (patch pairs, one softmax head over the patch
-    classes), "binary" (one sigmoid head per label of an entry) or "mask"
-    (a per-pixel sigmoid scored against the entry's mask).
+    classes), "binary" (one sigmoid head, one logits column, per label of
+    an entry) or "mask" (per-pixel logits scored against the entry's mask).
     """
 
     name: str
     lr: float
     batch_size: int
-    views: int    # views per sample; four-view models take them as two sides
+    views: int    # views per sample
     heads: int    # labels per entry, one binary head each
     role: str
     metric: str   # the EvalResult field early stopping watches
@@ -179,7 +182,11 @@ class _StageData:
             return
         if not manifest.entries:
             raise ConfigError("manifest has no entries")
-        self.x = np.stack([manifest.load_views(e) for e in manifest.entries])
+        views = [manifest.load_views(e) for e in manifest.entries]
+        shapes = sorted({v.shape[1:] for v in views})
+        if len(shapes) > 1:
+            raise DataError(f"manifest images differ in size: {shapes}")
+        self.x = np.stack(views)
         labels = np.array([e.labels for e in manifest.entries], dtype=np.int64)
         if self.x.shape[1] != stage.views or labels.shape[1] < stage.heads:
             raise ConfigError(
@@ -216,19 +223,6 @@ def _augment_batch(data: _StageData, idx, cfg: TrainConfig, epoch: int):
 # model calls, losses and scores
 # ---------------------------------------------------------------------------
 
-def _sides(x: ag.Node, stage: Stage) -> list[ag.Node]:
-    """A batch as the model's inputs: four-view models take each side's two
-    views as one input, the others every channel as one."""
-    if stage.views == 2:
-        return [x]
-    return [ag.narrow(x, v, v + 2, axis=1) for v in range(0, stage.views, 2)]
-
-
-def _heads(out) -> tuple:
-    """A model's output as one node per head."""
-    return out if isinstance(out, tuple) else (out,)
-
-
 def _auto_pos_weight(labels: np.ndarray) -> float:
     pos = int((labels == 1).sum())
     neg = int(labels.size - pos)
@@ -238,44 +232,41 @@ def _auto_pos_weight(labels: np.ndarray) -> float:
 
 
 def _stage_loss(model, stage: Stage, xb, yb, mb, pos_weights):
-    inputs = _sides(ag.constant(xb), stage)
+    logits = model(ag.constant(xb))
     if stage.role == "class":
-        return nn.cross_entropy(model(*inputs), yb)
+        return nn.cross_entropy(logits, yb)
     if stage.role == "mask":
-        logits, targets = [model.forward_logits(*inputs)], [mb[:, None]]
-    else:
-        logits = _heads(model(*inputs))
-        targets = [yb[:, h, None].astype(np.float32) for h in range(stage.heads)]
+        return nn.bce_with_logits(logits, mb[:, None], pos_weight=pos_weights[0])
     return functools.reduce(ag.add, [
-        nn.bce_with_logits(z, t, pos_weight=w)
-        for z, t, w in zip(logits, targets, pos_weights)
+        nn.bce_with_logits(ag.narrow(logits, h, h + 1, axis=1),
+                           yb[:, h, None].astype(np.float32), pos_weight=w)
+        for h, w in enumerate(pos_weights)
     ])
 
 
-def _outputs(model, stage: Stage, x: np.ndarray, batch_size: int) -> list[np.ndarray]:
-    """Eval-mode model outputs over ``x``, batched; one array per head."""
+def _outputs(model, x: np.ndarray, batch_size: int) -> np.ndarray:
+    """Eval-mode model logits over ``x``, batched."""
     model.eval()
-    batches = []
     with ag.no_grad():
-        for start in range(0, len(x), batch_size):
-            out = model(*_sides(ag.constant(x[start : start + batch_size]), stage))
-            batches.append([h.value for h in _heads(out)])
-    return [np.concatenate(head, axis=0) for head in zip(*batches)]
+        return np.concatenate([model(ag.constant(x[start : start + batch_size])).value
+                               for start in range(0, len(x), batch_size)])
 
 
 def _evaluate(model, stage: Stage, data: _StageData, batch_size: int = 32) -> EvalResult:
     """Score the model on a loaded split; validation and evaluate share it."""
-    outs = _outputs(model, stage, data.x, batch_size)
+    logits = _outputs(model, data.x, batch_size)
+    if not np.isfinite(logits).all():
+        raise NumericError(f"the model's {stage.name} outputs are not finite")
     if stage.role == "class":
-        e = np.exp(outs[0] - outs[0].max(axis=1, keepdims=True))
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
         probs = e / e.sum(axis=1, keepdims=True)
         return EvalResult(accuracy=float((probs.argmax(axis=1) == data.y).mean() * 100.0))
-    if stage.role == "mask":  # the model's output is already a probability
-        dices = [M.dice(p[0] >= 0.5, m > 0.5) for p, m in zip(outs[0], data.masks)]
+    probs = ag.stable_sigmoid(logits)
+    if stage.role == "mask":
+        dices = [M.dice(p[0] >= 0.5, m > 0.5) for p, m in zip(probs, data.masks)]
         return EvalResult(dice=float(np.mean(dices)))
-    probs = [ag.stable_sigmoid(z)[:, 0] for z in outs]
-    aucs = [M.auc(p, y) for p, y in zip(probs, data.y.T)]
-    accs = [M.accuracy(p, y) for p, y in zip(probs, data.y.T)]
+    aucs = [M.auc(p, y) for p, y in zip(probs.T, data.y.T)]
+    accs = [M.accuracy(p, y) for p, y in zip(probs.T, data.y.T)]
     return EvalResult(auc=float(np.mean(aucs)), accuracy=float(np.mean(accs)),
                       per_head={"auc": aucs, "accuracy": accs} if len(aucs) > 1 else {})
 
@@ -403,9 +394,8 @@ def activation_maps(model, views: np.ndarray) -> dict[str, np.ndarray]:
     model.eval()
     h, w = views.shape[-2:]
     taps: dict = {}
-    stage = STAGE[default_stage(MD.model_config(model))]
     with ag.no_grad():
-        model(*_sides(ag.constant(views[None].astype(np.float32)), stage), taps=taps)
+        model(ag.constant(views[None].astype(np.float32)), taps=taps)
     out = {}
     for name, node in taps.items():
         plane = node.value[0].mean(axis=0)
@@ -424,10 +414,9 @@ def input_gradient(forward_scalar, views: np.ndarray) -> np.ndarray:
 
 
 def _max_logit(model, x: ag.Node) -> ag.Node:
-    stage = STAGE[default_stage(MD.model_config(model))]
-    if stage.role == "mask":
-        return ag.nmean(model.forward_logits(*_sides(x, stage)))
-    logits = ag.concat(list(_heads(model(*_sides(x, stage)))), axis=1)
+    logits = model(x)
+    if logits.ndim == 4:  # a mask: its mean logit
+        return ag.nmean(logits)
     head = int(np.argmax(logits.value[0]))
     return ag.reshape(ag.narrow(logits, head, head + 1, axis=1), ())
 

@@ -109,12 +109,12 @@ def _check_layer_law(model):
             expected = m.n**3 + m.out_channels * m.in_channels * kh * kw // m.n
             if m.bias is not None:
                 expected += m.out_channels
-            assert phc.param_count(m) == expected, m
+            assert m.param_count() == expected, m
         elif isinstance(m, phc.PHMLinear):
             expected = m.n**3 + m.out_features * m.in_features // m.n
             if m.bias is not None:
                 expected += m.out_features
-            assert phc.param_count(m) == expected, m
+            assert m.param_count() == expected, m
 
 
 def test_criterion_3_parameter_law():
@@ -190,18 +190,6 @@ def test_criterion_4_gradient_checks():
     labels = rng.integers(0, 5, size=5)
     reports["cross_entropy"] = ag.grad_check(
         lambda: nn.cross_entropy(zc, labels), {"z": zc}, h=1e-6, tol=1e-5)
-
-    # Dice-adjacent sigmoid path: soft dice of sigmoid probabilities
-    zd = ag.Node(rng.normal(size=(1, 1, 6, 6)), requires_grad=True)
-    target = ag.constant((rng.random((1, 1, 6, 6)) < 0.3).astype(np.float64))
-
-    def soft_dice():
-        p = ag.sigmoid(zd)
-        inter = ag.nsum(ag.mul(p, target))
-        denom = ag.add_scalar(ag.add(ag.nsum(p), ag.nsum(target)), 1e-3)
-        return ag.div(ag.scale(inter, 2.0), denom)
-
-    reports["dice_sigmoid"] = ag.grad_check(soft_dice, {"z": zd}, h=1e-6, tol=1e-5)
 
     elapsed = time.perf_counter() - t0
     failures = {k: r.max_rel_error for k, r in reports.items() if not r.passed}

@@ -1,5 +1,6 @@
 """CLI contracts: exit codes, machine-readable stdout, config overrides,
-stage chaining with --init, checkpoint inspection, damaged-checkpoint fuzzing."""
+stage chaining with --init, checkpoint inspection, and fuzzing of damaged
+checkpoints, manifests and PGM files."""
 
 import contextlib
 import io
@@ -20,6 +21,23 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_quietly(*argv):
+    """(exit code, stderr) of one CLI call; usable inside Hypothesis tests."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, err.getvalue()
+
+
+def absolute_manifest(data_dir) -> dict:
+    """The manifest document of ``data_dir`` with absolute view paths, so a
+    copy written elsewhere still finds the images."""
+    doc = json.loads((data_dir / "manifest.json").read_text())
+    for entry in doc["entries"]:
+        entry["views"] = [str(data_dir / v) for v in entry["views"]]
+    return doc
 
 
 @pytest.fixture(scope="module")
@@ -233,7 +251,8 @@ def _rewrite(src, dst, edit_header=None, cut=None):
 
 
 class TestCheckpointErrors:
-    """Every malformed checkpoint ends in exit 4 with a message, never a traceback."""
+    """Every malformed checkpoint ends in exit 4 with a message, never a
+    traceback; one whose model outputs are not finite ends in exit 5."""
 
     def _eval(self, capsys, workspace, path):
         _, _, data_dir, _ = workspace
@@ -291,6 +310,16 @@ class TestCheckpointErrors:
         ckpt.save(path, state, config)
         code, err = self._eval(capsys, workspace, str(path))
         assert code == 4 and "shape mismatch for trunk.bn1.running_mean" in err
+
+    def test_non_finite_outputs(self, workspace, checkpoint, capsys, tmp_path):
+        state, config = ckpt.load(checkpoint)
+        state["trunk.bn1.running_var"] = state["trunk.bn1.running_var"].copy()
+        state["trunk.bn1.running_var"][0] = -1.0  # sqrt of a negative variance
+        path = tmp_path / "nan.ckpt"
+        ckpt.save(path, state, config)
+        with np.errstate(invalid="ignore"):
+            code, err = self._eval(capsys, workspace, str(path))
+        assert code == 5 and "not finite" in err
 
 
 class TestInputErrors:
@@ -357,21 +386,44 @@ class TestInputErrors:
         code, err = self._run(capsys, "inspect", "--checkpoint", path)
         assert code == 2 and ("kind" in err if edit == "drop kind" else "colour" in err)
 
-    @pytest.mark.parametrize("edit", ["no entries", "no metadata", "unknown field"])
+    @pytest.mark.parametrize("edit", [
+        lambda doc, e: doc.pop("entries"),
+        lambda doc, e: doc.pop("metadata"),
+        lambda doc, e: e.update(colour="red"),
+        lambda doc, e: e.update(id=5),
+        lambda doc, e: e.update(views=5),
+        lambda doc, e: e.update(views=[None] + e["views"][1:]),
+        lambda doc, e: e.update(views=e["views"][:1]),
+        lambda doc, e: e.update(labels="x"),
+        lambda doc, e: e.update(labels=["a"]),
+        lambda doc, e: e.update(labels=[2]),
+        lambda doc, e: e.update(labels=[0, 1]),
+        lambda doc, e: e.update(mask=5),
+    ], ids=["no entries", "no metadata", "unknown field", "id 5", "views 5", "null view",
+            "one view", 'labels "x"', 'labels ["a"]', "labels [2]", "ragged labels",
+            "mask 5"])
     def test_bad_manifest(self, workspace, checkpoint, capsys, tmp_path, edit):
         _, _, data_dir, _ = workspace
-        doc = json.loads((data_dir / "manifest.json").read_text())
-        if edit == "no entries":
-            del doc["entries"]
-        elif edit == "no metadata":
-            del doc["metadata"]
-        else:
-            doc["entries"][0]["colour"] = "red"
+        doc = absolute_manifest(data_dir)
+        edit(doc, doc["entries"][0])
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(doc))
         code, err = self._run(capsys, "eval", "--checkpoint", str(checkpoint),
                               "--manifest", str(path))
         assert code == 2 and str(path) in err
+
+    def test_images_differ_in_size(self, workspace, checkpoint, capsys, tmp_path):
+        _, _, data_dir, _ = workspace
+        doc = absolute_manifest(data_dir)
+        small = np.zeros((16, 16), dtype=np.float32)
+        for i in range(2):
+            D.save_pgm(tmp_path / f"small{i}.pgm", small)
+        doc["entries"][0]["views"] = [str(tmp_path / f"small{i}.pgm") for i in range(2)]
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        code, err = self._run(capsys, "eval", "--checkpoint", str(checkpoint),
+                              "--manifest", str(path))
+        assert code == 2 and "differ in size" in err
 
     @pytest.mark.parametrize("spec", [{"radius": 3}, {"contrast": [0.5]}])
     def test_bad_spec_pair(self, capsys, tmp_path, spec):
@@ -405,8 +457,60 @@ class TestCheckpointFuzz:
         for argv in (["inspect", "--checkpoint", str(path)],
                      ["eval", "--checkpoint", str(path),
                       "--manifest", str(data_dir / "manifest.json")]):
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = main(argv)
-            assert code in (0, 2, 3, 4, 5), (argv[0], code, err.getvalue())
-            assert "Traceback" not in err.getvalue()
+            code, err = run_quietly(*argv)
+            assert code in (0, 2, 3, 4, 5), (argv[0], code, err)
+            assert "Traceback" not in err
+
+
+JSON_VALUES = [None, True, 3, 0.5, "x", [], [1], ["x"], {}, {"x": 1}]
+
+
+class TestDataFuzz:
+    """A manifest with a key or an item dropped or a value of another JSON
+    type, and a truncated or header-flipped PGM file, end in a documented
+    exit code for eval, never a traceback."""
+
+    def _eval(self, checkpoint, tmp_path_factory, doc):
+        path = tmp_path_factory.getbasetemp() / "fuzzed-manifest.json"
+        path.write_text(json.dumps(doc))
+        code, err = run_quietly("eval", "--checkpoint", str(checkpoint),
+                                "--manifest", str(path))
+        assert code in (0, 2, 3, 4, 5), (code, err)
+        assert "Traceback" not in err
+
+    @settings(max_examples=100, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_damaged_manifest(self, workspace, checkpoint, tmp_path_factory, data):
+        _, _, data_dir, _ = workspace
+        doc = absolute_manifest(data_dir)
+        entry = data.draw(st.sampled_from(doc["entries"]), label="entry")
+        target = data.draw(st.sampled_from(
+            [doc, doc["metadata"], entry, entry["views"], entry["labels"]]), label="target")
+        keys = sorted(target) if isinstance(target, dict) else range(len(target))
+        key = data.draw(st.sampled_from(keys), label="key")
+        if data.draw(st.booleans(), label="drop"):
+            del target[key]
+        else:
+            target[key] = data.draw(st.sampled_from(JSON_VALUES), label="value")
+        self._eval(checkpoint, tmp_path_factory, doc)
+
+    @settings(max_examples=100, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_damaged_pgm(self, workspace, checkpoint, tmp_path_factory, data):
+        _, _, data_dir, _ = workspace
+        doc = absolute_manifest(data_dir)
+        views = data.draw(st.sampled_from(doc["entries"]), label="entry")["views"]
+        view = data.draw(st.integers(0, len(views) - 1), label="view")
+        raw = bytearray(Path(views[view]).read_bytes())
+        if data.draw(st.booleans(), label="truncate"):
+            raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="at")]
+        else:
+            header = raw.index(b"\n255\n") + 5
+            raw[data.draw(st.integers(0, header - 1), label="at")] ^= data.draw(
+                st.integers(1, 255), label="xor")
+        path = tmp_path_factory.getbasetemp() / "fuzzed.pgm"
+        path.write_bytes(bytes(raw))
+        views[view] = str(path)
+        self._eval(checkpoint, tmp_path_factory, doc)

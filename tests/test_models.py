@@ -11,13 +11,55 @@ import pytest
 from phcnet import autograd as ag
 from phcnet import models as MD
 from phcnet import nn, phc
-from phcnet.errors import ConfigError, TransferError
+from phcnet.errors import ConfigError, ShapeError, TransferError
 
 
 def small_phresnet(**overrides):
     kw = dict(n=2, blocks=(1, 1, 1, 1), width=8, refiners=2)
     kw.update(overrides)
     return MD.PHResNetConfig(**kw)
+
+
+# a small config per model kind, the views of its exam and its output shape
+# after the batch axis
+CONTRACT = {
+    "phresnet": (dict(n=2, blocks=[1, 1], width=4, refiners=1, heads=3), 2, (3,)),
+    "phybonet": (dict(blocks=[1, 1, 1, 1], width=4, refiners=1), 4, (2,)),
+    "physenet": (dict(n=2, blocks=[1, 1], width=4, refiners=1), 4, (2,)),
+    "phunet": (dict(n=2, width=4, depth=2), 2, (1, 16, 16)),
+}
+
+
+class TestModelContract:
+    """Every model takes one (N, V, H, W) batch and returns one logits node."""
+
+    def test_table_covers_every_kind(self):
+        assert set(CONTRACT) == set(MD.KINDS)
+
+    @pytest.mark.parametrize("kind", sorted(CONTRACT))
+    def test_one_batch_in_one_logits_node_out(self, kind):
+        config, views, tail = CONTRACT[kind]
+        model = MD.build_model({"kind": kind, **config}, seed=0)
+        x = np.random.default_rng(0).normal(size=(3, views, 16, 16)).astype(np.float32)
+        out = model(ag.constant(x))
+        assert isinstance(out, ag.Node) and out.shape == (3, *tail)
+        wrong = ag.constant(np.zeros((3, 6 - views, 16, 16), dtype=np.float32))
+        with pytest.raises(ShapeError, match=rf"\(N, {views}, H, W\)"):
+            model(wrong)
+
+    @pytest.mark.parametrize("kind", sorted(CONTRACT))
+    def test_scheme_initializes_every_phc_conv(self, kind):
+        config, _, _ = CONTRACT[kind]
+        default = MD.build_model({"kind": kind, **config}, seed=0)
+        drawn = MD.build_model({"kind": kind, **config, "scheme": "random-algebra"}, seed=0)
+        convs = [(a, b) for a, b in zip(default.modules(), drawn.modules())
+                 if isinstance(a, phc.PHCConv2d)]
+        assert any(a.n > 1 for a, _ in convs)
+        for a, b in convs:
+            npt.assert_array_equal(a.A.value, phc.fixed_algebra(a.n))
+            npt.assert_array_equal(a.F.value, b.F.value)  # the same F draws
+            if a.n > 1:
+                assert not np.array_equal(b.A.value, phc.fixed_algebra(b.n)), b
 
 
 class TestPHResNet:
@@ -58,7 +100,7 @@ class TestPHResNet:
                 else:
                     expected = n**3 + m.out_features * m.in_features // n
                     expected += m.out_features if m.bias is not None else 0
-                assert phc.param_count(m) == expected
+                assert m.param_count() == expected
                 total += expected
             elif isinstance(m, nn.Linear):
                 total += sum(p.value.size for p in m._params.values())
@@ -105,10 +147,8 @@ class TestPHYBOnet:
         cfg = MD.PHYBOnetConfig(width=8, blocks=(1, 1, 1, 1), refiners=2)
         model = MD.PHYBOnet(cfg, seed=0)
         rng = np.random.default_rng(3)
-        xl = ag.constant(rng.normal(size=(2, 2, 32, 32)).astype(np.float32))
-        xr = ag.constant(rng.normal(size=(2, 2, 32, 32)).astype(np.float32))
-        ll, lr = model(xl, xr)
-        assert ll.shape == (2, 1) and lr.shape == (2, 1)
+        x = ag.constant(rng.normal(size=(2, 4, 32, 32)).astype(np.float32))
+        assert model(x).shape == (2, 2)
 
     def test_swap_changes_outputs(self):
         cfg = MD.PHYBOnetConfig(width=8, blocks=(1, 1, 1, 1), refiners=2)
@@ -117,8 +157,8 @@ class TestPHYBOnet:
         rng = np.random.default_rng(4)
         xl = rng.normal(size=(1, 2, 32, 32)).astype(np.float32)
         xr = rng.normal(size=(1, 2, 32, 32)).astype(np.float32)
-        a = np.concatenate([n.value for n in model(ag.constant(xl), ag.constant(xr))])
-        b = np.concatenate([n.value for n in model(ag.constant(xr), ag.constant(xl))])
+        a = model(ag.constant(np.concatenate([xl, xr], axis=1))).value
+        b = model(ag.constant(np.concatenate([xr, xl], axis=1))).value
         assert not np.allclose(a, b)
 
     def test_param_reduction_vs_real_bonet(self):
@@ -144,16 +184,17 @@ class TestPHYSEnet:
         model = MD.PHYSEnet(cfg, seed=1)
         model.eval()
         x = np.random.default_rng(5).normal(size=(2, 2, 32, 32)).astype(np.float32)
-        ll, lr = model(ag.constant(x), ag.constant(x))
-        assert not np.allclose(ll.value, lr.value)  # branches differ at init
+        exam = ag.constant(np.concatenate([x, x], axis=1))
+        out = model(exam).value
+        assert not np.allclose(out[:, 0], out[:, 1])  # branches differ at init
         # force the branches identical -> heads agree
         state = model.state_dict()
         for name in list(state):
             if name.startswith("branch_l."):
                 state["branch_r." + name[len("branch_l."):]] = state[name]
         model.load_state_dict(state)
-        ll, lr = model(ag.constant(x), ag.constant(x))
-        npt.assert_array_equal(ll.value, lr.value)
+        out = model(exam).value
+        npt.assert_array_equal(out[:, 0], out[:, 1])
 
     def test_shared_gradient_is_sum_of_sides(self):
         cfg = MD.PHYSEnetConfig(width=8, blocks=(1, 1, 1, 1), refiners=2)
@@ -166,7 +207,8 @@ class TestPHYSEnet:
         def run(sides):
             model.zero_grad()
             model.train()
-            ll, lr = model(ag.constant(xl), ag.constant(xr))
+            logits = model(ag.constant(np.concatenate([xl, xr], axis=1)))
+            ll, lr = ag.narrow(logits, 0, 1, axis=1), ag.narrow(logits, 1, 2, axis=1)
             if sides == "left":
                 loss = nn.bce_with_logits(ll, y)
             elif sides == "right":
@@ -195,11 +237,10 @@ class TestPHUNet:
         x = np.random.default_rng(7).normal(size=(2, 2, 64, 64)).astype(np.float32)
         out = model(ag.constant(x))
         assert out.shape == (2, 1, 64, 64)
-        assert np.all(out.value > 0) and np.all(out.value < 1)
+        probs = ag.stable_sigmoid(out.value)
+        assert np.all(probs > 0) and np.all(probs < 1)
 
     def test_spatial_divisibility_error(self):
-        from phcnet.errors import ShapeError
-
         model = MD.PHUNet(MD.PHUNetConfig(n=2, width=4, depth=3), seed=0)
         with pytest.raises(ShapeError):
             model(ag.constant(np.zeros((1, 2, 20, 20), dtype=np.float32)))
@@ -214,7 +255,7 @@ class TestPHUNet:
 
         def f():
             model.train()
-            logits = model.forward_logits(x)
+            logits = model(x)
             return nn.bce_with_logits(logits, target)
 
         params = dict(model.named_parameters())
@@ -290,7 +331,9 @@ class TestTransfer:
         assert left.running_mean is not right.running_mean
         assert left.running_mean is not state["trunk.bn1.running_mean"]
         target.train()
-        target(*[ag.constant(np.full((2, 2, 16, 16), v, dtype=np.float32)) for v in (0, 1)])
+        exam = np.concatenate([np.full((2, 2, 16, 16), v, dtype=np.float32) for v in (0, 1)],
+                              axis=1)
+        target(ag.constant(exam))
         assert not np.array_equal(left.running_mean, right.running_mean)
 
     def test_wrong_width_raises_with_names(self):

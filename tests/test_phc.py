@@ -150,13 +150,13 @@ class TestHamiltonConv:
 class TestParamCounting:
     def test_counting_oracle_n2(self):
         layer = phc.PHCConv2d(2, 64, 64, 3, bias=False)
-        assert phc.param_count(layer) == 8 + 2 * (32 * 32 * 9) == 18440
+        assert layer.param_count() == 8 + 2 * (32 * 32 * 9) == 18440
         assert phc.real_equivalent_count(layer) == 36864
         assert abs(phc.param_ratio(layer) - 0.50022) < 1e-4
 
     def test_counting_oracle_n4(self):
         layer = phc.PHCConv2d(4, 64, 64, 3, bias=False)
-        assert phc.param_count(layer) == 64 + 4 * (16 * 16 * 9) == 9280
+        assert layer.param_count() == 64 + 4 * (16 * 16 * 9) == 9280
         assert abs(phc.param_ratio(layer) - 0.2517) < 1e-3
 
     def test_n1_ratio_overhead_is_one_scalar(self):
@@ -170,11 +170,11 @@ class TestParamCounting:
         layer = phc.PHCConv2d(n, cin, cout, k, bias=True,
                               scheme="random-algebra")
         expected = n**3 + cout * cin * k * k // n + cout
-        assert phc.param_count(layer) == expected
+        assert layer.param_count() == expected
 
     def test_phm_closed_form(self):
         layer = phc.PHMLinear(2, 8, 6, bias=True)
-        assert phc.param_count(layer) == 8 + 8 * 6 // 2 + 6
+        assert layer.param_count() == 8 + 8 * 6 // 2 + 6
 
 
 class TestInit:
