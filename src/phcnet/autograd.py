@@ -69,22 +69,6 @@ class Node:
     def __repr__(self):
         return f"Node(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # arithmetic sugar; the real work happens in the module-level functions
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other) if isinstance(other, Node) else scale(self, other)
-
-    def __rmul__(self, other):
-        return scale(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
 
 def constant(value, dtype=None) -> Node:
     return Node(T.as_tensor(value, dtype=dtype), requires_grad=False)
@@ -167,36 +151,11 @@ def add(a, b) -> Node:
     return Node(a.value + b.value, (a, b), lambda g: (g, g))
 
 
-def sub(a, b) -> Node:
-    a, b = _as_node(a), _as_node(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"sub: shapes {a.shape} and {b.shape} differ")
-    return Node(a.value - b.value, (a, b), lambda g: (g, -g))
-
-
 def mul(a, b) -> Node:
     a, b = _as_node(a), _as_node(b)
     if a.shape != b.shape:
         raise ShapeError(f"mul: shapes {a.shape} and {b.shape} differ")
     return Node(a.value * b.value, (a, b), lambda g: (g * b.value, g * a.value))
-
-
-def div(a, b) -> Node:
-    a, b = _as_node(a), _as_node(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"div: shapes {a.shape} and {b.shape} differ")
-    inv = 1.0 / b.value
-    return Node(
-        a.value * inv,
-        (a, b),
-        lambda g: (g * inv, -g * a.value * inv * inv),
-    )
-
-
-def scale(a, s) -> Node:
-    a = _as_node(a)
-    s = a.dtype.type(s)
-    return Node(a.value * s, (a,), lambda g: (g * s,))
 
 
 def relu(a) -> Node:
@@ -270,18 +229,11 @@ def narrow(a, start: int, stop: int, axis: int = 1) -> Node:
     return Node(np.ascontiguousarray(a.value[index]), (a,), rule)
 
 
-def linear(x, w, b=None) -> Node:
-    """Dense layer y = x @ w.T (+ b) for x (N,Din), w (Dout,Din), b (Dout)."""
-    x, w = _as_node(x), _as_node(w)
+def linear(x, w, b) -> Node:
+    """Dense layer y = x @ w.T + b for x (N,Din), w (Dout,Din), b (Dout)."""
+    x, w, b = _as_node(x), _as_node(w), _as_node(b)
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[1]:
         raise ShapeError(f"linear: incompatible shapes {x.shape} and {w.shape}")
-    if b is None:
-        return Node(
-            x.value @ w.value.T,
-            (x, w),
-            lambda g: (g @ w.value, g.T @ x.value),
-        )
-    b = _as_node(b)
     return Node(
         x.value @ w.value.T + b.value,
         (x, w, b),

@@ -107,11 +107,19 @@ def _load_config(path: str | None, overrides: list[str]) -> dict:
 
 def _require_manifest(config: dict) -> D.Manifest:
     path = config.get("data", {}).get("manifest")
-    if path is None:
-        raise ConfigError("config is missing data.manifest")
+    if not isinstance(path, str):
+        raise ConfigError(f"config data.manifest must be a path, got {path!r}")
     if not Path(path).exists():
         raise ConfigError(f"dataset manifest not found: {path}")
     return D.Manifest.load(path)
+
+
+def _train_config(config: dict, stage) -> TR.TrainConfig:
+    """The config's train section, run at ``stage``."""
+    try:
+        return TR.TrainConfig(**{**config.get("train", {}), "stage": stage})
+    except TypeError as exc:
+        raise ConfigError(f"bad train section: {exc}") from exc
 
 
 def _model_from_config(config: dict, seed: int):
@@ -147,12 +155,7 @@ def cmd_gen_synthetic(args) -> int:
 
 def cmd_train(args) -> int:
     config = _load_config(args.config, args.set or [])
-    train_section = dict(config.get("train", {}))
-    train_section["stage"] = args.stage
-    try:
-        cfg = TR.TrainConfig(**train_section)
-    except TypeError as exc:
-        raise ConfigError(f"bad train section: {exc}") from exc
+    cfg = _train_config(config, args.stage)
     manifest = _require_manifest(config)
     model = _model_from_config(config, seed=cfg.seed)
     if args.init:
@@ -183,7 +186,7 @@ def cmd_eval(args) -> int:
     stage = args.stage or config.get("train", {}).get("stage")
     if stage is None:
         stage = TR.default_stage(model_cfg)
-    result = TR.evaluate(model, manifest, stage)
+    result = TR.evaluate(model, manifest, stage, patch_cfg=_train_config(config, stage))
     print(json.dumps(result.to_json()))
     return 0
 
@@ -204,7 +207,7 @@ def cmd_inspect(args) -> int:
     state, model_cfg = ckpt.load(args.checkpoint)
     model = MODELS.build_model(model_cfg)
     total = model.param_count()
-    ratio = MODELS.hypercomplex_param_ratio(model)
+    ratio = total / MODELS.real_equivalent_params(model)
     rows = [
         {"name": name, "dtype": str(arr.dtype), "shape": list(arr.shape)}
         for name, arr in sorted(state.items())

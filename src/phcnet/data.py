@@ -183,6 +183,10 @@ class Manifest:
 # synthetic generation
 # ---------------------------------------------------------------------------
 
+def _finite_number(v) -> bool:
+    return isinstance(v, (int, float)) and type(v) is not bool and math.isfinite(v)
+
+
 @dataclass
 class SyntheticSpec:
     size: int = 32
@@ -195,20 +199,31 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.size < 16:
-            raise DataError(f"image size must be >= 16, got {self.size}")
-        if self.count < 1:
-            raise DataError(f"sample count must be >= 1, got {self.count}")
-        if self.views not in (2, 4):
-            raise DataError(f"views must be 2 or 4, got {self.views}")
+        for name, low in (("size", 16), ("count", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if type(value) is not int or value < low:
+                raise DataError(f"{name} must be an integer >= {low}, got {value!r}")
+        if type(self.views) is not int or self.views not in (2, 4):
+            raise DataError(f"views must be 2 or 4, got {self.views!r}")
         if self.label_rule not in ("single-view", "cross-view-xor"):
             raise DataError(f"unknown label rule {self.label_rule!r}")
+        if not (_finite_number(self.noise) and self.noise >= 0):
+            raise DataError(f"noise must be a number >= 0, got {self.noise!r}")
         for name in ("radius", "contrast"):
             pair = getattr(self, name)
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2 or not all(
-                    isinstance(v, (int, float)) and type(v) is not bool for v in pair):
-                raise DataError(f"{name} must be a pair of numbers, got {pair!r}")
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                    and all(map(_finite_number, pair)) and 0 < pair[0] <= pair[1]):
+                raise DataError(f"{name} must be an ordered pair of positive numbers, "
+                                f"got {pair!r}")
             setattr(self, name, tuple(pair))
+        # sample_latent's placement margins at the largest radius
+        r = self.radius[1]
+        need = math.ceil(2 * (r + 4.0) if self.label_rule == "single-view"
+                         else max(4 * (r + 1.5), 2 * (2.2 * r + 2.0)))
+        if self.size < need:
+            raise DataError(f"image size {self.size} cannot place {self.label_rule} "
+                            f"lesions of radius up to {r}; the smallest size that "
+                            f"fits is {need}")
 
 
 def view_transform_point(point, size: int) -> np.ndarray:
@@ -395,11 +410,25 @@ class PatchRecord:
     entry_id: str
 
 
-def _patch_class(lesion: dict) -> int:
-    if lesion is None or lesion.get("malignant") is None:
-        raise DataError("patch extraction needs lesion kind/malignancy labels")
+def _patch_class(entry: Entry) -> int:
+    lesion = entry.lesion
+    if not (isinstance(lesion, dict) and lesion.get("kind") in ("calc", "mass")
+            and isinstance(lesion.get("malignant"), bool)):
+        raise DataError(f"entry {entry.id}: patch extraction needs lesion kind "
+                        f"(calc/mass) and malignant (true/false), got {lesion!r}")
     name = ("malignant-" if lesion["malignant"] else "benign-") + lesion["kind"]
     return CLASS_NAMES.index(name)
+
+
+def _patch_boxes(entry: Entry) -> tuple[list, list]:
+    """The [cy, cx, radius] boxes of the first side's two views."""
+    boxes = entry.boxes[:2] if isinstance(entry.boxes, list) else []
+    if len(boxes) < 2 or not all(
+            isinstance(b, list) and len(b) == 3 and all(map(_finite_number, b))
+            and b[2] >= 0 for b in boxes):
+        raise DataError(f"entry {entry.id}: boxes must start with one [cy, cx, radius] "
+                        f"per view of the first side, got {entry.boxes!r}")
+    return boxes
 
 
 def _crop(plane: np.ndarray, cy: float, cx: float, ps: int) -> tuple[np.ndarray, int, int]:
@@ -420,17 +449,18 @@ def extract_patches(manifest: Manifest, per_lesion: int = 20,
     if per_lesion % 2:
         raise DataError("per_lesion must be even (10 ROI + 10 background rule)")
     records = []
-    size = manifest.metadata["image-size"]
-    if patch_size > size:
-        raise DataError(f"patch size {patch_size} exceeds image size {size}")
     root_ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     for entry, child in zip(manifest.entries, root_ss.spawn(len(manifest.entries))):
         rng = np.random.default_rng(child)
         planes = manifest.load_views(entry)
+        size = planes.shape[-1]
+        if len(planes) < 2 or planes.shape[1] != size or patch_size > size:
+            raise DataError(f"entry {entry.id}: patch size {patch_size} needs two square "
+                            f"views at least that large, got {planes.shape}")
         mask = manifest.load_mask(entry) if entry.mask else None
-        label = _patch_class(entry.lesion)
+        label = _patch_class(entry)
         # patch pairs come from the first side (the one the mask describes)
-        box0, box1 = entry.boxes[0], entry.boxes[1]
+        box0, box1 = _patch_boxes(entry)
         half = per_lesion // 2
         for _ in range(half):  # ROI patches
             jitter = rng.uniform(-box0[2] / 2, box0[2] / 2, size=2)

@@ -32,7 +32,7 @@ from . import autograd as ag
 from .errors import ConfigError, ShapeError, TransferError
 from .module import Module, ModuleList
 from .nn import BatchNorm2d, Linear, ResidualBlock, _seeds
-from .phc import PHCConv2d, PHMLinear, real_equivalent_count
+from .phc import PHCConv2d, real_equivalent_count
 
 
 # ---------------------------------------------------------------------------
@@ -424,21 +424,11 @@ def model_config(model) -> dict:
 
 
 def real_equivalent_params(model: Module) -> int:
-    """Parameter count of the model with every PHC/PHM layer made real-valued."""
-    total = 0
-    for m in model.modules():
-        if isinstance(m, (PHCConv2d, PHMLinear)):
-            total += real_equivalent_count(m)
-        elif isinstance(m, Linear):
-            total += sum(p.value.size for p in m._params.values())
-        elif isinstance(m, BatchNorm2d):
-            total += m.gamma.value.size + m.beta.value.size
-    return total
-
-
-def hypercomplex_param_ratio(model: Module) -> float:
-    """Whole-model parameter ratio against the real-valued equivalent."""
-    return model.param_count() / real_equivalent_params(model)
+    """Parameter count of the model with every PHC convolution made real-valued."""
+    return model.param_count() + sum(
+        real_equivalent_count(m) - m.param_count()
+        for m in model.modules() if isinstance(m, PHCConv2d)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -110,7 +110,7 @@ class Module:
 
 
 class ModuleList(Module):
-    """Indexable list of submodules registered under their position."""
+    """Iterable list of submodules registered under their position."""
 
     def __init__(self, items=()):
         super().__init__()
@@ -122,12 +122,6 @@ class ModuleList(Module):
         self._modules[str(len(self._items))] = module
         self._items.append(module)
         return self
-
-    def __getitem__(self, i):
-        return self._items[i]
-
-    def __len__(self):
-        return len(self._items)
 
     def __iter__(self):
         return iter(self._items)

@@ -32,7 +32,7 @@ def _softplus(x: np.ndarray) -> np.ndarray:
 class Linear(Module):
     """Plain real dense layer used for classification heads."""
 
-    def __init__(self, in_features, out_features, bias=True, seed=0, dtype=np.float32):
+    def __init__(self, in_features, out_features, seed=0, dtype=np.float32):
         super().__init__()
         rng = np.random.default_rng(seed)
         bound = 1.0 / np.sqrt(in_features)
@@ -41,7 +41,7 @@ class Linear(Module):
         self.weight = Parameter(
             rng.uniform(-bound, bound, size=(out_features, in_features)).astype(dtype)
         )
-        self.bias = Parameter(np.zeros(out_features, dtype=dtype)) if bias else None
+        self.bias = Parameter(np.zeros(out_features, dtype=dtype))
 
     def forward(self, x):
         return ag.linear(x, self.weight, self.bias)
@@ -163,7 +163,7 @@ class ResidualBlock(Module):
         else:
             h = ag.relu(self.bn2(self.phc2(h)))
             h = self.bn3(self.phc3(h))
-        return ag.relu(h + skip)
+        return ag.relu(ag.add(h, skip))
 
 
 # ---------------------------------------------------------------------------

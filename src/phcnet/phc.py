@@ -1,7 +1,7 @@
 """Parameterized hypercomplex layers.
 
-The weight of a PHC convolution (or PHM dense layer) of order ``n`` is a
-learnable sum of Kronecker products
+The weight of a PHC convolution of order ``n`` is a learnable sum of
+Kronecker products
 
     W = sum_i  A[i] (x) F[i],      i = 0..n-1
 
@@ -9,7 +9,7 @@ where the n algebra matrices A (n x n each) encode how the n filter banks
 F are arranged across input/output channel blocks.  With the fixed
 quaternion algebra and n=4 this reproduces the Hamilton-product sign block
 structure exactly; with n=1 and A=[[1]] it degenerates to an ordinary
-real-valued layer.  Both A and F are trained.
+real-valued convolution.  Both A and F are trained.
 
 ``hamilton_conv`` builds the explicit 4x4 sign-block weight and serves as
 the independent oracle the n=4 path is verified against.
@@ -75,6 +75,11 @@ class PHCConv2d(Module):
     Parameters: A of shape (n, n, n) and F of shape
     (n, out/n, in/n, kh, kw), so the layer holds n^3 + out*in*kh*kw/n
     weights against out*in*kh*kw for its real-valued counterpart.
+
+    F is Kaiming-uniform over the materialized fan-in (in_channels*kh*kw);
+    the fixed-algebra scheme sets A to the canonical real/complex/quaternion
+    sign matrices (n in {1, 2, 4}), random-algebra draws A uniformly from
+    [-1/n, 1/n].  A stays trainable under both schemes.
     """
 
     def __init__(self, n, in_channels, out_channels, kernel_size,
@@ -94,12 +99,19 @@ class PHCConv2d(Module):
         self.stride = T._pair(stride)
         self.padding = T._pair(padding)
         kh, kw = self.kernel_size
-        self.A = Parameter(np.zeros((n, n, n), dtype=dtype))
-        self.F = Parameter(
-            np.zeros((n, out_channels // n, in_channels // n, kh, kw), dtype=dtype)
-        )
+        rng = np.random.default_rng(seed)
+        bound = math.sqrt(6.0 / (in_channels * kh * kw))
+        f = rng.uniform(-bound, bound,
+                        size=(n, out_channels // n, in_channels // n, kh, kw))
+        if scheme == "fixed-algebra":
+            a = fixed_algebra(n)
+        elif scheme == "random-algebra":
+            a = rng.uniform(-1.0 / n, 1.0 / n, size=(n, n, n))
+        else:
+            raise ConfigError(f"unknown init scheme {scheme!r}")
+        self.A = Parameter(a.astype(dtype))
+        self.F = Parameter(f.astype(dtype))
         self.bias = Parameter(np.zeros(out_channels, dtype=dtype)) if bias else None
-        init_layer(self, seed, scheme)
 
     def build_weight(self) -> ag.Node:
         """Materialize the full (out, in, kh, kw) weight; differentiable in A and F."""
@@ -110,86 +122,11 @@ class PHCConv2d(Module):
                          stride=self.stride, padding=self.padding)
 
 
-class PHMLinear(Module):
-    """Hypercomplex dense layer, the fully connected analogue of PHCConv2d."""
-
-    def __init__(self, n, in_features, out_features, bias=True,
-                 scheme="fixed-algebra", seed=0, dtype=np.float32):
-        super().__init__()
-        if n < 1:
-            raise ConfigError(f"order n must be >= 1, got {n}")
-        if in_features % n or out_features % n:
-            raise ConfigError(
-                f"features ({in_features} -> {out_features}) must be divisible by n={n}"
-            )
-        self.n = n
-        self.in_features = in_features
-        self.out_features = out_features
-        self.A = Parameter(np.zeros((n, n, n), dtype=dtype))
-        self.F = Parameter(
-            np.zeros((n, out_features // n, in_features // n), dtype=dtype)
-        )
-        self.bias = Parameter(np.zeros(out_features, dtype=dtype)) if bias else None
-        init_layer(self, seed, scheme)
-
-    def build_weight(self) -> ag.Node:
-        return ag.kron_sum(self.A, self.F)
-
-    def forward(self, x: ag.Node) -> ag.Node:
-        w = self.build_weight()
-        if x.shape[1] != self.in_features:
-            raise ShapeError(
-                f"expected {self.in_features} input features, got {x.shape[1]}"
-            )
-        return ag.linear(x, w, self.bias)
-
-
-def init_layer(layer, seed: int = 0, scheme: str = "fixed-algebra"):
-    """(Re)initialize a PHC/PHM layer in place and return it.
-
-    F is Kaiming-uniform over the materialized fan-in (in_channels*kh*kw);
-    the fixed-algebra scheme sets A to the canonical real/complex/quaternion
-    sign matrices (n in {1, 2, 4}), random-algebra draws A uniformly from
-    [-1/n, 1/n].  A stays trainable under both schemes.
-    """
-    rng = np.random.default_rng(seed)
-    n = layer.n
-    dtype = layer.F.value.dtype
-    if isinstance(layer, PHCConv2d):
-        kh, kw = layer.kernel_size
-        fan_in = layer.in_channels * kh * kw
-    else:
-        fan_in = layer.in_features
-    bound = math.sqrt(6.0 / fan_in)
-    layer.F.value[...] = rng.uniform(-bound, bound, size=layer.F.shape).astype(dtype)
-    if scheme == "fixed-algebra":
-        layer.A.value[...] = fixed_algebra(n).astype(dtype)
-    elif scheme == "random-algebra":
-        layer.A.value[...] = rng.uniform(-1.0 / n, 1.0 / n, size=(n, n, n)).astype(dtype)
-    else:
-        raise ConfigError(f"unknown init scheme {scheme!r}")
-    if layer.bias is not None:
-        layer.bias.value[...] = 0.0
-    return layer
-
-
-def real_equivalent_count(layer) -> int:
-    """Parameter count of the real-valued layer with the same geometry."""
-    if isinstance(layer, PHCConv2d):
-        kh, kw = layer.kernel_size
-        count = layer.out_channels * layer.in_channels * kh * kw
-        if layer.bias is not None:
-            count += layer.out_channels
-        return count
-    count = layer.out_features * layer.in_features
-    if layer.bias is not None:
-        count += layer.out_features
-    return count
-
-
-def param_ratio(layer) -> float:
-    """Trainable scalar count over the real-valued equivalent; approaches 1/n."""
-    return layer.param_count() / real_equivalent_count(layer)
+def real_equivalent_count(layer: PHCConv2d) -> int:
+    """Parameter count of the real-valued convolution with the same geometry."""
+    kh, kw = layer.kernel_size
+    count = layer.out_channels * layer.in_channels * kh * kw
+    return count + (layer.out_channels if layer.bias is not None else 0)
 
 
 # ---------------------------------------------------------------------------

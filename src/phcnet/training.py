@@ -99,7 +99,9 @@ class TrainConfig:
             self.batch_size = stage.batch_size
         for name, low, kind in (("batch_size", 1, Integral), ("max_epochs", 1, Integral),
                                 ("patience", 0, Integral), ("lr", 0, Real),
-                                ("weight_decay", 0, Real)):
+                                ("weight_decay", 0, Real), ("val_fraction", 0, Real),
+                                ("patch_size", 1, Integral), ("per_lesion", 2, Integral),
+                                ("seed", 0, Integral)):
             value = getattr(self, name)
             if not _is_number(value, kind) or not value >= low:
                 noun = "an integer" if kind is Integral else "a number"
@@ -195,9 +197,11 @@ class _StageData:
             )
         self.y = labels[:, : stage.heads]
         if stage.role == "mask":
-            self.masks = np.stack(
-                [manifest.load_mask(e) for e in manifest.entries]
-            ).astype(np.float32)
+            masks = [manifest.load_mask(e) for e in manifest.entries]
+            if {m.shape for m in masks} != {self.x.shape[2:]}:
+                raise DataError(f"masks differ in size from the {self.x.shape[2:]} "
+                                f"images: {sorted({m.shape for m in masks})}")
+            self.masks = np.stack(masks).astype(np.float32)
 
     def __len__(self):
         return len(self.x)

@@ -110,11 +110,6 @@ def _check_layer_law(model):
             if m.bias is not None:
                 expected += m.out_channels
             assert m.param_count() == expected, m
-        elif isinstance(m, phc.PHMLinear):
-            expected = m.n**3 + m.out_features * m.in_features // m.n
-            if m.bias is not None:
-                expected += m.out_features
-            assert m.param_count() == expected, m
 
 
 def test_criterion_3_parameter_law():
@@ -133,7 +128,7 @@ def test_criterion_3_parameter_law():
         assert model.param_count() == sum(
             p.value.size for _, p in model.named_parameters()
         )
-    ratio = MD.hypercomplex_param_ratio(built[1])
+    ratio = built[1].param_count() / MD.real_equivalent_params(built[1])
     elapsed = time.perf_counter() - t0
     assert 0.48 <= ratio <= 0.52, ratio
     assert elapsed < 5.0, elapsed
@@ -155,12 +150,6 @@ def test_criterion_4_gradient_checks():
     reports["phc_conv"] = ag.grad_check(
         lambda: ag.nsum(ag.mul(conv(x4), conv(x4))),
         dict(conv.named_parameters()), h=1e-6, tol=1e-5)
-
-    phm = phc.PHMLinear(2, 6, 4, seed=41, dtype=np.float64)
-    x2 = ag.constant(rng.normal(size=(3, 6)))
-    reports["phm_linear"] = ag.grad_check(
-        lambda: ag.nsum(ag.mul(phm(x2), phm(x2))),
-        dict(phm.named_parameters()), h=1e-6, tol=1e-5)
 
     bn = nn.BatchNorm2d(3, dtype=np.float64)
     xb = ag.Node(rng.normal(size=(4, 3, 4, 4)), requires_grad=True)

@@ -32,7 +32,7 @@ class TestBackwardBasics:
 
     def test_fanout_accumulates_by_summation(self):
         x = leaf(np.array([2.0]))
-        y = ag.add(ag.mul(x, x), ag.scale(x, 3.0))  # x^2 + 3x
+        y = ag.add(ag.mul(x, x), ag.mul(x, ag.constant([3.0])))  # x^2 + 3x
         ag.backward(ag.nsum(y))
         npt.assert_allclose(x.grad, [2 * 2.0 + 3.0])
 
@@ -87,8 +87,8 @@ class TestBackwardBasics:
         gg = grad_of(lambda x: ag.nmean(ag.relu(x)))
         combined = grad_of(
             lambda x: ag.add(
-                ag.scale(ag.nsum(ag.mul(x, x)), alpha),
-                ag.scale(ag.nmean(ag.relu(x)), beta),
+                ag.mul(ag.nsum(ag.mul(x, x)), ag.constant(alpha)),
+                ag.mul(ag.nmean(ag.relu(x)), ag.constant(beta)),
             )
         )
         npt.assert_allclose(combined, alpha * gf + beta * gg, rtol=1e-6, atol=1e-9)
@@ -99,7 +99,7 @@ class TestOpGradients:
 
     @pytest.mark.parametrize(
         "name",
-        ["add", "sub", "mul", "div", "relu", "linear", "kron_sum",
+        ["add", "mul", "relu", "linear", "kron_sum",
          "concat", "narrow", "gap", "maxpool", "upsample", "reshape", "mean",
          "conv_strided"],
     )
@@ -109,9 +109,7 @@ class TestOpGradients:
         b = leaf(rng.normal(size=(2, 4, 4, 4)) + 2.0)
         funcs = {
             "add": lambda: ag.nsum(ag.mul(ag.add(a, b), ag.add(a, b))),
-            "sub": lambda: ag.nsum(ag.mul(ag.sub(a, b), a)),
             "mul": lambda: ag.nsum(ag.mul(a, b)),
-            "div": lambda: ag.nsum(ag.div(a, b)),
             "relu": lambda: ag.nsum(ag.mul(ag.relu(a), a)),
             "linear": lambda: ag.nsum(
                 ag.linear(ag.reshape(a, (8, 16)), leaf_cache["w"], leaf_cache["bias"])
@@ -208,7 +206,7 @@ class TestGradCheck:
         theta = leaf(np.array([1.0]))
 
         def f():
-            return ag.nsum(ag.div(theta, ag.sub(theta, theta)))
+            return ag.nsum(ag.mul(theta, ag.constant([np.inf])))
 
         with pytest.raises(NumericError):
             ag.grad_check(f, {"theta": theta})

@@ -1,6 +1,6 @@
 """CLI contracts: exit codes, machine-readable stdout, config overrides,
 stage chaining with --init, checkpoint inspection, and fuzzing of damaged
-checkpoints, manifests and PGM files."""
+checkpoints, manifests, PGM files, run configs and synthetic specs."""
 
 import contextlib
 import io
@@ -32,11 +32,12 @@ def run_quietly(*argv):
 
 
 def absolute_manifest(data_dir) -> dict:
-    """The manifest document of ``data_dir`` with absolute view paths, so a
-    copy written elsewhere still finds the images."""
+    """The manifest document of ``data_dir`` with absolute view and mask
+    paths, so a copy written elsewhere still finds the images."""
     doc = json.loads((data_dir / "manifest.json").read_text())
     for entry in doc["entries"]:
         entry["views"] = [str(data_dir / v) for v in entry["views"]]
+        entry["mask"] = str(data_dir / entry["mask"])
     return doc
 
 
@@ -132,18 +133,10 @@ class TestTrain:
                 continue  # batch-norm buffers track data even at lr=0
             assert a[name].tobytes() == b[name].tobytes(), name
 
-    def test_stage_chain_patch_then_two_view(self, workspace, capsys, tmp_path):
+    def test_stage_chain_patch_then_two_view(self, workspace, patch_run, capsys,
+                                             tmp_path):
         root, _, data_dir, cfg_path = workspace
-        config = json.loads(cfg_path.read_text())
-        config["model"]["heads"] = 5
-        config["train"]["patch_size"] = 12
-        config["train"]["per_lesion"] = 4
-        patch_cfg = tmp_path / "patch_config.json"
-        patch_cfg.write_text(json.dumps(config))
-        patch_ckpt = tmp_path / "patch.ckpt"
-        code, _, _ = run(capsys, "train", "--config", str(patch_cfg),
-                         "--stage", "patch", "--out", str(patch_ckpt))
-        assert code == 0
+        _, patch_ckpt = patch_run
         whole_ckpt = tmp_path / "whole.ckpt"
         code, out, err = run(capsys, "train", "--config", str(cfg_path),
                              "--stage", "two-view", "--init", str(patch_ckpt),
@@ -156,6 +149,15 @@ class TestTrain:
         state, _ = ckpt.load(patch_ckpt)
         trunk_count = sum(1 for k in state if k.startswith("trunk."))
         assert int(match.group(1)) == trunk_count
+
+    def test_eval_uses_config_patch_geometry(self, workspace, patch_run, capsys):
+        _, _, data_dir, _ = workspace
+        patch_cfg, patch_ckpt = patch_run
+        code, out, err = run(capsys, "eval", "--config", str(patch_cfg),
+                             "--checkpoint", str(patch_ckpt),
+                             "--manifest", str(data_dir / "manifest.json"))
+        assert code == 0, err
+        assert "accuracy" in json.loads(out)
 
     def test_missing_dataset_exit_2_with_path(self, workspace, capsys, tmp_path):
         root, _, _, cfg_path = workspace
@@ -177,6 +179,24 @@ class TestTrain:
                            "--out", str(tmp_path / "y.ckpt"))
         assert code == 4
         assert "trunk.conv1" in err
+
+
+@pytest.fixture(scope="module")
+def patch_run(workspace, tmp_path_factory):
+    """(config, checkpoint) of a patch stage run on 12 px patches."""
+    _, _, _, cfg_path = workspace
+    root = tmp_path_factory.mktemp("patch")
+    config = json.loads(cfg_path.read_text())
+    config["model"]["heads"] = 5
+    config["train"]["patch_size"] = 12
+    config["train"]["per_lesion"] = 4
+    patch_cfg = root / "patch_config.json"
+    patch_cfg.write_text(json.dumps(config))
+    patch_ckpt = root / "patch.ckpt"
+    code = main(["train", "--config", str(patch_cfg), "--stage", "patch",
+                 "--out", str(patch_ckpt)])
+    assert code == 0
+    return patch_cfg, patch_ckpt
 
 
 @pytest.fixture(scope="module")
@@ -338,7 +358,8 @@ class TestInputErrors:
         "train.pos_weight=0", 'train.pos_weight="x"',
         "model.blocks=5", "model.width=0", "model.in_channels=0",
         "model.refiners=-1", 'model.refiners="x"', "model.heads=0",
-        'train.augment="no"',
+        'train.augment="no"', 'train.seed="x"', "train.seed=-1",
+        'train.val_fraction="x"', "train.patch_size=-4", 'train.per_lesion="a"',
     ])
     def test_bad_train_or_model_value(self, workspace, capsys, tmp_path, override):
         _, _, _, cfg_path = workspace
@@ -425,13 +446,58 @@ class TestInputErrors:
                               "--manifest", str(path))
         assert code == 2 and "differ in size" in err
 
-    @pytest.mark.parametrize("spec", [{"radius": 3}, {"contrast": [0.5]}])
-    def test_bad_spec_pair(self, capsys, tmp_path, spec):
+    def test_masks_differ_in_size(self, workspace, checkpoint, capsys, tmp_path):
+        _, _, data_dir, _ = workspace
+        doc = absolute_manifest(data_dir)
+        D.save_pgm(tmp_path / "small.pgm", np.zeros((16, 16), dtype=np.float32))
+        doc["entries"][0]["mask"] = str(tmp_path / "small.pgm")
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        code, err = self._run(capsys, "eval", "--checkpoint", str(checkpoint),
+                              "--manifest", str(path), "--stage", "segmentation")
+        assert code == 2 and "differ in size" in err
+
+    @pytest.mark.parametrize("edit, code", [
+        (lambda doc, e: e.update(boxes=5), 2),
+        (lambda doc, e: e.update(boxes=[[1, 2]]), 2),
+        (lambda doc, e: e.update(boxes=[[16, 16, -3], [16, 16, 3]]), 2),
+        (lambda doc, e: e.update(lesion=5), 2),
+        (lambda doc, e: e.update(lesion={"kind": 3, "malignant": True}), 2),
+        (lambda doc, e: e.update(lesion={"kind": "cyst", "malignant": True}), 2),
+        # the image size comes from the views, not from the metadata
+        (lambda doc, e: doc["metadata"].update({"image-size": "x"}), 0),
+        (lambda doc, e: doc["metadata"].pop("image-size"), 0),
+    ], ids=["boxes 5", "short box", "negative radius", "lesion 5", "kind 3",
+            'kind "cyst"', 'image-size "x"', "no image-size"])
+    def test_bad_patch_fields(self, workspace, patch_run, capsys, tmp_path, edit, code):
+        _, _, data_dir, _ = workspace
+        patch_cfg, patch_ckpt = patch_run
+        doc = absolute_manifest(data_dir)
+        edit(doc, doc["entries"][0])
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        got, _, err = run(capsys, "eval", "--config", str(patch_cfg),
+                          "--checkpoint", str(patch_ckpt), "--manifest", str(path))
+        assert got == code and "Traceback" not in err, err
+        if code:
+            assert doc["entries"][0]["id"] in err
+
+    @pytest.mark.parametrize("spec, word", [
+        ({"radius": 3}, "radius"), ({"contrast": [0.5]}, "contrast"),
+        ({"size": 16}, "fits is 19"),
+        ({"size": 24, "label_rule": "cross-view-xor"}, "fits is 29"),
+        ({"radius": [5, 3]}, "radius"), ({"size": 32, "radius": [3, 20]}, "fits is 48"),
+        ({"radius": [0, 3]}, "radius"), ({"contrast": [0.6, 0.3]}, "contrast"),
+        ({"contrast": [-0.2, 0.3]}, "contrast"), ({"noise": -0.1}, "noise"),
+    ], ids=["spec0", "spec1", "size 16", "xor size 24", "radius [5, 3]",
+            "radius [3, 20]", "radius [0, 3]", "contrast [0.6, 0.3]",
+            "contrast [-0.2, 0.3]", "noise -0.1"])
+    def test_bad_spec_pair(self, capsys, tmp_path, spec, word):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"size": 32, "count": 2, **spec}))
         code, err = self._run(capsys, "gen-synthetic", "--spec", str(path),
                               "--out", str(tmp_path / "o"))
-        assert code == 2 and next(iter(spec)) in err
+        assert code == 2 and word in err
 
 
 class TestCheckpointFuzz:
@@ -514,3 +580,71 @@ class TestDataFuzz:
         path.write_bytes(bytes(raw))
         views[view] = str(path)
         self._eval(checkpoint, tmp_path_factory, doc)
+
+
+def mutate(data, target: dict | list):
+    """Drop one key or item of ``target``, or give it a value of another
+    JSON type, or zero or negate it when it is a number.  Returns the key
+    and the new value, or None when the key was dropped."""
+    keys = sorted(target) if isinstance(target, dict) else range(len(target))
+    key = data.draw(st.sampled_from(keys), label="key")
+    old = target[key]
+    how = data.draw(st.sampled_from(["drop", "type", "zero", "negate"]), label="how")
+    if how == "drop":
+        del target[key]
+        return key, None
+    if how == "type" or type(old) not in (int, float):
+        value = data.draw(st.sampled_from(
+            [v for v in JSON_VALUES if type(v) is not type(old)]), label="value")
+    else:
+        value = old * 0 if how == "zero" else -old
+    target[key] = value
+    return key, value
+
+
+class TestConfigFuzz:
+    """A run config or synthetic spec with a key dropped, a value of another
+    JSON type, or a number zeroed or negated ends in a documented exit code,
+    never a traceback, whether the change is in the file or a --set."""
+
+    @settings(max_examples=100, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_damaged_config(self, workspace, tmp_path_factory, data):
+        _, _, _, cfg_path = workspace
+        base = tmp_path_factory.getbasetemp()
+        doc = json.loads(cfg_path.read_text())
+        doc["train"]["max_epochs"] = 1
+        prefix, target = data.draw(st.sampled_from(
+            [("", doc), ("model.", doc["model"]), ("train.", doc["train"]),
+             ("data.", doc["data"]), (None, doc["model"]["blocks"])]), label="target")
+        unchanged = json.dumps(doc)
+        key, value = mutate(data, target)
+        argv = []
+        if value is not None and prefix is not None and data.draw(
+                st.booleans(), label="--set"):
+            doc = json.loads(unchanged)
+            argv = ["--set", f"{prefix}{key}={json.dumps(value)}"]
+        path = base / "fuzzed-config.json"
+        path.write_text(json.dumps(doc))
+        code, err = run_quietly("train", "--config", str(path), "--stage", "two-view",
+                                "--out", str(base / "fuzzed-config.ckpt"), *argv)
+        assert code in (0, 2, 3, 4, 5), (code, err)
+        assert "Traceback" not in err
+
+    @settings(max_examples=100, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_damaged_spec(self, tmp_path_factory, data):
+        base = tmp_path_factory.getbasetemp()
+        spec = {"size": 32, "count": 4, "views": 2, "radius": [3.5, 5.5],
+                "contrast": [0.35, 0.6], "noise": 0.03, "label_rule": "single-view",
+                "seed": 9}
+        mutate(data, data.draw(st.sampled_from(
+            [spec, spec["radius"], spec["contrast"]]), label="target"))
+        path = base / "fuzzed-spec.json"
+        path.write_text(json.dumps(spec))
+        code, err = run_quietly("gen-synthetic", "--spec", str(path),
+                                "--out", str(base / "fuzzed-data"))
+        assert code in (0, 2, 3, 4, 5), (code, err)
+        assert "Traceback" not in err

@@ -91,15 +91,10 @@ class TestPHResNet:
         model = MD.PHResNet(small_phresnet(), seed=0)
         total = 0
         for m in model.modules():
-            if isinstance(m, (phc.PHCConv2d, phc.PHMLinear)):
-                n = m.n
-                if isinstance(m, phc.PHCConv2d):
-                    kh, kw = m.kernel_size
-                    expected = n**3 + m.out_channels * m.in_channels * kh * kw // n
-                    expected += m.out_channels if m.bias is not None else 0
-                else:
-                    expected = n**3 + m.out_features * m.in_features // n
-                    expected += m.out_features if m.bias is not None else 0
+            if isinstance(m, phc.PHCConv2d):
+                kh, kw = m.kernel_size
+                expected = m.n**3 + m.out_channels * m.in_channels * kh * kw // m.n
+                expected += m.out_channels if m.bias is not None else 0
                 assert m.param_count() == expected
                 total += expected
             elif isinstance(m, nn.Linear):
@@ -264,7 +259,7 @@ class TestPHUNet:
 
     def test_param_ratio_half_of_real(self):
         model = MD.PHUNet(MD.PHUNetConfig(n=2, width=8, depth=3), seed=0)
-        ratio = MD.hypercomplex_param_ratio(model)
+        ratio = model.param_count() / MD.real_equivalent_params(model)
         assert abs(ratio - 0.5) < 0.05
 
 

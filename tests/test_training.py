@@ -239,7 +239,8 @@ class TestMaps:
     def test_saliency_of_linear_map_is_uniform(self):
         w = -2.5
         views = np.random.default_rng(0).random((2, 8, 8)).astype(np.float32)
-        sal = TR.input_gradient(lambda x: ag.scale(ag.nsum(x), w), views)
+        sal = TR.input_gradient(
+            lambda x: ag.mul(ag.nsum(x), ag.constant(np.float32(w))), views)
         npt.assert_allclose(sal, 2 * abs(w))  # both view channels contribute |w|
 
     def test_export_writes_pgm_files(self, tmp_path, tiny_dataset):
