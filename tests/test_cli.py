@@ -585,21 +585,19 @@ class TestDataFuzz:
 def mutate(data, target: dict | list):
     """Drop one key or item of ``target``, or give it a value of another
     JSON type, or zero or negate it when it is a number.  Returns the key
-    and the new value, or None when the key was dropped."""
+    and whether it was dropped."""
     keys = sorted(target) if isinstance(target, dict) else range(len(target))
     key = data.draw(st.sampled_from(keys), label="key")
     old = target[key]
     how = data.draw(st.sampled_from(["drop", "type", "zero", "negate"]), label="how")
     if how == "drop":
         del target[key]
-        return key, None
-    if how == "type" or type(old) not in (int, float):
-        value = data.draw(st.sampled_from(
+    elif how == "type" or type(old) not in (int, float):
+        target[key] = data.draw(st.sampled_from(
             [v for v in JSON_VALUES if type(v) is not type(old)]), label="value")
     else:
-        value = old * 0 if how == "zero" else -old
-    target[key] = value
-    return key, value
+        target[key] = old * 0 if how == "zero" else -old
+    return key, how == "drop"
 
 
 class TestConfigFuzz:
@@ -619,12 +617,11 @@ class TestConfigFuzz:
             [("", doc), ("model.", doc["model"]), ("train.", doc["train"]),
              ("data.", doc["data"]), (None, doc["model"]["blocks"])]), label="target")
         unchanged = json.dumps(doc)
-        key, value = mutate(data, target)
+        key, dropped = mutate(data, target)
         argv = []
-        if value is not None and prefix is not None and data.draw(
-                st.booleans(), label="--set"):
+        if not dropped and prefix is not None and data.draw(st.booleans(), label="--set"):
+            argv = ["--set", f"{prefix}{key}={json.dumps(target[key])}"]
             doc = json.loads(unchanged)
-            argv = ["--set", f"{prefix}{key}={json.dumps(value)}"]
         path = base / "fuzzed-config.json"
         path.write_text(json.dumps(doc))
         code, err = run_quietly("train", "--config", str(path), "--stage", "two-view",
