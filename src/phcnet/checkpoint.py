@@ -5,7 +5,9 @@ length, a UTF-8 JSON header, then the raw little-endian tensor payloads
 back to back.  The header carries the format version, the model config and
 a tensor index mapping each dotted name to dtype, shape, byte offset and
 byte length.  Serialization is canonical (sorted names, compact JSON), so
-save -> load -> save reproduces files bit for bit.
+save -> load -> save reproduces files bit for bit.  Loading rejects a
+tensor with a value that is not finite, and a batch-norm ``running_var``
+with a negative entry, so a damaged file fails here and not in a model.
 """
 
 from __future__ import annotations
@@ -74,7 +76,12 @@ def _tensor(path, name, meta, payload) -> np.ndarray:
     raw = payload[offset : offset + nbytes]
     if len(raw) != nbytes or nbytes != math.prod(shape) * np.dtype(_DTYPES[dtype]).itemsize:
         raise CheckpointError(f"{path}: tensor {name!r} truncated or not of shape {shape}")
-    return np.frombuffer(raw, dtype=_DTYPES[dtype]).reshape(shape).astype(dtype)
+    arr = np.frombuffer(raw, dtype=_DTYPES[dtype]).reshape(shape).astype(dtype)
+    if not np.isfinite(arr).all():
+        raise CheckpointError(f"{path}: tensor {name!r} holds a value that is not finite")
+    if name.endswith(".running_var") and (arr < 0).any():
+        raise CheckpointError(f"{path}: tensor {name!r} holds a negative variance")
+    return arr
 
 
 def load(path) -> tuple[dict[str, np.ndarray], dict]:

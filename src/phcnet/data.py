@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -184,7 +185,9 @@ class Manifest:
 # ---------------------------------------------------------------------------
 
 def _finite_number(v) -> bool:
-    return isinstance(v, (int, float)) and type(v) is not bool and math.isfinite(v)
+    """A number, not a bool, that a float holds: not inf, nan or 10**400."""
+    return (isinstance(v, (int, float)) and type(v) is not bool
+            and abs(v) <= sys.float_info.max)
 
 
 @dataclass
@@ -201,8 +204,9 @@ class SyntheticSpec:
     def __post_init__(self):
         for name, low in (("size", 16), ("count", 1), ("seed", 0)):
             value = getattr(self, name)
-            if type(value) is not int or value < low:
-                raise DataError(f"{name} must be an integer >= {low}, got {value!r}")
+            if type(value) is not int or not _finite_number(value) or value < low:
+                raise DataError(f"{name} must be an integer >= {low} within float "
+                                f"range, got {value!r}")
         if type(self.views) is not int or self.views not in (2, 4):
             raise DataError(f"views must be 2 or 4, got {self.views!r}")
         if self.label_rule not in ("single-view", "cross-view-xor"):

@@ -24,6 +24,7 @@ every PHC convolution but PHUNet's real-valued (n=1) output projection.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -39,20 +40,26 @@ from .phc import PHCConv2d, real_equivalent_count
 # configs
 # ---------------------------------------------------------------------------
 
+def _int_at_least(value, low: int) -> bool:
+    """An int, not a bool, from ``low`` up to what a float holds (so not 10**400)."""
+    return type(value) is int and low <= value <= sys.float_info.max
+
+
 def _count(name: str, value, low: int) -> int:
-    if type(value) is not int or value < low:
-        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+    if not _int_at_least(value, low):
+        raise ConfigError(f"{name} must be an integer >= {low} within float range, "
+                          f"got {value!r}")
     return value
 
 
 def _multiple(name: str, value, n: int) -> None:
-    if type(value) is not int or value < 1 or value % n:
+    if not _int_at_least(value, 1) or value % n:
         raise ConfigError(f"{name} {value!r} is not a positive multiple of n={n}")
 
 
 def _blocks(blocks) -> tuple:
     if not isinstance(blocks, (list, tuple)) or not all(
-            type(b) is int and b >= 0 for b in blocks):
+            _int_at_least(b, 0) for b in blocks):
         raise ConfigError(f"blocks must be a list of block counts, got {blocks!r}")
     return tuple(blocks)
 

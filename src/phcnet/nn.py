@@ -29,6 +29,26 @@ def _softplus(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0) + np.log1p(np.exp(-np.abs(x)))
 
 
+def _channel_sum(a: np.ndarray) -> np.ndarray:
+    """Per-channel sum of an (N, C, H, W) array, accumulated in float64."""
+    return np.einsum("nchw->c", a, dtype=np.float64)
+
+
+def _channel_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-channel sum of a·b over (N, H, W), as float64.
+
+    einsum multiplies and adds in the arrays' own dtype, so it sums only
+    runs of at most 256 values (an image row, or a whole plane when that is
+    small) and the partial sums are added in float64.  A float32 dot then
+    rounds no worse than numpy's pairwise summation of the product, without
+    a float64 copy of the arrays or a product array.
+    """
+    _, _, h, w = a.shape
+    rows = h * w > 256
+    partial = np.einsum("nchw,nchw->nch" if rows else "nchw,nchw->nc", a, b)
+    return partial.sum(axis=(0, 2) if rows else 0, dtype=np.float64)
+
+
 class Linear(Module):
     """Plain real dense layer used for classification heads."""
 
@@ -50,9 +70,24 @@ class Linear(Module):
 class BatchNorm2d(Module):
     """Per-channel batch normalization over (N, H, W).
 
-    Train mode normalizes with biased batch statistics (and folds them into
-    the running estimates); eval mode uses the running estimates as
-    constants, so no gradient flows through the statistics.
+    Train mode normalizes with the biased batch statistics over the
+    m = N*H*W values of each channel, x̂ = (x - μ)/σ with σ = √(var + eps),
+    returns γ·x̂ + β and folds μ and var into the running estimates.  Its
+    input gradient is the Ioffe–Szegedy rule rearranged into three terms
+    with per-channel factors,
+
+        dx = g·k₁ - x̂·k₂ - k₃,  k₁ = γ/σ,  k₂ = k₁·dγ/m,  k₃ = k₁·dβ/m,
+
+    where dγ = Σ g·x̂ and dβ = Σ g.  Forward centres x once and scales it
+    to x̂ in place; x̂ is the one full-size array kept for backward.
+
+    Eval mode treats the running estimates as constants and folds the layer
+    into one per-channel affine map x·a + b, with a = γ/√(running_var + eps)
+    and b = β - running_mean·a, so dx = g·a; x̂ is rebuilt from x only
+    when γ needs a gradient.
+
+    Channel sums and per-channel factors are formed in float64; every
+    full-size array stays in the input's dtype.
     """
 
     def __init__(self, channels, momentum=0.1, eps=1e-5, dtype=np.float32):
@@ -71,44 +106,55 @@ class BatchNorm2d(Module):
                 f"batchnorm expects (N,{self.channels},H,W), got {x.shape}"
             )
         gamma, beta = self.gamma, self.beta
-        exp = lambda v: v[None, :, None, None]
-        if self.training:
-            mu = x.value.mean(axis=(0, 2, 3))
-            var = x.value.var(axis=(0, 2, 3))
-            self.running_mean[...] = (
-                (1 - self.momentum) * self.running_mean + self.momentum * mu
-            )
-            self.running_var[...] = (
-                (1 - self.momentum) * self.running_var + self.momentum * var
-            )
-        else:
-            mu = self.running_mean
-            var = self.running_var
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x.value - exp(mu)) * exp(inv_std)
-        out = exp(gamma.value) * xhat + exp(beta.value)
+        dtype = x.dtype
+        exp = lambda v: v.astype(dtype, copy=False)[None, :, None, None]
+        g64 = gamma.value.astype(np.float64)
+        if not self.training:
+            mu = self.running_mean.astype(np.float64)
+            inv_std = 1.0 / np.sqrt(self.running_var.astype(np.float64) + self.eps)
+            a = g64 * inv_std
+            out = x.value * exp(a)
+            out += exp(beta.value - mu * a)
+
+            def eval_rule(g):
+                dx = g * exp(a) if x.requires_grad else None
+                dgamma = dbeta = None
+                if gamma.requires_grad:
+                    xhat = (x.value - exp(mu)) * exp(inv_std)
+                    dgamma = _channel_sum(g * xhat).astype(dtype)
+                if beta.requires_grad:
+                    dbeta = _channel_sum(g).astype(dtype)
+                return dx, dgamma, dbeta
+
+            return ag.Node(out, (x, gamma, beta), eval_rule)
+
         m = x.shape[0] * x.shape[2] * x.shape[3]
-        training = self.training
+        mu = _channel_sum(x.value) / m
+        xhat = x.value - exp(mu)
+        var = _channel_dot(xhat, xhat) / m
+        self.running_mean[...] = (
+            (1 - self.momentum) * self.running_mean + self.momentum * mu
+        )
+        self.running_var[...] = (
+            (1 - self.momentum) * self.running_var + self.momentum * var
+        )
+        inv_std = 1.0 / np.sqrt(var + self.eps)
+        xhat *= exp(inv_std)
+        out = xhat * exp(gamma.value)
+        out += exp(beta.value)
 
         def rule(g):
-            dgamma = (g * xhat).sum(axis=(0, 2, 3)) if gamma.requires_grad else None
-            dbeta = g.sum(axis=(0, 2, 3)) if beta.requires_grad else None
-            if not x.requires_grad:
-                return None, dgamma, dbeta
-            dxhat = g * exp(gamma.value)
-            if training:
-                dx = (
-                    exp(inv_std)
-                    / m
-                    * (
-                        m * dxhat
-                        - exp(dxhat.sum(axis=(0, 2, 3)))
-                        - xhat * exp((dxhat * xhat).sum(axis=(0, 2, 3)))
-                    )
-                )
-            else:
-                dx = dxhat * exp(inv_std)
-            return np.ascontiguousarray(dx), dgamma, dbeta
+            dgamma, dbeta = _channel_dot(g, xhat), _channel_sum(g)
+            dx = None
+            if x.requires_grad:
+                k1 = g64 * inv_std
+                # the two small terms first, so g·k1 meets one rounding less
+                dx = xhat * exp(k1 * dgamma / m)
+                dx += exp(k1 * dbeta / m)
+                np.subtract(g * exp(k1), dx, out=dx)
+                dx = np.ascontiguousarray(dx)
+            return (dx, dgamma.astype(dtype) if gamma.requires_grad else None,
+                    dbeta.astype(dtype) if beta.requires_grad else None)
 
         return ag.Node(out, (x, gamma, beta), rule)
 

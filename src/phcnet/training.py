@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import json
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
@@ -73,7 +74,9 @@ def default_stage(model_config: dict) -> str:
 
 
 def _is_number(value, kind=Real) -> bool:
-    return isinstance(value, kind) and not isinstance(value, bool)
+    """A ``kind`` number, not a bool, that a float holds: not inf, nan or 10**400."""
+    return (isinstance(value, kind) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 @dataclass
@@ -105,7 +108,8 @@ class TrainConfig:
             value = getattr(self, name)
             if not _is_number(value, kind) or not value >= low:
                 noun = "an integer" if kind is Integral else "a number"
-                raise ConfigError(f"train.{name} must be {noun} >= {low}, got {value!r}")
+                raise ConfigError(f"train.{name} must be {noun} >= {low} within float "
+                                  f"range, got {value!r}")
         weight = self.pos_weight
         if weight != "auto" and not (_is_number(weight) and weight > 0):
             raise ConfigError(f'train.pos_weight must be "auto" or > 0, got {weight!r}')
@@ -257,8 +261,17 @@ def _outputs(model, x: np.ndarray, batch_size: int) -> np.ndarray:
 
 
 def _evaluate(model, stage: Stage, data: _StageData, batch_size: int = 32) -> EvalResult:
-    """Score the model on a loaded split; validation and evaluate share it."""
-    logits = _outputs(model, data.x, batch_size)
+    """Score the model on a loaded split; validation and evaluate share it.
+
+    An overflow or invalid operation in the forward raises NumericError,
+    like outputs that are not finite, instead of a numpy warning.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            logits = _outputs(model, data.x, batch_size)
+    except FloatingPointError as exc:
+        raise NumericError(f"the model's {stage.name} outputs are not finite: "
+                           f"{exc}") from exc
     if not np.isfinite(logits).all():
         raise NumericError(f"the model's {stage.name} outputs are not finite")
     if stage.role == "class":
@@ -320,11 +333,12 @@ def train(cfg: TrainConfig, manifest: D.Manifest, model, on_epoch=None):
         # the 1x1 refiners, so xhat = 0 and they get no gradient: fold it back
         starts.pop()
     named_params = list(model.named_parameters())
-    shuffle_seeds = shuffle_root.spawn(cfg.max_epochs)
     with ThreadPoolExecutor(max_workers=1) as pool:
         for epoch in range(cfg.max_epochs):
             t0 = time.perf_counter()
-            order = np.random.default_rng(shuffle_seeds[epoch]).permutation(n)
+            # one child per epoch, as it starts: the same seeds as spawning
+            # max_epochs children up front, without holding them all
+            order = np.random.default_rng(shuffle_root.spawn(1)[0]).permutation(n)
             batches = np.split(order, starts[1:])
             prepared = pool.map(
                 lambda idx: _augment_batch(train_data, idx, cfg, epoch), batches

@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from phcnet import checkpoint as ckpt
 from phcnet import data as D
 from phcnet.cli import main
+
+HUGE = 10**400  # a JSON integer that no float holds
 
 
 def run(capsys, *argv):
@@ -333,13 +336,30 @@ class TestCheckpointErrors:
 
     def test_non_finite_outputs(self, workspace, checkpoint, capsys, tmp_path):
         state, config = ckpt.load(checkpoint)
-        state["trunk.bn1.running_var"] = state["trunk.bn1.running_var"].copy()
-        state["trunk.bn1.running_var"][0] = -1.0  # sqrt of a negative variance
-        path = tmp_path / "nan.ckpt"
+        # finite, but gamma times a standardized activation above 1 overflows
+        state["trunk.bn1.gamma"] = np.full_like(state["trunk.bn1.gamma"],
+                                                np.finfo(np.float32).max)
+        path = tmp_path / "overflow.ckpt"
         ckpt.save(path, state, config)
-        with np.errstate(invalid="ignore"):
+        code, err = self._eval(capsys, workspace, str(path))
+        assert code == 5 and "not finite" in err and "overflow" in err
+
+    @pytest.mark.parametrize("name, value, word", [
+        ("trunk.bn1.running_var", -1.0, "negative variance"),
+        ("trunk.bn1.running_mean", np.nan, "not finite"),
+        ("trunk.conv1.F", np.inf, "not finite"),
+    ], ids=["negative variance", "nan", "inf"])
+    def test_bad_tensor_value(self, workspace, checkpoint, capsys, tmp_path,
+                              name, value, word):
+        state, config = ckpt.load(checkpoint)
+        state[name] = state[name].copy()
+        state[name].flat[0] = value
+        path = tmp_path / "v.ckpt"
+        ckpt.save(path, state, config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code, err = self._eval(capsys, workspace, str(path))
-        assert code == 5 and "not finite" in err
+        assert code == 4 and name in err and word in err
 
 
 class TestInputErrors:
@@ -360,7 +380,8 @@ class TestInputErrors:
         "model.refiners=-1", 'model.refiners="x"', "model.heads=0",
         'train.augment="no"', 'train.seed="x"', "train.seed=-1",
         'train.val_fraction="x"', "train.patch_size=-4", 'train.per_lesion="a"',
-    ])
+        f"train.lr={HUGE}", f"train.max_epochs={HUGE}",
+    ], ids=lambda override: override.replace(str(HUGE), "10**400"))
     def test_bad_train_or_model_value(self, workspace, capsys, tmp_path, override):
         _, _, _, cfg_path = workspace
         code, err = self._run(capsys, "train", "--config", str(cfg_path),
@@ -489,9 +510,11 @@ class TestInputErrors:
         ({"radius": [5, 3]}, "radius"), ({"size": 32, "radius": [3, 20]}, "fits is 48"),
         ({"radius": [0, 3]}, "radius"), ({"contrast": [0.6, 0.3]}, "contrast"),
         ({"contrast": [-0.2, 0.3]}, "contrast"), ({"noise": -0.1}, "noise"),
+        ({"radius": [1, HUGE]}, "radius"), ({"size": HUGE}, "size"),
     ], ids=["spec0", "spec1", "size 16", "xor size 24", "radius [5, 3]",
             "radius [3, 20]", "radius [0, 3]", "contrast [0.6, 0.3]",
-            "contrast [-0.2, 0.3]", "noise -0.1"])
+            "contrast [-0.2, 0.3]", "noise -0.1", "radius [1, 10**400]",
+            "size 10**400"])
     def test_bad_spec_pair(self, capsys, tmp_path, spec, word):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"size": 32, "count": 2, **spec}))
@@ -584,26 +607,28 @@ class TestDataFuzz:
 
 def mutate(data, target: dict | list):
     """Drop one key or item of ``target``, or give it a value of another
-    JSON type, or zero or negate it when it is a number.  Returns the key
-    and whether it was dropped."""
+    JSON type, or zero, negate or make it 10**400 when it is a number.
+    Returns the key and whether it was dropped."""
     keys = sorted(target) if isinstance(target, dict) else range(len(target))
     key = data.draw(st.sampled_from(keys), label="key")
     old = target[key]
-    how = data.draw(st.sampled_from(["drop", "type", "zero", "negate"]), label="how")
+    how = data.draw(st.sampled_from(["drop", "type", "zero", "negate", "huge"]),
+                    label="how")
     if how == "drop":
         del target[key]
     elif how == "type" or type(old) not in (int, float):
         target[key] = data.draw(st.sampled_from(
             [v for v in JSON_VALUES if type(v) is not type(old)]), label="value")
     else:
-        target[key] = old * 0 if how == "zero" else -old
+        target[key] = {"zero": old * 0, "negate": -old, "huge": HUGE}[how]
     return key, how == "drop"
 
 
 class TestConfigFuzz:
     """A run config or synthetic spec with a key dropped, a value of another
-    JSON type, or a number zeroed or negated ends in a documented exit code,
-    never a traceback, whether the change is in the file or a --set."""
+    JSON type, or a number zeroed, negated or made 10**400 ends in a
+    documented exit code, never a traceback, whether the change is in the
+    file or a --set."""
 
     @settings(max_examples=100, derandomize=True, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])

@@ -15,6 +15,61 @@ from phcnet.errors import DataError
 from phcnet.module import Parameter
 
 
+def bn_oracle(x, gamma, beta, mean, var, g, training, eps=1e-5):
+    """Batch norm by its textbook formula, in the inputs' dtype: the output
+    and the gradients of x, gamma and beta for the upstream gradient g.
+    Train mode takes the statistics of x; eval mode takes mean and var."""
+    e = lambda v: v[None, :, None, None]
+    m = x.shape[0] * x.shape[2] * x.shape[3]
+    if training:
+        mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (x - e(mean)) * e(inv_std)
+    out = e(gamma) * xhat + e(beta)
+    dxhat = g * e(gamma)
+    if training:
+        dx = e(inv_std) / m * (m * dxhat - e(dxhat.sum(axis=(0, 2, 3)))
+                               - xhat * e((dxhat * xhat).sum(axis=(0, 2, 3))))
+    else:
+        dx = dxhat * e(inv_std)
+    return out, dx, (g * xhat).sum(axis=(0, 2, 3)), g.sum(axis=(0, 2, 3))
+
+
+def random_bn(channels, training, seed, dtype):
+    """A batch norm with random gamma, beta and running statistics."""
+    rng = np.random.default_rng(seed)
+    bn = nn.BatchNorm2d(channels, dtype=dtype)
+    bn.gamma.value[...] = rng.uniform(0.5, 1.5, channels)
+    bn.beta.value[...] = rng.normal(size=channels)
+    bn.running_mean[...] = rng.normal(0.0, 2.0, channels)
+    bn.running_var[...] = rng.uniform(0.5, 3.0, channels) ** 2
+    bn.train(training)
+    return bn
+
+
+def bn_case(shape, training, seed, dtype):
+    """(bn, x, g): channels with their own offset and scale, as after a conv."""
+    rng = np.random.default_rng(seed)
+    c = shape[1]
+    x = (rng.normal(size=shape) * rng.uniform(0.5, 3.0, c)[None, :, None, None]
+         + rng.normal(0.0, 2.0, c)[None, :, None, None]).astype(dtype)
+    g = rng.normal(size=shape).astype(dtype)
+    return random_bn(c, training, seed + 1, dtype), x, g
+
+
+def bn_results(bn, x, g):
+    """The layer's output and its gradients of x, gamma and beta for g."""
+    node = ag.Node(x, requires_grad=True)
+    out = bn(node)
+    ag.backward(ag.nsum(ag.mul(out, ag.constant(g))))
+    return out.value, node.grad, bn.gamma.grad, bn.beta.grad
+
+
+def rel_err(got, want) -> float:
+    """Norm-wise relative error, so one rounding of one element cannot decide it."""
+    return float(np.linalg.norm((got - want).ravel()) / np.linalg.norm(want.ravel()))
+
+
 class TestBatchNorm:
     def test_train_mode_normalizes(self):
         rng = np.random.default_rng(0)
@@ -72,6 +127,47 @@ class TestBatchNorm:
         report = ag.grad_check(f, {"x": x, "gamma": bn.gamma, "beta": bn.beta},
                                h=1e-6, tol=1e-5)
         assert report.passed
+
+
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_grad_check_random_affine_and_statistics(self, training):
+        bn, x, _ = bn_case((3, 3, 4, 4), training, seed=11, dtype=np.float64)
+        x = ag.Node(x, requires_grad=True)
+        w = ag.constant(np.random.default_rng(12).normal(size=x.shape))
+
+        def f():
+            out = bn(x)
+            return ag.nsum(ag.mul(ag.mul(out, out), w))
+
+        report = ag.grad_check(f, {"x": x, "gamma": bn.gamma, "beta": bn.beta},
+                               h=1e-6, tol=1e-5)
+        assert report.passed, report.per_param
+
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_matches_oracle_float64(self, training):
+        bn, x, g = bn_case((4, 5, 6, 7), training, seed=13, dtype=np.float64)
+        mean, var = bn.running_mean.copy(), bn.running_var.copy()
+        want = bn_oracle(x, bn.gamma.value, bn.beta.value, mean, var, g, training)
+        got = bn_results(bn, x, g)
+        for name, a, b in zip(("out", "dx", "dgamma", "dbeta"), got, want):
+            assert rel_err(a, b) <= 1e-10, name
+        if training:
+            npt.assert_allclose(bn.running_mean, 0.9 * mean + 0.1 * x.mean(axis=(0, 2, 3)),
+                                rtol=1e-12)
+            npt.assert_allclose(bn.running_var, 0.9 * var + 0.1 * x.var(axis=(0, 2, 3)),
+                                rtol=1e-12)
+
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_float32_error_no_larger_than_oracle(self, training):
+        # the oracle in float32 is the layer's arithmetic before the fold
+        bn, x, g = bn_case((8, 16, 64, 64), training, seed=0, dtype=np.float32)
+        stats = bn.gamma.value, bn.beta.value, bn.running_mean.copy(), bn.running_var.copy()
+        exact = bn_oracle(*(v.astype(np.float64) for v in (x, *stats, g)), training)
+        old = bn_oracle(x, *stats, g, training)
+        got = bn_results(bn, x, g)
+        for name, a, b, ref in zip(("out", "dx", "dgamma", "dbeta"), got, old, exact):
+            assert a.dtype == np.float32, name
+            assert rel_err(a, ref) <= rel_err(b, ref), name
 
 
 class TestResidualBlock:

@@ -178,7 +178,7 @@ class TestTrainLoop:
         model.trunk.bn1.running_var[0] = -10.0
         cfg = TR.TrainConfig(stage="two-view", lr=1e-3, max_epochs=1,
                              batch_size=8, patience=10, seed=0)
-        with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="not finite"):
+        with pytest.raises(NumericError, match="not finite"):
             TR.train(cfg, tiny_dataset, model)
 
 
