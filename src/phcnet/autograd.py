@@ -308,28 +308,39 @@ def global_avg_pool(x) -> Node:
 
 
 def max_pool2d(x, size: int = 2) -> Node:
+    """Non-overlapping max pooling; the rule holds only each window's argmax."""
     x = _as_node(x)
-    pooled, idx = T.max_pool2d(x.value, size)
-    n, c, ho, wo = pooled.shape
+    n, c, h, w = x.shape
+    if h % size or w % size:
+        raise ShapeError(f"max_pool2d: extents {h}x{w} not divisible by {size}")
+    ho, wo = h // size, w // size
+    windows = x.value.reshape(n, c, ho, size, wo, size).transpose(0, 1, 2, 4, 3, 5)
+    flat = windows.reshape(n, c, ho, wo, size * size)
+    idx = flat.argmax(axis=-1)
+    pooled = np.ascontiguousarray(np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0])
 
     def rule(g):
-        flat = np.zeros((n, c, ho, wo, size * size), dtype=g.dtype)
-        np.put_along_axis(flat, idx[..., None], g[..., None], axis=-1)
-        windows = flat.reshape(n, c, ho, wo, size, size).transpose(0, 1, 2, 4, 3, 5)
-        return (np.ascontiguousarray(windows.reshape(x.shape)),)
+        grad = np.zeros((n, c, ho, wo, size * size), dtype=g.dtype)
+        np.put_along_axis(grad, idx[..., None], g[..., None], axis=-1)
+        grad = grad.reshape(n, c, ho, wo, size, size).transpose(0, 1, 2, 4, 3, 5)
+        return (np.ascontiguousarray(grad.reshape(x.shape)),)
 
     return Node(pooled, (x,), rule)
 
 
 def upsample_nearest(x, factor: int = 2) -> Node:
+    """Nearest-neighbour upsampling of an (N, C, H, W) node by an integer factor."""
     x = _as_node(x)
+    if x.ndim != 4:
+        raise ShapeError(f"upsample_nearest expects rank-4 input, got rank {x.ndim}")
     n, c, h, w = x.shape
 
     def rule(g):
         blocks = g.reshape(n, c, h, factor, w, factor)
         return (np.ascontiguousarray(blocks.sum(axis=(3, 5))),)
 
-    return Node(T.upsample_nearest(x.value, factor), (x,), rule)
+    out = x.value.repeat(factor, axis=2).repeat(factor, axis=3)
+    return Node(np.ascontiguousarray(out), (x,), rule)
 
 
 # ---------------------------------------------------------------------------

@@ -32,11 +32,8 @@ def save(path, state: dict[str, np.ndarray], model_config: dict) -> None:
     offset = 0
     for name in sorted(state):
         arr = np.ascontiguousarray(state[name])
-        if arr.dtype == np.float32:
-            dtype = "float32"
-        elif arr.dtype == np.float64:
-            dtype = "float64"
-        else:
+        dtype = arr.dtype.name
+        if dtype not in _DTYPES:
             raise CheckpointError(f"tensor {name!r} has unsupported dtype {arr.dtype}")
         raw = arr.astype(_DTYPES[dtype], copy=False).tobytes()
         index[name] = {

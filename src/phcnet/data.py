@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, is_number
 
 MANIFEST_VERSION = 1
 CLASS_NAMES = (
@@ -184,12 +184,6 @@ class Manifest:
 # synthetic generation
 # ---------------------------------------------------------------------------
 
-def _finite_number(v) -> bool:
-    """A number, not a bool, that a float holds: not inf, nan or 10**400."""
-    return (isinstance(v, (int, float)) and type(v) is not bool
-            and abs(v) <= sys.float_info.max)
-
-
 @dataclass
 class SyntheticSpec:
     size: int = 32
@@ -202,21 +196,23 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name, low in (("size", 16), ("count", 1), ("seed", 0)):
+        # size and count size arrays; a SeedSequence takes any seed >= 0
+        for name, low, high in (("size", 16, sys.maxsize), ("count", 1, sys.maxsize),
+                                ("seed", 0, sys.float_info.max)):
             value = getattr(self, name)
-            if type(value) is not int or not _finite_number(value) or value < low:
-                raise DataError(f"{name} must be an integer >= {low} within float "
-                                f"range, got {value!r}")
+            if not is_number(value, low, integer=True) or value > high:
+                raise DataError(f"{name} must be an integer from {low} to {high}, "
+                                f"got {value!r}")
         if type(self.views) is not int or self.views not in (2, 4):
             raise DataError(f"views must be 2 or 4, got {self.views!r}")
         if self.label_rule not in ("single-view", "cross-view-xor"):
             raise DataError(f"unknown label rule {self.label_rule!r}")
-        if not (_finite_number(self.noise) and self.noise >= 0):
+        if not is_number(self.noise, 0):
             raise DataError(f"noise must be a number >= 0, got {self.noise!r}")
         for name in ("radius", "contrast"):
             pair = getattr(self, name)
             if not (isinstance(pair, (list, tuple)) and len(pair) == 2
-                    and all(map(_finite_number, pair)) and 0 < pair[0] <= pair[1]):
+                    and all(map(is_number, pair)) and 0 < pair[0] <= pair[1]):
                 raise DataError(f"{name} must be an ordered pair of positive numbers, "
                                 f"got {pair!r}")
             setattr(self, name, tuple(pair))
@@ -428,18 +424,19 @@ def _patch_boxes(entry: Entry) -> tuple[list, list]:
     """The [cy, cx, radius] boxes of the first side's two views."""
     boxes = entry.boxes[:2] if isinstance(entry.boxes, list) else []
     if len(boxes) < 2 or not all(
-            isinstance(b, list) and len(b) == 3 and all(map(_finite_number, b))
+            isinstance(b, list) and len(b) == 3 and all(map(is_number, b))
             and b[2] >= 0 for b in boxes):
         raise DataError(f"entry {entry.id}: boxes must start with one [cy, cx, radius] "
                         f"per view of the first side, got {entry.boxes!r}")
     return boxes
 
 
-def _crop(plane: np.ndarray, cy: float, cx: float, ps: int) -> tuple[np.ndarray, int, int]:
+def _crop(plane: np.ndarray, cy: float, cx: float, ps: int) -> np.ndarray:
+    """The ps x ps window of ``plane`` nearest to centring on (cy, cx)."""
     h, w = plane.shape
     top = int(np.clip(round(cy - ps / 2), 0, h - ps))
     left = int(np.clip(round(cx - ps / 2), 0, w - ps))
-    return plane[top : top + ps, left : left + ps], top, left
+    return plane[top : top + ps, left : left + ps]
 
 
 def extract_patches(manifest: Manifest, per_lesion: int = 20,
@@ -468,21 +465,19 @@ def extract_patches(manifest: Manifest, per_lesion: int = 20,
         half = per_lesion // 2
         for _ in range(half):  # ROI patches
             jitter = rng.uniform(-box0[2] / 2, box0[2] / 2, size=2)
-            p0, *_ = _crop(planes[0], box0[0] + jitter[0], box0[1] + jitter[1],
-                           patch_size)
-            p1, *_ = _crop(planes[1], box1[0] + jitter[0], box1[1] + jitter[1],
-                           patch_size)
+            p0 = _crop(planes[0], box0[0] + jitter[0], box0[1] + jitter[1], patch_size)
+            p1 = _crop(planes[1], box1[0] + jitter[0], box1[1] + jitter[1], patch_size)
             records.append(PatchRecord(np.stack([p0, p1]), label, entry.id))
         for _ in range(half):  # background patches
             center = _sample_background_center(
                 rng, size, patch_size, [box0, box1], mask
             )
-            p0, *_ = _crop(planes[0], center[0], center[1], patch_size)
+            p0 = _crop(planes[0], center[0], center[1], patch_size)
             c2 = view_transform_point(center, size)
             c2 = np.clip(c2, patch_size / 2, size - patch_size / 2)
             if _circle_hits_patch(box1, c2, patch_size):
                 c2 = center  # fall back to the same coordinates
-            p1, *_ = _crop(planes[1], c2[0], c2[1], patch_size)
+            p1 = _crop(planes[1], c2[0], c2[1], patch_size)
             records.append(PatchRecord(np.stack([p0, p1]), 0, entry.id))
     return records
 
@@ -499,11 +494,8 @@ def _sample_background_center(rng, size, ps, boxes, mask, attempts: int = 500):
         c = rng.uniform(ps / 2, size - ps / 2, size=2)
         if any(_circle_hits_patch(b, c, ps) for b in boxes):
             continue
-        if mask is not None:
-            top = int(np.clip(round(c[0] - ps / 2), 0, size - ps))
-            left = int(np.clip(round(c[1] - ps / 2), 0, size - ps))
-            if mask[top : top + ps, left : left + ps].any():
-                continue
+        if mask is not None and _crop(mask, c[0], c[1], ps).any():
+            continue
         return c
     raise DataError(
         f"could not place a lesion-free {ps}x{ps} patch in a {size}x{size} image"
@@ -514,11 +506,12 @@ def _sample_background_center(rng, size, ps, boxes, mask, attempts: int = 500):
 # augmentation
 # ---------------------------------------------------------------------------
 
-def rotate_bilinear(plane: np.ndarray, degrees: float) -> np.ndarray:
-    """Rotate about the image center, bilinear interpolation, zero fill."""
+def rotate_bilinear(stack: np.ndarray, degrees: float) -> np.ndarray:
+    """Rotate every (H, W) plane of ``stack`` about the image center on one
+    sampling grid: bilinear interpolation, zero fill."""
     if degrees == 0.0:
-        return plane.copy()
-    h, w = plane.shape
+        return stack.copy()
+    h, w = stack.shape[-2:]
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     rad = math.radians(degrees)
     cos, sin = math.cos(rad), math.sin(rad)
@@ -529,7 +522,7 @@ def rotate_bilinear(plane: np.ndarray, degrees: float) -> np.ndarray:
     x0 = np.floor(sx).astype(np.int64)
     wy = sy - y0
     wx = sx - x0
-    out = np.zeros((h, w), dtype=np.float64)
+    out = np.zeros(stack.shape, dtype=np.float64)
     for dy_, dx_, wgt in (
         (0, 0, (1 - wy) * (1 - wx)),
         (0, 1, (1 - wy) * wx),
@@ -538,31 +531,29 @@ def rotate_bilinear(plane: np.ndarray, degrees: float) -> np.ndarray:
     ):
         yi, xi = y0 + dy_, x0 + dx_
         valid = (yi >= 0) & (yi < h) & (xi >= 0) & (xi < w)
-        vals = np.zeros((h, w), dtype=np.float64)
-        vals[valid] = plane[yi[valid], xi[valid]]
+        vals = np.zeros(stack.shape, dtype=np.float64)
+        vals[..., valid] = stack[..., yi[valid], xi[valid]]
         out += wgt * vals
-    return out.astype(plane.dtype)
+    return out.astype(stack.dtype)
 
 
 def augment_with(views: np.ndarray, degrees: float, flip_h: bool, flip_v: bool,
-                 mask: np.ndarray | None = None):
-    """Apply one rotation + flip decision identically to every view (and mask)."""
-    planes = [rotate_bilinear(v, degrees) for v in views]
-    out_mask = None
+                 mask: np.ndarray | None = None) -> np.ndarray:
+    """Apply one rotation + flip decision identically to every view and the mask.
+
+    The (V, H, W) views and the (H, W) mask are rotated as one (V+1, H, W)
+    stack on one sampling grid, and the last plane, the mask, is thresholded
+    at 0.5.  Returns that stack, or the (V, H, W) views when there is no mask.
+    """
+    stack = views if mask is None else np.concatenate([views, mask[None]])
+    out = rotate_bilinear(stack, degrees)
     if mask is not None:
-        out_mask = (rotate_bilinear(mask.astype(np.float32), degrees) > 0.5).astype(
-            mask.dtype
-        )
+        out[-1] = out[-1] > 0.5
     if flip_h:
-        planes = [p[:, ::-1] for p in planes]
-        out_mask = out_mask[:, ::-1] if out_mask is not None else None
+        out = out[..., ::-1]
     if flip_v:
-        planes = [p[::-1, :] for p in planes]
-        out_mask = out_mask[::-1, :] if out_mask is not None else None
-    out = np.ascontiguousarray(np.stack(planes))
-    if mask is None:
-        return out
-    return out, np.ascontiguousarray(out_mask)
+        out = out[..., ::-1, :]
+    return np.ascontiguousarray(out)
 
 
 def augment(views: np.ndarray, seed, mask: np.ndarray | None = None):

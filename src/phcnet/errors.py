@@ -1,7 +1,20 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package, and its one number check.
 
 The CLI maps these onto exit codes, so keep the hierarchy flat and stable.
 """
+
+import sys
+from numbers import Integral, Real
+
+
+def is_number(value, low=None, integer=False) -> bool:
+    """A ``numbers.Real`` (``Integral`` with ``integer``) but not a bool, that a
+    float holds (not inf, nan or 10**400), and at least ``low`` when given.
+    Numpy scalars count.  A field that sizes an array must also be at most
+    sys.maxsize, numpy's largest extent."""
+    return (isinstance(value, Integral if integer else Real)
+            and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+            and (low is None or value >= low))
 
 
 class PhcnetError(Exception):

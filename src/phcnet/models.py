@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import autograd as ag
-from .errors import ConfigError, ShapeError, TransferError
+from .errors import ConfigError, ShapeError, TransferError, is_number
 from .module import Module, ModuleList
 from .nn import BatchNorm2d, Linear, ResidualBlock, _seeds
 from .phc import PHCConv2d, real_equivalent_count
@@ -40,28 +40,23 @@ from .phc import PHCConv2d, real_equivalent_count
 # configs
 # ---------------------------------------------------------------------------
 
-def _int_at_least(value, low: int) -> bool:
-    """An int, not a bool, from ``low`` up to what a float holds (so not 10**400)."""
-    return type(value) is int and low <= value <= sys.float_info.max
-
-
 def _count(name: str, value, low: int) -> int:
-    if not _int_at_least(value, low):
-        raise ConfigError(f"{name} must be an integer >= {low} within float range, "
+    """``value`` if it is an integer from ``low`` up to numpy's largest extent."""
+    if not (is_number(value, low, integer=True) and value <= sys.maxsize):
+        raise ConfigError(f"{name} must be an integer from {low} to {sys.maxsize}, "
                           f"got {value!r}")
     return value
 
 
 def _multiple(name: str, value, n: int) -> None:
-    if not _int_at_least(value, 1) or value % n:
+    if _count(name, value, 1) % n:
         raise ConfigError(f"{name} {value!r} is not a positive multiple of n={n}")
 
 
 def _blocks(blocks) -> tuple:
-    if not isinstance(blocks, (list, tuple)) or not all(
-            _int_at_least(b, 0) for b in blocks):
+    if not isinstance(blocks, (list, tuple)):
         raise ConfigError(f"blocks must be a list of block counts, got {blocks!r}")
-    return tuple(blocks)
+    return tuple(_count("blocks", b, 0) for b in blocks)
 
 
 @dataclass
@@ -166,6 +161,23 @@ def _left_right(x):
     return ag.narrow(x, 0, 2, axis=1), ag.narrow(x, 2, 4, axis=1)
 
 
+def _stages(n, channels, width, blocks, first, seeds, scheme):
+    """Stages ``first``, ``first + 1``, ... of the ResNet pattern, one block list
+    each, and the channels they put out.  Stage s has ``blocks[s - first]``
+    blocks of ``width * 2**s`` channels, one seed spawned per block from its
+    stage's entry in ``seeds``; its first block strides 2 unless s is 0."""
+    stages = []
+    for s, (count, seed) in enumerate(zip(blocks, seeds), start=first):
+        out = width * 2**s
+        stage = []
+        for b, block_seed in enumerate(_seeds(seed, count)):
+            stage.append(ResidualBlock(n, channels, out, stride=2 if s and not b else 1,
+                                       scheme=scheme, seed=block_seed))
+            channels = out
+        stages.append(stage)
+    return stages, channels
+
+
 class PHTrunk(Module):
     """Conv stem + residual stages; stride-2 at the first block of stages 2+."""
 
@@ -175,20 +187,9 @@ class PHTrunk(Module):
         self.conv1 = PHCConv2d(n, in_channels, width, 3, padding=1, bias=False,
                                scheme=scheme, seed=stage_seeds[0])
         self.bn1 = BatchNorm2d(width)
-        stages = ModuleList()
-        channels = width
-        for s, count in enumerate(blocks):
-            out = width * (2**s)
-            block_seeds = _seeds(stage_seeds[s + 1], count)
-            stage = ModuleList()
-            for b in range(count):
-                stride = 2 if (s > 0 and b == 0) else 1
-                stage.append(ResidualBlock(n, channels, out, stride=stride,
-                                           scheme=scheme, seed=block_seeds[b]))
-                channels = out
-            stages.append(stage)
-        self.stages = stages
-        self.out_channels = channels
+        stages, self.out_channels = _stages(n, width, width, blocks, 0, stage_seeds[1:],
+                                            scheme)
+        self.stages = ModuleList(ModuleList(stage) for stage in stages)
 
     def forward(self, x):
         h = ag.relu(self.bn1(self.conv1(x)))
@@ -204,19 +205,20 @@ class RefinerStack(Module):
     def __init__(self, n, channels, count, scheme, seed):
         super().__init__()
         seeds = _seeds(seed, max(count, 1))
-        blocks = ModuleList()
-        for i in range(count):
-            blocks.append(ResidualBlock(n, channels, channels, variant="refiner",
-                                        scheme=scheme, seed=seeds[i]))
-        self.blocks = blocks
-        self.channels = channels
+        self.blocks = ModuleList(
+            ResidualBlock(n, channels, channels, variant="refiner", scheme=scheme,
+                          seed=seeds[i])
+            for i in range(count))
 
-    def forward(self, pooled):
-        """pooled: (N, C) -> (N, C) through 1x1-spatial residual refinement."""
-        h = ag.reshape(pooled, (pooled.shape[0], self.channels, 1, 1))
+    def forward(self, pooled, taps=None, tap="classifier"):
+        """pooled: (N, C) -> (N, C) through 1x1-spatial residual refinement;
+        the refined (N, C, 1, 1) features are ``taps[tap]``, the classifier map."""
+        h = ag.reshape(pooled, (*pooled.shape, 1, 1))
         for block in self.blocks:
             h = block(h)
-        return ag.reshape(h, (pooled.shape[0], self.channels))
+        if taps is not None:
+            taps[tap] = h
+        return ag.reshape(h, pooled.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -243,13 +245,7 @@ class PHResNet(Module):
         feat = self.trunk(x)
         if taps is not None:
             taps["encoder"] = feat
-        pooled = ag.global_avg_pool(feat)
-        refined = self.refiners(pooled)
-        if taps is not None:
-            taps["classifier"] = ag.reshape(
-                refined, (refined.shape[0], refined.shape[1], 1, 1)
-            )
-        return self.head(refined)
+        return self.head(self.refiners(ag.global_avg_pool(feat), taps))
 
 
 class PHYBOnet(Module):
@@ -267,23 +263,13 @@ class PHYBOnet(Module):
                                  cfg.scheme, seeds[1])
         # remaining ResNet stages at the concatenated width, in the n=4 domain
         nb = cfg.n_bottleneck
-        blocks = ModuleList()
-        channels = 4 * w
-        stage_seeds = _seeds(seeds[2], 2)
-        for s, count in enumerate(cfg.blocks[2:4]):
-            out = 4 * w * (2**s)
-            block_seeds = _seeds(stage_seeds[s], count)
-            for b in range(count):
-                stride = 2 if b == 0 else 1
-                blocks.append(ResidualBlock(nb, channels, out, stride=stride,
-                                            scheme=cfg.scheme, seed=block_seeds[b]))
-                channels = out
-        self.bottleneck = blocks
+        stages, channels = _stages(nb, 4 * w, w, cfg.blocks[2:], 2, _seeds(seeds[2], 2),
+                                   cfg.scheme)
+        self.bottleneck = ModuleList(block for stage in stages for block in stage)
         self.refiners = RefinerStack(nb, channels, cfg.refiners, cfg.scheme, seeds[3])
         half = channels // 2
         self.head_l = Linear(half, 1, seed=int(seeds[4].generate_state(1)[0]))
         self.head_r = Linear(half, 1, seed=int(seeds[5].generate_state(1)[0]))
-        self._channels = channels
 
     def forward(self, x, taps=None):
         x_left, x_right = _left_right(x)
@@ -298,9 +284,9 @@ class PHYBOnet(Module):
             taps["bottleneck"] = h
         pooled = ag.global_avg_pool(h)
         refined = self.refiners(pooled)
-        half = self._channels // 2
-        logit_l = self.head_l(ag.narrow(refined, 0, half, axis=1))
-        logit_r = self.head_r(ag.narrow(refined, half, self._channels, axis=1))
+        channels = refined.shape[1]
+        logit_l = self.head_l(ag.narrow(refined, 0, channels // 2, axis=1))
+        logit_r = self.head_r(ag.narrow(refined, channels // 2, channels, axis=1))
         return ag.concat([logit_l, logit_r], axis=1)
 
 
@@ -314,12 +300,7 @@ class Branch(Module):
         self.head = Linear(channels, 1, seed=int(seeds[1].generate_state(1)[0]))
 
     def forward(self, pooled, taps=None, side=""):
-        refined = self.refiners(pooled)
-        if taps is not None:
-            taps[f"classifier_{side}"] = ag.reshape(
-                refined, (refined.shape[0], refined.shape[1], 1, 1)
-            )
-        return self.head(refined)
+        return self.head(self.refiners(pooled, taps, f"classifier_{side}"))
 
 
 class PHYSEnet(Module):
@@ -370,23 +351,19 @@ class PHUNet(Module):
         self.cfg = cfg
         n, w, d = cfg.n, cfg.width, cfg.depth
         seeds = _seeds(seed, 2 * d + 2)
-        enc = ModuleList()
+        self.enc = ModuleList()
         channels = cfg.in_channels
         for lvl in range(d + 1):
             out = w * (2**lvl)
-            enc.append(DoubleConv(n, channels, out, cfg.scheme, seeds[lvl]))
+            self.enc.append(DoubleConv(n, channels, out, cfg.scheme, seeds[lvl]))
             channels = out
-        self.enc = enc
-        ups = ModuleList()
-        dec = ModuleList()
+        self.ups, self.dec = ModuleList(), ModuleList()
         for lvl in range(d, 0, -1):
             c = w * (2**lvl)
-            ups.append(PHCConv2d(n, c, c // 2, 3, padding=1, bias=False,
-                                 scheme=cfg.scheme, seed=seeds[d + lvl]))
-            dec.append(DoubleConv(n, c, c // 2, cfg.scheme,
-                                  _seeds(seeds[d + lvl], 2)[1]))
-        self.ups = ups
-        self.dec = dec
+            self.ups.append(PHCConv2d(n, c, c // 2, 3, padding=1, bias=False,
+                                      scheme=cfg.scheme, seed=seeds[d + lvl]))
+            self.dec.append(DoubleConv(n, c, c // 2, cfg.scheme,
+                                       _seeds(seeds[d + lvl], 2)[1]))
         # 1->1 channel projection stays real-valued (n=1): output is one mask
         self.out_conv = PHCConv2d(1, w, 1, 1, scheme="fixed-algebra",
                                   seed=seeds[2 * d + 1])

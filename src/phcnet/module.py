@@ -114,14 +114,12 @@ class ModuleList(Module):
 
     def __init__(self, items=()):
         super().__init__()
-        self._items = []
         for item in items:
             self.append(item)
 
     def append(self, module: Module):
-        self._modules[str(len(self._items))] = module
-        self._items.append(module)
+        self._modules[str(len(self._modules))] = module
         return self
 
     def __iter__(self):
-        return iter(self._items)
+        return iter(self._modules.values())

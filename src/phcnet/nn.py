@@ -56,8 +56,6 @@ class Linear(Module):
         super().__init__()
         rng = np.random.default_rng(seed)
         bound = 1.0 / np.sqrt(in_features)
-        self.in_features = in_features
-        self.out_features = out_features
         self.weight = Parameter(
             rng.uniform(-bound, bound, size=(out_features, in_features)).astype(dtype)
         )
@@ -172,9 +170,6 @@ class ResidualBlock(Module):
         if variant not in ("basic", "refiner"):
             raise ConfigError(f"unknown residual variant {variant!r}")
         self.variant = variant
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.stride = stride
         seeds = _seeds(seed, 4)
         conv = functools.partial(PHCConv2d, n, bias=False, scheme=scheme)
         if variant == "basic":
@@ -298,23 +293,3 @@ class Adam:
             v *= self.beta2
             v += (1.0 - self.beta2) * (g * g)
             p.value -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-
-
-class EarlyStopper:
-    """Stops once the metric (higher is better) fails to improve for > patience epochs."""
-
-    def __init__(self, patience: int):
-        self.patience = patience
-        self.best = -np.inf
-        self.since_improvement = 0
-
-    def update(self, metric: float) -> bool:
-        """Record one epoch's metric; returns True when training should stop."""
-        if not np.isfinite(metric):
-            raise NumericError(f"early stopping metric is not finite: {metric}")
-        if metric > self.best:
-            self.best = metric
-            self.since_improvement = 0
-        else:
-            self.since_improvement += 1
-        return self.since_improvement > self.patience

@@ -220,33 +220,3 @@ def conv2d_naive(x, weight, bias=None, stride=1, padding=0) -> np.ndarray:
     if bias is not None:
         out += as_tensor(bias)[None, :, None, None]
     return out
-
-
-# ---------------------------------------------------------------------------
-# pooling / resampling
-# ---------------------------------------------------------------------------
-
-def max_pool2d(x, size: int = 2):
-    """Non-overlapping max pooling; returns (pooled, flat argmax indices).
-
-    The indices address the flattened size*size window per output cell and
-    are consumed by the autograd backward rule.
-    """
-    x = as_tensor(x)
-    n, c, h, w = x.shape
-    if h % size or w % size:
-        raise ShapeError(f"max_pool2d: extents {h}x{w} not divisible by {size}")
-    ho, wo = h // size, w // size
-    windows = x.reshape(n, c, ho, size, wo, size).transpose(0, 1, 2, 4, 3, 5)
-    flat = windows.reshape(n, c, ho, wo, size * size)
-    idx = flat.argmax(axis=-1)
-    pooled = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-    return np.ascontiguousarray(pooled), idx
-
-
-def upsample_nearest(x, factor: int = 2) -> np.ndarray:
-    """Nearest-neighbour upsampling of an (N,C,H,W) tensor by an integer factor."""
-    x = as_tensor(x)
-    if x.ndim != 4:
-        raise ShapeError(f"upsample_nearest expects rank-4 input, got rank {x.ndim}")
-    return np.ascontiguousarray(x.repeat(factor, axis=2).repeat(factor, axis=3))

@@ -21,7 +21,6 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
-from numbers import Integral, Real
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from . import autograd as ag
 from . import data as D
 from . import metrics as M
 from . import nn
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, is_number
 
 
 @dataclass(frozen=True)
@@ -73,12 +72,6 @@ def default_stage(model_config: dict) -> str:
             "phunet": "segmentation"}.get(model_config.get("kind"), "two-view")
 
 
-def _is_number(value, kind=Real) -> bool:
-    """A ``kind`` number, not a bool, that a float holds: not inf, nan or 10**400."""
-    return (isinstance(value, kind) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
-
-
 @dataclass
 class TrainConfig:
     stage: str = "two-view"
@@ -100,18 +93,21 @@ class TrainConfig:
             self.lr = stage.lr
         if self.batch_size is None:
             self.batch_size = stage.batch_size
-        for name, low, kind in (("batch_size", 1, Integral), ("max_epochs", 1, Integral),
-                                ("patience", 0, Integral), ("lr", 0, Real),
-                                ("weight_decay", 0, Real), ("val_fraction", 0, Real),
-                                ("patch_size", 1, Integral), ("per_lesion", 2, Integral),
-                                ("seed", 0, Integral)):
+        # batch_size, patch_size and per_lesion size arrays: at most sys.maxsize
+        size, big = sys.maxsize, sys.float_info.max
+        for name, low, integer, high in (
+                ("batch_size", 1, True, size), ("max_epochs", 1, True, big),
+                ("patience", 0, True, big), ("lr", 0, False, big),
+                ("weight_decay", 0, False, big), ("val_fraction", 0, False, big),
+                ("patch_size", 1, True, size), ("per_lesion", 2, True, size),
+                ("seed", 0, True, big)):
             value = getattr(self, name)
-            if not _is_number(value, kind) or not value >= low:
-                noun = "an integer" if kind is Integral else "a number"
-                raise ConfigError(f"train.{name} must be {noun} >= {low} within float "
-                                  f"range, got {value!r}")
+            if not is_number(value, low, integer) or value > high:
+                noun = "an integer" if integer else "a number"
+                raise ConfigError(f"train.{name} must be {noun} from {low} to {high}, "
+                                  f"got {value!r}")
         weight = self.pos_weight
-        if weight != "auto" and not (_is_number(weight) and weight > 0):
+        if weight != "auto" and not (is_number(weight) and weight > 0):
             raise ConfigError(f'train.pos_weight must be "auto" or > 0, got {weight!r}')
         if not isinstance(self.augment, bool):
             raise ConfigError(f"train.augment must be true or false, got {self.augment!r}")
@@ -212,19 +208,19 @@ class _StageData:
 
 
 def _augment_batch(data: _StageData, idx, cfg: TrainConfig, epoch: int):
+    """The views and masks (None without) of one batch, augmented row by row
+    in the copies that fancy indexing makes."""
     xs = data.x[idx]
     masks = data.masks[idx] if data.masks is not None else None
     if not cfg.augment:
-        return xs.copy(), (masks.copy() if masks is not None else None)
-    out = np.empty_like(xs)
-    out_masks = np.empty_like(masks) if masks is not None else None
+        return xs, masks
     for row, sample in enumerate(idx):
         seed = np.random.SeedSequence((cfg.seed, epoch, int(sample)))
-        if masks is None:
-            out[row] = D.augment(xs[row], seed)
-        else:
-            out[row], out_masks[row] = D.augment(xs[row], seed, masks[row])
-    return out, out_masks
+        stack = D.augment(xs[row], seed, None if masks is None else masks[row])
+        xs[row] = stack[: len(xs[row])]
+        if masks is not None:
+            masks[row] = stack[-1]
+    return xs, masks
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +293,9 @@ def train(cfg: TrainConfig, manifest: D.Manifest, model, on_epoch=None):
 
     ``on_epoch(epoch_index, model, log_entry) -> bool`` optionally stops
     training early (used by experiment harnesses to measure
-    epochs-to-target); early stopping monitors the validation metric
-    otherwise.  The model is left holding the best-validation weights.
+    epochs-to-target); it also stops once the validation metric has gone
+    more than ``cfg.patience`` epochs without a strict gain.  The model is
+    left holding the best-validation weights.
     """
     stage = STAGE[cfg.stage]
     ss = np.random.SeedSequence(cfg.seed)
@@ -317,14 +314,13 @@ def train(cfg: TrainConfig, manifest: D.Manifest, model, on_epoch=None):
         pos_weights = [float(cfg.pos_weight)] * max(stage.heads, 1)
 
     opt = nn.Adam(model.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
-    stopper = nn.EarlyStopper(cfg.patience)
     log = RunLog(
         config=asdict(cfg),
         param_count=model.param_count(),
         split={"train": [e.id for e in train_man.entries],
                "val": [e.id for e in val_man.entries]},
     )
-    best_metric, best_state = -np.inf, model.state_dict()
+    best_metric, best_epoch, best_state = -np.inf, 0, model.state_dict()
 
     n = len(train_data)
     starts = list(range(0, n, cfg.batch_size))
@@ -370,11 +366,11 @@ def train(cfg: TrainConfig, manifest: D.Manifest, model, on_epoch=None):
             }
             log.append(**entry)
             if val_metric > best_metric:
-                best_metric = val_metric
+                best_metric, best_epoch = val_metric, epoch
                 best_state = model.state_dict()
             if on_epoch is not None and on_epoch(epoch, model, entry):
                 break
-            if stopper.update(val_metric):
+            if epoch - best_epoch > cfg.patience:
                 break
     model.load_state_dict(best_state)
     log.final = {"best_val_metric": float(best_metric),

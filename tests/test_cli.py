@@ -18,6 +18,8 @@ from phcnet import data as D
 from phcnet.cli import main
 
 HUGE = 10**400  # a JSON integer that no float holds
+BIG = 10**300  # a float holds it, but no array extent
+SIZE = 2**63  # one past sys.maxsize, numpy's largest extent
 
 
 def run(capsys, *argv):
@@ -380,8 +382,11 @@ class TestInputErrors:
         "model.refiners=-1", 'model.refiners="x"', "model.heads=0",
         'train.augment="no"', 'train.seed="x"', "train.seed=-1",
         'train.val_fraction="x"', "train.patch_size=-4", 'train.per_lesion="a"',
-        f"train.lr={HUGE}", f"train.max_epochs={HUGE}",
-    ], ids=lambda override: override.replace(str(HUGE), "10**400"))
+        f"train.lr={HUGE}", f"train.max_epochs={HUGE}", f"model.width={BIG}",
+        f"model.heads={SIZE}", f"model.refiners={SIZE}", f"model.blocks=[{SIZE}, 1]",
+        f"train.batch_size={SIZE}", f"train.patch_size={SIZE}", f"train.per_lesion={SIZE}",
+    ], ids=lambda override: override.replace(str(HUGE), "10**400")
+                                    .replace(str(BIG), "10**300").replace(str(SIZE), "2**63"))
     def test_bad_train_or_model_value(self, workspace, capsys, tmp_path, override):
         _, _, _, cfg_path = workspace
         code, err = self._run(capsys, "train", "--config", str(cfg_path),
@@ -511,10 +516,11 @@ class TestInputErrors:
         ({"radius": [0, 3]}, "radius"), ({"contrast": [0.6, 0.3]}, "contrast"),
         ({"contrast": [-0.2, 0.3]}, "contrast"), ({"noise": -0.1}, "noise"),
         ({"radius": [1, HUGE]}, "radius"), ({"size": HUGE}, "size"),
+        ({"size": BIG}, "size"), ({"count": BIG}, "count"),
     ], ids=["spec0", "spec1", "size 16", "xor size 24", "radius [5, 3]",
             "radius [3, 20]", "radius [0, 3]", "contrast [0.6, 0.3]",
             "contrast [-0.2, 0.3]", "noise -0.1", "radius [1, 10**400]",
-            "size 10**400"])
+            "size 10**400", "size 10**300", "count 10**300"])
     def test_bad_spec_pair(self, capsys, tmp_path, spec, word):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"size": 32, "count": 2, **spec}))

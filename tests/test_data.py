@@ -250,7 +250,7 @@ class TestAugment:
         base = np.zeros((2, 12, 12), dtype=np.float32)
         base[:, 2:5, 2:5] = 1.0
         mask = (base[0] > 0).astype(np.float32)
-        out, out_mask = D.augment_with(base, 0.0, True, False, mask)
+        *out, out_mask = D.augment_with(base, 0.0, True, False, mask)
         npt.assert_array_equal(out[0], out[1])
         npt.assert_array_equal(out_mask, out[0] > 0)
 
@@ -259,7 +259,7 @@ class TestAugment:
         yy, xx = np.mgrid[0:32, 0:32]
         mask[(yy - 16) ** 2 + (xx - 16) ** 2 < 36] = 1.0
         views = np.stack([mask, mask])
-        _, rotated = D.augment_with(views, 20.0, False, False, mask)
+        *_, rotated = D.augment_with(views, 20.0, False, False, mask)
         assert abs(rotated.sum() - mask.sum()) / mask.sum() < 0.10
 
     def test_seeded_determinism(self):

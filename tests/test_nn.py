@@ -1,6 +1,6 @@
 """nn primitives: batch norm statistics and gradients, residual block
 contracts, stable losses with frozen hand-computed values, Adam update
-mechanics, early stopping traces."""
+mechanics."""
 
 import math
 
@@ -340,19 +340,3 @@ class TestAdam:
         p.grad = rng.normal(size=(3, 3))
         opt.step()
         npt.assert_array_equal(p.value, before)
-
-
-class TestEarlyStopper:
-    def test_trace_patience_two(self):
-        stopper = nn.EarlyStopper(patience=2)
-        decisions = [stopper.update(m) for m in [0.7, 0.71, 0.70, 0.70, 0.70]]
-        assert decisions == [False, False, False, False, True]
-
-    def test_monotone_improvement_never_stops(self):
-        stopper = nn.EarlyStopper(patience=0)
-        assert not any(stopper.update(m) for m in np.linspace(0.1, 0.9, 20))
-
-    def test_patience_zero_stops_on_first_plateau(self):
-        stopper = nn.EarlyStopper(patience=0)
-        assert not stopper.update(0.5)
-        assert stopper.update(0.5)  # not a strict improvement

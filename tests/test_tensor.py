@@ -185,9 +185,9 @@ class TestPooling:
 
     def test_max_pool_and_upsample_shapes(self):
         x = np.random.default_rng(1).normal(size=(1, 2, 4, 4)).astype(np.float32)
-        pooled, idx = T.max_pool2d(x, 2)
+        pooled = ag.max_pool2d(x, 2).value
         assert pooled.shape == (1, 2, 2, 2)
         npt.assert_allclose(pooled[0, 0, 0, 0], x[0, 0, :2, :2].max())
-        up = T.upsample_nearest(pooled, 2)
+        up = ag.upsample_nearest(pooled, 2).value
         assert up.shape == x.shape
         npt.assert_allclose(up[0, 0, 0, 0], pooled[0, 0, 0, 0])

@@ -106,6 +106,23 @@ class TestTrainLoop:
         # running statistics settle, so the plateau arrives well before 50
         assert len(log.epochs) < 20
 
+    @pytest.mark.parametrize("patience, trace, epochs_run", [
+        (2, [0.7, 0.71, 0.70, 0.70, 0.70], 5),
+        (0, list(np.linspace(0.1, 0.9, 10)), 10),
+        (0, [0.5, 0.5], 2),
+    ], ids=["patience 2 plateau", "rising never stops", "patience 0 no strict gain"])
+    def test_early_stopping_trace(self, tiny_dataset, monkeypatch, patience, trace,
+                                  epochs_run):
+        """Training stops once the validation metric has not strictly
+        improved for more than ``patience`` epochs (max_epochs is 10)."""
+        scripted = iter(trace + [trace[-1]] * 10)
+        monkeypatch.setattr(TR, "_evaluate",
+                            lambda *args: TR.EvalResult(auc=next(scripted)))
+        cfg = TR.TrainConfig(stage="two-view", lr=0.0, max_epochs=10, batch_size=8,
+                             patience=patience, seed=0)
+        _, log = TR.train(cfg, tiny_dataset, tiny_model())
+        assert log.final == {"best_val_metric": max(trace), "epochs_run": epochs_run}
+
     def test_best_checkpoint_retained(self, tiny_dataset):
         model = tiny_model(seed=6)
         cfg = TR.TrainConfig(stage="two-view", lr=5e-3, max_epochs=4,
