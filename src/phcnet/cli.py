@@ -4,8 +4,9 @@ Subcommands: gen-synthetic, train, eval, maps, inspect.  Runs are driven
 by a JSON config file (``config-version`` 1) with dot-path ``--set``
 overrides; machine-readable results go to stdout, diagnostics to stderr.
 
-Exit codes: 0 success, 2 configuration/spec error, 3 I/O failure,
-4 shape/transfer/format violation, 5 numeric abort.
+Exit codes: 0 success, 2 configuration/spec error (also sizes that need more
+memory than the machine has), 3 I/O failure, 4 shape/transfer/format
+violation, 5 numeric abort.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ EXIT_NUMERIC = 5
 _EXIT_BY_ERROR = (
     (NumericError, EXIT_NUMERIC),
     ((ShapeError, TransferError, CheckpointError, ContractError), EXIT_FORMAT),
-    ((ConfigError, DataError, MetricError), EXIT_CONFIG),
+    ((ConfigError, DataError, MetricError, MemoryError), EXIT_CONFIG),
     (OSError, EXIT_IO),
 )
 
@@ -276,6 +277,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except MemoryError as exc:
+        return _fail(_exit_code_for(exc), "the configured sizes need more memory than "
+                     f"this machine has: {exc}")
     except Exception as exc:  # noqa: BLE001 - mapped to documented exit codes
         return _fail(_exit_code_for(exc), str(exc))
 

@@ -196,8 +196,10 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        # size and count size arrays; a SeedSequence takes any seed >= 0
-        for name, low, high in (("size", 16, sys.maxsize), ("count", 1, sys.maxsize),
+        # size and count size arrays (numpy indexes np.mgrid's (2, size, size)
+        # int64 grid only below sys.maxsize bytes); a SeedSequence takes any seed >= 0
+        for name, low, high in (("size", 16, math.isqrt(sys.maxsize // 16)),
+                                ("count", 1, sys.maxsize),
                                 ("seed", 0, sys.float_info.max)):
             value = getattr(self, name)
             if not is_number(value, low, integer=True) or value > high:

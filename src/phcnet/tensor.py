@@ -8,11 +8,13 @@ violation raises a recoverable :class:`ShapeError`.
 ``conv2d`` follows cross-correlation semantics (no kernel flip).  ``im2col``
 pads the input and splits it into its stride phases, channel-major with the
 batch folded into one flat axis, (Sh, Sw, C, N*Hq*Wq).  Every kernel tap is
-then a contiguous shifted slice of one phase, so the forward, the input
-gradient and the weight gradient are each one GEMM per tap, computed on the
-padded grid and cropped; ``col2im``, the exact adjoint of ``im2col``, folds
-an input gradient back.  ``conv2d_naive`` is the sliding-window reference
-kept as a test oracle.
+then a contiguous shifted slice of one phase.  The forward and the input
+gradient stack those slices along K, one cache-sized chunk of output columns
+at a time, so each chunk is one GEMM over every tap written straight into
+the output; the weight gradient is one GEMM per tap.  All are computed on
+the padded grid and cropped; ``col2im``, the exact adjoint of ``im2col``,
+folds an input gradient back.  ``conv2d_naive`` is the sliding-window
+reference kept as a test oracle.
 """
 
 from __future__ import annotations
@@ -115,6 +117,32 @@ def _layout(x_shape, khw, stride, padding):
     return (ho, wo), (hq, wq), phases, span, taps
 
 
+# bytes of one stacked chunk; a sweep of 256 KiB to 2 MiB put 1 MiB fastest
+_CHUNK_BYTES = 1 << 20
+_CHUNK_MIN_COLS = 128
+
+
+def _stacked_gemm(w, sources, out) -> None:
+    """``out = w @ stack(src[:, off : off + cols] for src, off in sources)``.
+
+    Each chunk of ``out``'s columns copies every source's shifted slice into
+    one (taps*rows, chunk) buffer of about ``_CHUNK_BYTES`` and is one GEMM,
+    so no per-tap partial sum is written or read back.
+    """
+    rows, cols = sources[0][0].shape[0], out.shape[1]
+    if len(sources) == 1:  # nothing to stack: one GEMM reads the slice in place
+        (src, off), = sources
+        np.matmul(w, src[:, off : off + cols], out=out)
+        return
+    width = max(_CHUNK_BYTES // (w.shape[1] * out.itemsize), _CHUNK_MIN_COLS)
+    buf = np.empty((len(sources), rows, min(width, cols)), dtype=out.dtype)
+    for c0 in range(0, cols, width):
+        n = min(width, cols - c0)
+        for t, (src, off) in enumerate(sources):
+            buf[t, :, :n] = src[:, off + c0 : off + c0 + n]
+        np.matmul(w, buf[:, :, :n].reshape(-1, n), out=out[:, c0 : c0 + n])
+
+
 def im2col(x: np.ndarray, khw, stride, padding) -> np.ndarray:
     """Pad (N,C,H,W) and split it into stride phases, (Sh, Sw, C, N*Hq*Wq).
 
@@ -152,14 +180,11 @@ def conv2d_forward(x, weight, bias=None, stride=1, padding=0):
         raise ShapeError(f"conv2d bias shape {np.shape(bias)} != ({cout},)")
     (ho, wo), (hq, wq), _, span, taps = _layout(x.shape, (kh, kw), stride, padding)
     cols = im2col(x, (kh, kw), stride, padding)
-    w_taps = np.ascontiguousarray(weight.transpose(2, 3, 0, 1))
-    dtype = np.result_type(cols, w_taps)
+    dtype = np.result_type(cols, weight)
+    w_stack = weight.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin).astype(dtype, copy=False)
     grid = np.empty((cout, x.shape[0], hq, wq), dtype=dtype)
-    acc, tmp = grid.reshape(cout, -1)[:, :span], np.empty((cout, span), dtype=dtype)
-    for t, (i, j, a, b, off) in enumerate(taps):
-        np.matmul(w_taps[i, j], cols[a, b, :, off : off + span], out=tmp if t else acc)
-        if t:
-            acc += tmp
+    _stacked_gemm(w_stack, [(cols[a, b], off) for _, _, a, b, off in taps],
+                  grid.reshape(cout, -1)[:, :span])
     out = np.empty((x.shape[0], cout, ho, wo), dtype=dtype)
     crop = grid[:, :, :ho, :wo].transpose(1, 0, 2, 3)
     np.add(crop, 0 if bias is None else as_tensor(bias)[None, :, None, None], out=out)
@@ -171,9 +196,11 @@ def conv2d_backward(g, cols, weight, x_shape, stride=1, padding=0,
     """Input and weight gradients of conv2d_forward, given the output gradient."""
     cout, cin, kh, kw = weight.shape
     (ho, wo), (hq, wq), _, span, taps = _layout(x_shape, (kh, kw), stride, padding)
-    grid = np.zeros((cout, x_shape[0], hq, wq), dtype=g.dtype)
-    grid[:, :, :ho, :wo] = g.transpose(1, 0, 2, 3)
-    g_flat = grid.reshape(cout, -1)[:, :span]
+    # g on the flat grid, behind a zero margin as long as the largest tap offset
+    margin = max(off for *_, off in taps)
+    padded = np.zeros((cout, margin + x_shape[0] * hq * wq), dtype=g.dtype)
+    padded[:, margin:].reshape(cout, -1, hq, wq)[:, :, :ho, :wo] = g.transpose(1, 0, 2, 3)
+    g_flat = padded[:, margin : margin + span]
     gx = gw = None
     if need_w:
         gw = np.empty((kh, kw, cout, cin), dtype=np.result_type(g, cols))
@@ -181,11 +208,13 @@ def conv2d_backward(g, cols, weight, x_shape, stride=1, padding=0,
             np.matmul(g_flat, cols[a, b, :, off : off + span].T, out=gw[i, j])
         gw = np.ascontiguousarray(gw.transpose(2, 3, 0, 1))
     if need_x:
-        w_taps = np.ascontiguousarray(weight.transpose(2, 3, 0, 1))
+        # gather form: phase (a, b) at p sums tap (i, j)'s weight times g at p - offset
         g_cols = np.zeros(cols.shape, dtype=np.result_type(g, weight))
-        tmp = np.empty((cin, span), dtype=g_cols.dtype)
-        for i, j, a, b, off in taps:
-            g_cols[a, b, :, off : off + span] += np.matmul(w_taps[i, j].T, g_flat, out=tmp)
+        for a, b in {(a, b) for _, _, a, b, _ in taps}:  # a phase no tap reads stays 0
+            read = [(i, j, off) for i, j, ta, tb, off in taps if (ta, tb) == (a, b)]
+            w_stack = np.concatenate([weight[:, :, i, j].T for i, j, _ in read], axis=1)
+            _stacked_gemm(w_stack.astype(g_cols.dtype),
+                          [(padded, margin - off) for _, _, off in read], g_cols[a, b])
         gx = col2im(g_cols, x_shape, (kh, kw), stride, padding)
     return gx, gw
 
@@ -193,8 +222,9 @@ def conv2d_backward(g, cols, weight, x_shape, stride=1, padding=0,
 def conv2d(x, weight, bias=None, stride=1, padding=0) -> np.ndarray:
     """2D cross-correlation of (N,Cin,H,W) with (Cout,Cin,Kh,Kw) filters.
 
-    One (Cout, Cin) x (Cin, span) GEMM per kernel tap over the im2col layout,
-    summed on the flat phase grid and cropped to (N, Cout, Ho, Wo).
+    Every kernel tap's shifted slice of the im2col layout is stacked along K,
+    so each cache-sized chunk of the flat phase grid is one (Cout, Kh*Kw*Cin)
+    GEMM written into the output, then cropped to (N, Cout, Ho, Wo).
     """
     return conv2d_forward(x, weight, bias, stride, padding)[0]
 

@@ -5,7 +5,11 @@ checkpoints, manifests, PGM files, run configs and synthetic specs."""
 import contextlib
 import io
 import json
+import os
+import resource
 import struct
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -20,6 +24,8 @@ from phcnet.cli import main
 HUGE = 10**400  # a JSON integer that no float holds
 BIG = 10**300  # a float holds it, but no array extent
 SIZE = 2**63  # one past sys.maxsize, numpy's largest extent
+ALLOC = 2**40  # numpy indexes it, but no machine holds the arrays it sizes
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -34,6 +40,19 @@ def run_quietly(*argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(list(argv))
     return code, err.getvalue()
+
+
+def run_limited(*argv):
+    """(exit code, stderr) of one CLI call in a child process limited to 2 GiB
+    of address space, so an allocation the machine cannot hold fails whatever
+    the kernel's overcommit setting."""
+    limit = 2 << 30
+    proc = subprocess.run(
+        [sys.executable, "-m", "phcnet.cli", *map(str, argv)], capture_output=True,
+        text=True, timeout=300, env={**os.environ, "PYTHONPATH": str(SRC),
+                                     "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    return proc.returncode, proc.stderr
 
 
 def absolute_manifest(data_dir) -> dict:
@@ -526,6 +545,20 @@ class TestInputErrors:
         path.write_text(json.dumps({"size": 32, "count": 2, **spec}))
         code, err = self._run(capsys, "gen-synthetic", "--spec", str(path),
                               "--out", str(tmp_path / "o"))
+        assert code == 2 and word in err
+
+
+    @pytest.mark.parametrize("argv, word", [
+        (("gen-synthetic", "--spec", "SPEC", "--out", "OUT"), "size"),
+        (("train", "--config", "CFG", "--stage", "two-view", "--out", "OUT",
+          "--set", f"model.width={ALLOC}"), "more memory than"),
+    ], ids=["spec size 2**40", "model.width=2**40"])
+    def test_too_large_to_allocate(self, workspace, tmp_path, argv, word):
+        _, _, _, cfg_path = workspace
+        (tmp_path / "spec.json").write_text(json.dumps({"size": ALLOC, "count": 2}))
+        paths = {"SPEC": tmp_path / "spec.json", "OUT": tmp_path / "out", "CFG": cfg_path}
+        code, err = run_limited(*(paths.get(arg, arg) for arg in argv))
+        assert "Traceback" not in err and err.startswith("error: "), err
         assert code == 2 and word in err
 
 

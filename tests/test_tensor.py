@@ -1,8 +1,9 @@
 """Tensor kernel: spec examples plus algebraic invariants.
 
 conv2d is checked against the naive sliding-window oracle and central
-differences, and col2im against the adjoint identity; kron against
-hand-applied definitions.
+differences, in one chunk and across several, and in float32 against
+float64 at workload shapes; col2im against the adjoint identity; kron
+against hand-applied definitions.
 """
 
 import numpy as np
@@ -30,6 +31,24 @@ CONV_CASES = [
     pytest.param((2, 4, 7, 7), (3, 4, 1, 1), 2, 0, id="k1-s2"),
     pytest.param((1, 3, 6, 6), (2, 3, 3, 3), 2, 1, id="batch1"),
 ]
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    """Shrink the stacked-GEMM chunk so that the forward's span and every
+    input-gradient phase of a case span at least three chunks, the last one
+    partial; returns a function that sets it for one case."""
+    def set_for(x_shape, w_shape, stride, padding):
+        _, (hq, wq), _, span, _ = T._layout(x_shape, w_shape[2:], stride, padding)
+        phase = x_shape[0] * hq * wq
+        width = max(w for w in range(2, min(span, phase) // 3 + 1) if span % w and phase % w)
+        monkeypatch.setattr(T, "_CHUNK_BYTES", 0)
+        monkeypatch.setattr(T, "_CHUNK_MIN_COLS", width)
+    return set_for
+
+
+def rms_relative(a, ref) -> float:
+    return float(np.sqrt(np.mean((a - ref) ** 2) / np.mean(ref**2)))
 
 
 class TestKron:
@@ -124,6 +143,39 @@ class TestConv2d:
 
         report = ag.grad_check(f, {"x": x, "w": w, "b": b}, h=1e-6, tol=1e-5)
         assert report.passed, report.per_param
+
+    @pytest.mark.parametrize("x_shape,w_shape,stride,padding", CONV_CASES)
+    def test_matches_naive_oracle_in_chunks(self, small_chunks, x_shape, w_shape, stride,
+                                            padding):
+        small_chunks(x_shape, w_shape, stride, padding)
+        self.test_matches_naive_oracle(x_shape, w_shape, stride, padding)
+
+    @pytest.mark.parametrize("x_shape,w_shape,stride,padding", CONV_CASES)
+    def test_grad_check_float64_in_chunks(self, small_chunks, x_shape, w_shape, stride,
+                                          padding):
+        small_chunks(x_shape, w_shape, stride, padding)
+        self.test_grad_check_float64(x_shape, w_shape, stride, padding)
+
+    @pytest.mark.parametrize("x_shape,w_shape,stride", [
+        ((8, 16, 64, 64), (16, 16, 3, 3), 1),
+        ((8, 128, 8, 8), (128, 128, 3, 3), 1),
+        ((8, 16, 64, 64), (32, 16, 3, 3), 2),
+    ], ids=["64x64-16ch", "8x8-128ch", "64x64-16to32ch-s2"])
+    def test_float32_close_to_float64(self, x_shape, w_shape, stride):
+        # the PHResNet layer shapes of the benchmark; float32 sums of up to
+        # 9*128 products, and of 32768 for the weight gradient
+        rng = np.random.default_rng(15)
+        x = rng.normal(size=x_shape).astype(np.float32)
+        w = rng.normal(size=w_shape).astype(np.float32)
+        results = []
+        for dtype in (np.float32, np.float64):
+            out, cols = T.conv2d_forward(x.astype(dtype), w.astype(dtype), None, stride, 1)
+            g = np.random.default_rng(16).normal(size=out.shape).astype(np.float32)
+            results.append((out, *T.conv2d_backward(g.astype(dtype), cols, w.astype(dtype),
+                                                   x_shape, stride, 1)))
+        for name, low, high in zip(("forward", "gx", "gw"), *results):
+            assert low.dtype == np.float32 and high.dtype == np.float64
+            assert rms_relative(low, high) < 5e-7, name
 
     @pytest.mark.parametrize("x_shape,w_shape,stride,padding", CONV_CASES)
     def test_col2im_is_adjoint_of_im2col(self, x_shape, w_shape, stride, padding):
