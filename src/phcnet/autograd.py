@@ -296,8 +296,14 @@ def kron_sum(a, f) -> Node:
     return Node(out, (a, f), rule)
 
 
+def _rank4(name, x) -> None:
+    if x.ndim != 4:
+        raise ShapeError(f"{name} expects rank-4 input, got rank {x.ndim}")
+
+
 def global_avg_pool(x) -> Node:
     x = _as_node(x)
+    _rank4("global_avg_pool", x)
     n, c, h, w = x.shape
     inv = 1.0 / (h * w)
     return Node(
@@ -307,23 +313,43 @@ def global_avg_pool(x) -> Node:
     )
 
 
+def _phases(size: int):
+    """Index of each of the size*size strided views x[..., dy::size, dx::size], row-major."""
+    return [(..., slice(dy, None, size), slice(dx, None, size))
+            for dy in range(size) for dx in range(size)]
+
+
 def max_pool2d(x, size: int = 2) -> Node:
-    """Non-overlapping max pooling; the rule holds only each window's argmax."""
+    """Non-overlapping max pooling over size x size windows.
+
+    On a tie the whole gradient goes to the window's first maximum in
+    row-major order, as argmax picks it; the rest of the window gets zero.
+    """
     x = _as_node(x)
-    n, c, h, w = x.shape
+    _rank4("max_pool2d", x)
+    h, w = x.shape[2:]
     if h % size or w % size:
         raise ShapeError(f"max_pool2d: extents {h}x{w} not divisible by {size}")
-    ho, wo = h // size, w // size
-    windows = x.value.reshape(n, c, ho, size, wo, size).transpose(0, 1, 2, 4, 3, 5)
-    flat = windows.reshape(n, c, ho, wo, size * size)
-    idx = flat.argmax(axis=-1)
-    pooled = np.ascontiguousarray(np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0])
+    phases = _phases(size)
+    views = [x.value[index] for index in phases]
+    pooled = views[0].copy()
+    for view in views[1:]:
+        # np.maximum returns its second argument on a tie of -0.0 and +0.0, so
+        # the earlier view's zero is kept, as argmax's first maximum is
+        np.maximum(view, pooled, out=pooled)
 
     def rule(g):
-        grad = np.zeros((n, c, ho, wo, size * size), dtype=g.dtype)
-        np.put_along_axis(grad, idx[..., None], g[..., None], axis=-1)
-        grad = grad.reshape(n, c, ho, wo, size, size).transpose(0, 1, 2, 4, 3, 5)
-        return (np.ascontiguousarray(grad.reshape(x.shape)),)
+        # g's bits times the 0/1 mask: g where hit, +0.0 elsewhere, as a float
+        # product would give -0.0 for a negative g
+        bits = np.dtype(f"u{g.itemsize}")
+        grad = np.empty(x.shape, dtype=g.dtype)
+        taken = np.zeros(pooled.shape, dtype=bool)  # windows whose maximum has its gradient
+        for index, view in zip(phases, views):
+            hit = np.equal(view, pooled)
+            np.greater(hit, taken, out=hit)
+            np.multiply(g.view(bits), hit, out=grad[index].view(bits))
+            taken |= hit
+        return (grad,)
 
     return Node(pooled, (x,), rule)
 
@@ -331,16 +357,20 @@ def max_pool2d(x, size: int = 2) -> Node:
 def upsample_nearest(x, factor: int = 2) -> Node:
     """Nearest-neighbour upsampling of an (N, C, H, W) node by an integer factor."""
     x = _as_node(x)
-    if x.ndim != 4:
-        raise ShapeError(f"upsample_nearest expects rank-4 input, got rank {x.ndim}")
+    _rank4("upsample_nearest", x)
     n, c, h, w = x.shape
+    first, *rest = _phases(factor)
+    out = np.empty((n, c, h * factor, w * factor), dtype=x.dtype)
+    for index in (first, *rest):
+        out[index] = x.value
 
     def rule(g):
-        blocks = g.reshape(n, c, h, factor, w, factor)
-        return (np.ascontiguousarray(blocks.sum(axis=(3, 5))),)
+        grad = g[first].copy()
+        for index in rest:
+            grad += g[index]
+        return (grad,)
 
-    out = x.value.repeat(factor, axis=2).repeat(factor, axis=3)
-    return Node(np.ascontiguousarray(out), (x,), rule)
+    return Node(out, (x,), rule)
 
 
 # ---------------------------------------------------------------------------

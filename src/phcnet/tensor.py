@@ -8,13 +8,13 @@ violation raises a recoverable :class:`ShapeError`.
 ``conv2d`` follows cross-correlation semantics (no kernel flip).  ``im2col``
 pads the input and splits it into its stride phases, channel-major with the
 batch folded into one flat axis, (Sh, Sw, C, N*Hq*Wq).  Every kernel tap is
-then a contiguous shifted slice of one phase.  The forward and the input
-gradient stack those slices along K, one cache-sized chunk of output columns
-at a time, so each chunk is one GEMM over every tap written straight into
-the output; the weight gradient is one GEMM per tap.  All are computed on
-the padded grid and cropped; ``col2im``, the exact adjoint of ``im2col``,
-folds an input gradient back.  ``conv2d_naive`` is the sliding-window
-reference kept as a test oracle.
+then a contiguous shifted slice of one phase.  ``_stacked_chunks`` stacks
+those slices, one cache-sized chunk of columns at a time, so each chunk is
+one GEMM over every tap: the forward and the input gradient write it straight
+into the output, and the weight gradient adds each chunk's transposed product
+into (taps*C_in, C_out).  All are computed on the padded grid and cropped;
+``col2im``, the exact adjoint of ``im2col``, folds an input gradient back.
+``conv2d_naive`` is the sliding-window reference kept as a test oracle.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ def conv_output_shape(hw, khw, stride, padding) -> tuple[int, int]:
 
 
 def _layout(x_shape, khw, stride, padding):
-    """Geometry of the im2col layout and of the per-tap GEMMs over it.
+    """Geometry of the im2col layout and of the kernel taps' slices of it.
 
     Padded pixel (r, s) lands in phase (r % Sh, s % Sw) at grid position
     (r // Sh, s // Sw) of an Hq x Wq grid per image; ``phases`` holds, per
@@ -98,7 +98,7 @@ def _layout(x_shape, khw, stride, padding):
     grid.  Tap (i, j) of output pixel (y, z) reads phase (i % Sh, j % Sw) at
     (y + i // Sh, z + j // Sw), a fixed flat offset.  Outputs sit at their own
     flat grid index, all below ``span``, so each of ``taps`` (i, j, a, b,
-    offset) is one shifted slice of the layout and one GEMM.
+    offset) is one shifted slice of the layout.
     """
     ho, wo = conv_output_shape(x_shape[2:], khw, stride, padding)
     sh, sw = _pair(stride)
@@ -122,25 +122,36 @@ _CHUNK_BYTES = 1 << 20
 _CHUNK_MIN_COLS = 128
 
 
-def _stacked_gemm(w, sources, out) -> None:
-    """``out = w @ stack(src[:, off : off + cols] for src, off in sources)``.
+def _stacked_chunks(sources, cols, dtype):
+    """Yield ``(c0, c1, stack)`` over cache-sized chunks of ``cols`` columns.
 
-    Each chunk of ``out``'s columns copies every source's shifted slice into
-    one (taps*rows, chunk) buffer of about ``_CHUNK_BYTES`` and is one GEMM,
-    so no per-tap partial sum is written or read back.
+    ``stack`` is ``stack(src[:, off + c0 : off + c1] for src, off in sources)``
+    as one (taps*rows, c1 - c0) matrix: every source's shifted slice is copied
+    into one buffer of about ``_CHUNK_BYTES`` (at least ``_CHUNK_MIN_COLS``
+    columns), so each chunk is one GEMM with K or M = taps*rows and no per-tap
+    partial sum is written or read back.  One source is not copied: its slice
+    is yielded in place as the only chunk.  The buffer is reused, so a caller
+    consumes each chunk before asking for the next.
     """
-    rows, cols = sources[0][0].shape[0], out.shape[1]
-    if len(sources) == 1:  # nothing to stack: one GEMM reads the slice in place
+    if len(sources) == 1:
         (src, off), = sources
-        np.matmul(w, src[:, off : off + cols], out=out)
+        yield 0, cols, src[:, off : off + cols]
         return
-    width = max(_CHUNK_BYTES // (w.shape[1] * out.itemsize), _CHUNK_MIN_COLS)
-    buf = np.empty((len(sources), rows, min(width, cols)), dtype=out.dtype)
+    rows = sources[0][0].shape[0]
+    itemsize = np.dtype(dtype).itemsize
+    width = max(_CHUNK_BYTES // (len(sources) * rows * itemsize), _CHUNK_MIN_COLS)
+    buf = np.empty((len(sources), rows, min(width, cols)), dtype=dtype)
     for c0 in range(0, cols, width):
         n = min(width, cols - c0)
         for t, (src, off) in enumerate(sources):
             buf[t, :, :n] = src[:, off + c0 : off + c0 + n]
-        np.matmul(w, buf[:, :, :n].reshape(-1, n), out=out[:, c0 : c0 + n])
+        yield c0, c0 + n, buf[:, :, :n].reshape(-1, n)
+
+
+def _stacked_gemm(w, sources, out) -> None:
+    """``out = w @ stack(src[:, off : off + cols] for src, off in sources)``."""
+    for c0, c1, stack in _stacked_chunks(sources, out.shape[1], out.dtype):
+        np.matmul(w, stack, out=out[:, c0:c1])
 
 
 def im2col(x: np.ndarray, khw, stride, padding) -> np.ndarray:
@@ -203,10 +214,13 @@ def conv2d_backward(g, cols, weight, x_shape, stride=1, padding=0,
     g_flat = padded[:, margin : margin + span]
     gx = gw = None
     if need_w:
-        gw = np.empty((kh, kw, cout, cin), dtype=np.result_type(g, cols))
-        for i, j, a, b, off in taps:
-            np.matmul(g_flat, cols[a, b, :, off : off + span].T, out=gw[i, j])
-        gw = np.ascontiguousarray(gw.transpose(2, 3, 0, 1))
+        # transposed, (taps*cin, cout): on one OpenBLAS thread (2-core x86-64) stack @ g.T ran
+        # ~2x as fast as g @ stack.T at 16 channels and 64x64
+        gw_t = np.zeros((kh * kw * cin, cout), dtype=np.result_type(g, cols))
+        for c0, c1, stack in _stacked_chunks([(cols[a, b], off) for _, _, a, b, off in taps],
+                                             span, gw_t.dtype):
+            gw_t += stack @ g_flat[:, c0:c1].T
+        gw = np.ascontiguousarray(gw_t.reshape(kh, kw, cin, cout).transpose(3, 2, 0, 1))
     if need_x:
         # gather form: phase (a, b) at p sums tap (i, j)'s weight times g at p - offset
         g_cols = np.zeros(cols.shape, dtype=np.result_type(g, weight))

@@ -100,8 +100,8 @@ class TestOpGradients:
     @pytest.mark.parametrize(
         "name",
         ["add", "mul", "relu", "linear", "kron_sum",
-         "concat", "narrow", "gap", "maxpool", "upsample", "reshape", "mean",
-         "conv_strided"],
+         "concat", "narrow", "gap", "maxpool", "maxpool3", "upsample", "upsample3",
+         "reshape", "mean", "conv_strided"],
     )
     def test_primitive(self, name):
         rng = np.random.default_rng(hash(name) % 2**32)
@@ -125,8 +125,12 @@ class TestOpGradients:
                                           ag.global_avg_pool(b))),
             "maxpool": lambda: ag.nsum(ag.mul(ag.max_pool2d(a, 2),
                                               ag.max_pool2d(b, 2))),
+            "maxpool3": lambda: ag.nsum(ag.mul(ag.max_pool2d(leaf_cache["p3a"], 3),
+                                               ag.max_pool2d(leaf_cache["p3b"], 3))),
             "upsample": lambda: ag.nsum(ag.mul(ag.upsample_nearest(a, 2),
                                                ag.upsample_nearest(b, 2))),
+            "upsample3": lambda: ag.nsum(ag.mul(ag.upsample_nearest(a, 3),
+                                                ag.upsample_nearest(b, 3))),
             "reshape": lambda: ag.nsum(ag.mul(ag.reshape(a, (4, 32)),
                                               ag.reshape(b, (4, 32)))),
             "mean": lambda: ag.nmean(ag.mul(a, b)),
@@ -142,6 +146,8 @@ class TestOpGradients:
             "ksf": leaf(rng.normal(size=(2, 3, 2, 3, 3))),
             "cw": leaf(rng.normal(size=(3, 4, 3, 3))),
             "cb": leaf(rng.normal(size=(3,))),
+            "p3a": leaf(rng.normal(size=(2, 3, 6, 6))),
+            "p3b": leaf(rng.normal(size=(2, 3, 6, 6))),
         }
         params = {"a": a, "b": b, **leaf_cache}
         report = ag.grad_check(funcs[name], params, h=1e-6, tol=1e-5)

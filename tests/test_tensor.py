@@ -6,6 +6,8 @@ float64 at workload shapes; col2im against the adjoint identity; kron
 against hand-applied definitions.
 """
 
+import sys
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -35,16 +37,33 @@ CONV_CASES = [
 
 @pytest.fixture
 def small_chunks(monkeypatch):
-    """Shrink the stacked-GEMM chunk so that the forward's span and every
-    input-gradient phase of a case span at least three chunks, the last one
-    partial; returns a function that sets it for one case."""
+    """Shrink the stacked-GEMM chunk so that the forward's and the weight
+    gradient's span and every input-gradient phase of a case span at least
+    three chunks, the last one partial; returns a function that sets it for
+    one case and returns the chunk loops run, as (caller, sources, widths).
+    At teardown every loop over more than one source is checked for this."""
+    loops = []
+    chunks = T._stacked_chunks
+
+    def recorded(sources, cols, dtype):
+        widths = []
+        loops.append((sys._getframe(1).f_code.co_name, len(sources), widths))
+        for chunk in chunks(sources, cols, dtype):
+            widths.append(chunk[1] - chunk[0])
+            yield chunk
+
     def set_for(x_shape, w_shape, stride, padding):
         _, (hq, wq), _, span, _ = T._layout(x_shape, w_shape[2:], stride, padding)
         phase = x_shape[0] * hq * wq
         width = max(w for w in range(2, min(span, phase) // 3 + 1) if span % w and phase % w)
         monkeypatch.setattr(T, "_CHUNK_BYTES", 0)
         monkeypatch.setattr(T, "_CHUNK_MIN_COLS", width)
-    return set_for
+        monkeypatch.setattr(T, "_stacked_chunks", recorded)
+        return loops
+
+    yield set_for
+    for caller, sources, widths in loops:
+        assert sources == 1 or (len(widths) >= 3 and widths[-1] < widths[0]), (caller, widths)
 
 
 def rms_relative(a, ref) -> float:
@@ -153,8 +172,10 @@ class TestConv2d:
     @pytest.mark.parametrize("x_shape,w_shape,stride,padding", CONV_CASES)
     def test_grad_check_float64_in_chunks(self, small_chunks, x_shape, w_shape, stride,
                                           padding):
-        small_chunks(x_shape, w_shape, stride, padding)
+        loops = small_chunks(x_shape, w_shape, stride, padding)
         self.test_grad_check_float64(x_shape, w_shape, stride, padding)
+        # the weight gradient consumes its chunks itself, the rest via _stacked_gemm
+        assert [caller for caller, *_ in loops].count("conv2d_backward") == 1
 
     @pytest.mark.parametrize("x_shape,w_shape,stride", [
         ((8, 16, 64, 64), (16, 16, 3, 3), 1),
@@ -243,3 +264,48 @@ class TestPooling:
         up = ag.upsample_nearest(pooled, 2).value
         assert up.shape == x.shape
         npt.assert_allclose(up[0, 0, 0, 0], pooled[0, 0, 0, 0])
+
+    @pytest.mark.parametrize("op", [ag.max_pool2d, ag.global_avg_pool, ag.upsample_nearest])
+    def test_rank_other_than_4_rejected(self, op):
+        with pytest.raises(ShapeError, match="rank-4"):
+            op(np.ones((2, 4, 4), dtype=np.float32))
+
+    def test_max_pool_tie_gradient_goes_to_first_maximum(self):
+        # window 0 is all equal; window 1 has its maximum at offsets 1 and 3
+        x = ag.Node(np.array([[[[1, 1, 0, 5], [1, 1, 2, 5]]]], dtype=np.float32),
+                    requires_grad=True)
+        pooled = ag.max_pool2d(x, 2)
+        npt.assert_array_equal(pooled.value, [[[[1, 5]]]])
+        ag.backward(ag.nsum(ag.mul(pooled, ag.constant(np.float32([[[[3, 7]]]])))))
+        npt.assert_array_equal(x.grad, [[[[3, 0, 0, 7], [0, 0, 0, 0]]]])
+
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_max_pool_bitwise_against_argmax(self, size):
+        # values near 0 rounded to one decimal: many tied windows, some whose
+        # maximum is -0.0 and 0.0 at once
+        rng = np.random.default_rng(17)
+        x = np.round(rng.normal(-0.1, 0.1, size=(2, 3, 12, 12)), 1).astype(np.float32)
+        n, c, h, w = x.shape
+        windows = x.reshape(n, c, h // size, size, w // size, size).transpose(0, 1, 2, 4, 3, 5)
+        flat = windows.reshape(n, c, h // size, w // size, size * size)
+        idx = flat.argmax(axis=-1)[..., None]
+        g = np.round(rng.normal(size=idx.shape[:-1]), 1).astype(np.float32)
+        grad = np.zeros(flat.shape, dtype=np.float32)
+        np.put_along_axis(grad, idx, g[..., None], axis=-1)
+        grad = grad.reshape(windows.shape).transpose(0, 1, 2, 4, 3, 5).reshape(x.shape)
+
+        # the rule itself: accumulating into a leaf's .grad would turn -0.0 into 0.0
+        pooled = ag.max_pool2d(ag.Node(x, requires_grad=True), size)
+        assert pooled.value.tobytes() == np.take_along_axis(flat, idx, axis=-1)[..., 0].tobytes()
+        assert pooled._backward_rule(g)[0].tobytes() == grad.tobytes()
+
+    @pytest.mark.parametrize("factor", [2, 3])
+    def test_upsample_against_repeat(self, factor):
+        rng = np.random.default_rng(18)
+        x = ag.Node(rng.normal(size=(2, 3, 4, 5)).astype(np.float32), requires_grad=True)
+        up = ag.upsample_nearest(x, factor)
+        assert up.value.tobytes() == x.value.repeat(factor, 2).repeat(factor, 3).tobytes()
+        g = rng.normal(size=up.shape).astype(np.float32)
+        ag.backward(ag.nsum(ag.mul(up, ag.constant(g))))
+        blocks = g.reshape(2, 3, 4, factor, 5, factor)
+        npt.assert_allclose(x.grad, blocks.sum(axis=(3, 5)), rtol=1e-6, atol=1e-6)
