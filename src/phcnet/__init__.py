@@ -1,5 +1,13 @@
 """phcnet: parameterized hypercomplex convolutional networks on a
-self-contained CPU autograd engine."""
+self-contained CPU autograd engine.
+
+Importing phcnet before numpy runs BLAS on one thread, so results do not depend
+on the core count; a count set in OPENBLAS_, OMP_ or MKL_NUM_THREADS still wins."""
+
+import os
+
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
 
 from . import autograd, checkpoint, data, metrics, models, nn, phc, tensor, training
 from .errors import PhcnetError

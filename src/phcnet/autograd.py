@@ -70,8 +70,8 @@ class Node:
         return f"Node(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def constant(value, dtype=None) -> Node:
-    return Node(T.as_tensor(value, dtype=dtype), requires_grad=False)
+def constant(value) -> Node:
+    return Node(T.as_tensor(value), requires_grad=False)
 
 
 def _as_node(x) -> Node:
@@ -201,32 +201,27 @@ def reshape(a, shape) -> Node:
     )
 
 
-def concat(nodes, axis: int = 1) -> Node:
+def concat(nodes) -> Node:
+    """Join nodes along the channel axis."""
     nodes = [_as_node(n) for n in nodes]
-    sizes = [n.shape[axis] for n in nodes]
-    splits = np.cumsum(sizes)[:-1]
+    splits = np.cumsum([n.shape[1] for n in nodes])[:-1]
 
     def rule(g):
-        return tuple(
-            np.ascontiguousarray(piece) for piece in np.split(g, splits, axis=axis)
-        )
+        return tuple(np.ascontiguousarray(piece) for piece in np.split(g, splits, axis=1))
 
-    return Node(np.concatenate([n.value for n in nodes], axis=axis), nodes, rule)
+    return Node(np.concatenate([n.value for n in nodes], axis=1), nodes, rule)
 
 
-def narrow(a, start: int, stop: int, axis: int = 1) -> Node:
-    """Contiguous slice along one axis."""
+def narrow(a, start: int, stop: int) -> Node:
+    """Channels ``start`` to ``stop`` of ``a``."""
     a = _as_node(a)
-    index = [slice(None)] * a.ndim
-    index[axis] = slice(start, stop)
-    index = tuple(index)
 
     def rule(g):
         full = np.zeros_like(a.value)
-        full[index] = g
+        full[:, start:stop] = g
         return (full,)
 
-    return Node(np.ascontiguousarray(a.value[index]), (a,), rule)
+    return Node(np.ascontiguousarray(a.value[:, start:stop]), (a,), rule)
 
 
 def linear(x, w, b) -> Node:
@@ -313,14 +308,12 @@ def global_avg_pool(x) -> Node:
     )
 
 
-def _phases(size: int):
-    """Index of each of the size*size strided views x[..., dy::size, dx::size], row-major."""
-    return [(..., slice(dy, None, size), slice(dx, None, size))
-            for dy in range(size) for dx in range(size)]
+# index of each of the four strided views x[..., dy::2, dx::2] of a 2x2 window, row-major
+_PHASES = [(..., slice(dy, None, 2), slice(dx, None, 2)) for dy in (0, 1) for dx in (0, 1)]
 
 
-def max_pool2d(x, size: int = 2) -> Node:
-    """Non-overlapping max pooling over size x size windows.
+def max_pool2d(x) -> Node:
+    """Non-overlapping max pooling over 2x2 windows.
 
     On a tie the whole gradient goes to the window's first maximum in
     row-major order, as argmax picks it; the rest of the window gets zero.
@@ -328,10 +321,9 @@ def max_pool2d(x, size: int = 2) -> Node:
     x = _as_node(x)
     _rank4("max_pool2d", x)
     h, w = x.shape[2:]
-    if h % size or w % size:
-        raise ShapeError(f"max_pool2d: extents {h}x{w} not divisible by {size}")
-    phases = _phases(size)
-    views = [x.value[index] for index in phases]
+    if h % 2 or w % 2:
+        raise ShapeError(f"max_pool2d: extents {h}x{w} not divisible by 2")
+    views = [x.value[index] for index in _PHASES]
     pooled = views[0].copy()
     for view in views[1:]:
         # np.maximum returns its second argument on a tie of -0.0 and +0.0, so
@@ -344,7 +336,7 @@ def max_pool2d(x, size: int = 2) -> Node:
         bits = np.dtype(f"u{g.itemsize}")
         grad = np.empty(x.shape, dtype=g.dtype)
         taken = np.zeros(pooled.shape, dtype=bool)  # windows whose maximum has its gradient
-        for index, view in zip(phases, views):
+        for index, view in zip(_PHASES, views):
             hit = np.equal(view, pooled)
             np.greater(hit, taken, out=hit)
             np.multiply(g.view(bits), hit, out=grad[index].view(bits))
@@ -354,14 +346,14 @@ def max_pool2d(x, size: int = 2) -> Node:
     return Node(pooled, (x,), rule)
 
 
-def upsample_nearest(x, factor: int = 2) -> Node:
-    """Nearest-neighbour upsampling of an (N, C, H, W) node by an integer factor."""
+def upsample_nearest(x) -> Node:
+    """Nearest-neighbour 2x upsampling of an (N, C, H, W) node."""
     x = _as_node(x)
     _rank4("upsample_nearest", x)
     n, c, h, w = x.shape
-    first, *rest = _phases(factor)
-    out = np.empty((n, c, h * factor, w * factor), dtype=x.dtype)
-    for index in (first, *rest):
+    first, *rest = _PHASES
+    out = np.empty((n, c, 2 * h, 2 * w), dtype=x.dtype)
+    for index in _PHASES:
         out[index] = x.value
 
     def rule(g):

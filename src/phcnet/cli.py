@@ -4,6 +4,9 @@ Subcommands: gen-synthetic, train, eval, maps, inspect.  Runs are driven
 by a JSON config file (``config-version`` 1) with dot-path ``--set``
 overrides; machine-readable results go to stdout, diagnostics to stderr.
 
+BLAS runs on one thread unless the environment sets its thread count (see the
+package docstring), so outputs do not depend on the machine's core count.
+
 Exit codes: 0 success, 2 configuration/spec error (also sizes that need more
 memory than the machine has), 3 I/O failure, 4 shape/transfer/format
 violation, 5 numeric abort.

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, is_number
+from .errors import DataError, in_range, is_number
 
 MANIFEST_VERSION = 1
 CLASS_NAMES = (
@@ -198,19 +198,14 @@ class SyntheticSpec:
     def __post_init__(self):
         # size and count size arrays (numpy indexes np.mgrid's (2, size, size)
         # int64 grid only below sys.maxsize bytes); a SeedSequence takes any seed >= 0
-        for name, low, high in (("size", 16, math.isqrt(sys.maxsize // 16)),
-                                ("count", 1, sys.maxsize),
-                                ("seed", 0, sys.float_info.max)):
-            value = getattr(self, name)
-            if not is_number(value, low, integer=True) or value > high:
-                raise DataError(f"{name} must be an integer from {low} to {high}, "
-                                f"got {value!r}")
+        for name, low, *high in (("size", 16, math.isqrt(sys.maxsize // 16)),
+                                 ("count", 1), ("seed", 0, sys.float_info.max)):
+            in_range(DataError, name, getattr(self, name), low, *high)
         if type(self.views) is not int or self.views not in (2, 4):
             raise DataError(f"views must be 2 or 4, got {self.views!r}")
         if self.label_rule not in ("single-view", "cross-view-xor"):
             raise DataError(f"unknown label rule {self.label_rule!r}")
-        if not is_number(self.noise, 0):
-            raise DataError(f"noise must be a number >= 0, got {self.noise!r}")
+        in_range(DataError, "noise", self.noise, 0, sys.float_info.max, integer=False)
         for name in ("radius", "contrast"):
             pair = getattr(self, name)
             if not (isinstance(pair, (list, tuple)) and len(pair) == 2
@@ -441,8 +436,8 @@ def _crop(plane: np.ndarray, cy: float, cx: float, ps: int) -> np.ndarray:
     return plane[top : top + ps, left : left + ps]
 
 
-def extract_patches(manifest: Manifest, per_lesion: int = 20,
-                    patch_size: int = 32, seed: int = 0) -> list[PatchRecord]:
+def extract_patches(manifest: Manifest, per_lesion: int, patch_size: int,
+                    seed) -> list[PatchRecord]:
     """Crop per-lesion patch pairs: half centered near the ROI, half background.
 
     Both patches of a pair come from corresponding coordinates of the paired
@@ -491,8 +486,8 @@ def _circle_hits_patch(box, center, ps) -> bool:
     return math.hypot(ny - box[0], nx - box[1]) <= box[2] + 1.0
 
 
-def _sample_background_center(rng, size, ps, boxes, mask, attempts: int = 500):
-    for _ in range(attempts):
+def _sample_background_center(rng, size, ps, boxes, mask):
+    for _ in range(500):  # draws before giving up
         c = rng.uniform(ps / 2, size - ps / 2, size=2)
         if any(_circle_hits_patch(b, c, ps) for b in boxes):
             continue
@@ -572,7 +567,7 @@ def augment(views: np.ndarray, seed, mask: np.ndarray | None = None):
 # ---------------------------------------------------------------------------
 
 def stratified_split(manifest: Manifest, test_fraction: float,
-                     seed: int = 0) -> tuple[Manifest, Manifest]:
+                     seed) -> tuple[Manifest, Manifest]:
     """Split entries by id with per-class test proportions within +-1 sample."""
     if not 0.0 < test_fraction < 1.0:
         raise DataError(f"test fraction must lie in (0,1), got {test_fraction}")

@@ -1,4 +1,4 @@
-"""Exception taxonomy shared across the package, and its one number check.
+"""Exception taxonomy shared across the package, and its number checks.
 
 The CLI maps these onto exit codes, so keep the hierarchy flat and stable.
 """
@@ -7,14 +7,20 @@ import sys
 from numbers import Integral, Real
 
 
-def is_number(value, low=None, integer=False) -> bool:
+def is_number(value, integer=False) -> bool:
     """A ``numbers.Real`` (``Integral`` with ``integer``) but not a bool, that a
-    float holds (not inf, nan or 10**400), and at least ``low`` when given.
-    Numpy scalars count.  A field that sizes an array must also be at most
-    sys.maxsize, numpy's largest extent."""
+    float holds (not inf, nan or 10**400).  Numpy scalars count."""
     return (isinstance(value, Integral if integer else Real)
-            and not isinstance(value, bool) and abs(value) <= sys.float_info.max
-            and (low is None or value >= low))
+            and not isinstance(value, bool) and abs(value) <= sys.float_info.max)
+
+
+def in_range(error, name: str, value, low, high=sys.maxsize, integer=True):
+    """``value`` if ``is_number(value, integer)`` from ``low`` to ``high``, else raise
+    ``error``.  ``high`` defaults to numpy's largest array extent."""
+    if not (is_number(value, integer) and low <= value <= high):
+        noun = "an integer" if integer else "a number"
+        raise error(f"{name} must be {noun} from {low} to {high}, got {value!r}")
+    return value
 
 
 class PhcnetError(Exception):

@@ -36,13 +36,13 @@ def auc(scores, labels) -> float:
     return float((rank_sum - p * (p + 1) / 2.0) / (p * n))
 
 
-def accuracy(probs, labels, threshold: float = 0.5) -> float:
-    """Percentage of correct hard decisions; ties at the threshold go positive."""
+def accuracy(probs, labels) -> float:
+    """Percentage of correct hard decisions at probability 0.5; ties go positive."""
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels)
     if probs.shape != labels.shape:
         raise ShapeError(f"accuracy: got shapes {probs.shape} and {labels.shape}")
-    preds = (probs >= threshold).astype(labels.dtype)
+    preds = (probs >= 0.5).astype(labels.dtype)
     return float((preds == labels).mean() * 100.0)
 
 

@@ -24,13 +24,12 @@ every PHC convolution but PHUNet's real-valued (n=1) output projection.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import autograd as ag
-from .errors import ConfigError, ShapeError, TransferError, is_number
+from .errors import ConfigError, ShapeError, TransferError, in_range
 from .module import Module, ModuleList
 from .nn import BatchNorm2d, Linear, ResidualBlock, _seeds
 from .phc import PHCConv2d, real_equivalent_count
@@ -42,10 +41,7 @@ from .phc import PHCConv2d, real_equivalent_count
 
 def _count(name: str, value, low: int) -> int:
     """``value`` if it is an integer from ``low`` up to numpy's largest extent."""
-    if not (is_number(value, low, integer=True) and value <= sys.maxsize):
-        raise ConfigError(f"{name} must be an integer from {low} to {sys.maxsize}, "
-                          f"got {value!r}")
-    return value
+    return in_range(ConfigError, name, value, low)
 
 
 def _multiple(name: str, value, n: int) -> None:
@@ -158,7 +154,7 @@ def _check_views(x, views: int) -> None:
 def _left_right(x):
     """A four-view exam batch as its two sides: views 0-1 and views 2-3."""
     _check_views(x, 4)
-    return ag.narrow(x, 0, 2, axis=1), ag.narrow(x, 2, 4, axis=1)
+    return ag.narrow(x, 0, 2), ag.narrow(x, 2, 4)
 
 
 def _stages(n, channels, width, blocks, first, seeds, scheme):
@@ -184,8 +180,8 @@ class PHTrunk(Module):
     def __init__(self, n, in_channels, width, blocks, scheme, seed):
         super().__init__()
         stage_seeds = _seeds(seed, len(blocks) + 1)
-        self.conv1 = PHCConv2d(n, in_channels, width, 3, padding=1, bias=False,
-                               scheme=scheme, seed=stage_seeds[0])
+        self.conv1 = PHCConv2d(n, in_channels, width, 3, bias=False, scheme=scheme,
+                               seed=stage_seeds[0])
         self.bn1 = BatchNorm2d(width)
         stages, self.out_channels = _stages(n, width, width, blocks, 0, stage_seeds[1:],
                                             scheme)
@@ -277,7 +273,7 @@ class PHYBOnet(Module):
         fr = self.encoder_r(x_right)
         if taps is not None:
             taps["encoder_left"], taps["encoder_right"] = fl, fr
-        h = ag.concat([fl, fr], axis=1)
+        h = ag.concat([fl, fr])
         for block in self.bottleneck:
             h = block(h)
         if taps is not None:
@@ -285,9 +281,9 @@ class PHYBOnet(Module):
         pooled = ag.global_avg_pool(h)
         refined = self.refiners(pooled)
         channels = refined.shape[1]
-        logit_l = self.head_l(ag.narrow(refined, 0, channels // 2, axis=1))
-        logit_r = self.head_r(ag.narrow(refined, channels // 2, channels, axis=1))
-        return ag.concat([logit_l, logit_r], axis=1)
+        logit_l = self.head_l(ag.narrow(refined, 0, channels // 2))
+        logit_r = self.head_r(ag.narrow(refined, channels // 2, channels))
+        return ag.concat([logit_l, logit_r])
 
 
 class Branch(Module):
@@ -323,18 +319,18 @@ class PHYSEnet(Module):
             taps["encoder_left"], taps["encoder_right"] = fl, fr
         logit_l = self.branch_l.forward(ag.global_avg_pool(fl), taps, "left")
         logit_r = self.branch_r.forward(ag.global_avg_pool(fr), taps, "right")
-        return ag.concat([logit_l, logit_r], axis=1)
+        return ag.concat([logit_l, logit_r])
 
 
 class DoubleConv(Module):
     def __init__(self, n, in_channels, out_channels, scheme, seed):
         super().__init__()
         seeds = _seeds(seed, 2)
-        self.phc1 = PHCConv2d(n, in_channels, out_channels, 3, padding=1,
-                              bias=False, scheme=scheme, seed=seeds[0])
+        self.phc1 = PHCConv2d(n, in_channels, out_channels, 3, bias=False,
+                              scheme=scheme, seed=seeds[0])
         self.bn1 = BatchNorm2d(out_channels)
-        self.phc2 = PHCConv2d(n, out_channels, out_channels, 3, padding=1,
-                              bias=False, scheme=scheme, seed=seeds[1])
+        self.phc2 = PHCConv2d(n, out_channels, out_channels, 3, bias=False,
+                              scheme=scheme, seed=seeds[1])
         self.bn2 = BatchNorm2d(out_channels)
 
     def forward(self, x):
@@ -360,8 +356,8 @@ class PHUNet(Module):
         self.ups, self.dec = ModuleList(), ModuleList()
         for lvl in range(d, 0, -1):
             c = w * (2**lvl)
-            self.ups.append(PHCConv2d(n, c, c // 2, 3, padding=1, bias=False,
-                                      scheme=cfg.scheme, seed=seeds[d + lvl]))
+            self.ups.append(PHCConv2d(n, c, c // 2, 3, bias=False, scheme=cfg.scheme,
+                                      seed=seeds[d + lvl]))
             self.dec.append(DoubleConv(n, c, c // 2, cfg.scheme,
                                        _seeds(seeds[d + lvl], 2)[1]))
         # 1->1 channel projection stays real-valued (n=1): output is one mask
@@ -379,15 +375,15 @@ class PHUNet(Module):
         h = x
         for lvl, block in enumerate(self.enc):
             if lvl > 0:
-                h = ag.max_pool2d(h, 2)
+                h = ag.max_pool2d(h)
             h = block(h)
             if lvl < d:
                 skips.append(h)
         if taps is not None:
             taps["bottleneck"] = h
         for i, (up, block) in enumerate(zip(self.ups, self.dec)):
-            h = up(ag.upsample_nearest(h, 2))
-            h = block(ag.concat([skips[d - 1 - i], h], axis=1))
+            h = up(ag.upsample_nearest(h))
+            h = block(ag.concat([skips[d - 1 - i], h]))
         return self.out_conv(h)
 
 

@@ -19,6 +19,11 @@ from .errors import ConfigError, DataError, NumericError, ShapeError
 from .module import Module, Parameter
 from .phc import PHCConv2d
 
+BN_MOMENTUM = 0.1  # weight of the batch statistics in the running estimates
+BN_EPS = 1e-5
+ADAM_BETA1, ADAM_BETA2 = 0.9, 0.999
+ADAM_EPS = 1e-8
+
 
 def _seeds(seed, k: int):
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
@@ -52,14 +57,14 @@ def _channel_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class Linear(Module):
     """Plain real dense layer used for classification heads."""
 
-    def __init__(self, in_features, out_features, seed=0, dtype=np.float32):
+    def __init__(self, in_features, out_features, seed=0):
         super().__init__()
         rng = np.random.default_rng(seed)
         bound = 1.0 / np.sqrt(in_features)
         self.weight = Parameter(
-            rng.uniform(-bound, bound, size=(out_features, in_features)).astype(dtype)
+            rng.uniform(-bound, bound, size=(out_features, in_features)).astype(np.float32)
         )
-        self.bias = Parameter(np.zeros(out_features, dtype=dtype))
+        self.bias = Parameter(np.zeros(out_features, dtype=np.float32))
 
     def forward(self, x):
         return ag.linear(x, self.weight, self.bias)
@@ -69,10 +74,10 @@ class BatchNorm2d(Module):
     """Per-channel batch normalization over (N, H, W).
 
     Train mode normalizes with the biased batch statistics over the
-    m = N*H*W values of each channel, x̂ = (x - μ)/σ with σ = √(var + eps),
-    returns γ·x̂ + β and folds μ and var into the running estimates.  Its
-    input gradient is the Ioffe–Szegedy rule rearranged into three terms
-    with per-channel factors,
+    m = N*H*W values of each channel, x̂ = (x - μ)/σ with σ = √(var + BN_EPS),
+    returns γ·x̂ + β and folds μ and var into the running estimates with
+    weight BN_MOMENTUM.  Its input gradient is the Ioffe–Szegedy rule
+    rearranged into three terms with per-channel factors,
 
         dx = g·k₁ - x̂·k₂ - k₃,  k₁ = γ/σ,  k₂ = k₁·dγ/m,  k₃ = k₁·dβ/m,
 
@@ -80,7 +85,7 @@ class BatchNorm2d(Module):
     to x̂ in place; x̂ is the one full-size array kept for backward.
 
     Eval mode treats the running estimates as constants and folds the layer
-    into one per-channel affine map x·a + b, with a = γ/√(running_var + eps)
+    into one per-channel affine map x·a + b, with a = γ/√(running_var + BN_EPS)
     and b = β - running_mean·a, so dx = g·a; x̂ is rebuilt from x only
     when γ needs a gradient.
 
@@ -88,11 +93,9 @@ class BatchNorm2d(Module):
     full-size array stays in the input's dtype.
     """
 
-    def __init__(self, channels, momentum=0.1, eps=1e-5, dtype=np.float32):
+    def __init__(self, channels, dtype=np.float32):
         super().__init__()
         self.channels = channels
-        self.momentum = momentum
-        self.eps = eps
         self.gamma = Parameter(np.ones(channels, dtype=dtype))
         self.beta = Parameter(np.zeros(channels, dtype=dtype))
         self.register_buffer("running_mean", np.zeros(channels, dtype=dtype))
@@ -109,7 +112,7 @@ class BatchNorm2d(Module):
         g64 = gamma.value.astype(np.float64)
         if not self.training:
             mu = self.running_mean.astype(np.float64)
-            inv_std = 1.0 / np.sqrt(self.running_var.astype(np.float64) + self.eps)
+            inv_std = 1.0 / np.sqrt(self.running_var.astype(np.float64) + BN_EPS)
             a = g64 * inv_std
             out = x.value * exp(a)
             out += exp(beta.value - mu * a)
@@ -130,13 +133,9 @@ class BatchNorm2d(Module):
         mu = _channel_sum(x.value) / m
         xhat = x.value - exp(mu)
         var = _channel_dot(xhat, xhat) / m
-        self.running_mean[...] = (
-            (1 - self.momentum) * self.running_mean + self.momentum * mu
-        )
-        self.running_var[...] = (
-            (1 - self.momentum) * self.running_var + self.momentum * var
-        )
-        inv_std = 1.0 / np.sqrt(var + self.eps)
+        self.running_mean[...] = (1 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mu
+        self.running_var[...] = (1 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * var
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat *= exp(inv_std)
         out = xhat * exp(gamma.value)
         out += exp(beta.value)
@@ -173,10 +172,9 @@ class ResidualBlock(Module):
         seeds = _seeds(seed, 4)
         conv = functools.partial(PHCConv2d, n, bias=False, scheme=scheme)
         if variant == "basic":
-            self.phc1 = conv(in_channels, out_channels, 3, stride=stride, padding=1,
-                             seed=seeds[0])
+            self.phc1 = conv(in_channels, out_channels, 3, stride=stride, seed=seeds[0])
             self.bn1 = BatchNorm2d(out_channels)
-            self.phc2 = conv(out_channels, out_channels, 3, padding=1, seed=seeds[1])
+            self.phc2 = conv(out_channels, out_channels, 3, seed=seeds[1])
             self.bn2 = BatchNorm2d(out_channels)
         else:
             mid = out_channels // 4
@@ -186,7 +184,7 @@ class ResidualBlock(Module):
                 )
             self.phc1 = conv(in_channels, mid, 1, stride=stride, seed=seeds[0])
             self.bn1 = BatchNorm2d(mid)
-            self.phc2 = conv(mid, mid, 3, padding=1, seed=seeds[1])
+            self.phc2 = conv(mid, mid, 3, seed=seeds[1])
             self.bn2 = BatchNorm2d(mid)
             self.phc3 = conv(mid, out_channels, 1, seed=seeds[2])
             self.bn3 = BatchNorm2d(out_channels)
@@ -264,14 +262,11 @@ def cross_entropy(logits: ag.Node, labels) -> ag.Node:
 # ---------------------------------------------------------------------------
 
 class Adam:
-    """Adam with bias correction and decoupled weight decay."""
+    """Adam with bias correction, ADAM_BETA1/2, ADAM_EPS and decoupled weight decay."""
 
-    def __init__(self, params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8,
-                 weight_decay=0.0):
+    def __init__(self, params, lr=1e-3, weight_decay=0.0):
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
         self._m = [np.zeros_like(p.value) for p in self.params]
@@ -280,16 +275,16 @@ class Adam:
     def step(self):
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
+        bc1 = 1.0 - ADAM_BETA1**t
+        bc2 = 1.0 - ADAM_BETA2**t
         for p, m, v in zip(self.params, self._m, self._v):
             g = p.grad
             if self.weight_decay:
                 p.value *= 1.0 - self.lr * self.weight_decay
             if g is None:
                 continue
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.value -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
+            p.value -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)

@@ -73,18 +73,18 @@ class PHCConv2d(Module):
     """Hypercomplex 2D convolution with weight W = sum_i A[i] (x) F[i].
 
     Parameters: A of shape (n, n, n) and F of shape
-    (n, out/n, in/n, kh, kw), so the layer holds n^3 + out*in*kh*kw/n
-    weights against out*in*kh*kw for its real-valued counterpart.
+    (n, out/n, in/n, k, k), so the layer holds n^3 + out*in*k*k/n
+    weights against out*in*k*k for its real-valued counterpart.
 
-    F is Kaiming-uniform over the materialized fan-in (in_channels*kh*kw);
-    the fixed-algebra scheme sets A to the canonical real/complex/quaternion
-    sign matrices (n in {1, 2, 4}), random-algebra draws A uniformly from
+    The k x k kernel is padded by k // 2 ("same" padding for odd k).  F is
+    Kaiming-uniform over the materialized fan-in (in_channels*k*k); the
+    fixed-algebra scheme sets A to the canonical real/complex/quaternion sign
+    matrices (n in {1, 2, 4}), random-algebra draws A uniformly from
     [-1/n, 1/n].  A stays trainable under both schemes.
     """
 
-    def __init__(self, n, in_channels, out_channels, kernel_size,
-                 stride=1, padding=0, bias=True, scheme="fixed-algebra",
-                 seed=0, dtype=np.float32):
+    def __init__(self, n, in_channels, out_channels, kernel_size, stride=1, bias=True,
+                 scheme="fixed-algebra", seed=0, dtype=np.float32):
         super().__init__()
         if n < 1:
             raise ConfigError(f"order n must be >= 1, got {n}")
@@ -95,14 +95,11 @@ class PHCConv2d(Module):
         self.n = n
         self.in_channels = in_channels
         self.out_channels = out_channels
-        self.kernel_size = T._pair(kernel_size)
-        self.stride = T._pair(stride)
-        self.padding = T._pair(padding)
-        kh, kw = self.kernel_size
+        self.kernel_size = k = kernel_size
+        self.stride = stride
         rng = np.random.default_rng(seed)
-        bound = math.sqrt(6.0 / (in_channels * kh * kw))
-        f = rng.uniform(-bound, bound,
-                        size=(n, out_channels // n, in_channels // n, kh, kw))
+        bound = math.sqrt(6.0 / (in_channels * k * k))
+        f = rng.uniform(-bound, bound, size=(n, out_channels // n, in_channels // n, k, k))
         if scheme == "fixed-algebra":
             a = fixed_algebra(n)
         elif scheme == "random-algebra":
@@ -114,18 +111,17 @@ class PHCConv2d(Module):
         self.bias = Parameter(np.zeros(out_channels, dtype=dtype)) if bias else None
 
     def build_weight(self) -> ag.Node:
-        """Materialize the full (out, in, kh, kw) weight; differentiable in A and F."""
+        """Materialize the full (out, in, k, k) weight; differentiable in A and F."""
         return ag.kron_sum(self.A, self.F)
 
     def forward(self, x: ag.Node) -> ag.Node:
         return ag.conv2d(x, self.build_weight(), self.bias,
-                         stride=self.stride, padding=self.padding)
+                         stride=self.stride, padding=self.kernel_size // 2)
 
 
 def real_equivalent_count(layer: PHCConv2d) -> int:
     """Parameter count of the real-valued convolution with the same geometry."""
-    kh, kw = layer.kernel_size
-    count = layer.out_channels * layer.in_channels * kh * kw
+    count = layer.out_channels * layer.in_channels * layer.kernel_size**2
     return count + (layer.out_channels if layer.bias is not None else 0)
 
 

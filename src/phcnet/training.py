@@ -28,7 +28,7 @@ from . import autograd as ag
 from . import data as D
 from . import metrics as M
 from . import nn
-from .errors import ConfigError, DataError, NumericError, is_number
+from .errors import ConfigError, DataError, NumericError, ShapeError, in_range, is_number
 
 
 @dataclass(frozen=True)
@@ -93,19 +93,16 @@ class TrainConfig:
             self.lr = stage.lr
         if self.batch_size is None:
             self.batch_size = stage.batch_size
-        # batch_size, patch_size and per_lesion size arrays: at most sys.maxsize
-        size, big = sys.maxsize, sys.float_info.max
-        for name, low, integer, high in (
-                ("batch_size", 1, True, size), ("max_epochs", 1, True, big),
+        # batch_size, patch_size and per_lesion size arrays: the default bound
+        big = sys.float_info.max
+        for name, low, integer, *high in (
+                ("batch_size", 1, True), ("max_epochs", 1, True, big),
                 ("patience", 0, True, big), ("lr", 0, False, big),
                 ("weight_decay", 0, False, big), ("val_fraction", 0, False, big),
-                ("patch_size", 1, True, size), ("per_lesion", 2, True, size),
+                ("patch_size", 1, True), ("per_lesion", 2, True),
                 ("seed", 0, True, big)):
-            value = getattr(self, name)
-            if not is_number(value, low, integer) or value > high:
-                noun = "an integer" if integer else "a number"
-                raise ConfigError(f"train.{name} must be {noun} from {low} to {high}, "
-                                  f"got {value!r}")
+            in_range(ConfigError, f"train.{name}", getattr(self, name), low, *high,
+                     integer=integer)
         weight = self.pos_weight
         if weight != "auto" and not (is_number(weight) and weight > 0):
             raise ConfigError(f'train.pos_weight must be "auto" or > 0, got {weight!r}')
@@ -235,24 +232,35 @@ def _auto_pos_weight(labels: np.ndarray) -> float:
     return neg / pos
 
 
-def _stage_loss(model, stage: Stage, xb, yb, mb, pos_weights):
+def _logits(model, stage: Stage, xb: np.ndarray) -> ag.Node:
+    """The model's logits on ``xb``, if they fit the stage (ShapeError if not)."""
     logits = model(ag.constant(xb))
+    n, _, h, w = xb.shape
+    want = {"class": (n, len(D.CLASS_NAMES)), "binary": (n, stage.heads),
+            "mask": (n, 1, h, w)}[stage.role]
+    if logits.shape != want:
+        raise ShapeError(f"the {stage.name} stage needs outputs {want}, got {logits.shape}")
+    return logits
+
+
+def _stage_loss(model, stage: Stage, xb, yb, mb, pos_weights):
+    logits = _logits(model, stage, xb)
     if stage.role == "class":
         return nn.cross_entropy(logits, yb)
     if stage.role == "mask":
         return nn.bce_with_logits(logits, mb[:, None], pos_weight=pos_weights[0])
     return functools.reduce(ag.add, [
-        nn.bce_with_logits(ag.narrow(logits, h, h + 1, axis=1),
+        nn.bce_with_logits(ag.narrow(logits, h, h + 1),
                            yb[:, h, None].astype(np.float32), pos_weight=w)
         for h, w in enumerate(pos_weights)
     ])
 
 
-def _outputs(model, x: np.ndarray, batch_size: int) -> np.ndarray:
+def _outputs(model, stage: Stage, x: np.ndarray, batch_size: int) -> np.ndarray:
     """Eval-mode model logits over ``x``, batched."""
     model.eval()
     with ag.no_grad():
-        return np.concatenate([model(ag.constant(x[start : start + batch_size])).value
+        return np.concatenate([_logits(model, stage, x[start : start + batch_size]).value
                                for start in range(0, len(x), batch_size)])
 
 
@@ -264,7 +272,7 @@ def _evaluate(model, stage: Stage, data: _StageData, batch_size: int = 32) -> Ev
     """
     try:
         with np.errstate(over="raise", invalid="raise"):
-            logits = _outputs(model, data.x, batch_size)
+            logits = _outputs(model, stage, data.x, batch_size)
     except FloatingPointError as exc:
         raise NumericError(f"the model's {stage.name} outputs are not finite: "
                            f"{exc}") from exc
@@ -432,7 +440,7 @@ def _max_logit(model, x: ag.Node) -> ag.Node:
     if logits.ndim == 4:  # a mask: its mean logit
         return ag.nmean(logits)
     head = int(np.argmax(logits.value[0]))
-    return ag.reshape(ag.narrow(logits, head, head + 1, axis=1), ())
+    return ag.reshape(ag.narrow(logits, head, head + 1), ())
 
 
 def saliency_map(model, views: np.ndarray) -> np.ndarray:

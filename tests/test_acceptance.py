@@ -42,17 +42,12 @@ def test_criterion_1_n1_degeneration():
         w = int(rng.integers(5, 33))
         k = int(rng.choice([1, 3, 5]))
         stride = int(rng.choice([1, 2]))
-        pad = int(rng.integers(0, k // 2 + 1))
-        if (h + 2 * pad - k) // stride + 1 < 1 or (w + 2 * pad - k) // stride + 1 < 1:
-            k = 1
-            pad = 0
-        layer = phc.PHCConv2d(1, cin, cout, k, stride=stride, padding=pad,
-                              seed=trial)
+        layer = phc.PHCConv2d(1, cin, cout, k, stride=stride, seed=trial)
         layer.A.value[...] = 1.0
         x = rng.normal(size=(n_batch, cin, h, w)).astype(np.float32)
         out = layer(ag.constant(x)).value
         ref = T.conv2d(x, layer.F.value[0], layer.bias.value,
-                       stride=stride, padding=pad)
+                       stride=stride, padding=k // 2)
         worst = max(worst, float(np.abs(out - ref).max()))
     elapsed = time.perf_counter() - t0
     assert worst < 1e-6, worst
@@ -74,8 +69,8 @@ def test_criterion_2_quaternion_oracle():
         c = int(rng.integers(1, 5))
         k = int(rng.choice([1, 3]))
         banks = rng.normal(size=(4, d, c, k, k))
-        layer = phc.PHCConv2d(4, 4 * c, 4 * d, k, padding=k // 2, bias=False,
-                              seed=trial, dtype=np.float64)
+        layer = phc.PHCConv2d(4, 4 * c, 4 * d, k, bias=False, seed=trial,
+                              dtype=np.float64)
         layer.A.value[...] = phc.quaternion_algebra()
         layer.F.value[...] = banks
         built = layer.build_weight().value
@@ -83,8 +78,7 @@ def test_criterion_2_quaternion_oracle():
         npt.assert_array_equal(built, oracle)  # exact in binary64
 
         x32 = rng.normal(size=(2, 4 * c, 7, 7)).astype(np.float32)
-        layer32 = phc.PHCConv2d(4, 4 * c, 4 * d, k, padding=k // 2, bias=False,
-                                seed=trial)
+        layer32 = phc.PHCConv2d(4, 4 * c, 4 * d, k, bias=False, seed=trial)
         layer32.A.value[...] = phc.quaternion_algebra()
         layer32.F.value[...] = banks.astype(np.float32)
         out = layer32(ag.constant(x32)).value
@@ -105,8 +99,8 @@ def test_criterion_2_quaternion_oracle():
 def _check_layer_law(model):
     for m in model.modules():
         if isinstance(m, phc.PHCConv2d):
-            kh, kw = m.kernel_size
-            expected = m.n**3 + m.out_channels * m.in_channels * kh * kw // m.n
+            k = m.kernel_size
+            expected = m.n**3 + m.out_channels * m.in_channels * k * k // m.n
             if m.bias is not None:
                 expected += m.out_channels
             assert m.param_count() == expected, m
@@ -145,7 +139,7 @@ def test_criterion_4_gradient_checks():
     rng = np.random.default_rng(4)
     reports = {}
 
-    conv = phc.PHCConv2d(2, 4, 4, 3, padding=1, seed=40, dtype=np.float64)
+    conv = phc.PHCConv2d(2, 4, 4, 3, seed=40, dtype=np.float64)
     x4 = ag.constant(rng.normal(size=(2, 4, 6, 6)))
     reports["phc_conv"] = ag.grad_check(
         lambda: ag.nsum(ag.mul(conv(x4), conv(x4))),

@@ -294,6 +294,33 @@ def _rewrite(src, dst, edit_header=None, cut=None):
     return str(dst)
 
 
+class TestStageMismatch:
+    """A model whose output does not fit the stage exits 4 instead of being
+    scored or trained on part of its output."""
+
+    def test_eval_patch_stage_on_one_head_model(self, workspace, checkpoint,
+                                                patch_run, capsys):
+        _, _, data_dir, _ = workspace
+        patch_cfg, _ = patch_run
+        code, out, err = run(capsys, "eval", "--config", str(patch_cfg),
+                             "--checkpoint", str(checkpoint),
+                             "--manifest", str(data_dir / "manifest.json"),
+                             "--stage", "patch")
+        assert code == 4, out
+        assert out == ""
+        assert "patch stage needs outputs (32, 5), got (32, 1)" in err
+
+    def test_train_two_view_with_five_heads(self, workspace, capsys, tmp_path):
+        _, _, _, cfg_path = workspace
+        out_ckpt = tmp_path / "x.ckpt"
+        code, out, err = run(capsys, "train", "--config", str(cfg_path),
+                             "--stage", "two-view", "--out", str(out_ckpt),
+                             "--set", "model.heads=5", "--set", "train.max_epochs=1")
+        assert code == 4, out
+        assert "two-view stage needs outputs (8, 1), got (8, 5)" in err
+        assert not out_ckpt.exists()
+
+
 class TestCheckpointErrors:
     """Every malformed checkpoint ends in exit 4 with a message, never a
     traceback; one whose model outputs are not finite ends in exit 5."""

@@ -92,8 +92,8 @@ class TestPHResNet:
         total = 0
         for m in model.modules():
             if isinstance(m, phc.PHCConv2d):
-                kh, kw = m.kernel_size
-                expected = m.n**3 + m.out_channels * m.in_channels * kh * kw // m.n
+                k = m.kernel_size
+                expected = m.n**3 + m.out_channels * m.in_channels * k * k // m.n
                 expected += m.out_channels if m.bias is not None else 0
                 assert m.param_count() == expected
                 total += expected
@@ -203,7 +203,7 @@ class TestPHYSEnet:
             model.zero_grad()
             model.train()
             logits = model(ag.constant(np.concatenate([xl, xr], axis=1)))
-            ll, lr = ag.narrow(logits, 0, 1, axis=1), ag.narrow(logits, 1, 2, axis=1)
+            ll, lr = ag.narrow(logits, 0, 1), ag.narrow(logits, 1, 2)
             if sides == "left":
                 loss = nn.bce_with_logits(ll, y)
             elif sides == "right":

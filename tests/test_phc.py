@@ -14,7 +14,7 @@ from phcnet.errors import ConfigError, ShapeError
 
 class TestBuildWeight:
     def test_n1_degenerates_to_single_filter(self):
-        layer = phc.PHCConv2d(1, 3, 2, 3, padding=1, seed=0)
+        layer = phc.PHCConv2d(1, 3, 2, 3, seed=0)
         layer.A.value[...] = 1.0
         npt.assert_array_equal(layer.build_weight().value, layer.F.value[0])
 
@@ -63,7 +63,7 @@ class TestBuildWeight:
 class TestForward:
     def test_n1_matches_standard_conv(self):
         rng = np.random.default_rng(2)
-        layer = phc.PHCConv2d(1, 3, 5, 3, stride=2, padding=1, seed=3)
+        layer = phc.PHCConv2d(1, 3, 5, 3, stride=2, seed=3)
         layer.A.value[...] = 1.0
         x = rng.normal(size=(2, 3, 9, 9)).astype(np.float32)
         out = layer(ag.constant(x)).value
@@ -72,7 +72,7 @@ class TestForward:
 
     def test_n4_matches_hamilton_conv(self):
         rng = np.random.default_rng(3)
-        layer = phc.PHCConv2d(4, 8, 4, 3, padding=1, bias=False, seed=4)
+        layer = phc.PHCConv2d(4, 8, 4, 3, bias=False, seed=4)
         layer.A.value[...] = phc.quaternion_algebra()
         x = rng.normal(size=(2, 8, 6, 6)).astype(np.float32)
         out = layer(ag.constant(x)).value
@@ -82,7 +82,7 @@ class TestForward:
         assert np.abs(out - ref).max() / scale < 1e-6
 
     def test_zero_input_gives_bias(self):
-        layer = phc.PHCConv2d(2, 2, 4, 3, padding=1, seed=6)
+        layer = phc.PHCConv2d(2, 2, 4, 3, seed=6)
         layer.bias.value[...] = np.arange(4.0)
         out = layer(ag.constant(np.zeros((1, 2, 5, 5), dtype=np.float32))).value
         npt.assert_allclose(out[0, :, 2, 2], np.arange(4.0), atol=1e-7)
@@ -188,7 +188,7 @@ class TestInit:
 class TestDifferentiability:
     def test_grad_wrt_A_and_F(self):
         rng = np.random.default_rng(8)
-        layer = phc.PHCConv2d(2, 4, 4, 3, padding=1, seed=13, dtype=np.float64)
+        layer = phc.PHCConv2d(2, 4, 4, 3, seed=13, dtype=np.float64)
         x = ag.constant(rng.normal(size=(2, 4, 5, 5)))
 
         def f():
@@ -201,7 +201,7 @@ class TestDifferentiability:
     def test_degeneration_linear_identity(self):
         # n=1 forward equals conv2d with W = A000 * F0 for any A000
         rng = np.random.default_rng(10)
-        layer = phc.PHCConv2d(1, 2, 3, 3, padding=1, bias=False, seed=19)
+        layer = phc.PHCConv2d(1, 2, 3, 3, bias=False, seed=19)
         layer.A.value[...] = -1.7
         x = rng.normal(size=(2, 2, 6, 6)).astype(np.float32)
         out = layer(ag.constant(x)).value

@@ -1,0 +1,28 @@
+"""Every phcnet function is entered by some command, except those kept on
+purpose (tools/reach.py lists the rest)."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# what no command runs and still stays
+KEPT = [
+    "tensor.kron", "tensor.conv2d", "tensor.conv2d_naive",  # oracles
+    "phc.hamilton_weight", "phc.hamilton_conv",              # the quaternion oracle
+    "autograd.grad_check", "autograd.GradReport.passed",     # the gradient oracle
+    "autograd.mul", "autograd.nsum",                         # the grad checks' losses
+    "training.summarize_runs",                               # repeated-seed reports
+    "autograd.Node.__repr__",
+    "cli._fail", "cli._exit_code_for",                       # error paths
+]
+
+
+def test_only_kept_functions_are_unreached():
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "reach.py")],
+                          capture_output=True, text=True, timeout=600,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == sorted(KEPT)

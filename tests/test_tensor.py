@@ -258,10 +258,10 @@ class TestPooling:
 
     def test_max_pool_and_upsample_shapes(self):
         x = np.random.default_rng(1).normal(size=(1, 2, 4, 4)).astype(np.float32)
-        pooled = ag.max_pool2d(x, 2).value
+        pooled = ag.max_pool2d(x).value
         assert pooled.shape == (1, 2, 2, 2)
         npt.assert_allclose(pooled[0, 0, 0, 0], x[0, 0, :2, :2].max())
-        up = ag.upsample_nearest(pooled, 2).value
+        up = ag.upsample_nearest(pooled).value
         assert up.shape == x.shape
         npt.assert_allclose(up[0, 0, 0, 0], pooled[0, 0, 0, 0])
 
@@ -274,12 +274,12 @@ class TestPooling:
         # window 0 is all equal; window 1 has its maximum at offsets 1 and 3
         x = ag.Node(np.array([[[[1, 1, 0, 5], [1, 1, 2, 5]]]], dtype=np.float32),
                     requires_grad=True)
-        pooled = ag.max_pool2d(x, 2)
+        pooled = ag.max_pool2d(x)
         npt.assert_array_equal(pooled.value, [[[[1, 5]]]])
         ag.backward(ag.nsum(ag.mul(pooled, ag.constant(np.float32([[[[3, 7]]]])))))
         npt.assert_array_equal(x.grad, [[[[3, 0, 0, 7], [0, 0, 0, 0]]]])
 
-    @pytest.mark.parametrize("size", [2, 3])
+    @pytest.mark.parametrize("size", [2])  # the pool's window, for the oracle
     def test_max_pool_bitwise_against_argmax(self, size):
         # values near 0 rounded to one decimal: many tied windows, some whose
         # maximum is -0.0 and 0.0 at once
@@ -295,15 +295,15 @@ class TestPooling:
         grad = grad.reshape(windows.shape).transpose(0, 1, 2, 4, 3, 5).reshape(x.shape)
 
         # the rule itself: accumulating into a leaf's .grad would turn -0.0 into 0.0
-        pooled = ag.max_pool2d(ag.Node(x, requires_grad=True), size)
+        pooled = ag.max_pool2d(ag.Node(x, requires_grad=True))
         assert pooled.value.tobytes() == np.take_along_axis(flat, idx, axis=-1)[..., 0].tobytes()
         assert pooled._backward_rule(g)[0].tobytes() == grad.tobytes()
 
-    @pytest.mark.parametrize("factor", [2, 3])
+    @pytest.mark.parametrize("factor", [2])  # the upsampling factor, for the oracle
     def test_upsample_against_repeat(self, factor):
         rng = np.random.default_rng(18)
         x = ag.Node(rng.normal(size=(2, 3, 4, 5)).astype(np.float32), requires_grad=True)
-        up = ag.upsample_nearest(x, factor)
+        up = ag.upsample_nearest(x)
         assert up.value.tobytes() == x.value.repeat(factor, 2).repeat(factor, 3).tobytes()
         g = rng.normal(size=up.shape).astype(np.float32)
         ag.backward(ag.nsum(ag.mul(up, ag.constant(g))))

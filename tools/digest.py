@@ -85,14 +85,21 @@ def run(root: Path, name, dataset, stage, model, train, init) -> str:
     return f"{name:<13} epochs={final['epochs_run']} {digest.hexdigest()[:32]}"
 
 
+def run_set(root: Path):
+    """Generate the datasets under ``root``, then do every run; yields each
+    run's digest line as it finishes.  Run ``name`` leaves its config and
+    checkpoint in ``root / name``."""
+    for name, spec in DATASETS.items():
+        (root / f"{name}.json").write_text(json.dumps(spec))
+        cli("gen-synthetic", "--spec", root / f"{name}.json", "--out", root / name)
+    for row in RUNS:
+        yield run(root, *row)
+
+
 def digest_all() -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        root = Path(tmp)
-        for name, spec in DATASETS.items():
-            (root / f"{name}.json").write_text(json.dumps(spec))
-            cli("gen-synthetic", "--spec", root / f"{name}.json", "--out", root / name)
-        for row in RUNS:
-            print(run(root, *row), flush=True)
+        for line in run_set(Path(tmp)):
+            print(line, flush=True)
 
 
 if __name__ == "__main__":
