@@ -23,9 +23,15 @@ from . import tensor as T
 _recording = True
 
 
+def recording() -> bool:
+    """Whether ops may keep a graph: true except inside :func:`no_grad`."""
+    return _recording
+
+
 @contextlib.contextmanager
 def no_grad():
-    """Build no graph inside the block, in every thread: no op output requires grad."""
+    """Build no graph inside the block, in every thread: no op output requires
+    grad, and :func:`recording` reads false."""
     global _recording
     previous, _recording = _recording, False
     try:

@@ -31,7 +31,7 @@ import numpy as np
 from . import autograd as ag
 from .errors import ConfigError, ShapeError, TransferError, in_range
 from .module import Module, ModuleList
-from .nn import BatchNorm2d, Linear, ResidualBlock, _seeds
+from .nn import BatchNorm2d, Linear, ResidualBlock, _seeds, conv_bn
 from .phc import PHCConv2d, real_equivalent_count
 
 
@@ -188,7 +188,7 @@ class PHTrunk(Module):
         self.stages = ModuleList(ModuleList(stage) for stage in stages)
 
     def forward(self, x):
-        h = ag.relu(self.bn1(self.conv1(x)))
+        h = conv_bn(self.conv1, self.bn1, x)
         for stage in self.stages:
             for block in stage:
                 h = block(h)
@@ -334,8 +334,7 @@ class DoubleConv(Module):
         self.bn2 = BatchNorm2d(out_channels)
 
     def forward(self, x):
-        h = ag.relu(self.bn1(self.phc1(x)))
-        return ag.relu(self.bn2(self.phc2(h)))
+        return conv_bn(self.phc2, self.bn2, conv_bn(self.phc1, self.bn1, x))
 
 
 class PHUNet(Module):

@@ -2,7 +2,9 @@
 
 Residual blocks follow y = ReLU(F(x) + skip(x)) with
 F = BN(PHC(ReLU(BN(PHC(x))))); the refiner variant uses the 1x1 -> 3x3 ->
-1x1 bottleneck design with mid channels = out/4.  Losses are computed in
+1x1 bottleneck design with mid channels = out/4.  Every BN(PHC(x)) pair
+runs through :func:`conv_bn`, which in eval mode under ``ag.no_grad`` folds
+the batch norm into the conv's weight.  Losses are computed in
 numerically stable softplus/log-sum-exp form.  Adam applies decoupled
 weight decay (theta *= 1 - lr*lambda before the moment update).
 """
@@ -85,9 +87,10 @@ class BatchNorm2d(Module):
     to x̂ in place; x̂ is the one full-size array kept for backward.
 
     Eval mode treats the running estimates as constants and folds the layer
-    into one per-channel affine map x·a + b, with a = γ/√(running_var + BN_EPS)
-    and b = β - running_mean·a, so dx = g·a; x̂ is rebuilt from x only
-    when γ needs a gradient.
+    into one per-channel affine map x·a + b (:meth:`affine`), with
+    a = γ/√(running_var + BN_EPS) and b = β - running_mean·a, so dx = g·a; x̂
+    is rebuilt from x only when γ needs a gradient.  When no graph is kept,
+    :func:`conv_bn` moves that map into the preceding conv instead.
 
     Channel sums and per-channel factors are formed in float64; every
     full-size array stays in the input's dtype.
@@ -101,6 +104,14 @@ class BatchNorm2d(Module):
         self.register_buffer("running_mean", np.zeros(channels, dtype=dtype))
         self.register_buffer("running_var", np.ones(channels, dtype=dtype))
 
+    def _inv_std(self) -> np.ndarray:
+        return 1.0 / np.sqrt(self.running_var.astype(np.float64) + BN_EPS)
+
+    def affine(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eval mode's per-channel map x·a + b, as float64 (a, b)."""
+        a = self.gamma.value.astype(np.float64) * self._inv_std()
+        return a, self.beta.value - self.running_mean.astype(np.float64) * a
+
     def forward(self, x: ag.Node) -> ag.Node:
         if x.ndim != 4 or x.shape[1] != self.channels:
             raise ShapeError(
@@ -109,19 +120,16 @@ class BatchNorm2d(Module):
         gamma, beta = self.gamma, self.beta
         dtype = x.dtype
         exp = lambda v: v.astype(dtype, copy=False)[None, :, None, None]
-        g64 = gamma.value.astype(np.float64)
         if not self.training:
-            mu = self.running_mean.astype(np.float64)
-            inv_std = 1.0 / np.sqrt(self.running_var.astype(np.float64) + BN_EPS)
-            a = g64 * inv_std
+            a, b = self.affine()
             out = x.value * exp(a)
-            out += exp(beta.value - mu * a)
+            out += exp(b)
 
             def eval_rule(g):
                 dx = g * exp(a) if x.requires_grad else None
                 dgamma = dbeta = None
                 if gamma.requires_grad:
-                    xhat = (x.value - exp(mu)) * exp(inv_std)
+                    xhat = (x.value - exp(self.running_mean)) * exp(self._inv_std())
                     dgamma = _channel_sum(g * xhat).astype(dtype)
                 if beta.requires_grad:
                     dbeta = _channel_sum(g).astype(dtype)
@@ -144,7 +152,7 @@ class BatchNorm2d(Module):
             dgamma, dbeta = _channel_dot(g, xhat), _channel_sum(g)
             dx = None
             if x.requires_grad:
-                k1 = g64 * inv_std
+                k1 = gamma.value.astype(np.float64) * inv_std
                 # the two small terms first, so g·k1 meets one rounding less
                 dx = xhat * exp(k1 * dgamma / m)
                 dx += exp(k1 * dbeta / m)
@@ -154,6 +162,28 @@ class BatchNorm2d(Module):
                     dbeta.astype(dtype) if beta.requires_grad else None)
 
         return ag.Node(out, (x, gamma, beta), rule)
+
+
+def conv_bn(conv: PHCConv2d, bn: BatchNorm2d, x, skip=None, relu=True) -> ag.Node:
+    """bn(conv(x)), plus ``skip`` if given, then ReLU if ``relu``.
+
+    In eval mode with no graph kept: one conv on the weight a·W and bias b for
+    ``bn.affine()``'s map x·a + b (formed in float64, cast once), with the add
+    and ReLU in place on its output.  The conv has no bias of its own.
+    """
+    if bn.training or ag.recording():
+        h = bn(conv(x))
+        h = h if skip is None else ag.add(h, skip)
+        return ag.relu(h) if relu else h
+    a, b = bn.affine()
+    w = conv.build_weight().value
+    out = ag.conv2d(x, (w * a[:, None, None, None]).astype(w.dtype), b.astype(w.dtype),
+                    stride=conv.stride, padding=conv.kernel_size // 2)
+    if skip is not None:
+        out.value += skip.value
+    if relu:
+        np.maximum(out.value, 0, out=out.value)
+    return out
 
 
 class ResidualBlock(Module):
@@ -195,14 +225,12 @@ class ResidualBlock(Module):
             self.proj = None
 
     def forward(self, x: ag.Node) -> ag.Node:
-        skip = x if self.proj is None else self.proj_bn(self.proj(x))
-        h = ag.relu(self.bn1(self.phc1(x)))
+        skip = x if self.proj is None else conv_bn(self.proj, self.proj_bn, x, relu=False)
+        h = conv_bn(self.phc1, self.bn1, x)
         if self.variant == "basic":
-            h = self.bn2(self.phc2(h))
-        else:
-            h = ag.relu(self.bn2(self.phc2(h)))
-            h = self.bn3(self.phc3(h))
-        return ag.relu(ag.add(h, skip))
+            return conv_bn(self.phc2, self.bn2, h, skip)
+        h = conv_bn(self.phc2, self.bn2, h)
+        return conv_bn(self.phc3, self.bn3, h, skip)
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,17 @@ count left to phcnet and with it set to 1.
 
 That equality is the bitwise determinism check: the tool's output on two
 source trees diffs clean only if every run is deterministic on each, and
-one tree's output does not depend on the machine's core count.
+one tree's output does not depend on the machine's core count.  The test
+session itself runs BLAS on the one thread the root conftest.py pins.
 """
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 RUNS = ["patch", "two-view", "physenet", "phybonet", "segmentation", "pos-weight",
@@ -32,3 +36,19 @@ def test_digest_runs_and_repeats():
     assert [row[0] for row in rows] == RUNS
     assert all(len(row) == 3 and row[1] == "epochs=3" for row in rows)
     assert digest(OPENBLAS_NUM_THREADS="1") == first
+
+
+def test_session_blas_threads_are_pinned():
+    import numpy  # noqa: F401  (loads OpenBLAS)
+
+    # the benchmark's own query of the loaded library, which reads and sets nothing
+    spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
+    bench_run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_run)
+    threads = bench_run._blas_threads()
+    if threads is None:
+        pytest.skip("numpy is not linked against OpenBLAS")
+    assert "OPENBLAS_NUM_THREADS" in os.environ, "nothing pinned the count before numpy loaded"
+    want = int(os.environ["OPENBLAS_NUM_THREADS"])
+    # OpenBLAS caps a count set before the session at the cores it sees
+    assert threads == want if want == 1 else 1 <= threads <= want

@@ -290,17 +290,60 @@ class TestMaps:
         assert wins >= len(positives) // 2  # weak bound; criterion 12 is stricter
 
 
+# Folded no-grad eval against the graph path, as a share of the reference's
+# largest magnitude: over 20 random batch-norm states per model kind the
+# outputs deviated by at most 2.2e-6 of it (PHResNet; taps and single blocks
+# 6.1e-7), so 1e-5 leaves a factor of ~5.
+FOLD_TOL = 1e-5
+
+MODELS = {
+    "phresnet": lambda: tiny_model(seed=12),
+    "phybonet": lambda: MD.PHYBOnet(
+        MD.PHYBOnetConfig(width=4, blocks=(1, 1, 1, 1), refiners=1), seed=0),
+    "physenet": lambda: MD.PHYSEnet(
+        MD.PHYSEnetConfig(width=4, blocks=(1, 1), refiners=1), seed=0),
+    "phunet": lambda: MD.PHUNet(MD.PHUNetConfig(width=4, depth=2), seed=0),
+}
+BLOCKS = {
+    "basic": (lambda: nn.ResidualBlock(2, 4, 4, seed=0), (3, 4, 8, 8)),
+    "projected": (lambda: nn.ResidualBlock(2, 4, 8, stride=2, seed=1), (3, 4, 8, 8)),
+    "refiner": (lambda: nn.ResidualBlock(2, 8, 8, variant="refiner", seed=2), (3, 8, 1, 1)),
+}
+
+
+def random_batchnorm(module, seed):
+    """Random running statistics, gamma and beta in every batch norm; the
+    defaults (0, 1, 1, 0) would make the eval fold almost the identity."""
+    rng = np.random.default_rng(seed)
+    for m in module.modules():
+        if isinstance(m, nn.BatchNorm2d):
+            c = m.channels
+            m.running_mean[...] = rng.normal(0.0, 0.5, c)
+            m.running_var[...] = rng.uniform(0.5, 2.0, c)
+            m.gamma.value[...] = rng.uniform(0.5, 1.5, c) * rng.choice([-1.0, 1.0], c)
+            m.beta.value[...] = rng.normal(0.0, 0.5, c)
+    return module
+
+
+def assert_close_to_graph(got, want):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= FOLD_TOL * np.abs(want).max()
+
+
+def unfolded_block(block, x):
+    """ResidualBlock.forward as separate conv, batch norm, add and ReLU ops."""
+    skip = x if block.proj is None else block.proj_bn(block.proj(x))
+    h = ag.relu(block.bn1(block.phc1(x)))
+    if block.variant == "refiner":
+        h = ag.relu(block.bn2(block.phc2(h)))
+        return ag.relu(ag.add(block.bn3(block.phc3(h)), skip))
+    return ag.relu(ag.add(block.bn2(block.phc2(h)), skip))
+
+
 class TestNoGrad:
-    @pytest.mark.parametrize("kind", ["phresnet", "phybonet", "physenet", "phunet"])
+    @pytest.mark.parametrize("kind", list(MODELS))
     def test_eval_outputs_equal_graph_outputs_and_hold_no_graph(self, kind):
-        model = {
-            "phresnet": lambda: tiny_model(seed=12),
-            "phybonet": lambda: MD.PHYBOnet(
-                MD.PHYBOnetConfig(width=4, blocks=(1, 1, 1, 1), refiners=1), seed=0),
-            "physenet": lambda: MD.PHYSEnet(
-                MD.PHYSEnetConfig(width=4, blocks=(1, 1), refiners=1), seed=0),
-            "phunet": lambda: MD.PHUNet(MD.PHUNetConfig(width=4, depth=2), seed=0),
-        }[kind]()
+        model = random_batchnorm(MODELS[kind](), seed=15)
         model.eval()
         rng = np.random.default_rng(13)
         views = 4 if kind in ("phybonet", "physenet") else 2
@@ -309,9 +352,66 @@ class TestNoGrad:
         with ag.no_grad():
             b = model(x)
         assert a._parents and a.requires_grad
-        assert a.value.tobytes() == b.value.tobytes()
+        assert_close_to_graph(b.value, a.value)
         assert b._parents == () and b._backward_rule is None
         assert ag.backward(ag.nsum(b)) == {}
+
+    @pytest.mark.parametrize("kind", list(MODELS))
+    def test_activation_maps_match_graph_taps(self, kind):
+        model = random_batchnorm(MODELS[kind](), seed=16)
+        model.eval()
+        views = 4 if kind in ("phybonet", "physenet") else 2
+        x = np.random.default_rng(17).normal(size=(views, 16, 16)).astype(np.float32)
+        taps = {}
+        model(ag.constant(x[None]), taps=taps)
+        maps = TR.activation_maps(model, x)
+        assert taps and maps.keys() == taps.keys()
+        for name, node in taps.items():
+            want = TR._resize_nearest(node.value[0].mean(axis=0), 16, 16)
+            assert_close_to_graph(maps[name], want)
+
+    @pytest.mark.parametrize("kind", list(BLOCKS))
+    def test_folded_block_writes_no_input(self, kind):
+        make, shape = BLOCKS[kind]
+        block = random_batchnorm(make(), seed=18)
+        block.eval()
+        x = np.random.default_rng(19).normal(size=shape).astype(np.float32)
+        want = block(ag.constant(x)).value
+        node = ag.constant(x.copy())
+        with ag.no_grad():
+            got = block(node)
+        assert node.value.tobytes() == x.tobytes()
+        assert got.value is not node.value and got._parents == ()
+        assert_close_to_graph(got.value, want)
+
+    @pytest.mark.parametrize("kind", list(BLOCKS))
+    def test_train_mode_under_no_grad_does_not_fold(self, kind):
+        make, shape = BLOCKS[kind]
+        block, twin = random_batchnorm(make(), seed=20), random_batchnorm(make(), seed=20)
+        x = np.random.default_rng(21).normal(size=shape).astype(np.float32)
+        with ag.no_grad():
+            got = block(ag.constant(x)).value
+        want = unfolded_block(twin, ag.constant(x)).value
+        assert got.tobytes() == want.tobytes()
+        for (name, a), (_, b) in zip(block.named_buffers(), twin.named_buffers()):
+            assert a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("kind", list(BLOCKS))
+    def test_eval_with_a_graph_runs_the_unfolded_ops(self, kind):
+        # saliency_map's path: values and every gradient bitwise as unfolded
+        make, shape = BLOCKS[kind]
+        x = np.random.default_rng(22).normal(size=shape).astype(np.float32)
+        results = []
+        for forward in (lambda block, node: block(node), unfolded_block):
+            block = random_batchnorm(make(), seed=23)
+            block.eval()
+            node = ag.Node(x.copy(), requires_grad=True)
+            out = forward(block, node)
+            g = np.random.default_rng(24).normal(size=out.shape).astype(np.float32)
+            ag.backward(ag.nsum(ag.mul(out, ag.constant(g))))
+            results.append([out.value, node.grad] + [p.grad for p in block.parameters()])
+        for a, b in zip(*results):
+            assert a.tobytes() == b.tobytes()
 
     def test_exception_inside_no_grad_leaves_recording_on(self):
         model = tiny_model(seed=13)
