@@ -505,7 +505,11 @@ def _sample_background_center(rng, size, ps, boxes, mask):
 
 def rotate_bilinear(stack: np.ndarray, degrees: float) -> np.ndarray:
     """Rotate every (H, W) plane of ``stack`` about the image center on one
-    sampling grid: bilinear interpolation, zero fill."""
+    sampling grid: bilinear interpolation, zero fill.
+
+    The corners are read from a float64 copy with a one-pixel zero border,
+    at row and column indices clipped into it, so a corner outside the image
+    reads that border's zero."""
     if degrees == 0.0:
         return stack.copy()
     h, w = stack.shape[-2:]
@@ -519,6 +523,9 @@ def rotate_bilinear(stack: np.ndarray, degrees: float) -> np.ndarray:
     x0 = np.floor(sx).astype(np.int64)
     wy = sy - y0
     wx = sx - x0
+    bordered = np.zeros((*stack.shape[:-2], h + 2, w + 2), dtype=np.float64)
+    bordered[..., 1:-1, 1:-1] = stack
+    flat = bordered.reshape(*stack.shape[:-2], -1)
     out = np.zeros(stack.shape, dtype=np.float64)
     for dy_, dx_, wgt in (
         (0, 0, (1 - wy) * (1 - wx)),
@@ -526,11 +533,9 @@ def rotate_bilinear(stack: np.ndarray, degrees: float) -> np.ndarray:
         (1, 0, wy * (1 - wx)),
         (1, 1, wy * wx),
     ):
-        yi, xi = y0 + dy_, x0 + dx_
-        valid = (yi >= 0) & (yi < h) & (xi >= 0) & (xi < w)
-        vals = np.zeros(stack.shape, dtype=np.float64)
-        vals[..., valid] = stack[..., yi[valid], xi[valid]]
-        out += wgt * vals
+        yi = np.clip(y0 + (dy_ + 1), 0, h + 1)
+        xi = np.clip(x0 + (dx_ + 1), 0, w + 1)
+        out += wgt * np.take(flat, yi * (w + 2) + xi, axis=-1)
     return out.astype(stack.dtype)
 
 

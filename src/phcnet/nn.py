@@ -4,13 +4,17 @@ Residual blocks follow y = ReLU(F(x) + skip(x)) with
 F = BN(PHC(ReLU(BN(PHC(x))))); the refiner variant uses the 1x1 -> 3x3 ->
 1x1 bottleneck design with mid channels = out/4.  Every BN(PHC(x)) pair
 runs through :func:`conv_bn`, which in eval mode under ``ag.no_grad`` folds
-the batch norm into the conv's weight.  Losses are computed in
+the batch norm into the conv's weight.  Inside :func:`eval_pass` (one loop
+over eval batches) each pair's folded weight is built once and reused by every
+later batch; the pass drops it on exit, so the next pass folds the parameters
+as they are then.  Losses are computed in
 numerically stable softplus/log-sum-exp form.  Adam applies decoupled
 weight decay (theta *= 1 - lr*lambda before the moment update).
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 
 import numpy as np
@@ -25,6 +29,8 @@ BN_MOMENTUM = 0.1  # weight of the batch statistics in the running estimates
 BN_EPS = 1e-5
 ADAM_BETA1, ADAM_BETA2 = 0.9, 0.999
 ADAM_EPS = 1e-8
+
+_pass_folds = None  # {(conv, bn): (w, b)} inside eval_pass, else None
 
 
 def _seeds(seed, k: int):
@@ -164,21 +170,40 @@ class BatchNorm2d(Module):
         return ag.Node(out, (x, gamma, beta), rule)
 
 
+@contextlib.contextmanager
+def eval_pass():
+    """One pass over eval batches, in which no parameter or buffer changes:
+    :func:`conv_bn` folds each (conv, bn) pair once and reuses the result.
+    The folds are dropped on exit, exception or not; nested passes each
+    start empty."""
+    global _pass_folds
+    previous, _pass_folds = _pass_folds, {}
+    try:
+        yield
+    finally:
+        _pass_folds = previous
+
+
 def conv_bn(conv: PHCConv2d, bn: BatchNorm2d, x, skip=None, relu=True) -> ag.Node:
     """bn(conv(x)), plus ``skip`` if given, then ReLU if ``relu``.
 
     In eval mode with no graph kept: one conv on the weight a·W and bias b for
     ``bn.affine()``'s map x·a + b (formed in float64, cast once), with the add
-    and ReLU in place on its output.  The conv has no bias of its own.
+    and ReLU in place on its output.  The conv has no bias of its own.  Inside
+    :func:`eval_pass` the folded (a·W, b) is built on the pair's first batch
+    only.
     """
     if bn.training or ag.recording():
         h = bn(conv(x))
         h = h if skip is None else ag.add(h, skip)
         return ag.relu(h) if relu else h
-    a, b = bn.affine()
-    w = conv.build_weight().value
-    out = ag.conv2d(x, (w * a[:, None, None, None]).astype(w.dtype), b.astype(w.dtype),
-                    stride=conv.stride, padding=conv.kernel_size // 2)
+    folds = {} if _pass_folds is None else _pass_folds
+    if (conv, bn) not in folds:
+        a, b = bn.affine()
+        w = conv.build_weight().value
+        folds[conv, bn] = (w * a[:, None, None, None]).astype(w.dtype), b.astype(w.dtype)
+    w, b = folds[conv, bn]
+    out = ag.conv2d(x, w, b, stride=conv.stride, padding=conv.kernel_size // 2)
     if skip is not None:
         out.value += skip.value
     if relu:

@@ -19,6 +19,8 @@ into (taps*C_in, C_out).  All are computed on the padded grid and cropped;
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ShapeError
@@ -89,6 +91,7 @@ def conv_output_shape(hw, khw, stride, padding) -> tuple[int, int]:
     return ho, wo
 
 
+@functools.lru_cache(maxsize=256)
 def _layout(x_shape, khw, stride, padding):
     """Geometry of the im2col layout and of the kernel taps' slices of it.
 
@@ -98,7 +101,8 @@ def _layout(x_shape, khw, stride, padding):
     grid.  Tap (i, j) of output pixel (y, z) reads phase (i % Sh, j % Sw) at
     (y + i // Sh, z + j // Sw), a fixed flat offset.  Outputs sit at their own
     flat grid index, all below ``span``, so each of ``taps`` (i, j, a, b,
-    offset) is one shifted slice of the layout.
+    offset) is one shifted slice of the layout.  The geometry depends on the
+    shapes alone, so it is cached, as tuples that no caller can change.
     """
     ho, wo = conv_output_shape(x_shape[2:], khw, stride, padding)
     sh, sw = _pair(stride)
@@ -109,10 +113,10 @@ def _layout(x_shape, khw, stride, padding):
             (slice(y, None, s), slice((y + p) // s, (y + p) // s + len(range(y, size, s))))
             for y in firsts]))
     (hq, rows), (wq, cols) = axes
-    phases = [(a, b, (..., yi, zi), (..., yq, zq))
-              for a, (yi, yq) in enumerate(rows) for b, (zi, zq) in enumerate(cols)]
-    taps = [(i, j, i % sh, j % sw, (i // sh) * wq + j // sw)
-            for i in range(khw[0]) for j in range(khw[1])]
+    phases = tuple((a, b, (..., yi, zi), (..., yq, zq))
+                   for a, (yi, yq) in enumerate(rows) for b, (zi, zq) in enumerate(cols))
+    taps = tuple((i, j, i % sh, j % sw, (i // sh) * wq + j // sw)
+                 for i in range(khw[0]) for j in range(khw[1]))
     span = (x_shape[0] - 1) * hq * wq + (ho - 1) * wq + wo
     return (ho, wo), (hq, wq), phases, span, taps
 

@@ -257,9 +257,9 @@ def _stage_loss(model, stage: Stage, xb, yb, mb, pos_weights):
 
 
 def _outputs(model, stage: Stage, x: np.ndarray, batch_size: int) -> np.ndarray:
-    """Eval-mode model logits over ``x``, batched."""
+    """Eval-mode model logits over ``x``, batched, in one :func:`nn.eval_pass`."""
     model.eval()
-    with ag.no_grad():
+    with ag.no_grad(), nn.eval_pass():
         return np.concatenate([_logits(model, stage, x[start : start + batch_size]).value
                                for start in range(0, len(x), batch_size)])
 

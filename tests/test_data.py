@@ -3,6 +3,7 @@ the cross-view-xor rule, patch extraction rules, augmentation identities,
 stratified splitting."""
 
 import hashlib
+import math
 from pathlib import Path
 
 import numpy as np
@@ -225,7 +226,54 @@ def _locate(plane: np.ndarray, patch: np.ndarray):
     return None
 
 
+def rotate_bilinear_masked(stack: np.ndarray, degrees: float) -> np.ndarray:
+    """The bilinear rotation with a validity mask per corner: the oracle for
+    D.rotate_bilinear, which reads a zero border instead."""
+    if degrees == 0.0:
+        return stack.copy()
+    h, w = stack.shape[-2:]
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    rad = math.radians(degrees)
+    cos, sin = math.cos(rad), math.sin(rad)
+    yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
+    sy = cos * (yy - cy) + sin * (xx - cx) + cy
+    sx = -sin * (yy - cy) + cos * (xx - cx) + cx
+    y0 = np.floor(sy).astype(np.int64)
+    x0 = np.floor(sx).astype(np.int64)
+    wy = sy - y0
+    wx = sx - x0
+    out = np.zeros(stack.shape, dtype=np.float64)
+    for dy_, dx_, wgt in (
+        (0, 0, (1 - wy) * (1 - wx)),
+        (0, 1, (1 - wy) * wx),
+        (1, 0, wy * (1 - wx)),
+        (1, 1, wy * wx),
+    ):
+        yi, xi = y0 + dy_, x0 + dx_
+        valid = (yi >= 0) & (yi < h) & (xi >= 0) & (xi < w)
+        vals = np.zeros(stack.shape, dtype=np.float64)
+        vals[..., valid] = stack[..., yi[valid], xi[valid]]
+        out += wgt * vals
+    return out.astype(stack.dtype)
+
+
 class TestAugment:
+    def test_rotation_bitwise_equal_to_masked_oracle(self):
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            planes = int(rng.integers(1, 5))
+            h, w = (int(v) for v in rng.integers(1, 40, size=2))
+            stack = rng.normal(size=(planes, h, w)).astype(np.float32)
+            if rng.random() < 0.5:  # a thresholded mask as the last plane
+                stack[-1] = stack[-1] > 0
+            degrees = float(rng.uniform(-180.0, 180.0))
+            want = rotate_bilinear_masked(stack, degrees)
+            assert D.rotate_bilinear(stack, degrees).tobytes() == want.tobytes()
+        plane = rng.normal(size=(9, 7))  # float64, and no leading axis
+        for degrees in (-180.0, -90.0, 25.0, 90.0, 180.0):
+            got = D.rotate_bilinear(plane, degrees)
+            assert got.tobytes() == rotate_bilinear_masked(plane, degrees).tobytes()
+
     def test_identity(self):
         views = np.random.default_rng(0).random((2, 16, 16)).astype(np.float32)
         out = D.augment_with(views, 0.0, False, False)

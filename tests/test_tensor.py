@@ -119,6 +119,16 @@ class TestKron:
 
 
 class TestConv2d:
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_cached_layout_equals_uncached(self, k, stride):
+        args = ((2, 3, 9, 8), (k, k), stride, k // 2)
+        first, again = T._layout(*args), T._layout(*args)
+        assert again is first
+        assert first == T._layout.__wrapped__(*args)
+        phases, taps = first[2], first[4]
+        assert isinstance(phases, tuple) and isinstance(taps, tuple)
+
     def test_pointwise_scaling(self):
         x = np.ones((1, 1, 3, 3))
         w = np.array([[[[2.0]]]])

@@ -1,5 +1,6 @@
 """Training loop: lr=0 identity, run-log determinism, overfit sanity,
-pos-weight computation, evaluation contracts, map export, graph-free eval."""
+pos-weight computation, evaluation contracts, map export, graph-free eval,
+folds kept for one evaluation pass."""
 
 import numpy as np
 import numpy.testing as npt
@@ -10,6 +11,7 @@ from phcnet import data as D
 from phcnet import models as MD
 from phcnet import nn
 from phcnet import training as TR
+from phcnet.phc import PHCConv2d
 from phcnet.errors import ConfigError, NumericError, ShapeError
 
 
@@ -439,3 +441,121 @@ class TestNoGrad:
         assert all(p.requires_grad for p in model.parameters())
         assert before.any()
         npt.assert_array_equal(TR.saliency_map(model, views), before)
+
+
+STAGE_OF = {"phresnet": "two-view", "phybonet": "four-view", "physenet": "four-view",
+            "phunet": "segmentation"}
+
+
+def kind_batch(kind, count, seed):
+    views = 4 if kind in ("phybonet", "physenet") else 2
+    return np.random.default_rng(seed).normal(size=(count, views, 16, 16)).astype(np.float32)
+
+
+def outputs_folding_per_batch(model, x, batch_size):
+    """Eval logits over ``x`` with every batch folding its own weights."""
+    model.eval()
+    with ag.no_grad():
+        return np.concatenate([model(ag.constant(x[i : i + batch_size])).value
+                               for i in range(0, len(x), batch_size)])
+
+
+class Unreadable(dict):
+    """Pass folds whose every read fails the test."""
+
+    def __contains__(self, key):
+        raise AssertionError("the pass's folds were read")
+
+    __getitem__ = get = __contains__
+
+
+def edit_in_place(model, edit):
+    """Apply ``edit`` in place to every conv's A and F, or to every batch
+    norm's gamma, beta or running_var."""
+    for m in model.modules():
+        if edit in ("A", "F") and isinstance(m, PHCConv2d):
+            getattr(m, edit).value[...] *= 1.25
+        if edit in ("gamma", "beta") and isinstance(m, nn.BatchNorm2d):
+            getattr(m, edit).value[...] += 0.5
+        if edit == "running_var" and isinstance(m, nn.BatchNorm2d):
+            m.running_var[...] *= 2.0
+
+
+class TestEvalPass:
+    @pytest.mark.parametrize("kind", list(MODELS))
+    def test_pass_outputs_bitwise_equal_folding_per_batch(self, kind):
+        model = random_batchnorm(MODELS[kind](), seed=25)
+        x = kind_batch(kind, 7, seed=26)
+        want = outputs_folding_per_batch(model, x, 3)
+        got = TR._outputs(model, TR.STAGE[STAGE_OF[kind]], x, 3)
+        assert got.tobytes() == want.tobytes()
+        assert nn._pass_folds is None
+
+    @pytest.mark.parametrize("edit", ["A", "F", "gamma", "beta", "running_var"])
+    def test_in_place_edit_between_passes_is_seen(self, edit):
+        stage, x = TR.STAGE["two-view"], kind_batch("phresnet", 5, seed=27)
+        model = random_batchnorm(MODELS["phresnet"](), seed=28)
+        before = TR._outputs(model, stage, x, 2)
+        edit_in_place(model, edit)
+        fresh = random_batchnorm(MODELS["phresnet"](), seed=28)
+        edit_in_place(fresh, edit)
+        after = TR._outputs(model, stage, x, 2)
+        assert after.tobytes() != before.tobytes()
+        assert after.tobytes() == TR._outputs(fresh, stage, x, 2).tobytes()
+
+    def test_load_state_dict_between_passes_is_seen(self):
+        stage, x = TR.STAGE["four-view"], kind_batch("phybonet", 5, seed=29)
+        model = random_batchnorm(MODELS["phybonet"](), seed=30)
+        other = random_batchnorm(MODELS["phybonet"](), seed=31)
+        before = TR._outputs(model, stage, x, 2)
+        model.load_state_dict(other.state_dict())
+        after = TR._outputs(model, stage, x, 2)
+        assert after.tobytes() != before.tobytes()
+        assert after.tobytes() == TR._outputs(other, stage, x, 2).tobytes()
+
+    def test_folds_dropped_after_the_pass_and_after_an_exception(self):
+        model = random_batchnorm(tiny_model(seed=15), seed=32)
+        x = kind_batch("phresnet", 4, seed=33)
+        with ag.no_grad(), nn.eval_pass():
+            model.eval()
+            model(ag.constant(x))
+            with nn.eval_pass():
+                assert nn._pass_folds == {}
+            assert len(nn._pass_folds) == sum(
+                isinstance(m, nn.BatchNorm2d) for m in model.modules())
+        assert nn._pass_folds is None
+        # a two-view model scored as a mask: the forward runs, then the check raises
+        with pytest.raises(ShapeError):
+            TR._outputs(model, TR.STAGE["segmentation"], x, 2)
+        assert nn._pass_folds is None
+
+    def test_graph_path_and_train_mode_never_read_the_folds(self, monkeypatch):
+        model = random_batchnorm(tiny_model(seed=16), seed=34)
+        twin = random_batchnorm(tiny_model(seed=16), seed=34)
+        x = kind_batch("phresnet", 4, seed=35)
+        want_saliency = TR.saliency_map(twin, x[0])
+        twin.train()
+        with ag.no_grad():
+            want_train = twin(ag.constant(x)).value
+        monkeypatch.setattr(nn, "_pass_folds", Unreadable())
+        assert TR.saliency_map(model, x[0]).tobytes() == want_saliency.tobytes()
+        model.train()
+        with ag.no_grad():
+            assert model(ag.constant(x)).value.tobytes() == want_train.tobytes()
+
+    def test_physenet_builds_each_shared_conv_once_per_pass(self, monkeypatch):
+        model = random_batchnorm(MODELS["physenet"](), seed=36)
+        built = {}
+        build = PHCConv2d.build_weight
+
+        def counted(conv):
+            built[conv] = built.get(conv, 0) + 1
+            return build(conv)
+
+        monkeypatch.setattr(PHCConv2d, "build_weight", counted)
+        x = kind_batch("physenet", 5, seed=37)
+        for _ in range(2):
+            built.clear()
+            TR._outputs(model, TR.STAGE["four-view"], x, 2)
+            convs = [m for m in model.modules() if isinstance(m, PHCConv2d)]
+            assert built == {conv: 1 for conv in convs}
