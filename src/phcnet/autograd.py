@@ -103,8 +103,8 @@ def _topo_order(root: Node) -> list[Node]:
     return order
 
 
-def backward(loss: Node) -> dict[int, np.ndarray]:
-    """Backpropagate from a scalar loss; returns {id(leaf): gradient}.
+def backward(loss: Node) -> None:
+    """Backpropagate from a scalar loss.
 
     Gradients land on ``node.grad`` for every requires-grad leaf (existing
     values are accumulated into, matching optimizer zero_grad conventions).
@@ -113,10 +113,9 @@ def backward(loss: Node) -> dict[int, np.ndarray]:
     if loss.value.ndim != 0:
         raise ContractError(f"backward requires a rank-0 loss, got shape {loss.shape}")
     if not loss.requires_grad:
-        return {}
+        return
     order = _topo_order(loss)
     grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=loss.dtype)}
-    leaf_grads: dict[int, np.ndarray] = {}
     for node in reversed(order):
         g = grads.pop(id(node), None)
         if g is None:
@@ -126,7 +125,6 @@ def backward(loss: Node) -> dict[int, np.ndarray]:
                 if node.grad is None:
                     node.grad = np.zeros_like(node.value)
                 node.grad += g
-                leaf_grads[id(node)] = node.grad
             continue
         parent_grads = node._backward_rule(g)
         for parent, pg in zip(node._parents, parent_grads):
@@ -143,7 +141,6 @@ def backward(loss: Node) -> dict[int, np.ndarray]:
         if node._backward_rule is not None:
             node._parents = ()
             node._backward_rule = None
-    return leaf_grads
 
 
 # ---------------------------------------------------------------------------

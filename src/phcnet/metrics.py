@@ -22,16 +22,10 @@ def auc(scores, labels) -> float:
     n = int(labels.size - p)
     if p == 0 or n == 0:
         raise MetricError("auc is undefined without both classes present")
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(scores.size, dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # average 1-based rank
-        i = j + 1
+    if not np.isfinite(scores).all():
+        raise MetricError("auc needs finite scores")
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - 0.5 * (counts - 1))[group]  # average 1-based rank
     rank_sum = ranks[pos].sum()
     return float((rank_sum - p * (p + 1) / 2.0) / (p * n))
 

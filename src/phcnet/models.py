@@ -2,8 +2,11 @@
 
 Every model takes one exam batch (N, V, H, W), views stacked channel-wise,
 and returns one logits node; ``forward(x, taps=None)`` raises ShapeError
-unless V is the model's view count.  A four-view model splits the exam into
-its sides itself: views 0-1 are the left side, views 2-3 the right.
+unless V is the model's view count.  A ``taps`` dict collects the spatial
+feature maps that ``phcnet maps`` draws: the classifiers' encoder output
+(``encoder``, or ``encoder_left`` and ``encoder_right``) and the
+``bottleneck`` of PHYBOnet and PHUNet.  A four-view model splits the exam
+into its sides itself: views 0-1 are the left side, views 2-3 the right.
 
 * PHResNet: two views, n=2, ResNet-pattern trunk (no max pool), global
   average pooling, bottleneck refiner blocks on the pooled features, dense
@@ -206,14 +209,11 @@ class RefinerStack(Module):
                           seed=seeds[i])
             for i in range(count))
 
-    def forward(self, pooled, taps=None, tap="classifier"):
-        """pooled: (N, C) -> (N, C) through 1x1-spatial residual refinement;
-        the refined (N, C, 1, 1) features are ``taps[tap]``, the classifier map."""
+    def forward(self, pooled):
+        """pooled: (N, C) -> (N, C) through 1x1-spatial residual refinement."""
         h = ag.reshape(pooled, (*pooled.shape, 1, 1))
         for block in self.blocks:
             h = block(h)
-        if taps is not None:
-            taps[tap] = h
         return ag.reshape(h, pooled.shape)
 
 
@@ -241,7 +241,7 @@ class PHResNet(Module):
         feat = self.trunk(x)
         if taps is not None:
             taps["encoder"] = feat
-        return self.head(self.refiners(ag.global_avg_pool(feat), taps))
+        return self.head(self.refiners(ag.global_avg_pool(feat)))
 
 
 class PHYBOnet(Module):
@@ -295,8 +295,8 @@ class Branch(Module):
         self.refiners = RefinerStack(n, channels, refiners, scheme, seeds[0])
         self.head = Linear(channels, 1, seed=int(seeds[1].generate_state(1)[0]))
 
-    def forward(self, pooled, taps=None, side=""):
-        return self.head(self.refiners(pooled, taps, f"classifier_{side}"))
+    def forward(self, pooled):
+        return self.head(self.refiners(pooled))
 
 
 class PHYSEnet(Module):
@@ -317,8 +317,8 @@ class PHYSEnet(Module):
         fl, fr = (self.encoder(side) for side in _left_right(x))
         if taps is not None:
             taps["encoder_left"], taps["encoder_right"] = fl, fr
-        logit_l = self.branch_l.forward(ag.global_avg_pool(fl), taps, "left")
-        logit_r = self.branch_r.forward(ag.global_avg_pool(fr), taps, "right")
+        logit_l = self.branch_l(ag.global_avg_pool(fl))
+        logit_r = self.branch_r(ag.global_avg_pool(fr))
         return ag.concat([logit_l, logit_r])
 
 

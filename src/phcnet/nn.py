@@ -3,11 +3,11 @@
 Residual blocks follow y = ReLU(F(x) + skip(x)) with
 F = BN(PHC(ReLU(BN(PHC(x))))); the refiner variant uses the 1x1 -> 3x3 ->
 1x1 bottleneck design with mid channels = out/4.  Every BN(PHC(x)) pair
-runs through :func:`conv_bn`, which in eval mode under ``ag.no_grad`` folds
-the batch norm into the conv's weight.  Inside :func:`eval_pass` (one loop
-over eval batches) each pair's folded weight is built once and reused by every
-later batch; the pass drops it on exit, so the next pass folds the parameters
-as they are then.  Losses are computed in
+runs through :func:`conv_bn`, which in eval mode folds the batch norm into
+the conv's weight, whether a graph is kept or not.  Inside :func:`eval_pass`
+(one loop over eval batches) each pair's folded weight is built once and
+reused by every later batch; the pass drops it on exit, so the next pass folds
+the parameters as they are then.  Losses are computed in
 numerically stable softplus/log-sum-exp form.  Adam applies decoupled
 weight decay (theta *= 1 - lr*lambda before the moment update).
 """
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autograd as ag
 from . import tensor as T
-from .errors import ConfigError, DataError, NumericError, ShapeError
+from .errors import ConfigError, ContractError, DataError, NumericError, ShapeError
 from .module import Module, Parameter
 from .phc import PHCConv2d
 
@@ -92,11 +92,10 @@ class BatchNorm2d(Module):
     where dγ = Σ g·x̂ and dβ = Σ g.  Forward centres x once and scales it
     to x̂ in place; x̂ is the one full-size array kept for backward.
 
-    Eval mode treats the running estimates as constants and folds the layer
-    into one per-channel affine map x·a + b (:meth:`affine`), with
-    a = γ/√(running_var + BN_EPS) and b = β - running_mean·a, so dx = g·a; x̂
-    is rebuilt from x only when γ needs a gradient.  When no graph is kept,
-    :func:`conv_bn` moves that map into the preceding conv instead.
+    Eval mode has no op of its own: the layer is the per-channel affine map
+    x·a + b of :meth:`affine`, with a = γ/√(running_var + BN_EPS) and
+    b = β - running_mean·a, and :func:`conv_bn` folds it into the preceding
+    conv.  Calling the layer in eval mode raises ContractError.
 
     Channel sums and per-channel factors are formed in float64; every
     full-size array stays in the input's dtype.
@@ -110,12 +109,10 @@ class BatchNorm2d(Module):
         self.register_buffer("running_mean", np.zeros(channels, dtype=dtype))
         self.register_buffer("running_var", np.ones(channels, dtype=dtype))
 
-    def _inv_std(self) -> np.ndarray:
-        return 1.0 / np.sqrt(self.running_var.astype(np.float64) + BN_EPS)
-
     def affine(self) -> tuple[np.ndarray, np.ndarray]:
         """Eval mode's per-channel map x·a + b, as float64 (a, b)."""
-        a = self.gamma.value.astype(np.float64) * self._inv_std()
+        a = self.gamma.value.astype(np.float64) * (
+            1.0 / np.sqrt(self.running_var.astype(np.float64) + BN_EPS))
         return a, self.beta.value - self.running_mean.astype(np.float64) * a
 
     def forward(self, x: ag.Node) -> ag.Node:
@@ -123,26 +120,12 @@ class BatchNorm2d(Module):
             raise ShapeError(
                 f"batchnorm expects (N,{self.channels},H,W), got {x.shape}"
             )
+        if not self.training:
+            raise ContractError("batchnorm has no eval-mode op: conv_bn folds it "
+                                "into the preceding conv")
         gamma, beta = self.gamma, self.beta
         dtype = x.dtype
         exp = lambda v: v.astype(dtype, copy=False)[None, :, None, None]
-        if not self.training:
-            a, b = self.affine()
-            out = x.value * exp(a)
-            out += exp(b)
-
-            def eval_rule(g):
-                dx = g * exp(a) if x.requires_grad else None
-                dgamma = dbeta = None
-                if gamma.requires_grad:
-                    xhat = (x.value - exp(self.running_mean)) * exp(self._inv_std())
-                    dgamma = _channel_sum(g * xhat).astype(dtype)
-                if beta.requires_grad:
-                    dbeta = _channel_sum(g).astype(dtype)
-                return dx, dgamma, dbeta
-
-            return ag.Node(out, (x, gamma, beta), eval_rule)
-
         m = x.shape[0] * x.shape[2] * x.shape[3]
         mu = _channel_sum(x.value) / m
         xhat = x.value - exp(mu)
@@ -187,28 +170,31 @@ def eval_pass():
 def conv_bn(conv: PHCConv2d, bn: BatchNorm2d, x, skip=None, relu=True) -> ag.Node:
     """bn(conv(x)), plus ``skip`` if given, then ReLU if ``relu``.
 
-    In eval mode with no graph kept: one conv on the weight a·W and bias b for
-    ``bn.affine()``'s map x·a + b (formed in float64, cast once), with the add
-    and ReLU in place on its output.  The conv has no bias of its own.  Inside
-    :func:`eval_pass` the folded (a·W, b) is built on the pair's first batch
-    only.
+    Eval mode runs one conv on the constant weight a·W and bias b for
+    ``bn.affine()``'s map x·a + b (formed in float64, cast once); the conv has
+    no bias of its own.  Inside :func:`eval_pass` the folded (a·W, b) is built
+    on the pair's first batch only.  A graph kept through the pair carries
+    gradients to ``x`` and ``skip`` only.  With no graph kept, the add and
+    ReLU run in place on the conv's output.
     """
-    if bn.training or ag.recording():
+    if bn.training:
         h = bn(conv(x))
-        h = h if skip is None else ag.add(h, skip)
-        return ag.relu(h) if relu else h
-    folds = {} if _pass_folds is None else _pass_folds
-    if (conv, bn) not in folds:
-        a, b = bn.affine()
-        w = conv.build_weight().value
-        folds[conv, bn] = (w * a[:, None, None, None]).astype(w.dtype), b.astype(w.dtype)
-    w, b = folds[conv, bn]
-    out = ag.conv2d(x, w, b, stride=conv.stride, padding=conv.kernel_size // 2)
-    if skip is not None:
-        out.value += skip.value
-    if relu:
-        np.maximum(out.value, 0, out=out.value)
-    return out
+    else:
+        folds = {} if _pass_folds is None else _pass_folds
+        if (conv, bn) not in folds:
+            a, b = bn.affine()
+            w = conv.build_weight().value
+            folds[conv, bn] = (w * a[:, None, None, None]).astype(w.dtype), b.astype(w.dtype)
+        w, b = folds[conv, bn]
+        h = ag.conv2d(x, w, b, stride=conv.stride, padding=conv.kernel_size // 2)
+        if not ag.recording():
+            if skip is not None:
+                h.value += skip.value
+            if relu:
+                np.maximum(h.value, 0, out=h.value)
+            return h
+    h = h if skip is None else ag.add(h, skip)
+    return ag.relu(h) if relu else h
 
 
 class ResidualBlock(Module):

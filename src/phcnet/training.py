@@ -98,11 +98,13 @@ class TrainConfig:
         for name, low, integer, *high in (
                 ("batch_size", 1, True), ("max_epochs", 1, True, big),
                 ("patience", 0, True, big), ("lr", 0, False, big),
-                ("weight_decay", 0, False, big), ("val_fraction", 0, False, big),
-                ("patch_size", 1, True), ("per_lesion", 2, True),
-                ("seed", 0, True, big)):
+                ("weight_decay", 0, False, big), ("patch_size", 1, True),
+                ("per_lesion", 2, True), ("seed", 0, True, big)):
             in_range(ConfigError, f"train.{name}", getattr(self, name), low, *high,
                      integer=integer)
+        if not (is_number(self.val_fraction) and 0 < self.val_fraction < 1):
+            raise ConfigError("train.val_fraction must be a number strictly between 0 "
+                              f"and 1, got {self.val_fraction!r}")
         weight = self.pos_weight
         if weight != "auto" and not (is_number(weight) and weight > 0):
             raise ConfigError(f'train.pos_weight must be "auto" or > 0, got {weight!r}')
@@ -444,7 +446,10 @@ def _max_logit(model, x: ag.Node) -> ag.Node:
 
 
 def saliency_map(model, views: np.ndarray) -> np.ndarray:
-    """|d max-logit / d input| summed over view channels, shape (H, W)."""
+    """|d max-logit / d input| summed over view channels, shape (H, W).
+
+    The logits come from the eval forward that scoring runs (:func:`nn.conv_bn`
+    folds every pair into a constant conv), so only the input gets a gradient."""
     model.eval()
     return input_gradient(lambda x: _max_logit(model, x), views)
 

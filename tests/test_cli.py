@@ -243,7 +243,7 @@ class TestMapsInspect:
                            "--sample", sample, "--out", str(tmp_path / "maps"))
         assert code == 0
         written = json.loads(out)["written"]
-        assert len(written) == 3
+        assert len(written) == 2
         assert all(Path(p).exists() for p in written)
 
     def test_maps_missing_sample_exit_4(self, workspace, checkpoint, capsys, tmp_path):
@@ -427,7 +427,8 @@ class TestInputErrors:
         "model.blocks=5", "model.width=0", "model.in_channels=0",
         "model.refiners=-1", 'model.refiners="x"', "model.heads=0",
         'train.augment="no"', 'train.seed="x"', "train.seed=-1",
-        'train.val_fraction="x"', "train.patch_size=-4", 'train.per_lesion="a"',
+        'train.val_fraction="x"', "train.val_fraction=0", "train.val_fraction=1",
+        "train.val_fraction=1.5", "train.patch_size=-4", 'train.per_lesion="a"',
         f"train.lr={HUGE}", f"train.max_epochs={HUGE}", f"model.width={BIG}",
         f"model.heads={SIZE}", f"model.refiners={SIZE}", f"model.blocks=[{SIZE}, 1]",
         f"train.batch_size={SIZE}", f"train.patch_size={SIZE}", f"train.per_lesion={SIZE}",

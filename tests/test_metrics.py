@@ -8,6 +8,23 @@ from phcnet import metrics as M
 from phcnet.errors import MetricError, ShapeError
 
 
+def loop_auc(scores, labels) -> float:
+    """AUC with each tie group's average rank found by walking the sorted
+    scores, the reference for metrics.auc's vectorized ranks."""
+    scores, pos = np.asarray(scores, dtype=np.float64), np.asarray(labels) == 1
+    order = np.argsort(scores, kind="mergesort")
+    ranks = np.empty(scores.size)
+    i = 0
+    while i < scores.size:
+        j = i
+        while j + 1 < scores.size and scores[order[j + 1]] == scores[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    p, n = int(pos.sum()), int((~pos).sum())
+    return float((ranks[pos].sum() - p * (p + 1) / 2.0) / (p * n))
+
+
 class TestAuc:
     def test_perfect_separation(self):
         assert M.auc([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0]) == 1.0
@@ -23,6 +40,11 @@ class TestAuc:
         with pytest.raises(MetricError):
             M.auc([0.1, 0.9], [1, 1])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_raise(self, bad):
+        with pytest.raises(MetricError, match="finite"):
+            M.auc([0.2, bad, 0.7, bad], [1, 0, 1, 0])
+
     def test_matches_brute_force_pair_count(self):
         rng = np.random.default_rng(0)
         scores = np.round(rng.random(60), 1)  # coarse grid forces ties
@@ -32,6 +54,16 @@ class TestAuc:
         concordant = sum((p > n) + 0.5 * (p == n) for p in pos for n in neg)
         expected = concordant / (len(pos) * len(neg))
         assert M.auc(scores, labels) == pytest.approx(expected, abs=1e-12)
+
+    def test_tie_ranks_equal_the_loop_bitwise(self):
+        rng = np.random.default_rng(2)
+        for _ in range(200):
+            size, grid = int(rng.integers(2, 200)), int(rng.integers(1, 8))
+            scores = rng.integers(-grid, grid + 1, size) / grid
+            scores[rng.random(size) < 0.2] = -0.0  # ties with +0.0
+            labels = (rng.random(size) < 0.4).astype(int)
+            labels[:2] = 0, 1
+            assert M.auc(scores, labels) == loop_auc(scores, labels)
 
     @given(st.integers(0, 100), st.floats(0.1, 5.0))
     @settings(max_examples=30, deadline=None)

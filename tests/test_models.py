@@ -132,9 +132,8 @@ class TestPHResNet:
         model = MD.PHResNet(small_phresnet(), seed=0)
         taps = {}
         model(ag.constant(np.zeros((1, 2, 32, 32), dtype=np.float32)), taps=taps)
-        assert set(taps) == {"encoder", "classifier"}
+        assert set(taps) == {"encoder"}
         assert taps["encoder"].shape == (1, 64, 4, 4)
-        assert taps["classifier"].shape == (1, 64, 1, 1)
 
 
 class TestPHYBOnet:

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from phcnet import autograd as ag
 from phcnet import nn
-from phcnet.errors import DataError
+from phcnet.errors import ContractError, DataError
 from phcnet.module import Parameter
 
 
@@ -85,13 +85,15 @@ class TestBatchNorm:
         bn = nn.BatchNorm2d(2)
         bn.running_mean[...] = [1.0, -1.0]
         bn.running_var[...] = [4.0, 0.25]
-        bn.eval()
-        x = ag.constant(np.ones((2, 2, 2, 2), dtype=np.float32))
-        out = bn(x).value
+        a, b = bn.affine()  # the map of an input of ones
         expected0 = (1.0 - 1.0) / math.sqrt(4.0 + 1e-5)
         expected1 = (1.0 + 1.0) / math.sqrt(0.25 + 1e-5)
-        npt.assert_allclose(out[:, 0], expected0, rtol=1e-5)
-        npt.assert_allclose(out[:, 1], expected1, rtol=1e-5)
+        npt.assert_allclose(a + b, [expected0, expected1], rtol=1e-5)
+
+    def test_eval_mode_call_raises(self):
+        bn = random_bn(3, False, seed=3, dtype=np.float32)
+        with pytest.raises(ContractError, match="conv_bn"):
+            bn(ag.constant(np.zeros((2, 3, 4, 4), dtype=np.float32)))
 
     def test_running_stats_update(self):
         bn = nn.BatchNorm2d(1)
@@ -113,25 +115,8 @@ class TestBatchNorm:
         report = ag.grad_check(f, params, h=1e-6, tol=1e-5)
         assert report.passed, report.per_param
 
-    def test_grad_check_eval_mode(self):
-        rng = np.random.default_rng(2)
-        bn = nn.BatchNorm2d(2, dtype=np.float64)
-        bn.running_mean[...] = rng.normal(size=2)
-        bn.running_var[...] = rng.random(2) + 0.5
-        bn.eval()
-        x = ag.Node(rng.normal(size=(2, 2, 3, 3)), requires_grad=True)
-
-        def f():
-            return ag.nsum(ag.mul(bn(x), bn(x)))
-
-        report = ag.grad_check(f, {"x": x, "gamma": bn.gamma, "beta": bn.beta},
-                               h=1e-6, tol=1e-5)
-        assert report.passed
-
-
-    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
-    def test_grad_check_random_affine_and_statistics(self, training):
-        bn, x, _ = bn_case((3, 3, 4, 4), training, seed=11, dtype=np.float64)
+    def test_grad_check_random_affine_and_statistics(self):
+        bn, x, _ = bn_case((3, 3, 4, 4), True, seed=11, dtype=np.float64)
         x = ag.Node(x, requires_grad=True)
         w = ag.constant(np.random.default_rng(12).normal(size=x.shape))
 
@@ -148,22 +133,23 @@ class TestBatchNorm:
         bn, x, g = bn_case((4, 5, 6, 7), training, seed=13, dtype=np.float64)
         mean, var = bn.running_mean.copy(), bn.running_var.copy()
         want = bn_oracle(x, bn.gamma.value, bn.beta.value, mean, var, g, training)
-        got = bn_results(bn, x, g)
-        for name, a, b in zip(("out", "dx", "dgamma", "dbeta"), got, want):
+        if not training:  # eval mode is the map x·a + b that conv_bn folds into the conv
+            scale, shift = (v[None, :, None, None] for v in bn.affine())
+            assert rel_err(x * scale + shift, want[0]) <= 1e-10
+            return
+        for name, a, b in zip(("out", "dx", "dgamma", "dbeta"), bn_results(bn, x, g), want):
             assert rel_err(a, b) <= 1e-10, name
-        if training:
-            npt.assert_allclose(bn.running_mean, 0.9 * mean + 0.1 * x.mean(axis=(0, 2, 3)),
-                                rtol=1e-12)
-            npt.assert_allclose(bn.running_var, 0.9 * var + 0.1 * x.var(axis=(0, 2, 3)),
-                                rtol=1e-12)
+        npt.assert_allclose(bn.running_mean, 0.9 * mean + 0.1 * x.mean(axis=(0, 2, 3)),
+                            rtol=1e-12)
+        npt.assert_allclose(bn.running_var, 0.9 * var + 0.1 * x.var(axis=(0, 2, 3)),
+                            rtol=1e-12)
 
-    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
-    def test_float32_error_no_larger_than_oracle(self, training):
-        # the oracle in float32 is the layer's arithmetic before the fold
-        bn, x, g = bn_case((8, 16, 64, 64), training, seed=0, dtype=np.float32)
+    def test_float32_error_no_larger_than_oracle(self):
+        # the oracle in float32 is the textbook arithmetic in the layer's dtype
+        bn, x, g = bn_case((8, 16, 64, 64), True, seed=0, dtype=np.float32)
         stats = bn.gamma.value, bn.beta.value, bn.running_mean.copy(), bn.running_var.copy()
-        exact = bn_oracle(*(v.astype(np.float64) for v in (x, *stats, g)), training)
-        old = bn_oracle(x, *stats, g, training)
+        exact = bn_oracle(*(v.astype(np.float64) for v in (x, *stats, g)), True)
+        old = bn_oracle(x, *stats, g, True)
         got = bn_results(bn, x, g)
         for name, a, b, ref in zip(("out", "dx", "dgamma", "dbeta"), got, old, exact):
             assert a.dtype == np.float32, name
