@@ -10,10 +10,12 @@ pads the input and splits it into its stride phases, channel-major with the
 batch folded into one flat axis, (Sh, Sw, C, N*Hq*Wq).  Every kernel tap is
 then a contiguous shifted slice of one phase.  ``_stacked_chunks`` stacks
 those slices, one cache-sized chunk of columns at a time, so each chunk is
-one GEMM over every tap: the forward and the input gradient write it straight
-into the output, and the weight gradient adds each chunk's transposed product
-into (taps*C_in, C_out).  All are computed on the padded grid and cropped;
-``col2im``, the exact adjoint of ``im2col``, folds an input gradient back.
+one GEMM over every tap, written straight into the output.  The backward
+stacks the output gradient once per chunk of each phase: the input gradient
+writes its GEMM with the weight into that phase, and the weight gradient adds
+the stack's product with the same chunk of the layout.  All are computed on
+the padded grid and cropped; ``col2im``, the exact adjoint of ``im2col``,
+folds an input gradient back.
 ``conv2d_naive`` is the sliding-window reference kept as a test oracle.
 """
 
@@ -96,13 +98,15 @@ def _layout(x_shape, khw, stride, padding):
     """Geometry of the im2col layout and of the kernel taps' slices of it.
 
     Padded pixel (r, s) lands in phase (r % Sh, s % Sw) at grid position
-    (r // Sh, s // Sw) of an Hq x Wq grid per image; ``phases`` holds, per
-    phase (a, b), the strided input slice it stores and its place in the
-    grid.  Tap (i, j) of output pixel (y, z) reads phase (i % Sh, j % Sw) at
-    (y + i // Sh, z + j // Sw), a fixed flat offset.  Outputs sit at their own
-    flat grid index, all below ``span``, so each of ``taps`` (i, j, a, b,
-    offset) is one shifted slice of the layout.  The geometry depends on the
-    shapes alone, so it is cached, as tuples that no caller can change.
+    (r // Sh, s // Sw) of an Hq x Wq grid per image.  Tap (i, j) of output
+    pixel (y, z) reads phase (i % Sh, j % Sw) at (y + i // Sh, z + j // Sw), a
+    fixed flat offset.  Outputs sit at their own flat grid index, all below
+    ``span``, so each of ``taps`` (i, j, a, b, offset) is one shifted slice of
+    the layout.  ``phases`` holds, per phase (a, b) that some tap reads, the
+    strided input slice it stores and its place in the grid; no tap reads the
+    others (a strided 1x1 kernel reads one phase), so they stay zero.  The
+    geometry depends on the shapes alone, so it is cached, as tuples that no
+    caller can change.
     """
     ho, wo = conv_output_shape(x_shape[2:], khw, stride, padding)
     sh, sw = _pair(stride)
@@ -113,10 +117,12 @@ def _layout(x_shape, khw, stride, padding):
             (slice(y, None, s), slice((y + p) // s, (y + p) // s + len(range(y, size, s))))
             for y in firsts]))
     (hq, rows), (wq, cols) = axes
-    phases = tuple((a, b, (..., yi, zi), (..., yq, zq))
-                   for a, (yi, yq) in enumerate(rows) for b, (zi, zq) in enumerate(cols))
     taps = tuple((i, j, i % sh, j % sw, (i // sh) * wq + j // sw)
                  for i in range(khw[0]) for j in range(khw[1]))
+    read = {(a, b) for _, _, a, b, _ in taps}
+    phases = tuple((a, b, (..., yi, zi), (..., yq, zq))
+                   for a, (yi, yq) in enumerate(rows) for b, (zi, zq) in enumerate(cols)
+                   if (a, b) in read)
     span = (x_shape[0] - 1) * hq * wq + (ho - 1) * wq + wo
     return (ho, wo), (hq, wq), phases, span, taps
 
@@ -161,8 +167,8 @@ def _stacked_gemm(w, sources, out) -> None:
 def im2col(x: np.ndarray, khw, stride, padding) -> np.ndarray:
     """Pad (N,C,H,W) and split it into stride phases, (Sh, Sw, C, N*Hq*Wq).
 
-    Each input pixel is stored once, so the layout is about the size of the
-    padded input whatever the kernel; the rest of each grid is zero.
+    Each input pixel that some tap reads is stored once, so the layout is
+    about the size of the padded input whatever the kernel; the rest is zero.
     """
     _, (hq, wq), phases, _, _ = _layout(x.shape, khw, stride, padding)
     out = np.zeros((*_pair(stride), x.shape[1], x.shape[0], hq, wq), dtype=x.dtype)
@@ -172,10 +178,14 @@ def im2col(x: np.ndarray, khw, stride, padding) -> np.ndarray:
 
 
 def col2im(cols: np.ndarray, x_shape, khw, stride, padding) -> np.ndarray:
-    """Adjoint of im2col: fold the phases back into (N,C,H,W), dropping the padding."""
+    """Adjoint of im2col: fold the phases back into (N,C,H,W), dropping the padding.
+
+    Only the phases that some tap reads are read; the pixels of the others are 0.
+    """
     _, (hq, wq), phases, _, _ = _layout(x_shape, khw, stride, padding)
     grid = cols.reshape(*cols.shape[:3], x_shape[0], hq, wq)
-    img = np.empty(x_shape, dtype=cols.dtype)
+    img = (np.empty if len(phases) == cols.shape[0] * cols.shape[1] else np.zeros)(
+        x_shape, dtype=cols.dtype)
     for a, b, src, dst in phases:
         img[src] = grid[a, b][dst].transpose(1, 0, 2, 3)
     return img
@@ -208,32 +218,39 @@ def conv2d_forward(x, weight, bias=None, stride=1, padding=0):
 
 def conv2d_backward(g, cols, weight, x_shape, stride=1, padding=0,
                     need_x=True, need_w=True):
-    """Input and weight gradients of conv2d_forward, given the output gradient."""
+    """Input and weight gradients of conv2d_forward, given the output gradient.
+
+    One loop serves both: each chunk of each phase (a, b) that a tap reads
+    stacks g shifted back by those taps' offsets.  The input gradient writes
+    the stacked weights times the stack into the phase (the gather form), and
+    the weight gradient adds the stack times the chunk's layout, transposed,
+    to those taps' rows: gw[o, c, i, j] = sum_p g[o, p - offset] * cols[a, b][c, p].
+    """
     cout, cin, kh, kw = weight.shape
-    (ho, wo), (hq, wq), _, span, taps = _layout(x_shape, (kh, kw), stride, padding)
+    (ho, wo), (hq, wq), phases, _, taps = _layout(x_shape, (kh, kw), stride, padding)
     # g on the flat grid, behind a zero margin as long as the largest tap offset
     margin = max(off for *_, off in taps)
     padded = np.zeros((cout, margin + x_shape[0] * hq * wq), dtype=g.dtype)
     padded[:, margin:].reshape(cout, -1, hq, wq)[:, :, :ho, :wo] = g.transpose(1, 0, 2, 3)
-    g_flat = padded[:, margin : margin + span]
-    gx = gw = None
-    if need_w:
-        # transposed, (taps*cin, cout): on one OpenBLAS thread (2-core x86-64) stack @ g.T ran
-        # ~2x as fast as g @ stack.T at 16 channels and 64x64
-        gw_t = np.zeros((kh * kw * cin, cout), dtype=np.result_type(g, cols))
-        for c0, c1, stack in _stacked_chunks([(cols[a, b], off) for _, _, a, b, off in taps],
-                                             span, gw_t.dtype):
-            gw_t += stack @ g_flat[:, c0:c1].T
-        gw = np.ascontiguousarray(gw_t.reshape(kh, kw, cin, cout).transpose(3, 2, 0, 1))
-    if need_x:
-        # gather form: phase (a, b) at p sums tap (i, j)'s weight times g at p - offset
-        g_cols = np.zeros(cols.shape, dtype=np.result_type(g, weight))
-        for a, b in {(a, b) for _, _, a, b, _ in taps}:  # a phase no tap reads stays 0
-            read = [(i, j, off) for i, j, ta, tb, off in taps if (ta, tb) == (a, b)]
-            w_stack = np.concatenate([weight[:, :, i, j].T for i, j, _ in read], axis=1)
-            _stacked_gemm(w_stack.astype(g_cols.dtype),
-                          [(padded, margin - off) for _, _, off in read], g_cols[a, b])
-        gx = col2im(g_cols, x_shape, (kh, kw), stride, padding)
+    dtype = np.result_type(g, cols, weight)
+    g_cols = np.empty(cols.shape, dtype=dtype) if need_x else None  # col2im skips unread phases
+    gw = np.empty(weight.shape, dtype=dtype) if need_w else None
+    for a, b, *_ in phases:
+        read = [(i, j, off) for i, j, ta, tb, off in taps if (ta, tb) == (a, b)]
+        w_stack = np.concatenate([weight[:, :, i, j].T for i, j, _ in read], axis=1,
+                                 dtype=dtype)
+        gw_read = np.zeros((len(read) * cout, cin), dtype=dtype)
+        for c0, c1, stack in _stacked_chunks([(padded, margin - off) for *_, off in read],
+                                             cols.shape[-1], dtype):
+            if need_x:
+                np.matmul(w_stack, stack, out=g_cols[a, b][:, c0:c1])
+            if need_w:
+                gw_read += stack @ cols[a, b][:, c0:c1].T
+        del stack  # frees the chunk buffer before the next phase or col2im allocates
+        if need_w:
+            for (i, j, _), rows in zip(read, gw_read.reshape(len(read), cout, cin)):
+                gw[:, :, i, j] = rows
+    gx = col2im(g_cols, x_shape, (kh, kw), stride, padding) if need_x else None
     return gx, gw
 
 

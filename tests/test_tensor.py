@@ -37,17 +37,19 @@ CONV_CASES = [
 
 @pytest.fixture
 def small_chunks(monkeypatch):
-    """Shrink the stacked-GEMM chunk so that the forward's and the weight
-    gradient's span and every input-gradient phase of a case span at least
-    three chunks, the last one partial; returns a function that sets it for
-    one case and returns the chunk loops run, as (caller, sources, widths).
-    At teardown every loop over more than one source is checked for this."""
+    """Shrink the stacked-GEMM chunk so that the forward's span and every
+    phase of the backward span at least three chunks, the last one partial;
+    returns a function that sets it for one case and returns the chunk loops
+    run, as ((caller, caller's caller), sources, widths).  At teardown every
+    loop over more than one source is checked for this."""
     loops = []
     chunks = T._stacked_chunks
 
     def recorded(sources, cols, dtype):
         widths = []
-        loops.append((sys._getframe(1).f_code.co_name, len(sources), widths))
+        caller = sys._getframe(1)
+        loops.append(((caller.f_code.co_name, caller.f_back.f_code.co_name), len(sources),
+                      widths))
         for chunk in chunks(sources, cols, dtype):
             widths.append(chunk[1] - chunk[0])
             yield chunk
@@ -184,26 +186,51 @@ class TestConv2d:
                                           padding):
         loops = small_chunks(x_shape, w_shape, stride, padding)
         self.test_grad_check_float64(x_shape, w_shape, stride, padding)
-        # the weight gradient consumes its chunks itself, the rest via _stacked_gemm
-        assert [caller for caller, *_ in loops].count("conv2d_backward") == 1
+        # the forward stacks through _stacked_gemm; the backward runs one loop of
+        # its own, for both gradients, per phase that some tap reads
+        callers = [caller for caller, *_ in loops]
+        backward = ("conv2d_backward", "rule")
+        assert set(callers) == {("_stacked_gemm", "conv2d_forward"), backward}
+        phases = T._layout(x_shape, w_shape[2:], stride, padding)[2]
+        assert callers.count(backward) == len(phases)
 
-    @pytest.mark.parametrize("x_shape,w_shape,stride", [
-        ((8, 16, 64, 64), (16, 16, 3, 3), 1),
-        ((8, 128, 8, 8), (128, 128, 3, 3), 1),
-        ((8, 16, 64, 64), (32, 16, 3, 3), 2),
-    ], ids=["64x64-16ch", "8x8-128ch", "64x64-16to32ch-s2"])
-    def test_float32_close_to_float64(self, x_shape, w_shape, stride):
-        # the PHResNet layer shapes of the benchmark; float32 sums of up to
-        # 9*128 products, and of 32768 for the weight gradient
+    @pytest.mark.parametrize("x_shape,w_shape,stride,padding", CONV_CASES)
+    def test_one_gradient_equals_both_bitwise(self, x_shape, w_shape, stride, padding):
+        # the stem needs no input gradient, and saliency_map no weight gradient
+        rng = np.random.default_rng(17)
+        x = rng.normal(size=x_shape).astype(np.float32)
+        w = rng.normal(size=w_shape).astype(np.float32)
+        out, cols = T.conv2d_forward(x, w, None, stride, padding)
+        args = (rng.normal(size=out.shape).astype(np.float32), cols, w, x_shape, stride,
+                padding)
+        gx, gw = T.conv2d_backward(*args)
+        no_x, only_w = T.conv2d_backward(*args, need_x=False)
+        only_x, no_w = T.conv2d_backward(*args, need_w=False)
+        assert no_x is None and no_w is None
+        for one, both in ((only_w, gw), (only_x, gx)):
+            assert one.shape == both.shape and one.tobytes() == both.tobytes()
+
+    @pytest.mark.parametrize("x_shape,w_shape,stride,padding", [
+        ((8, 16, 64, 64), (16, 16, 3, 3), 1, 1),
+        ((8, 128, 8, 8), (128, 128, 3, 3), 1, 1),
+        ((8, 16, 64, 64), (32, 16, 3, 3), 2, 1),
+        ((8, 8, 64, 64), (8, 8, 3, 3), 1, 1),
+        ((8, 16, 64, 64), (32, 16, 1, 1), 2, 0),
+    ], ids=["64x64-16ch", "8x8-128ch", "64x64-16to32ch-s2", "64x64-8ch",
+            "64x64-16to32ch-1x1-s2"])
+    def test_float32_close_to_float64(self, x_shape, w_shape, stride, padding):
+        # the PHResNet and PHUNet layer shapes of the benchmark; float32 sums
+        # of up to 9*128 products, and of 32768 for the weight gradient
         rng = np.random.default_rng(15)
         x = rng.normal(size=x_shape).astype(np.float32)
         w = rng.normal(size=w_shape).astype(np.float32)
         results = []
         for dtype in (np.float32, np.float64):
-            out, cols = T.conv2d_forward(x.astype(dtype), w.astype(dtype), None, stride, 1)
+            out, cols = T.conv2d_forward(x.astype(dtype), w.astype(dtype), None, stride,
+                                         padding)
             g = np.random.default_rng(16).normal(size=out.shape).astype(np.float32)
             results.append((out, *T.conv2d_backward(g.astype(dtype), cols, w.astype(dtype),
-                                                   x_shape, stride, 1)))
+                                                   x_shape, stride, padding)))
         for name, low, high in zip(("forward", "gx", "gw"), *results):
             assert low.dtype == np.float32 and high.dtype == np.float64
             assert rms_relative(low, high) < 5e-7, name
