@@ -23,15 +23,10 @@ from . import tensor as T
 _recording = True
 
 
-def recording() -> bool:
-    """Whether ops may keep a graph: true except inside :func:`no_grad`."""
-    return _recording
-
-
 @contextlib.contextmanager
 def no_grad():
     """Build no graph inside the block, in every thread: no op output requires
-    grad, and :func:`recording` reads false."""
+    grad."""
     global _recording
     previous, _recording = _recording, False
     try:
@@ -200,7 +195,7 @@ def reshape(a, shape) -> Node:
     return Node(
         a.value.reshape(shape),
         (a,),
-        lambda g: (np.ascontiguousarray(g.reshape(orig)),),
+        lambda g: (np.ascontiguousarray(g).reshape(orig),),
     )
 
 

@@ -510,8 +510,6 @@ def rotate_bilinear(stack: np.ndarray, degrees: float) -> np.ndarray:
     The corners are read from a float64 copy with a one-pixel zero border,
     at row and column indices clipped into it, so a corner outside the image
     reads that border's zero."""
-    if degrees == 0.0:
-        return stack.copy()
     h, w = stack.shape[-2:]
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     rad = math.radians(degrees)

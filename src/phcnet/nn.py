@@ -173,9 +173,10 @@ def conv_bn(conv: PHCConv2d, bn: BatchNorm2d, x, skip=None, relu=True) -> ag.Nod
     Eval mode runs one conv on the constant weight a·W and bias b for
     ``bn.affine()``'s map x·a + b (formed in float64, cast once); the conv has
     no bias of its own.  Inside :func:`eval_pass` the folded (a·W, b) is built
-    on the pair's first batch only.  A graph kept through the pair carries
-    gradients to ``x`` and ``skip`` only.  With no graph kept, the add and
-    ReLU run in place on the conv's output.
+    on the pair's first batch only.  The folded conv's output keeps a graph
+    only if ``x`` does, and it carries gradients to ``x`` and ``skip`` only
+    (``skip`` is ``x`` or comes from it).  When it keeps none, the add and
+    ReLU run in place on it.
     """
     if bn.training:
         h = bn(conv(x))
@@ -187,7 +188,7 @@ def conv_bn(conv: PHCConv2d, bn: BatchNorm2d, x, skip=None, relu=True) -> ag.Nod
             folds[conv, bn] = (w * a[:, None, None, None]).astype(w.dtype), b.astype(w.dtype)
         w, b = folds[conv, bn]
         h = ag.conv2d(x, w, b, stride=conv.stride, padding=conv.kernel_size // 2)
-        if not ag.recording():
+        if not h.requires_grad:
             if skip is not None:
                 h.value += skip.value
             if relu:

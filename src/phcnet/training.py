@@ -9,6 +9,8 @@ Every model is called as ``model(x)`` on a whole (N, V, H, W) batch and
 returns one logits node: column h of it is binary head h, and a 4-D output
 is a mask.  How a model splits an exam into sides is known to
 :mod:`phcnet.models` alone.
+:func:`maps` runs one eval forward with a graph on a sample: its taps give
+the activation planes and its backward the saliency plane.
 Everything is a deterministic function of (seed, config, manifest):
 repeating a run reproduces the checkpoint bit for bit.
 """
@@ -298,14 +300,12 @@ def _evaluate(model, stage: Stage, data: _StageData, batch_size: int = 32) -> Ev
 # the training loop
 # ---------------------------------------------------------------------------
 
-def train(cfg: TrainConfig, manifest: D.Manifest, model, on_epoch=None):
+def train(cfg: TrainConfig, manifest: D.Manifest, model):
     """Run one training stage; returns (best state dict, RunLog).
 
-    ``on_epoch(epoch_index, model, log_entry) -> bool`` optionally stops
-    training early (used by experiment harnesses to measure
-    epochs-to-target); it also stops once the validation metric has gone
-    more than ``cfg.patience`` epochs without a strict gain.  The model is
-    left holding the best-validation weights.
+    Training stops once the validation metric has gone more than
+    ``cfg.patience`` epochs without a strict gain.  The model is left holding
+    the best-validation weights.
     """
     stage = STAGE[cfg.stage]
     ss = np.random.SeedSequence(cfg.seed)
@@ -368,18 +368,11 @@ def train(cfg: TrainConfig, manifest: D.Manifest, model, on_epoch=None):
                 opt.step()
                 epoch_loss += lval
             val_metric = getattr(_evaluate(model, stage, val_data), stage.metric)
-            entry = {
-                "epoch": epoch,
-                "train_loss": epoch_loss / len(batches),
-                "val_metric": val_metric,
-                "seconds": time.perf_counter() - t0,
-            }
-            log.append(**entry)
+            log.append(epoch=epoch, train_loss=epoch_loss / len(batches),
+                       val_metric=val_metric, seconds=time.perf_counter() - t0)
             if val_metric > best_metric:
                 best_metric, best_epoch = val_metric, epoch
                 best_state = model.state_dict()
-            if on_epoch is not None and on_epoch(epoch, model, entry):
-                break
             if epoch - best_epoch > cfg.patience:
                 break
     model.load_state_dict(best_state)
@@ -413,45 +406,30 @@ def _normalize(plane: np.ndarray) -> np.ndarray:
     return ((plane - lo) / (hi - lo)).astype(np.float32)
 
 
-def activation_maps(model, views: np.ndarray) -> dict[str, np.ndarray]:
-    """Channel-mean activation per tap, upsampled to the input size."""
+def maps(model, views: np.ndarray) -> dict[str, np.ndarray]:
+    """Activation planes per tap and the "saliency" plane, each (H, W), from
+    one eval forward with a graph on the input ``views`` (V, H, W).
+
+    A tap's plane is its channel mean, upsampled to the input size.  The
+    saliency plane is |d score / d input| summed over the view channels; the
+    score is a mask's mean logit, or the logit of the largest head.  The
+    forward is the one scoring runs (:func:`nn.conv_bn` folds every pair into
+    a constant conv), so only the input gets a gradient."""
     model.eval()
     h, w = views.shape[-2:]
+    x = ag.Node(views[None], requires_grad=True)
     taps: dict = {}
-    with ag.no_grad():
-        model(ag.constant(views[None].astype(np.float32)), taps=taps)
-    out = {}
-    for name, node in taps.items():
-        plane = node.value[0].mean(axis=0)
-        out[name] = _resize_nearest(plane, h, w)
+    logits = model(x, taps=taps)
+    out = {name: _resize_nearest(node.value[0].mean(axis=0), h, w)
+           for name, node in taps.items()}
+    if logits.ndim == 4:
+        score = ag.nmean(logits)
+    else:
+        head = int(np.argmax(logits.value[0]))
+        score = ag.reshape(ag.narrow(logits, head, head + 1), ())
+    ag.backward(score)
+    out["saliency"] = np.abs(x.grad[0]).sum(axis=0)
     return out
-
-
-def input_gradient(forward_scalar, views: np.ndarray) -> np.ndarray:
-    """|d scalar / d input| summed over view channels, shape (H, W)."""
-    x = ag.Node(views[None].astype(views.dtype), requires_grad=True)
-    scalar = forward_scalar(x)
-    ag.backward(scalar)
-    if x.grad is None:
-        return np.zeros(views.shape[-2:], dtype=views.dtype)
-    return np.abs(x.grad[0]).sum(axis=0)
-
-
-def _max_logit(model, x: ag.Node) -> ag.Node:
-    logits = model(x)
-    if logits.ndim == 4:  # a mask: its mean logit
-        return ag.nmean(logits)
-    head = int(np.argmax(logits.value[0]))
-    return ag.reshape(ag.narrow(logits, head, head + 1), ())
-
-
-def saliency_map(model, views: np.ndarray) -> np.ndarray:
-    """|d max-logit / d input| summed over view channels, shape (H, W).
-
-    The logits come from the eval forward that scoring runs (:func:`nn.conv_bn`
-    folds every pair into a constant conv), so only the input gets a gradient."""
-    model.eval()
-    return input_gradient(lambda x: _max_logit(model, x), views)
 
 
 def export_maps(model, views: np.ndarray, out_dir) -> list[str]:
@@ -461,12 +439,8 @@ def export_maps(model, views: np.ndarray, out_dir) -> list[str]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    for name, plane in activation_maps(model, views).items():
-        path = out / f"activation_{name}.pgm"
+    for name, plane in maps(model, views).items():
+        path = out / (f"{name}.pgm" if name == "saliency" else f"activation_{name}.pgm")
         D.save_pgm(path, _normalize(plane))
         written.append(str(path))
-    sal = saliency_map(model, views)
-    path = out / "saliency.pgm"
-    D.save_pgm(path, _normalize(sal))
-    written.append(str(path))
     return written

@@ -25,6 +25,11 @@ class TestBackwardBasics:
         ag.backward(ag.nsum(ag.mul(x, x)))
         npt.assert_allclose(x.grad, 2 * x.value, rtol=1e-12)
 
+    def test_reshape_of_a_scalar(self):
+        x = leaf(np.arange(6.0).reshape(2, 3))
+        ag.backward(ag.reshape(ag.reshape(ag.nsum(x), (1, 1)), ()))
+        npt.assert_array_equal(x.grad, np.ones((2, 3)))
+
     def test_non_scalar_loss_rejected(self):
         x = leaf(np.ones(3))
         with pytest.raises(ContractError):

@@ -196,7 +196,7 @@ class TestConv2d:
 
     @pytest.mark.parametrize("x_shape,w_shape,stride,padding", CONV_CASES)
     def test_one_gradient_equals_both_bitwise(self, x_shape, w_shape, stride, padding):
-        # the stem needs no input gradient, and saliency_map no weight gradient
+        # the stem needs no input gradient, and maps() no weight gradient
         rng = np.random.default_rng(17)
         x = rng.normal(size=x_shape).astype(np.float32)
         w = rng.normal(size=w_shape).astype(np.float32)
