@@ -7,13 +7,15 @@ views from a shared latent; the two label rules are
 
 * ``single-view``: lesion shape (round vs spiculated / compact vs scattered
   calcification cluster) determines the label, visible in either view;
-* ``cross-view-xor``: view 1 carries a blob-quadrant-parity bit, view 2 an
-  independent blob-orientation bit, and the label is their XOR, so neither
-  view alone determines the label.
+* ``cross-view-xor``: view 1 carries the lesion's distance from the image
+  centre (an inner disc or an outer ring), view 2 an independent
+  blob-orientation bit, and the label is their XOR, so neither view alone
+  determines the label.  Both flips and the augmentation's rotations about
+  the centre keep both cues, so augmentation keeps the label.
 
-Backgrounds combine a fixed horizontal ramp (an absolute-position anchor),
-low-frequency texture and pixel noise.  Generation is a pure function of
-(spec, seed): rerunning a spec reproduces every file bit for bit.
+Backgrounds combine low-frequency texture and pixel noise.  Generation is a
+pure function of (spec, seed): rerunning a spec reproduces every file bit
+for bit.
 """
 
 from __future__ import annotations
@@ -213,10 +215,11 @@ class SyntheticSpec:
                 raise DataError(f"{name} must be an ordered pair of positive numbers, "
                                 f"got {pair!r}")
             setattr(self, name, tuple(pair))
-        # sample_latent's placement margins at the largest radius
+        # sample_latent's placement margins at the largest radius; an xor
+        # lesion's reach, (size - 1) / 2 - (r + 1.5), must be positive
         r = self.radius[1]
         need = math.ceil(2 * (r + 4.0) if self.label_rule == "single-view"
-                         else max(4 * (r + 1.5), 2 * (2.2 * r + 2.0)))
+                         else max(2 * (r + 1.5) + 1, 2 * (2.2 * r + 2.0)))
         if self.size < need:
             raise DataError(f"image size {self.size} cannot place {self.label_rule} "
                             f"lesions of radius up to {r}; the smallest size that "
@@ -249,14 +252,14 @@ def sample_latent(spec: SyntheticSpec, rng) -> dict:
             "phase": float(rng.uniform(0.0, 2.0 * math.pi)),
             "dots": rng.standard_normal((9, 2)),
         }
-    # cross-view-xor: quadrant parity in view 1, blob orientation in view 2
-    quadrant = int(rng.integers(4))
-    cue1 = quadrant % 2
-    qy, qx = divmod(quadrant, 2)
-    half = spec.size / 2.0
-    pad = r + 1.5
-    cy = float(rng.uniform(qy * half + pad, (qy + 1) * half - pad))
-    cx = float(rng.uniform(qx * half + pad, (qx + 1) * half - pad))
+    # cross-view-xor: view 1's lesion lies on an outer ring (cue 1) or in an
+    # inner disc (cue 0) about the image centre, at a uniform angle, and
+    # reaches no nearer than 1.5 pixels to the edge; view 2's blob orientation
+    cue1 = int(rng.random() < 0.5)
+    c = (spec.size - 1) / 2.0
+    reach = c - (r + 1.5)
+    dist = reach * float(rng.uniform(0.55, 1.0) if cue1 else rng.uniform(0.0, 0.3))
+    angle = float(rng.uniform(0.0, 2.0 * math.pi))
     cue2 = int(rng.random() < 0.5)
     margin = 2.2 * r + 2.0
     center2 = rng.uniform(margin, spec.size - margin, size=2)
@@ -268,7 +271,7 @@ def sample_latent(spec: SyntheticSpec, rng) -> dict:
         "cue2": cue2,
         "radius": r,
         "contrast": contrast,
-        "center": np.array([cy, cx]),
+        "center": c + dist * np.array([math.sin(angle), math.cos(angle)]),
         "center2": center2,
         "phase": float(rng.uniform(0.0, 2.0 * math.pi)),
         "dots": rng.standard_normal((9, 2)),
@@ -278,7 +281,6 @@ def sample_latent(spec: SyntheticSpec, rng) -> dict:
 def _background(size: int, noise: float, rng) -> np.ndarray:
     yy, xx = np.mgrid[0:size, 0:size].astype(np.float32)
     img = np.full((size, size), 0.25, dtype=np.float32)
-    img += 0.12 * xx / (size - 1)  # fixed ramp: absolute-position anchor
     for _ in range(2):
         fy, fx = rng.integers(1, 4, size=2)
         phase = rng.uniform(0, 2 * math.pi)

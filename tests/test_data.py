@@ -1,6 +1,6 @@
 """Data plumbing: PGM round trips, deterministic generation, cue balance of
-the cross-view-xor rule, patch extraction rules, augmentation identities,
-stratified splitting."""
+the cross-view-xor rule and labels that flips and rotations keep, patch
+extraction rules, augmentation identities, stratified splitting."""
 
 import hashlib
 import math
@@ -21,6 +21,23 @@ def _tree_digest(root: Path) -> str:
             h.update(path.name.encode())
             h.update(path.read_bytes())
     return h.hexdigest()
+
+
+# every flip pair at the augmentation's extreme rotations and at none
+AUGMENTATIONS = [(degrees, flip_h, flip_v) for degrees in (-25.0, 0.0, 25.0)
+                 for flip_h in (False, True) for flip_v in (False, True)]
+
+
+def moved(offset, degrees, flip_h, flip_v):
+    """Where D.augment_with moves a (y, x) offset from the image centre c.
+
+    rotate_bilinear reads output pixel p from c + R(p - c), with
+    R = [[cos, sin], [-sin, cos]], so what sits at c + q lands at c + Rᵀq;
+    the flips then mirror about c."""
+    rad = math.radians(degrees)
+    y = math.cos(rad) * offset[0] - math.sin(rad) * offset[1]
+    x = math.sin(rad) * offset[0] + math.cos(rad) * offset[1]
+    return np.array([-y if flip_v else y, -x if flip_h else x])
 
 
 class TestPgm:
@@ -135,6 +152,36 @@ class TestGenSynthetic:
             (cues == 1 - labels).mean(),      # probe: label = not cue1
         )
         assert best <= 0.55
+
+    def test_flips_and_rotations_keep_the_xor_label(self):
+        # each label read back from the exactly moved geometry: view 1's cue is
+        # that of the nearest reference centre, view 2's the blob's major axis.
+        # (single-view's label is the lesion's shape, which no flip or rotation
+        # changes.)
+        spec = D.SyntheticSpec(size=32, count=1, label_rule="cross-view-xor", seed=6)
+        c = (spec.size - 1) / 2.0
+        rng = np.random.default_rng(7)
+        refs = [D.sample_latent(spec, rng) for _ in range(4000)]
+        centers = np.array([ref["center"] for ref in refs])
+        for latent in (D.sample_latent(spec, rng) for _ in range(300)):
+            for degrees, flip_h, flip_v in AUGMENTATIONS:
+                center = c + moved(latent["center"] - c, degrees, flip_h, flip_v)
+                nearest = np.argmin(np.hypot(*(centers - center).T))
+                # horizontal (0, 1) or vertical (1, 0)
+                axis = moved((latent["cue2"], 1 - latent["cue2"]), degrees, flip_h, flip_v)
+                vertical = int(abs(axis[0]) > abs(axis[1]))
+                assert refs[nearest]["cue1"] ^ vertical == latent["label"], (
+                    degrees, flip_h, flip_v, latent["center"])
+
+    @pytest.mark.parametrize("degrees, flip_h, flip_v", AUGMENTATIONS)
+    def test_moved_is_where_augment_moves_a_blob(self, degrees, flip_h, flip_v):
+        yy, xx = np.mgrid[0:32, 0:32]
+        center = np.array([10.3, 20.7])
+        blob = np.exp(-((yy - center[0]) ** 2 + (xx - center[1]) ** 2) / 4.0)
+        out = D.augment_with(blob[None].astype(np.float32), degrees, flip_h, flip_v)[0]
+        got = np.array([(out * yy).sum(), (out * xx).sum()]) / out.sum()
+        want = 15.5 + moved(center - 15.5, degrees, flip_h, flip_v)  # 15.5: the centre
+        assert np.hypot(*(got - want)) < 0.05, (got, want)
 
 
 @pytest.fixture(scope="module")
