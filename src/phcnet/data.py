@@ -253,8 +253,8 @@ def sample_latent(spec: SyntheticSpec, rng) -> dict:
             "dots": rng.standard_normal((9, 2)),
         }
     # cross-view-xor: view 1's lesion lies on an outer ring (cue 1) or in an
-    # inner disc (cue 0) about the image centre, at a uniform angle, and
-    # reaches no nearer than 1.5 pixels to the edge; view 2's blob orientation
+    # inner disc (cue 0) about the image centre, at a uniform angle, and stays
+    # 1.5 pixels inside the inscribed circle; view 2's cue is its orientation
     cue1 = int(rng.random() < 0.5)
     c = (spec.size - 1) / 2.0
     reach = c - (r + 1.5)

@@ -1,7 +1,7 @@
 """Training loop: lr=0 identity, run-log determinism, overfit sanity,
-pos-weight computation, evaluation contracts, maps from one forward, graph-free eval,
-the folded eval forward against a numpy oracle, folds kept for one
-evaluation pass."""
+pos-weight computation, evaluation contracts, maps from one forward,
+graph-free eval, the folded eval forward against a numpy oracle, folds kept
+for one evaluation pass."""
 
 import numpy as np
 import numpy.testing as npt
