@@ -3,8 +3,11 @@
 Residual blocks follow y = ReLU(F(x) + skip(x)) with
 F = BN(PHC(ReLU(BN(PHC(x))))); the refiner variant uses the 1x1 -> 3x3 ->
 1x1 bottleneck design with mid channels = out/4.  Every BN(PHC(x)) pair
-runs through :func:`conv_bn`, which in eval mode folds the batch norm into
-the conv's weight, whether a graph is kept or not.  Inside :func:`eval_pass`
+runs through :func:`conv_bn`.  In train mode that is a conv node followed
+by one batch-norm node that also carries the residual add and the ReLU; it
+recomputes x̂ from the conv's output in backward, so each pair holds two
+full-size arrays.  In eval mode it folds the batch norm into the conv's
+weight, whether a graph is kept or not.  Inside :func:`eval_pass`
 (one loop over eval batches) each pair's folded weight is built once and
 reused by every later batch; the pass drops it on exit, so the next pass folds
 the parameters as they are then.  Losses are computed in
@@ -83,14 +86,19 @@ class BatchNorm2d(Module):
 
     Train mode normalizes with the biased batch statistics over the
     m = N*H*W values of each channel, x̂ = (x - μ)/σ with σ = √(var + BN_EPS),
-    returns γ·x̂ + β and folds μ and var into the running estimates with
-    weight BN_MOMENTUM.  Its input gradient is the Ioffe–Szegedy rule
-    rearranged into three terms with per-channel factors,
+    returns γ·x̂ + β, plus ``skip`` if given, then ReLU if ``relu``, and
+    folds μ and var into the running estimates with weight BN_MOMENTUM.
+    Its input gradient is the Ioffe–Szegedy rule rearranged into three
+    terms with per-channel factors,
 
         dx = g·k₁ - x̂·k₂ - k₃,  k₁ = γ/σ,  k₂ = k₁·dγ/m,  k₃ = k₁·dβ/m,
 
-    where dγ = Σ g·x̂ and dβ = Σ g.  Forward centres x once and scales it
-    to x̂ in place; x̂ is the one full-size array kept for backward.
+    where dγ = Σ g·x̂ and dβ = Σ g for g masked by the ReLU; ``skip`` gets
+    the masked g.  Forward centres x into a new array and runs every later
+    step in place on it, so the node keeps no full-size array but its
+    output.  Backward recomputes x̂ from x by the forward's own ops, so the
+    results equal those of separate add and ReLU nodes bit for bit, and x
+    must not be written between forward and backward.
 
     Eval mode has no op of its own: the layer is the per-channel affine map
     x·a + b of :meth:`affine`, with a = γ/√(running_var + BN_EPS) and
@@ -115,11 +123,14 @@ class BatchNorm2d(Module):
             1.0 / np.sqrt(self.running_var.astype(np.float64) + BN_EPS))
         return a, self.beta.value - self.running_mean.astype(np.float64) * a
 
-    def forward(self, x: ag.Node) -> ag.Node:
+    def forward(self, x: ag.Node, skip: ag.Node | None = None,
+                relu: bool = False) -> ag.Node:
         if x.ndim != 4 or x.shape[1] != self.channels:
             raise ShapeError(
                 f"batchnorm expects (N,{self.channels},H,W), got {x.shape}"
             )
+        if skip is not None and skip.shape != x.shape:
+            raise ShapeError(f"batchnorm: skip shape {skip.shape} != input shape {x.shape}")
         if not self.training:
             raise ContractError("batchnorm has no eval-mode op: conv_bn folds it "
                                 "into the preceding conv")
@@ -128,16 +139,24 @@ class BatchNorm2d(Module):
         exp = lambda v: v.astype(dtype, copy=False)[None, :, None, None]
         m = x.shape[0] * x.shape[2] * x.shape[3]
         mu = _channel_sum(x.value) / m
-        xhat = x.value - exp(mu)
-        var = _channel_dot(xhat, xhat) / m
+        out = x.value - exp(mu)
+        var = _channel_dot(out, out) / m
         self.running_mean[...] = (1 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mu
         self.running_var[...] = (1 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * var
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        xhat *= exp(inv_std)
-        out = xhat * exp(gamma.value)
+        out *= exp(inv_std)
+        out *= exp(gamma.value)
         out += exp(beta.value)
+        if skip is not None:
+            out += skip.value
+        if relu:
+            np.maximum(out, 0, out=out)
 
         def rule(g):
+            if relu:
+                g = g * (out > 0)  # ag.relu's rule: the subgradient at 0 is 0
+            xhat = x.value - exp(mu)
+            xhat *= exp(inv_std)
             dgamma, dbeta = _channel_dot(g, xhat), _channel_sum(g)
             dx = None
             if x.requires_grad:
@@ -148,9 +167,10 @@ class BatchNorm2d(Module):
                 np.subtract(g * exp(k1), dx, out=dx)
                 dx = np.ascontiguousarray(dx)
             return (dx, dgamma.astype(dtype) if gamma.requires_grad else None,
-                    dbeta.astype(dtype) if beta.requires_grad else None)
+                    dbeta.astype(dtype) if beta.requires_grad else None, g)
 
-        return ag.Node(out, (x, gamma, beta), rule)
+        parents = (x, gamma, beta) if skip is None else (x, gamma, beta, skip)
+        return ag.Node(out, parents, rule)
 
 
 @contextlib.contextmanager
@@ -170,6 +190,10 @@ def eval_pass():
 def conv_bn(conv: PHCConv2d, bn: BatchNorm2d, x, skip=None, relu=True) -> ag.Node:
     """bn(conv(x)), plus ``skip`` if given, then ReLU if ``relu``.
 
+    Train mode is a conv node and one :class:`BatchNorm2d` node that carries
+    the add and the ReLU.  Backward recomputes x̂ from the conv's output, so
+    nothing may write that output between forward and backward.
+
     Eval mode runs one conv on the constant weight a·W and bias b for
     ``bn.affine()``'s map x·a + b (formed in float64, cast once); the conv has
     no bias of its own.  Inside :func:`eval_pass` the folded (a·W, b) is built
@@ -179,21 +203,20 @@ def conv_bn(conv: PHCConv2d, bn: BatchNorm2d, x, skip=None, relu=True) -> ag.Nod
     ReLU run in place on it.
     """
     if bn.training:
-        h = bn(conv(x))
-    else:
-        folds = {} if _pass_folds is None else _pass_folds
-        if (conv, bn) not in folds:
-            a, b = bn.affine()
-            w = conv.build_weight().value
-            folds[conv, bn] = (w * a[:, None, None, None]).astype(w.dtype), b.astype(w.dtype)
-        w, b = folds[conv, bn]
-        h = ag.conv2d(x, w, b, stride=conv.stride, padding=conv.kernel_size // 2)
-        if not h.requires_grad:
-            if skip is not None:
-                h.value += skip.value
-            if relu:
-                np.maximum(h.value, 0, out=h.value)
-            return h
+        return bn(conv(x), skip, relu)
+    folds = {} if _pass_folds is None else _pass_folds
+    if (conv, bn) not in folds:
+        a, b = bn.affine()
+        w = conv.build_weight().value
+        folds[conv, bn] = (w * a[:, None, None, None]).astype(w.dtype), b.astype(w.dtype)
+    w, b = folds[conv, bn]
+    h = ag.conv2d(x, w, b, stride=conv.stride, padding=conv.kernel_size // 2)
+    if not h.requires_grad:
+        if skip is not None:
+            h.value += skip.value
+        if relu:
+            np.maximum(h.value, 0, out=h.value)
+        return h
     h = h if skip is None else ag.add(h, skip)
     return ag.relu(h) if relu else h
 

@@ -151,6 +151,12 @@ def test_criterion_4_gradient_checks():
         lambda: ag.nsum(ag.mul(bn(xb), bn(xb))),
         {"x": xb, "gamma": bn.gamma, "beta": bn.beta}, h=1e-6, tol=1e-5)
 
+    # the node training runs: batch norm, the residual add and the ReLU
+    skip = ag.Node(np.random.default_rng(41).normal(size=(4, 3, 4, 4)), requires_grad=True)
+    reports["batchnorm_skip_relu"] = ag.grad_check(
+        lambda: ag.nsum(ag.mul(bn(xb, skip, relu=True), xb)),
+        {"x": xb, "skip": skip, "gamma": bn.gamma, "beta": bn.beta}, h=1e-6, tol=1e-5)
+
     xr = ag.Node(rng.normal(size=(3, 5)) + 0.3, requires_grad=True)
     reports["relu"] = ag.grad_check(
         lambda: ag.nsum(ag.mul(ag.relu(xr), xr)), {"x": xr}, h=1e-6, tol=1e-5)

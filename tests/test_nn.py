@@ -1,4 +1,5 @@
-"""nn primitives: batch norm statistics and gradients, residual block
+"""nn primitives: batch norm statistics and gradients, the train-mode node
+that carries the residual add and ReLU against the separate ops, residual block
 contracts, stable losses with frozen hand-computed values, Adam update
 mechanics."""
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from phcnet import autograd as ag
 from phcnet import nn
-from phcnet.errors import ContractError, DataError
+from phcnet.errors import ContractError, DataError, ShapeError
 from phcnet.module import Parameter
 
 
@@ -154,6 +155,36 @@ class TestBatchNorm:
         for name, a, b, ref in zip(("out", "dx", "dgamma", "dbeta"), got, old, exact):
             assert a.dtype == np.float32, name
             assert rel_err(a, ref) <= rel_err(b, ref), name
+
+
+    @pytest.mark.parametrize("skip,relu", [(True, True), (True, False), (False, True)])
+    def test_skip_and_relu_equal_the_separate_ops_bitwise(self, skip, relu):
+        # the one train-mode node against bn, ag.add and ag.relu as separate nodes
+        bn, x, g = bn_case((4, 5, 6, 7), True, seed=21, dtype=np.float32)
+        twin, _, _ = bn_case((4, 5, 6, 7), True, seed=21, dtype=np.float32)
+        s = np.random.default_rng(22).normal(size=x.shape).astype(np.float32)
+        results = []
+        for fused in (True, False):
+            layer = bn if fused else twin
+            xn, sn = ag.Node(x, requires_grad=True), ag.Node(s, requires_grad=True)
+            if fused:
+                out = layer(xn, sn if skip else None, relu=relu)
+            else:
+                out = layer(xn)
+                out = ag.add(out, sn) if skip else out
+                out = ag.relu(out) if relu else out
+            ag.backward(ag.nsum(ag.mul(out, ag.constant(g))))
+            results.append((out.value, xn.grad, sn.grad, layer.gamma.grad, layer.beta.grad,
+                            layer.running_mean, layer.running_var))
+        for name, a, b in zip(("out", "dx", "dskip", "dgamma", "dbeta", "mean", "var"),
+                              *results):
+            assert (a is None) == (b is None) and (a is None or a.tobytes() == b.tobytes()), name
+
+    def test_skip_of_another_shape_raises(self):
+        bn = nn.BatchNorm2d(3)
+        with pytest.raises(ShapeError, match="skip"):
+            bn(ag.constant(np.zeros((2, 3, 4, 4), np.float32)),
+               ag.constant(np.zeros((2, 3, 2, 2), np.float32)))
 
 
 class TestResidualBlock:

@@ -1,7 +1,8 @@
 """Training loop: lr=0 identity, run-log determinism, overfit sanity,
 pos-weight computation, evaluation contracts, maps from one forward,
-graph-free eval, the folded eval forward against a numpy oracle, folds kept
-for one evaluation pass."""
+graph-free eval, the folded eval forward against a numpy oracle, train-mode
+blocks' gradients and the arrays they hold for backward, folds kept for one
+evaluation pass."""
 
 import numpy as np
 import numpy.testing as npt
@@ -459,6 +460,51 @@ class TestNoGrad:
         assert all(p.requires_grad for p in model.parameters())
         assert before.any()
         npt.assert_array_equal(TR.maps(model, views)["saliency"], before)
+
+
+def train_block(kind, seed, dtype=np.float32):
+    """A train-mode block of ``kind`` with random batch norms, and an input."""
+    make, shape = BLOCKS[kind]
+    block = random_batchnorm(make(), seed=seed)
+    for p in block.parameters():
+        p.value = p.value.astype(dtype)
+    return block, np.random.default_rng(seed + 1).normal(size=shape).astype(dtype)
+
+
+def op_of(node):
+    """The op that built ``node``, from its backward rule's qualified name."""
+    return node._backward_rule.__qualname__.split(".<locals>")[0]
+
+
+class TestTrainMode:
+    @pytest.mark.parametrize("kind", list(BLOCKS))
+    def test_grad_check(self, kind):
+        # the refiner's 1x1 maps normalize over m = N values per channel
+        block, x = train_block(kind, seed=42, dtype=np.float64)
+        x = ag.Node(x, requires_grad=True)
+        w = ag.constant(np.random.default_rng(44).normal(size=block(x).shape))
+
+        def f():
+            out = block(x)
+            return ag.nsum(ag.mul(ag.mul(out, out), w))
+
+        report = ag.grad_check(f, {"x": x, **dict(block.named_parameters())},
+                               h=1e-6, tol=1e-5)
+        assert report.passed, report.per_param
+
+    @pytest.mark.parametrize("kind", list(BLOCKS))
+    def test_pair_holds_two_full_size_arrays(self, kind):
+        block, x = train_block(kind, seed=46)
+        order = ag._topo_order(block(ag.Node(x, requires_grad=True)))
+        ops = {id(n): op_of(n) for n in order if n._backward_rule is not None}
+        bns = [n for n in order if ops.get(id(n)) == "BatchNorm2d.forward"]
+        assert len(bns) == sum(isinstance(m, nn.BatchNorm2d) for m in block.modules())
+        for n in order:
+            if ops.get(id(n)) in ("add", "relu"):
+                assert all(ops.get(id(p)) != "BatchNorm2d.forward" for p in n._parents)
+        # every node but the built weights holds an activation: a conv's or a pair's output
+        held = sum(n.value.nbytes for n in order if ops.get(id(n)) not in (None, "kron_sum"))
+        assert held == 2 * sum(n.value.nbytes for n in bns)
 
 
 STAGE_OF = {"phresnet": "two-view", "phybonet": "four-view", "physenet": "four-view",
