@@ -156,7 +156,6 @@ class TestBatchNorm:
             assert a.dtype == np.float32, name
             assert rel_err(a, ref) <= rel_err(b, ref), name
 
-
     @pytest.mark.parametrize("skip,relu", [(True, True), (True, False), (False, True)])
     def test_skip_and_relu_equal_the_separate_ops_bitwise(self, skip, relu):
         # the one train-mode node against bn, ag.add and ag.relu as separate nodes
