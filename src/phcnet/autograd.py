@@ -4,7 +4,8 @@ A :class:`Node` wraps an array value together with its parents and a
 backward rule.  Graphs are DAGs built eagerly by the op functions below;
 :func:`backward` traverses them once in reverse topological order,
 accumulating gradients by summation across fan-out, then frees the graph.
-Inside :func:`no_grad` no op output requires grad, so no graph is kept.
+An op output requires grad iff an input does; an eval-mode module passes its
+parameters' values, so its forward keeps a graph iff its input requires grad.
 
 :func:`grad_check` compares analytic gradients against central finite
 differences and is the universal correctness oracle for every layer type.
@@ -12,7 +13,6 @@ differences and is the universal correctness oracle for every layer type.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,27 +20,14 @@ import numpy as np
 from .errors import ContractError, NumericError, ShapeError
 from . import tensor as T
 
-_recording = True
-
-
-@contextlib.contextmanager
-def no_grad():
-    """Build no graph inside the block, in every thread: no op output requires
-    grad."""
-    global _recording
-    previous, _recording = _recording, False
-    try:
-        yield
-    finally:
-        _recording = previous
-
 
 class Node:
     """One value in the computation graph.
 
     ``backward_rule(grad)`` returns one gradient array (or None) per parent,
     in parent order.  Leaves created with ``requires_grad=True`` collect
-    their gradient in ``.grad``.  A node that does not require grad keeps
+    their gradient in ``.grad``.  Unless ``requires_grad`` is given, a node
+    requires grad iff one of its parents does.  A node that does not keeps
     no parents and no rule, so its inputs are freed with it.
     """
 
@@ -49,7 +36,7 @@ class Node:
     def __init__(self, value, parents=(), backward_rule=None, requires_grad=None):
         self.value = T.as_tensor(value)
         if requires_grad is None:
-            requires_grad = _recording and any(p.requires_grad for p in parents)
+            requires_grad = any(p.requires_grad for p in parents)
         self.requires_grad = requires_grad
         self._parents = tuple(parents) if requires_grad else ()
         self._backward_rule = backward_rule if requires_grad else None

@@ -94,7 +94,7 @@ def _load_config(path: str | None, overrides: list[str]) -> dict:
             raise ConfigError(f"config file not found: {p}")
         try:
             config = json.loads(p.read_text())
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"config {p} is not valid JSON: {exc}") from exc
         if not isinstance(config, dict):
             raise ConfigError(f"config {p} is not a JSON object")
@@ -140,7 +140,7 @@ def _model_from_config(config: dict, seed: int):
 def cmd_gen_synthetic(args) -> int:
     try:
         spec = D.SyntheticSpec(**json.loads(Path(args.spec).read_text()))
-    except (TypeError, json.JSONDecodeError) as exc:
+    except (TypeError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"bad synthetic spec: {exc}") from exc
     manifest = D.gen_synthetic(spec, args.out)
     labels = np.array([e.labels for e in manifest.entries])

@@ -151,7 +151,7 @@ class Manifest:
         path = Path(path)
         try:
             doc = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataError(f"cannot read manifest {path}: {exc}") from exc
         if not isinstance(doc, dict) or doc.get("manifest-version") != MANIFEST_VERSION:
             raise DataError(f"{path}: unsupported manifest version")

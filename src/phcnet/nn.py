@@ -7,12 +7,15 @@ runs through :func:`conv_bn`.  In train mode that is a conv node followed
 by one batch-norm node that also carries the residual add and the ReLU; it
 recomputes x̂ from the conv's output in backward, so each pair holds two
 full-size arrays.  In eval mode it folds the batch norm into the conv's
-weight, whether a graph is kept or not.  Inside :func:`eval_pass`
-(one loop over eval batches) each pair's folded weight is built once and
-reused by every later batch; the pass drops it on exit, so the next pass folds
-the parameters as they are then.  Losses are computed in
-numerically stable softplus/log-sum-exp form.  Adam applies decoupled
-weight decay (theta *= 1 - lr*lambda before the moment update).
+weight.  Every layer with parameters, here and in :mod:`.phc`, keeps one
+rule in eval mode: it passes its parameters' values, not the Parameter
+nodes, to autograd, so an eval forward keeps a graph exactly when its
+input requires grad.  Inside :func:`eval_pass` (one loop over eval
+batches) each pair's folded weight is built once and reused by every
+later batch; the pass drops it on exit, so the next pass folds the
+parameters as they are then.  Losses are computed in numerically stable
+softplus/log-sum-exp form.  Adam applies decoupled weight decay
+(theta *= 1 - lr*lambda before the moment update).
 """
 
 from __future__ import annotations
@@ -66,7 +69,8 @@ def _channel_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class Linear(Module):
-    """Plain real dense layer used for classification heads."""
+    """Plain real dense layer used for classification heads.  In eval mode
+    its weight and bias enter autograd as constants."""
 
     def __init__(self, in_features, out_features, seed=0):
         super().__init__()
@@ -78,7 +82,9 @@ class Linear(Module):
         self.bias = Parameter(np.zeros(out_features, dtype=np.float32))
 
     def forward(self, x):
-        return ag.linear(x, self.weight, self.bias)
+        if self.training:
+            return ag.linear(x, self.weight, self.bias)
+        return ag.linear(x, self.weight.value, self.bias.value)
 
 
 class BatchNorm2d(Module):
@@ -197,10 +203,11 @@ def conv_bn(conv: PHCConv2d, bn: BatchNorm2d, x, skip=None, relu=True) -> ag.Nod
     Eval mode runs one conv on the constant weight a·W and bias b for
     ``bn.affine()``'s map x·a + b (formed in float64, cast once); the conv has
     no bias of its own.  Inside :func:`eval_pass` the folded (a·W, b) is built
-    on the pair's first batch only.  The folded conv's output keeps a graph
-    only if ``x`` does, and it carries gradients to ``x`` and ``skip`` only
-    (``skip`` is ``x`` or comes from it).  When it keeps none, the add and
-    ReLU run in place on it.
+    on the pair's first batch only.  Like every eval-mode layer, the folded
+    conv reads its parameters as constants: its output keeps a graph only if
+    ``x`` does, and it carries gradients to ``x`` and ``skip`` only (``skip``
+    is ``x`` or comes from it).  When it keeps none, the add and ReLU run in
+    place on it.
     """
     if bn.training:
         return bn(conv(x), skip, relu)

@@ -80,7 +80,8 @@ class PHCConv2d(Module):
     Kaiming-uniform over the materialized fan-in (in_channels*k*k); the
     fixed-algebra scheme sets A to the canonical real/complex/quaternion sign
     matrices (n in {1, 2, 4}), random-algebra draws A uniformly from
-    [-1/n, 1/n].  A stays trainable under both schemes.
+    [-1/n, 1/n].  A stays trainable under both schemes.  In eval mode the
+    built weight and the bias enter the conv as constants.
     """
 
     def __init__(self, n, in_channels, out_channels, kernel_size, stride=1, bias=True,
@@ -115,8 +116,10 @@ class PHCConv2d(Module):
         return ag.kron_sum(self.A, self.F)
 
     def forward(self, x: ag.Node) -> ag.Node:
-        return ag.conv2d(x, self.build_weight(), self.bias,
-                         stride=self.stride, padding=self.kernel_size // 2)
+        w, b = self.build_weight(), self.bias
+        if not self.training:
+            w, b = w.value, None if b is None else b.value
+        return ag.conv2d(x, w, b, stride=self.stride, padding=self.kernel_size // 2)
 
 
 def real_equivalent_count(layer: PHCConv2d) -> int:

@@ -261,9 +261,10 @@ def _stage_loss(model, stage: Stage, xb, yb, mb, pos_weights):
 
 
 def _outputs(model, stage: Stage, x: np.ndarray, batch_size: int) -> np.ndarray:
-    """Eval-mode model logits over ``x``, batched, in one :func:`nn.eval_pass`."""
+    """Eval-mode model logits over ``x``, batched, in one :func:`nn.eval_pass`.
+    Eval mode reads every parameter as a constant, so no graph is kept."""
     model.eval()
-    with ag.no_grad(), nn.eval_pass():
+    with nn.eval_pass():
         return np.concatenate([_logits(model, stage, x[start : start + batch_size]).value
                                for start in range(0, len(x), batch_size)])
 
@@ -413,8 +414,8 @@ def maps(model, views: np.ndarray) -> dict[str, np.ndarray]:
     A tap's plane is its channel mean, upsampled to the input size.  The
     saliency plane is |d score / d input| summed over the view channels; the
     score is a mask's mean logit, or the logit of the largest head.  The
-    forward is the one scoring runs (:func:`nn.conv_bn` folds every pair into
-    a constant conv), so only the input gets a gradient."""
+    forward is the one scoring runs, which reads every parameter as a
+    constant, so only the input gets a gradient: no parameter's is set."""
     model.eval()
     h, w = views.shape[-2:]
     x = ag.Node(views[None], requires_grad=True)

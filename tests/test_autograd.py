@@ -41,7 +41,7 @@ class TestBackwardBasics:
         ag.backward(ag.nsum(y))
         npt.assert_allclose(x.grad, [2 * 2.0 + 3.0])
 
-    def test_no_grad_leaves_untouched(self):
+    def test_constant_leaves_untouched(self):
         x = ag.constant(np.ones(3))
         y = leaf(np.ones(3))
         ag.backward(ag.nsum(ag.mul(x, y)))

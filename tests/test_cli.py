@@ -575,6 +575,22 @@ class TestInputErrors:
                               "--out", str(tmp_path / "o"))
         assert code == 2 and word in err
 
+    @pytest.mark.parametrize("kind", ["spec", "train config", "eval config", "manifest"])
+    def test_file_not_utf8(self, workspace, capsys, tmp_path, kind):
+        _, _, data_dir, cfg_path = workspace
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        out = str(tmp_path / "out")
+        argv = {
+            "spec": ["gen-synthetic", "--spec", bad, "--out", out],
+            "train config": ["train", "--config", bad, "--stage", "two-view", "--out", out],
+            "eval config": ["eval", "--config", bad, "--checkpoint", tmp_path / "none.ckpt",
+                            "--manifest", data_dir / "manifest.json"],
+            "manifest": ["train", "--config", cfg_path, "--stage", "two-view", "--out", out,
+                         "--set", f"data.manifest={json.dumps(str(bad))}"],
+        }[kind]
+        code, err = self._run(capsys, *map(str, argv))
+        assert code == 2 and kind.split()[-1] in err
 
     @pytest.mark.parametrize("argv, word", [
         (("gen-synthetic", "--spec", "SPEC", "--out", "OUT"), "size"),

@@ -348,19 +348,27 @@ def eval_block(kind, seed, dtype=np.float32):
 
 
 class TestNoGrad:
+    """Eval mode reads every parameter as a constant, so a forward keeps a
+    graph exactly when its input requires grad, and no parameter gets one."""
+
     @pytest.mark.parametrize("kind", list(MODELS))
     def test_eval_outputs_equal_graph_outputs_and_hold_no_graph(self, kind):
         model = random_batchnorm(MODELS[kind](), seed=15)
         model.eval()
         rng = np.random.default_rng(13)
         views = 4 if kind in ("phybonet", "physenet") else 2
-        x = ag.constant(rng.normal(size=(3, views, 16, 16)).astype(np.float32))
-        a = model(x)
-        with ag.no_grad():
-            b = model(x)
+        x = rng.normal(size=(3, views, 16, 16)).astype(np.float32)
+        a = model(ag.Node(x, requires_grad=True))
+        b = model(ag.constant(x))
         assert a._parents and a.requires_grad
         assert b.value.tobytes() == a.value.tobytes()
         assert b._parents == () and b._backward_rule is None
+
+    @pytest.mark.parametrize("kind", list(MODELS))
+    def test_maps_leave_every_parameter_grad_none(self, kind):
+        model = random_batchnorm(MODELS[kind](), seed=19)
+        TR.maps(model, kind_batch(kind, 1, seed=23)[0])
+        assert [n for n, p in model.named_parameters() if p.grad is not None] == []
 
     @pytest.mark.parametrize("kind", list(MODELS))
     def test_activation_maps_match_graph_taps(self, kind):
@@ -371,8 +379,7 @@ class TestNoGrad:
         views = 4 if kind in ("phybonet", "physenet") else 2
         x = np.random.default_rng(17).normal(size=(views, 16, 16)).astype(np.float32)
         taps = {}
-        with ag.no_grad():
-            model(ag.constant(x[None]), taps=taps)
+        model(ag.constant(x[None]), taps=taps)
         maps = TR.maps(model, x)
         assert taps and maps.keys() == taps.keys() | {"saliency"}
         for name, node in taps.items():
@@ -383,30 +390,16 @@ class TestNoGrad:
     def test_folded_block_writes_no_input(self, kind):
         block, x = eval_block(kind, seed=18)
         node = ag.constant(x.copy())
-        with ag.no_grad():
-            got = block(node)
+        got = block(node)
         assert node.value.tobytes() == x.tobytes()
         assert got.value is not node.value and got._parents == ()
         assert_close_to_oracle(got.value, unfolded_block(block, x))
 
     @pytest.mark.parametrize("kind", list(BLOCKS))
-    def test_train_mode_under_no_grad_does_not_fold(self, kind):
-        make, shape = BLOCKS[kind]
-        block, twin = random_batchnorm(make(), seed=20), random_batchnorm(make(), seed=20)
-        x = np.random.default_rng(21).normal(size=shape).astype(np.float32)
-        with ag.no_grad():
-            got = block(ag.constant(x)).value
-        want = twin(ag.constant(x)).value
-        assert got.tobytes() == want.tobytes()
-        for (name, a), (_, b) in zip(block.named_buffers(), twin.named_buffers()):
-            assert a.tobytes() == b.tobytes(), name
-
-    @pytest.mark.parametrize("kind", list(BLOCKS))
     def test_eval_graph_values_equal_no_graph_values(self, kind):
         block, x = eval_block(kind, seed=22)
         with_graph = block(ag.Node(x, requires_grad=True))
-        with ag.no_grad():
-            without = block(ag.constant(x))
+        without = block(ag.constant(x))
         assert with_graph._parents
         assert with_graph.value.tobytes() == without.value.tobytes()
 
@@ -433,15 +426,6 @@ class TestNoGrad:
 
         report = ag.grad_check(f, {"x": x}, h=1e-6, tol=1e-5)
         assert report.passed, report.per_param
-
-    def test_exception_inside_no_grad_leaves_recording_on(self):
-        model = tiny_model(seed=13)
-        with pytest.raises(ShapeError), ag.no_grad():
-            model(ag.constant(np.zeros((2, 3, 16, 16), dtype=np.float32)))
-        x = np.random.default_rng(14).normal(size=(4, 2, 16, 16)).astype(np.float32)
-        loss = nn.bce_with_logits(model(ag.constant(x)), np.ones((4, 1), np.float32))
-        ag.backward(loss)
-        assert all(p.grad is not None for p in model.parameters())
 
     def test_evaluate_builds_no_graph_and_keeps_saliency(self, tiny_dataset):
         model = tiny_model(seed=14)
@@ -519,9 +503,8 @@ def kind_batch(kind, count, seed):
 def outputs_folding_per_batch(model, x, batch_size):
     """Eval logits over ``x`` with every batch folding its own weights."""
     model.eval()
-    with ag.no_grad():
-        return np.concatenate([model(ag.constant(x[i : i + batch_size])).value
-                               for i in range(0, len(x), batch_size)])
+    return np.concatenate([model(ag.constant(x[i : i + batch_size])).value
+                           for i in range(0, len(x), batch_size)])
 
 
 class Unreadable(dict):
@@ -580,7 +563,7 @@ class TestEvalPass:
     def test_folds_dropped_after_the_pass_and_after_an_exception(self):
         model = random_batchnorm(tiny_model(seed=15), seed=32)
         x = kind_batch("phresnet", 4, seed=33)
-        with ag.no_grad(), nn.eval_pass():
+        with nn.eval_pass():
             model.eval()
             model(ag.constant(x))
             with nn.eval_pass():
@@ -597,11 +580,9 @@ class TestEvalPass:
         model = random_batchnorm(tiny_model(seed=16), seed=34)
         twin = random_batchnorm(tiny_model(seed=16), seed=34)
         x = kind_batch("phresnet", 4, seed=35)
-        with ag.no_grad():
-            want = twin(ag.constant(x)).value
+        want = twin(ag.constant(x)).value
         monkeypatch.setattr(nn, "_pass_folds", Unreadable())
-        with ag.no_grad():
-            assert model(ag.constant(x)).value.tobytes() == want.tobytes()
+        assert model(ag.constant(x)).value.tobytes() == want.tobytes()
 
     def test_saliency_inside_a_pass_equals_outside(self):
         model = random_batchnorm(tiny_model(seed=17), seed=36)
