@@ -52,8 +52,6 @@ _VIEW_MATRIX = np.array([[0.94, 0.20], [-0.20, 0.94]], dtype=np.float64)
 def save_pgm(path, image) -> None:
     """Write a 2D array as binary 8-bit PGM; floats in [0,1] are quantized."""
     arr = np.asarray(image)
-    if arr.ndim == 3 and arr.shape[0] == 1:
-        arr = arr[0]
     if arr.ndim != 2:
         raise DataError(f"save_pgm expects a 2D image, got shape {arr.shape}")
     if arr.dtype != np.uint8:
@@ -65,7 +63,7 @@ def save_pgm(path, image) -> None:
 
 
 def load_pgm(path) -> np.ndarray:
-    """Read binary PGM (8- or 16-bit) into a (1,H,W) float32 tensor in [0,1]."""
+    """Read binary PGM (8- or 16-bit) into an (H, W) float32 array in [0, 1]."""
     with open(path, "rb") as fh:
         data = fh.read()
     if not data.startswith(b"P5"):
@@ -88,7 +86,7 @@ def load_pgm(path) -> np.ndarray:
     if len(payload) != expected:
         raise DataError(f"{path}: truncated payload ({len(payload)}/{expected} bytes)")
     img = np.frombuffer(payload, dtype=dtype).reshape(h, w)
-    return (img.astype(np.float32) / np.float32(maxval))[None, :, :]
+    return img.astype(np.float32) / np.float32(maxval)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +168,7 @@ class Manifest:
 
     def load_views(self, entry: Entry) -> np.ndarray:
         """Stack an entry's views into a (V,H,W) float32 array."""
-        planes = [load_pgm(self.root / v)[0] for v in entry.views]
+        planes = [load_pgm(self.root / v) for v in entry.views]
         shapes = {p.shape for p in planes}
         if len(shapes) != 1:
             raise DataError(f"entry {entry.id}: views differ in size: {shapes}")
@@ -179,7 +177,7 @@ class Manifest:
     def load_mask(self, entry: Entry) -> np.ndarray:
         if entry.mask is None:
             raise DataError(f"entry {entry.id} has no mask")
-        return (load_pgm(self.root / entry.mask)[0] > 0.5).astype(np.float32)
+        return (load_pgm(self.root / entry.mask) > 0.5).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------

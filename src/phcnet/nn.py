@@ -6,21 +6,16 @@ F = BN(PHC(ReLU(BN(PHC(x))))); the refiner variant uses the 1x1 -> 3x3 ->
 runs through :func:`conv_bn`.  In train mode that is a conv node followed
 by one batch-norm node that also carries the residual add and the ReLU; it
 recomputes x̂ from the conv's output in backward, so each pair holds two
-full-size arrays.  In eval mode it folds the batch norm into the conv's
-weight.  Every layer with parameters, here and in :mod:`.phc`, keeps one
-rule in eval mode: it passes its parameters' values, not the Parameter
-nodes, to autograd, so an eval forward keeps a graph exactly when its
-input requires grad.  Inside :func:`eval_pass` (one loop over eval
-batches) each pair's folded weight is built once and reused by every
-later batch; the pass drops it on exit, so the next pass folds the
-parameters as they are then.  Losses are computed in numerically stable
-softplus/log-sum-exp form.  Adam applies decoupled weight decay
-(theta *= 1 - lr*lambda before the moment update).
+full-size arrays; in eval mode the conv folds the batch norm in.  Every
+layer with parameters, here and in :mod:`.phc`, passes its parameters'
+values, not the Parameter nodes, to autograd in eval mode, so an eval
+forward keeps a graph exactly when its input requires grad.  Losses are
+computed in numerically stable softplus/log-sum-exp form.  Adam applies
+decoupled weight decay (theta *= 1 - lr*lambda before the moment update).
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 
 import numpy as np
@@ -35,8 +30,6 @@ BN_MOMENTUM = 0.1  # weight of the batch statistics in the running estimates
 BN_EPS = 1e-5
 ADAM_BETA1, ADAM_BETA2 = 0.9, 0.999
 ADAM_EPS = 1e-8
-
-_pass_folds = None  # {(conv, bn): (w, b)} inside eval_pass, else None
 
 
 def _seeds(seed, k: int):
@@ -179,20 +172,6 @@ class BatchNorm2d(Module):
         return ag.Node(out, parents, rule)
 
 
-@contextlib.contextmanager
-def eval_pass():
-    """One pass over eval batches, in which no parameter or buffer changes:
-    :func:`conv_bn` folds each (conv, bn) pair once and reuses the result.
-    The folds are dropped on exit, exception or not; nested passes each
-    start empty."""
-    global _pass_folds
-    previous, _pass_folds = _pass_folds, {}
-    try:
-        yield
-    finally:
-        _pass_folds = previous
-
-
 def conv_bn(conv: PHCConv2d, bn: BatchNorm2d, x, skip=None, relu=True) -> ag.Node:
     """bn(conv(x)), plus ``skip`` if given, then ReLU if ``relu``.
 
@@ -200,24 +179,14 @@ def conv_bn(conv: PHCConv2d, bn: BatchNorm2d, x, skip=None, relu=True) -> ag.Nod
     the add and the ReLU.  Backward recomputes x̂ from the conv's output, so
     nothing may write that output between forward and backward.
 
-    Eval mode runs one conv on the constant weight a·W and bias b for
-    ``bn.affine()``'s map x·a + b (formed in float64, cast once); the conv has
-    no bias of its own.  Inside :func:`eval_pass` the folded (a·W, b) is built
-    on the pair's first batch only.  Like every eval-mode layer, the folded
-    conv reads its parameters as constants: its output keeps a graph only if
-    ``x`` does, and it carries gradients to ``x`` and ``skip`` only (``skip``
-    is ``x`` or comes from it).  When it keeps none, the add and ReLU run in
-    place on it.
+    Eval mode is ``conv(x, bn)``, which folds the batch norm in: it keeps a
+    graph only if ``x`` does, and carries gradients to ``x`` and ``skip``
+    only (``skip`` is ``x`` or comes from it).  When it keeps none, the add
+    and ReLU run in place on its output.
     """
     if bn.training:
         return bn(conv(x), skip, relu)
-    folds = {} if _pass_folds is None else _pass_folds
-    if (conv, bn) not in folds:
-        a, b = bn.affine()
-        w = conv.build_weight().value
-        folds[conv, bn] = (w * a[:, None, None, None]).astype(w.dtype), b.astype(w.dtype)
-    w, b = folds[conv, bn]
-    h = ag.conv2d(x, w, b, stride=conv.stride, padding=conv.kernel_size // 2)
+    h = conv(x, bn)
     if not h.requires_grad:
         if skip is not None:
             h.value += skip.value

@@ -9,7 +9,9 @@ where the n algebra matrices A (n x n each) encode how the n filter banks
 F are arranged across input/output channel blocks.  With the fixed
 quaternion algebra and n=4 this reproduces the Hamilton-product sign block
 structure exactly; with n=1 and A=[[1]] it degenerates to an ordinary
-real-valued convolution.  Both A and F are trained.
+real-valued convolution.  Both A and F are trained.  An eval-mode conv
+runs on constant arrays, :meth:`PHCConv2d.constants`, with an eval-mode
+batch norm folded in if one is given; :func:`eval_pass` builds them once.
 
 ``hamilton_conv`` builds the explicit 4x4 sign-block weight and serves as
 the independent oracle the n=4 path is verified against.
@@ -17,6 +19,7 @@ the independent oracle the n=4 path is verified against.
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -25,6 +28,8 @@ from . import autograd as ag
 from . import tensor as T
 from .errors import ConfigError, ShapeError
 from .module import Module, Parameter
+
+_pass_constants = None  # {(conv, bn): (w, b)} inside eval_pass, else None
 
 
 def real_algebra() -> np.ndarray:
@@ -81,7 +86,7 @@ class PHCConv2d(Module):
     fixed-algebra scheme sets A to the canonical real/complex/quaternion sign
     matrices (n in {1, 2, 4}), random-algebra draws A uniformly from
     [-1/n, 1/n].  A stays trainable under both schemes.  In eval mode the
-    built weight and the bias enter the conv as constants.
+    conv runs on the arrays of :meth:`constants`.
     """
 
     def __init__(self, n, in_channels, out_channels, kernel_size, stride=1, bias=True,
@@ -115,11 +120,37 @@ class PHCConv2d(Module):
         """Materialize the full (out, in, k, k) weight; differentiable in A and F."""
         return ag.kron_sum(self.A, self.F)
 
-    def forward(self, x: ag.Node) -> ag.Node:
-        w, b = self.build_weight(), self.bias
-        if not self.training:
-            w, b = w.value, None if b is None else b.value
+    def constants(self, bn=None) -> tuple[np.ndarray, np.ndarray | None]:
+        """The built weight and the bias, as arrays; with an eval-mode batch
+        norm ``bn`` whose map is x·a + b (``bn.affine()``), a·W and b, formed in
+        float64 and cast once.  Built once per (conv, bn) in :func:`eval_pass`."""
+        cache = {} if _pass_constants is None else _pass_constants
+        if (self, bn) not in cache:
+            w = self.build_weight().value
+            if bn is None:
+                cache[self, bn] = w, None if self.bias is None else self.bias.value
+            else:
+                a, b = bn.affine()
+                cache[self, bn] = (w * a[:, None, None, None]).astype(w.dtype), b.astype(w.dtype)
+        return cache[self, bn]
+
+    def forward(self, x: ag.Node, bn=None) -> ag.Node:
+        """conv(x); in eval mode with the eval-mode batch norm ``bn`` folded in.
+        Train mode takes no ``bn``: it runs as ``bn(conv(x))``."""
+        w, b = (self.build_weight(), self.bias) if self.training else self.constants(bn)
         return ag.conv2d(x, w, b, stride=self.stride, padding=self.kernel_size // 2)
+
+
+@contextlib.contextmanager
+def eval_pass():
+    """One pass over eval batches, in which no parameter or buffer changes:
+    constants are built once and dropped on exit.  Nested passes start empty."""
+    global _pass_constants
+    previous, _pass_constants = _pass_constants, {}
+    try:
+        yield
+    finally:
+        _pass_constants = previous
 
 
 def real_equivalent_count(layer: PHCConv2d) -> int:

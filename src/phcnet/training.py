@@ -29,7 +29,7 @@ import numpy as np
 from . import autograd as ag
 from . import data as D
 from . import metrics as M
-from . import nn
+from . import nn, phc
 from .errors import ConfigError, DataError, NumericError, ShapeError, in_range, is_number
 
 
@@ -261,28 +261,33 @@ def _stage_loss(model, stage: Stage, xb, yb, mb, pos_weights):
 
 
 def _outputs(model, stage: Stage, x: np.ndarray, batch_size: int) -> np.ndarray:
-    """Eval-mode model logits over ``x``, batched, in one :func:`nn.eval_pass`.
+    """Eval-mode model logits over ``x``, batched, in one :func:`phc.eval_pass`.
     Eval mode reads every parameter as a constant, so no graph is kept."""
     model.eval()
-    with nn.eval_pass():
+    with phc.eval_pass():
         return np.concatenate([_logits(model, stage, x[start : start + batch_size]).value
                                for start in range(0, len(x), batch_size)])
 
 
-def _evaluate(model, stage: Stage, data: _StageData, batch_size: int = 32) -> EvalResult:
-    """Score the model on a loaded split; validation and evaluate share it.
-
-    An overflow or invalid operation in the forward raises NumericError,
-    like outputs that are not finite, instead of a numpy warning.
-    """
+def _finite(what: str, compute):
+    """``compute()``, which returns a list of arrays.  An overflow or invalid
+    operation in it raises NumericError naming ``what``, instead of a numpy
+    warning, and so does any returned array that is not finite."""
     try:
         with np.errstate(over="raise", invalid="raise"):
-            logits = _outputs(model, stage, data.x, batch_size)
+            arrays = compute()
     except FloatingPointError as exc:
-        raise NumericError(f"the model's {stage.name} outputs are not finite: "
-                           f"{exc}") from exc
-    if not np.isfinite(logits).all():
-        raise NumericError(f"the model's {stage.name} outputs are not finite")
+        raise NumericError(f"{what} are not finite: {exc}") from exc
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise NumericError(f"{what} are not finite")
+    return arrays
+
+
+def _evaluate(model, stage: Stage, data: _StageData, batch_size: int = 32) -> EvalResult:
+    """Score the model on a loaded split; validation and evaluate share it.
+    Outputs that are not finite raise NumericError (:func:`_finite`)."""
+    [logits] = _finite(f"the model's {stage.name} outputs",
+                       lambda: [_outputs(model, stage, data.x, batch_size)])
     if stage.role == "class":
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         probs = e / e.sum(axis=1, keepdims=True)
@@ -415,32 +420,41 @@ def maps(model, views: np.ndarray) -> dict[str, np.ndarray]:
     saliency plane is |d score / d input| summed over the view channels; the
     score is a mask's mean logit, or the logit of the largest head.  The
     forward is the one scoring runs, which reads every parameter as a
-    constant, so only the input gets a gradient: no parameter's is set."""
+    constant, so only the input gets a gradient: no parameter's is set.
+    Logits or planes that are not finite raise NumericError (:func:`_finite`)."""
     model.eval()
     h, w = views.shape[-2:]
     x = ag.Node(views[None], requires_grad=True)
     taps: dict = {}
-    logits = model(x, taps=taps)
-    out = {name: _resize_nearest(node.value[0].mean(axis=0), h, w)
-           for name, node in taps.items()}
-    if logits.ndim == 4:
-        score = ag.nmean(logits)
-    else:
-        head = int(np.argmax(logits.value[0]))
-        score = ag.reshape(ag.narrow(logits, head, head + 1), ())
-    ag.backward(score)
-    out["saliency"] = np.abs(x.grad[0]).sum(axis=0)
+    out: dict = {}
+
+    def compute():
+        logits = model(x, taps=taps)
+        out.update((name, _resize_nearest(node.value[0].mean(axis=0), h, w))
+                   for name, node in taps.items())
+        if logits.ndim == 4:
+            score = ag.nmean(logits)
+        else:
+            head = int(np.argmax(logits.value[0]))
+            score = ag.reshape(ag.narrow(logits, head, head + 1), ())
+        ag.backward(score)
+        out["saliency"] = np.abs(x.grad[0]).sum(axis=0)
+        return [logits.value, *out.values()]
+
+    _finite("the model's maps", compute)
     return out
 
 
 def export_maps(model, views: np.ndarray, out_dir) -> list[str]:
-    """Write per-tap activation maps and the saliency map as 8-bit PGM files."""
+    """Write per-tap activation maps and the saliency map as 8-bit PGM files,
+    once every map is computed."""
     from pathlib import Path
 
+    planes = maps(model, views)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    for name, plane in maps(model, views).items():
+    for name, plane in planes.items():
         path = out / (f"{name}.pgm" if name == "saliency" else f"activation_{name}.pgm")
         D.save_pgm(path, _normalize(plane))
         written.append(str(path))

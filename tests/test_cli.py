@@ -382,15 +382,26 @@ class TestCheckpointErrors:
         code, err = self._eval(capsys, workspace, str(path))
         assert code == 4 and "shape mismatch for trunk.bn1.running_mean" in err
 
-    def test_non_finite_outputs(self, workspace, checkpoint, capsys, tmp_path):
+    @pytest.mark.parametrize("command", ["eval", "maps"])
+    def test_non_finite_outputs(self, workspace, checkpoint, capsys, tmp_path, command):
         state, config = ckpt.load(checkpoint)
         # finite, but gamma times a standardized activation above 1 overflows
         state["trunk.bn1.gamma"] = np.full_like(state["trunk.bn1.gamma"],
                                                 np.finfo(np.float32).max)
         path = tmp_path / "overflow.ckpt"
         ckpt.save(path, state, config)
-        code, err = self._eval(capsys, workspace, str(path))
-        assert code == 5 and "not finite" in err and "overflow" in err
+        _, _, data_dir, _ = workspace
+        manifest = data_dir / "manifest.json"
+        argv = [command, "--checkpoint", str(path), "--manifest", str(manifest)]
+        if command == "maps":
+            argv += ["--sample", D.Manifest.load(manifest).entries[0].id,
+                     "--out", str(tmp_path / "maps")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, *argv)
+        assert code == 5 and err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "not finite" in err and "overflow" in err
+        assert not (tmp_path / "maps").exists()
 
     @pytest.mark.parametrize("name, value, word", [
         ("trunk.bn1.running_var", -1.0, "negative variance"),

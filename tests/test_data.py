@@ -47,32 +47,36 @@ class TestPgm:
         path = tmp_path / "img.pgm"
         D.save_pgm(path, quantized.astype(np.float32))
         loaded = D.load_pgm(path)
-        assert loaded.shape == (1, 7, 5)
-        npt.assert_allclose(loaded[0], quantized, atol=1e-7)
+        assert loaded.shape == (7, 5)
+        npt.assert_allclose(loaded, quantized, atol=1e-7)
+
+    def test_save_takes_two_axes_only(self, tmp_path):
+        with pytest.raises(DataError, match="2D"):
+            D.save_pgm(tmp_path / "img.pgm", np.zeros((1, 7, 5), dtype=np.float32))
 
     def test_all_white(self, tmp_path):
         path = tmp_path / "w.pgm"
         path.write_bytes(b"P5\n2 2\n255\n" + bytes([255] * 4))
-        npt.assert_array_equal(D.load_pgm(path), np.ones((1, 2, 2), dtype=np.float32))
+        npt.assert_array_equal(D.load_pgm(path), np.ones((2, 2), dtype=np.float32))
 
     def test_hand_scaling(self, tmp_path):
         path = tmp_path / "v.pgm"
         path.write_bytes(b"P5\n2 2\n255\n" + bytes([0, 128, 255, 64]))
         expected = np.array([[0, 128 / 255], [1.0, 64 / 255]], dtype=np.float32)
-        npt.assert_allclose(D.load_pgm(path)[0], expected)
+        npt.assert_allclose(D.load_pgm(path), expected)
 
     def test_sixteen_bit(self, tmp_path):
         path = tmp_path / "d.pgm"
         payload = np.array([0, 32768, 65535, 1], dtype=">u2").tobytes()
         path.write_bytes(b"P5\n2 2\n65535\n" + payload)
-        out = D.load_pgm(path)[0]
+        out = D.load_pgm(path)
         npt.assert_allclose(out.ravel(), [0.0, 32768 / 65535, 1.0, 1 / 65535],
                             rtol=1e-6)
 
     def test_comment_in_header(self, tmp_path):
         path = tmp_path / "c.pgm"
         path.write_bytes(b"P5\n# a comment\n2 1\n255\n" + bytes([7, 9]))
-        assert D.load_pgm(path).shape == (1, 1, 2)
+        assert D.load_pgm(path).shape == (1, 2)
 
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "bad.pgm"

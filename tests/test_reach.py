@@ -1,6 +1,8 @@
 """Every phcnet function is entered by some command, except those kept on
-purpose (tools/reach.py lists the rest)."""
+purpose (tools/reach.py lists the rest), and so is every nested function or
+lambda, a backward rule among them, whose outer function a command enters."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -26,3 +28,16 @@ def test_only_kept_functions_are_unreached():
                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == sorted(KEPT)
+
+
+def test_function_table_lists_nested_rules(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    found = importlib.import_module("reach").functions()
+    by_name = {name: (key, around) for key, (name, around) in found.items()}
+    for nested, outer in [("autograd.conv2d.<locals>.rule", "autograd.conv2d"),
+                          ("nn.BatchNorm2d.forward.<locals>.<lambda>",
+                           "nn.BatchNorm2d.forward")]:
+        assert by_name[nested][1] == by_name[outer][0]
+        assert by_name[outer][1] is None
+    assert not any(name.rsplit(".", 1)[-1] in ("<listcomp>", "<genexpr>")
+                   for name in by_name)

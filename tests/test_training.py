@@ -1,8 +1,8 @@
 """Training loop: lr=0 identity, run-log determinism, overfit sanity,
 pos-weight computation, evaluation contracts, maps from one forward,
 graph-free eval, the folded eval forward against a numpy oracle, train-mode
-blocks' gradients and the arrays they hold for backward, folds kept for one
-evaluation pass."""
+blocks' gradients and the arrays they hold for backward, constant conv
+weights, folded or plain, kept for one evaluation pass."""
 
 import numpy as np
 import numpy.testing as npt
@@ -12,6 +12,7 @@ from phcnet import autograd as ag
 from phcnet import data as D
 from phcnet import models as MD
 from phcnet import nn
+from phcnet import phc
 from phcnet import tensor as T
 from phcnet import training as TR
 from phcnet.module import Module
@@ -258,7 +259,7 @@ class TestMaps:
         assert len(written) == 2
         for path in written:
             img = D.load_pgm(path)
-            assert img.shape == (1, 24, 24)
+            assert img.shape == (24, 24)
 
     def test_lesion_saliency_exceeds_background_after_training(self, tmp_path):
         # miniature version of the localization property: train briefly on an
@@ -508,10 +509,10 @@ def outputs_folding_per_batch(model, x, batch_size):
 
 
 class Unreadable(dict):
-    """Pass folds whose every read fails the test."""
+    """Pass constants whose every read fails the test."""
 
     def __contains__(self, key):
-        raise AssertionError("the pass's folds were read")
+        raise AssertionError("the pass's constants were read")
 
     __getitem__ = get = __contains__
 
@@ -536,7 +537,7 @@ class TestEvalPass:
         want = outputs_folding_per_batch(model, x, 3)
         got = TR._outputs(model, TR.STAGE[STAGE_OF[kind]], x, 3)
         assert got.tobytes() == want.tobytes()
-        assert nn._pass_folds is None
+        assert phc._pass_constants is None
 
     @pytest.mark.parametrize("edit", ["A", "F", "gamma", "beta", "running_var"])
     def test_in_place_edit_between_passes_is_seen(self, edit):
@@ -563,35 +564,35 @@ class TestEvalPass:
     def test_folds_dropped_after_the_pass_and_after_an_exception(self):
         model = random_batchnorm(tiny_model(seed=15), seed=32)
         x = kind_batch("phresnet", 4, seed=33)
-        with nn.eval_pass():
+        with phc.eval_pass():
             model.eval()
             model(ag.constant(x))
-            with nn.eval_pass():
-                assert nn._pass_folds == {}
-            assert len(nn._pass_folds) == sum(
-                isinstance(m, nn.BatchNorm2d) for m in model.modules())
-        assert nn._pass_folds is None
+            with phc.eval_pass():
+                assert phc._pass_constants == {}
+            assert len(phc._pass_constants) == sum(
+                isinstance(m, PHCConv2d) for m in model.modules())
+        assert phc._pass_constants is None
         # a two-view model scored as a mask: the forward runs, then the check raises
         with pytest.raises(ShapeError):
             TR._outputs(model, TR.STAGE["segmentation"], x, 2)
-        assert nn._pass_folds is None
+        assert phc._pass_constants is None
 
     def test_train_mode_never_reads_the_folds(self, monkeypatch):
         model = random_batchnorm(tiny_model(seed=16), seed=34)
         twin = random_batchnorm(tiny_model(seed=16), seed=34)
         x = kind_batch("phresnet", 4, seed=35)
         want = twin(ag.constant(x)).value
-        monkeypatch.setattr(nn, "_pass_folds", Unreadable())
+        monkeypatch.setattr(phc, "_pass_constants", Unreadable())
         assert model(ag.constant(x)).value.tobytes() == want.tobytes()
 
     def test_saliency_inside_a_pass_equals_outside(self):
         model = random_batchnorm(tiny_model(seed=17), seed=36)
         x = kind_batch("phresnet", 1, seed=37)[0]
         want = TR.maps(model, x)["saliency"]
-        with nn.eval_pass():
+        with phc.eval_pass():
             # the first call folds every pair, the second reads those folds
             inside = [TR.maps(model, x)["saliency"] for _ in range(2)]
-            assert nn._pass_folds
+            assert phc._pass_constants
         assert all(sal.tobytes() == want.tobytes() for sal in inside)
 
     @pytest.mark.parametrize("kind", list(MODELS))
@@ -627,8 +628,11 @@ class TestEvalPass:
         want = np.abs(node.grad[0]).sum(axis=0)
         assert TR.maps(model, x[0])["saliency"].tobytes() == want.tobytes()
 
-    def test_physenet_builds_each_shared_conv_once_per_pass(self, monkeypatch):
-        model = random_batchnorm(MODELS["physenet"](), seed=36)
+    @pytest.mark.parametrize("kind", list(MODELS))
+    def test_builds_each_conv_once_per_pass(self, monkeypatch, kind):
+        """PHYSEnet's shared convs and PHUNet's plain ones (no batch norm)
+        included."""
+        model = random_batchnorm(MODELS[kind](), seed=36)
         built = {}
         build = PHCConv2d.build_weight
 
@@ -637,9 +641,9 @@ class TestEvalPass:
             return build(conv)
 
         monkeypatch.setattr(PHCConv2d, "build_weight", counted)
-        x = kind_batch("physenet", 5, seed=37)
+        x = kind_batch(kind, 5, seed=37)
         for _ in range(2):
             built.clear()
-            TR._outputs(model, TR.STAGE["four-view"], x, 2)
+            TR._outputs(model, TR.STAGE[STAGE_OF[kind]], x, 2)
             convs = [m for m in model.modules() if isinstance(m, PHCConv2d)]
             assert built == {conv: 1 for conv in convs}

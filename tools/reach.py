@@ -6,9 +6,11 @@ Runs tools/digest.py's run set under a profile hook, and after it ``inspect``
 on a checkpoint, an ``eval`` without ``--stage`` (so the model's config picks
 the stage) and a ``train`` with a ``--set`` override.  Prints, sorted and one
 per line as ``module.qualname``, every function and method written in
-phcnet's source that none of these entered.  Functions nested in another are
-left out: they run only if their parent does.  tests/test_reach.py holds the
-list of functions kept on purpose; any other name printed here is unused.
+phcnet's source that none of these entered, and every nested function or
+lambda that none of them entered while the function around it ran (so an
+unused backward rule inside a used op shows).  Comprehensions and generator
+expressions are left out.  tests/test_reach.py holds the list of functions
+kept on purpose; any other name printed here is unused.
 """
 
 from __future__ import annotations
@@ -25,21 +27,29 @@ import phcnet
 from digest import cli, run_set
 
 
-def functions() -> dict[tuple[str, int], str]:
-    """``module.qualname`` of every phcnet function and method, by the file and
-    first line of its code."""
+COMPREHENSIONS = {"<listcomp>", "<setcomp>", "<dictcomp>", "<genexpr>"}
+
+
+def functions() -> dict[tuple[str, int], tuple[str, tuple[str, int] | None]]:
+    """``module.qualname`` of every phcnet function, method, nested function
+    and lambda, with the key of the function around it (None for a function
+    or method), by the file and first line of its code."""
     found = {}
     for path in sorted(Path(phcnet.__file__).parent.glob("*.py")):
         module = importlib.import_module(f"phcnet.{path.stem}")
-        stack = [compile(path.read_text(), module.__file__, "exec")]
+        stack = [(compile(path.read_text(), module.__file__, "exec"), None)]
         while stack:
-            for code in stack.pop().co_consts:
-                if not isinstance(code, CodeType) or "<" in code.co_qualname:
+            outer, around = stack.pop()
+            for code in outer.co_consts:
+                if not isinstance(code, CodeType):
                     continue
-                stack.append(code)  # a class body holds its methods
-                if code.co_flags & inspect.CO_NEWLOCALS:
-                    found[code.co_filename, code.co_firstlineno] = (
-                        f"{path.stem}.{code.co_qualname}")
+                key = code.co_filename, code.co_firstlineno
+                if not code.co_flags & inspect.CO_NEWLOCALS:
+                    stack.append((code, around))  # a class body holds its methods
+                    continue
+                stack.append((code, key))
+                if code.co_name not in COMPREHENSIONS:
+                    found[key] = f"{path.stem}.{code.co_qualname}", around
     return found
 
 
@@ -76,7 +86,8 @@ def main() -> None:
     found = functions()
     with tempfile.TemporaryDirectory() as tmp:
         seen = entered(Path(tmp))
-    for name in sorted(name for key, name in found.items() if key not in seen):
+    for name in sorted(name for key, (name, around) in found.items()
+                       if key not in seen and (around is None or around in seen)):
         print(name)
 
 
