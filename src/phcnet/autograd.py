@@ -222,14 +222,15 @@ def linear(x, w, b) -> Node:
 
 
 def conv2d(x, w, b=None, stride=1, padding=0) -> Node:
-    """Differentiable conv2d; shares tensor.conv2d's forward bit for bit."""
+    """Differentiable tensor.conv2d.  The node keeps no im2col layout: only a
+    weight gradient needs one, and the rule rebuilds it from ``x.value``, so
+    nothing may write x between forward and backward."""
     x, w = _as_node(x), _as_node(w)
     b = None if b is None else _as_node(b)
-    out, cols = T.conv2d_forward(x.value, w.value, None if b is None else b.value,
-                                 stride, padding)
+    out = T.conv2d(x.value, w.value, None if b is None else b.value, stride, padding)
 
     def rule(g):
-        gx, gw = T.conv2d_backward(g, cols, w.value, x.shape, stride, padding,
+        gx, gw = T.conv2d_backward(g, x.value, w.value, stride, padding,
                                    x.requires_grad, w.requires_grad)
         if b is None:
             return gx, gw

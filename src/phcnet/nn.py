@@ -3,15 +3,16 @@
 Residual blocks follow y = ReLU(F(x) + skip(x)) with
 F = BN(PHC(ReLU(BN(PHC(x))))); the refiner variant uses the 1x1 -> 3x3 ->
 1x1 bottleneck design with mid channels = out/4.  Every BN(PHC(x)) pair
-runs through :func:`conv_bn`.  In train mode that is a conv node followed
-by one batch-norm node that also carries the residual add and the ReLU; it
-recomputes x̂ from the conv's output in backward, so each pair holds two
-full-size arrays; in eval mode the conv folds the batch norm in.  Every
-layer with parameters, here and in :mod:`.phc`, passes its parameters'
-values, not the Parameter nodes, to autograd in eval mode, so an eval
-forward keeps a graph exactly when its input requires grad.  Losses are
-computed in numerically stable softplus/log-sum-exp form.  Adam applies
-decoupled weight decay (theta *= 1 - lr*lambda before the moment update).
+runs through :func:`conv_bn`: in train mode a conv node and one batch-norm
+node that also carries the residual add and the ReLU.  Backward recomputes
+x̂ from the conv's output and the conv's im2col layout from its input, so a
+pair holds exactly two full-size arrays, its outputs, and the conv none.  In
+eval mode the conv folds the batch norm in.  Every layer with parameters,
+here and in :mod:`.phc`, passes its parameters' values, not the Parameter
+nodes, to autograd in eval mode, so an eval forward keeps a graph exactly
+when its input requires grad.  Losses are computed in numerically stable
+softplus/log-sum-exp form.  Adam applies decoupled weight decay
+(theta *= 1 - lr*lambda before the moment update).
 """
 
 from __future__ import annotations
@@ -176,13 +177,13 @@ def conv_bn(conv: PHCConv2d, bn: BatchNorm2d, x, skip=None, relu=True) -> ag.Nod
     """bn(conv(x)), plus ``skip`` if given, then ReLU if ``relu``.
 
     Train mode is a conv node and one :class:`BatchNorm2d` node that carries
-    the add and the ReLU.  Backward recomputes x̂ from the conv's output, so
-    nothing may write that output between forward and backward.
+    the add and the ReLU.  Backward recomputes x̂ from the conv's output and
+    the conv's layout from ``x``, so nothing may write either in between.
 
     Eval mode is ``conv(x, bn)``, which folds the batch norm in: it keeps a
     graph only if ``x`` does, and carries gradients to ``x`` and ``skip``
-    only (``skip`` is ``x`` or comes from it).  When it keeps none, the add
-    and ReLU run in place on its output.
+    only (``skip`` is ``x`` or comes from it).  Only when it keeps none, so
+    that no backward reads its output, do the add and ReLU run in place on it.
     """
     if bn.training:
         return bn(conv(x), skip, relu)

@@ -13,9 +13,9 @@ those slices, one cache-sized chunk of columns at a time, so each chunk is
 one GEMM over every tap, written straight into the output.  The backward
 stacks the output gradient once per chunk of each phase: the input gradient
 writes its GEMM with the weight into that phase, and the weight gradient adds
-the stack's product with the same chunk of the layout.  All are computed on
-the padded grid and cropped; ``col2im``, the exact adjoint of ``im2col``,
-folds an input gradient back.
+the stack's product with the same chunk of the layout, which it rebuilds from
+the input.  All are computed on the padded grid and cropped; ``col2im``, the
+exact adjoint of ``im2col``, folds an input gradient back.
 ``conv2d_naive`` is the sliding-window reference kept as a test oracle.
 """
 
@@ -191,8 +191,13 @@ def col2im(cols: np.ndarray, x_shape, khw, stride, padding) -> np.ndarray:
     return img
 
 
-def conv2d_forward(x, weight, bias=None, stride=1, padding=0):
-    """conv2d, also returning the im2col layout that conv2d_backward reuses."""
+def conv2d(x, weight, bias=None, stride=1, padding=0) -> np.ndarray:
+    """2D cross-correlation of (N,Cin,H,W) with (Cout,Cin,Kh,Kw) filters.
+
+    Every kernel tap's shifted slice of the im2col layout is stacked along K,
+    so each cache-sized chunk of the flat phase grid is one (Cout, Kh*Kw*Cin)
+    GEMM written into the output, then cropped to (N, Cout, Ho, Wo).
+    """
     x, weight = as_tensor(x), as_tensor(weight)
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(
@@ -213,27 +218,30 @@ def conv2d_forward(x, weight, bias=None, stride=1, padding=0):
     out = np.empty((x.shape[0], cout, ho, wo), dtype=dtype)
     crop = grid[:, :, :ho, :wo].transpose(1, 0, 2, 3)
     np.add(crop, 0 if bias is None else as_tensor(bias)[None, :, None, None], out=out)
-    return out, cols
+    return out
 
 
-def conv2d_backward(g, cols, weight, x_shape, stride=1, padding=0,
-                    need_x=True, need_w=True):
-    """Input and weight gradients of conv2d_forward, given the output gradient.
+def conv2d_backward(g, x, weight, stride=1, padding=0, need_x=True, need_w=True):
+    """Input and weight gradients of conv2d at input x, given the output gradient.
 
     One loop serves both: each chunk of each phase (a, b) that a tap reads
     stacks g shifted back by those taps' offsets.  The input gradient writes
     the stacked weights times the stack into the phase (the gather form), and
     the weight gradient adds the stack times the chunk's layout, transposed,
     to those taps' rows: gw[o, c, i, j] = sum_p g[o, p - offset] * cols[a, b][c, p].
+    Only the weight gradient reads the layout ``cols``; it rebuilds it from x.
     """
     cout, cin, kh, kw = weight.shape
-    (ho, wo), (hq, wq), phases, _, taps = _layout(x_shape, (kh, kw), stride, padding)
+    (ho, wo), (hq, wq), phases, _, taps = _layout(x.shape, (kh, kw), stride, padding)
     # g on the flat grid, behind a zero margin as long as the largest tap offset
     margin = max(off for *_, off in taps)
-    padded = np.zeros((cout, margin + x_shape[0] * hq * wq), dtype=g.dtype)
+    width = x.shape[0] * hq * wq
+    padded = np.zeros((cout, margin + width), dtype=g.dtype)
     padded[:, margin:].reshape(cout, -1, hq, wq)[:, :, :ho, :wo] = g.transpose(1, 0, 2, 3)
-    dtype = np.result_type(g, cols, weight)
-    g_cols = np.empty(cols.shape, dtype=dtype) if need_x else None  # col2im skips unread phases
+    dtype = np.result_type(g, x, weight)
+    cols = im2col(x, (kh, kw), stride, padding) if need_w else None
+    # col2im skips unread phases
+    g_cols = np.empty((*_pair(stride), cin, width), dtype=dtype) if need_x else None
     gw = np.empty(weight.shape, dtype=dtype) if need_w else None
     for a, b, *_ in phases:
         read = [(i, j, off) for i, j, ta, tb, off in taps if (ta, tb) == (a, b)]
@@ -241,7 +249,7 @@ def conv2d_backward(g, cols, weight, x_shape, stride=1, padding=0,
                                  dtype=dtype)
         gw_read = np.zeros((len(read) * cout, cin), dtype=dtype)
         for c0, c1, stack in _stacked_chunks([(padded, margin - off) for *_, off in read],
-                                             cols.shape[-1], dtype):
+                                             width, dtype):
             if need_x:
                 np.matmul(w_stack, stack, out=g_cols[a, b][:, c0:c1])
             if need_w:
@@ -250,18 +258,8 @@ def conv2d_backward(g, cols, weight, x_shape, stride=1, padding=0,
         if need_w:
             for (i, j, _), rows in zip(read, gw_read.reshape(len(read), cout, cin)):
                 gw[:, :, i, j] = rows
-    gx = col2im(g_cols, x_shape, (kh, kw), stride, padding) if need_x else None
+    gx = col2im(g_cols, x.shape, (kh, kw), stride, padding) if need_x else None
     return gx, gw
-
-
-def conv2d(x, weight, bias=None, stride=1, padding=0) -> np.ndarray:
-    """2D cross-correlation of (N,Cin,H,W) with (Cout,Cin,Kh,Kw) filters.
-
-    Every kernel tap's shifted slice of the im2col layout is stacked along K,
-    so each cache-sized chunk of the flat phase grid is one (Cout, Kh*Kw*Cin)
-    GEMM written into the output, then cropped to (N, Cout, Ho, Wo).
-    """
-    return conv2d_forward(x, weight, bias, stride, padding)[0]
 
 
 def conv2d_naive(x, weight, bias=None, stride=1, padding=0) -> np.ndarray:

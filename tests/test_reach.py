@@ -12,7 +12,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # what no command runs and still stays
 KEPT = [
-    "tensor.kron", "tensor.conv2d", "tensor.conv2d_naive",  # oracles
+    "tensor.kron", "tensor.conv2d_naive",                   # oracles
     "phc.hamilton_weight", "phc.hamilton_conv",              # the quaternion oracle
     "autograd.grad_check", "autograd.GradReport.passed",     # the gradient oracle
     "autograd.mul", "autograd.nsum",                         # the grad checks' losses

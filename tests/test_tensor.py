@@ -190,7 +190,7 @@ class TestConv2d:
         # its own, for both gradients, per phase that some tap reads
         callers = [caller for caller, *_ in loops]
         backward = ("conv2d_backward", "rule")
-        assert set(callers) == {("_stacked_gemm", "conv2d_forward"), backward}
+        assert set(callers) == {("_stacked_gemm", "conv2d"), backward}
         phases = T._layout(x_shape, w_shape[2:], stride, padding)[2]
         assert callers.count(backward) == len(phases)
 
@@ -200,9 +200,8 @@ class TestConv2d:
         rng = np.random.default_rng(17)
         x = rng.normal(size=x_shape).astype(np.float32)
         w = rng.normal(size=w_shape).astype(np.float32)
-        out, cols = T.conv2d_forward(x, w, None, stride, padding)
-        args = (rng.normal(size=out.shape).astype(np.float32), cols, w, x_shape, stride,
-                padding)
+        out = T.conv2d(x, w, None, stride, padding)
+        args = (rng.normal(size=out.shape).astype(np.float32), x, w, stride, padding)
         gx, gw = T.conv2d_backward(*args)
         no_x, only_w = T.conv2d_backward(*args, need_x=False)
         only_x, no_w = T.conv2d_backward(*args, need_w=False)
@@ -226,11 +225,10 @@ class TestConv2d:
         w = rng.normal(size=w_shape).astype(np.float32)
         results = []
         for dtype in (np.float32, np.float64):
-            out, cols = T.conv2d_forward(x.astype(dtype), w.astype(dtype), None, stride,
-                                         padding)
+            out = T.conv2d(x.astype(dtype), w.astype(dtype), None, stride, padding)
             g = np.random.default_rng(16).normal(size=out.shape).astype(np.float32)
-            results.append((out, *T.conv2d_backward(g.astype(dtype), cols, w.astype(dtype),
-                                                   x_shape, stride, padding)))
+            results.append((out, *T.conv2d_backward(g.astype(dtype), x.astype(dtype),
+                                                   w.astype(dtype), stride, padding)))
         for name, low, high in zip(("forward", "gx", "gw"), *results):
             assert low.dtype == np.float32 and high.dtype == np.float64
             assert rms_relative(low, high) < 5e-7, name

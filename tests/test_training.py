@@ -1,8 +1,11 @@
 """Training loop: lr=0 identity, run-log determinism, overfit sanity,
 pos-weight computation, evaluation contracts, maps from one forward,
 graph-free eval, the folded eval forward against a numpy oracle, train-mode
-blocks' gradients and the arrays they hold for backward, constant conv
+blocks' gradients and the arrays they hold for backward, train-mode convs
+that hold no im2col layout and rebuild one per weight gradient, constant conv
 weights, folded or plain, kept for one evaluation pass."""
+
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -490,6 +493,93 @@ class TestTrainMode:
         # every node but the built weights holds an activation: a conv's or a pair's output
         held = sum(n.value.nbytes for n in order if ops.get(id(n)) not in (None, "kron_sum"))
         assert held == 2 * sum(n.value.nbytes for n in bns)
+
+
+def bench_phresnet():
+    """two-view-train's train-mode PHResNet (n=2, width 16) and a batch of 8 of
+    2x64x64, run once so that every layout's geometry is cached."""
+    model = MD.PHResNet(MD.PHResNetConfig(n=2, width=16, blocks=(2, 2, 2, 2)), seed=0)
+    x = ag.constant(np.random.default_rng(50).normal(size=(8, 2, 64, 64)).astype(np.float32))
+    model(x)
+    return model, x
+
+
+def traced_bytes(compute):
+    """``compute()`` and the bytes allocated during it that are still held."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = compute()
+        return out, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def counting_im2col(monkeypatch):
+    """A list that gets the input shape of every ``T.im2col`` call."""
+    calls, im2col = [], T.im2col
+
+    def counted(x, *args):
+        calls.append(x.shape)
+        return im2col(x, *args)
+
+    monkeypatch.setattr(T, "im2col", counted)
+    return calls
+
+
+class TestConvHoldsNoLayout:
+    """A train-mode conv keeps its parents and no im2col layout: the weight
+    gradient rebuilds the layout from the input, which the graph holds anyway."""
+
+    def test_conv_node_holds_its_output_only(self):
+        rng = np.random.default_rng(51)
+        x = ag.Node(rng.normal(size=(8, 16, 64, 64)).astype(np.float32), requires_grad=True)
+        w = ag.Node(rng.normal(size=(16, 16, 3, 3)).astype(np.float32), requires_grad=True)
+        ag.conv2d(x, w, padding=1)
+        layout = T.im2col(x.value, (3, 3), 1, 1).nbytes
+        slack = 1 << 16  # the node and its rule; a layout is 2.2 MB
+        assert slack < layout
+        node, held = traced_bytes(lambda: ag.conv2d(x, w, padding=1))
+        assert node.value.nbytes <= held < node.value.nbytes + slack
+
+    def test_phresnet_holds_node_values_only(self):
+        model, x = bench_phresnet()
+        out, held = traced_bytes(lambda: model(x))
+        before = {id(p.value) for p in model.parameters()} | {id(x.value)}
+        buffers = {}
+        for node in ag._topo_order(out):
+            base = node.value
+            while base.base is not None:
+                base = base.base
+            if id(base) not in before:
+                buffers[id(base)] = base.nbytes
+        values = sum(buffers.values())
+        # nodes, rules and per-channel statistics; the stem's layout, the
+        # smallest of any conv over an image plane, is 272 KiB
+        slack = 1 << 18
+        assert slack < T.im2col(x.value, (3, 3), 1, 1).nbytes
+        assert values <= held < values + slack
+
+    def test_train_step_rebuilds_layouts_for_weight_gradients_only(self, monkeypatch):
+        model, x = bench_phresnet()
+        convs = [m for m in model.modules() if isinstance(m, PHCConv2d)]
+        frozen = convs[len(convs) // 2]
+        frozen.A.requires_grad = frozen.F.requires_grad = False
+        calls = counting_im2col(monkeypatch)
+        loss = ag.nsum(model(x))
+        assert len(calls) == len(convs)
+        ag.backward(loss)
+        assert len(calls) == 2 * len(convs) - 1
+        assert frozen.F.grad is None and all(c.F.grad is not None for c in convs if c is not frozen)
+
+    def test_maps_rebuilds_no_layout(self, monkeypatch):
+        model = tiny_model(seed=52)
+        convs = [m for m in model.modules() if isinstance(m, PHCConv2d)]
+        views = np.random.default_rng(53).random((2, 24, 24)).astype(np.float32)
+        TR.maps(model, views)
+        calls = counting_im2col(monkeypatch)
+        assert TR.maps(model, views)["saliency"].any()
+        assert len(calls) == len(convs)
 
 
 STAGE_OF = {"phresnet": "two-view", "phybonet": "four-view", "physenet": "four-view",
