@@ -6,22 +6,33 @@ functions here are pure: they never mutate their inputs, and every shape
 violation raises a recoverable :class:`ShapeError`.
 
 ``conv2d`` follows cross-correlation semantics (no kernel flip).  ``im2col``
-pads the input and splits it into its stride phases, channel-major with the
-batch folded into one flat axis, (Sh, Sw, C, N*Hq*Wq).  Every kernel tap is
-then a contiguous shifted slice of one phase.  ``_stacked_chunks`` stacks
-those slices, one cache-sized chunk of columns at a time, so each chunk is
-one GEMM over every tap, written straight into the output.  The backward
-stacks the output gradient once per chunk of each phase: the input gradient
-writes its GEMM with the weight into that phase, and the weight gradient adds
-the stack's product with the same chunk of the layout, which it rebuilds from
-the input.  All are computed on the padded grid and cropped; ``col2im``, the
-exact adjoint of ``im2col``, folds an input gradient back.
-``conv2d_naive`` is the sliding-window reference kept as a test oracle.
+pads the input and splits it into the stride phases that some kernel tap
+reads, channel-major with the batch folded into one flat axis,
+(P, C, N*Hq*Wq).  Every kernel tap is then a contiguous shifted slice of one
+phase.  ``_stacked_chunks`` stacks those slices, one cache-sized chunk of
+columns at a time, so each chunk is one GEMM over every tap, written straight
+into the output.  The backward stacks the output gradient per chunk of each
+phase: the input gradient writes its GEMM with the weight into that phase,
+and the weight gradient adds the stack's product with the same chunk of the
+layout, which it rebuilds from the input.  All are computed on the padded
+grid and cropped; ``col2im``, the exact adjoint of ``im2col``, folds an
+input gradient back.  ``conv2d_naive`` is the sliding-window reference kept
+as a test oracle.
+
+A process that may run on two or more CPUs starts one conv worker thread on
+its first stacked conv.  The forward, and an input gradient alone, give it
+every odd chunk; a backward that needs both gradients gives it the weight
+gradient.  Both threads use the same chunk boundaries and each sum keeps its
+order, so every result is the same to the bit with or without the worker,
+and so on any number of CPUs.
 """
 
 from __future__ import annotations
 
+import contextvars
 import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -101,12 +112,12 @@ def _layout(x_shape, khw, stride, padding):
     (r // Sh, s // Sw) of an Hq x Wq grid per image.  Tap (i, j) of output
     pixel (y, z) reads phase (i % Sh, j % Sw) at (y + i // Sh, z + j // Sw), a
     fixed flat offset.  Outputs sit at their own flat grid index, all below
-    ``span``, so each of ``taps`` (i, j, a, b, offset) is one shifted slice of
-    the layout.  ``phases`` holds, per phase (a, b) that some tap reads, the
-    strided input slice it stores and its place in the grid; no tap reads the
-    others (a strided 1x1 kernel reads one phase), so they stay zero.  The
-    geometry depends on the shapes alone, so it is cached, as tuples that no
-    caller can change.
+    ``span``, so each of ``taps`` (i, j, p, offset) is one shifted slice of
+    layout phase p.  ``phases`` holds, per phase that some tap reads, the
+    strided input slice it stores and its place in the grid; the layout
+    keeps no others (a strided 1x1 kernel reads one phase).  The geometry
+    depends on the shapes alone, so it is cached, as tuples that no caller
+    can change.
     """
     ho, wo = conv_output_shape(x_shape[2:], khw, stride, padding)
     sh, sw = _pair(stride)
@@ -117,12 +128,12 @@ def _layout(x_shape, khw, stride, padding):
             (slice(y, None, s), slice((y + p) // s, (y + p) // s + len(range(y, size, s))))
             for y in firsts]))
     (hq, rows), (wq, cols) = axes
-    taps = tuple((i, j, i % sh, j % sw, (i // sh) * wq + j // sw)
-                 for i in range(khw[0]) for j in range(khw[1]))
-    read = {(a, b) for _, _, a, b, _ in taps}
-    phases = tuple((a, b, (..., yi, zi), (..., yq, zq))
+    read = sorted({(i % sh, j % sw) for i in range(khw[0]) for j in range(khw[1])})
+    phases = tuple(((..., yi, zi), (..., yq, zq))
                    for a, (yi, yq) in enumerate(rows) for b, (zi, zq) in enumerate(cols)
                    if (a, b) in read)
+    taps = tuple((i, j, read.index((i % sh, j % sw)), (i // sh) * wq + j // sw)
+                 for i in range(khw[0]) for j in range(khw[1]))
     span = (x_shape[0] - 1) * hq * wq + (ho - 1) * wq + wo
     return (ho, wo), (hq, wq), phases, span, taps
 
@@ -132,62 +143,121 @@ _CHUNK_BYTES = 1 << 20
 _CHUNK_MIN_COLS = 128
 
 
-def _stacked_chunks(sources, cols, dtype):
-    """Yield ``(c0, c1, stack)`` over cache-sized chunks of ``cols`` columns.
+def _chunk_width(sources, cols, dtype) -> int:
+    """Columns per chunk of :func:`_stacked_chunks`: about ``_CHUNK_BYTES`` of
+    stacked sources, at least ``_CHUNK_MIN_COLS``; all ``cols`` for one source."""
+    if len(sources) == 1:
+        return cols
+    rows = sources[0][0].shape[0]
+    return max(_CHUNK_BYTES // (len(sources) * rows * np.dtype(dtype).itemsize),
+               _CHUNK_MIN_COLS)
+
+
+def _stacked_chunks(sources, cols, dtype, consume, first=0, step=1) -> None:
+    """Call ``consume(c0, c1, stack)`` on chunks first, first + step, ... of
+    ``cols`` columns, :func:`_chunk_width` columns each but the last.
 
     ``stack`` is ``stack(src[:, off + c0 : off + c1] for src, off in sources)``
     as one (taps*rows, c1 - c0) matrix: every source's shifted slice is copied
-    into one buffer of about ``_CHUNK_BYTES`` (at least ``_CHUNK_MIN_COLS``
-    columns), so each chunk is one GEMM with K or M = taps*rows and no per-tap
-    partial sum is written or read back.  One source is not copied: its slice
-    is yielded in place as the only chunk.  The buffer is reused, so a caller
-    consumes each chunk before asking for the next.
+    into one buffer, so each chunk is one GEMM with K or M = taps*rows and no
+    per-tap partial sum is written or read back.  One source is not copied:
+    its slice is passed in place as the only chunk.  Each call has its own
+    buffer and reuses it, so ``consume`` is done with a chunk when it returns.
+    The chunk boundaries do not depend on ``first`` and ``step``, so neither
+    does any chunk's result, to the bit.
     """
     if len(sources) == 1:
         (src, off), = sources
-        yield 0, cols, src[:, off : off + cols]
+        if first == 0:
+            consume(0, cols, src[:, off : off + cols])
         return
-    rows = sources[0][0].shape[0]
-    itemsize = np.dtype(dtype).itemsize
-    width = max(_CHUNK_BYTES // (len(sources) * rows * itemsize), _CHUNK_MIN_COLS)
-    buf = np.empty((len(sources), rows, min(width, cols)), dtype=dtype)
-    for c0 in range(0, cols, width):
+    width = _chunk_width(sources, cols, dtype)
+    buf = np.empty((len(sources), sources[0][0].shape[0], min(width, cols)), dtype=dtype)
+    for c0 in range(first * width, cols, step * width):
         n = min(width, cols - c0)
         for t, (src, off) in enumerate(sources):
             buf[t, :, :n] = src[:, off + c0 : off + c0 + n]
-        yield c0, c0 + n, buf[:, :, :n].reshape(-1, n)
+        consume(c0, c0 + n, buf[:, :, :n].reshape(-1, n))
 
 
-def _stacked_gemm(w, sources, out) -> None:
-    """``out = w @ stack(src[:, off : off + cols] for src, off in sources)``."""
-    for c0, c1, stack in _stacked_chunks(sources, out.shape[1], out.dtype):
-        np.matmul(w, stack, out=out[:, c0:c1])
+_worker = (None, None)  # (pid, the conv worker or None)
+
+
+def _conv_worker():
+    """The one conv worker thread of this process, or None on a single CPU.
+
+    Made on first use, and again in a child after a fork, which inherits the
+    parent's pool but not its thread.
+    """
+    global _worker
+    if _worker[0] != os.getpid():
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        _worker = os.getpid(), ThreadPoolExecutor(1, "phcnet-conv") if cpus > 1 else None
+    return _worker[1]
+
+
+def _side_by_side(mine, theirs) -> None:
+    """Run ``theirs()`` on the conv worker while the caller runs ``mine()``,
+    and return when both are done; an error on either side reaches the caller.
+
+    The worker runs in a copy of the caller's context, which holds numpy's
+    ``errstate``.  Without a worker the caller runs both, in that order.
+    """
+    pool = _conv_worker()
+    if pool is None:
+        mine()
+        theirs()
+        return
+    done = pool.submit(contextvars.copy_context().run, theirs)
+    try:
+        mine()
+    finally:
+        done.result()
+
+
+def _stacked_gemm(w, sources, out, split=True) -> None:
+    """``out = w @ stack(src[:, off : off + cols] for src, off in sources)``.
+
+    With ``split`` and more than one chunk, the caller runs the even chunks
+    and the conv worker the odd ones, each with its own buffer.
+    """
+    def part(first, step):
+        _stacked_chunks(sources, out.shape[1], out.dtype,
+                        lambda c0, c1, stack: np.matmul(w, stack, out=out[:, c0:c1]),
+                        first, step)
+
+    if split and _chunk_width(sources, out.shape[1], out.dtype) < out.shape[1]:
+        _side_by_side(lambda: part(0, 2), lambda: part(1, 2))
+    else:
+        part(0, 1)
 
 
 def im2col(x: np.ndarray, khw, stride, padding) -> np.ndarray:
-    """Pad (N,C,H,W) and split it into stride phases, (Sh, Sw, C, N*Hq*Wq).
+    """Pad (N,C,H,W) and split it into the P stride phases that some tap
+    reads, (P, C, N*Hq*Wq).
 
-    Each input pixel that some tap reads is stored once, so the layout is
-    about the size of the padded input whatever the kernel; the rest is zero.
+    Each input pixel that some tap reads is stored once, so the layout is at
+    most the size of the padded input whatever the kernel.
     """
     _, (hq, wq), phases, _, _ = _layout(x.shape, khw, stride, padding)
-    out = np.zeros((*_pair(stride), x.shape[1], x.shape[0], hq, wq), dtype=x.dtype)
-    for a, b, src, dst in phases:
-        out[a, b][dst] = x[src].transpose(1, 0, 2, 3)
-    return out.reshape(*out.shape[:3], -1)
+    out = np.zeros((len(phases), x.shape[1], x.shape[0], hq, wq), dtype=x.dtype)
+    for grid, (src, dst) in zip(out, phases):
+        grid[dst] = x[src].transpose(1, 0, 2, 3)
+    return out.reshape(*out.shape[:2], -1)
 
 
 def col2im(cols: np.ndarray, x_shape, khw, stride, padding) -> np.ndarray:
     """Adjoint of im2col: fold the phases back into (N,C,H,W), dropping the padding.
 
-    Only the phases that some tap reads are read; the pixels of the others are 0.
+    The pixels of a phase that no tap reads are 0.
     """
     _, (hq, wq), phases, _, _ = _layout(x_shape, khw, stride, padding)
-    grid = cols.reshape(*cols.shape[:3], x_shape[0], hq, wq)
-    img = (np.empty if len(phases) == cols.shape[0] * cols.shape[1] else np.zeros)(
+    grids = cols.reshape(*cols.shape[:2], x_shape[0], hq, wq)
+    img = (np.empty if len(phases) == np.prod(_pair(stride)) else np.zeros)(
         x_shape, dtype=cols.dtype)
-    for a, b, src, dst in phases:
-        img[src] = grid[a, b][dst].transpose(1, 0, 2, 3)
+    for grid, (src, dst) in zip(grids, phases):
+        img[src] = grid[dst].transpose(1, 0, 2, 3)
     return img
 
 
@@ -196,7 +266,8 @@ def conv2d(x, weight, bias=None, stride=1, padding=0) -> np.ndarray:
 
     Every kernel tap's shifted slice of the im2col layout is stacked along K,
     so each cache-sized chunk of the flat phase grid is one (Cout, Kh*Kw*Cin)
-    GEMM written into the output, then cropped to (N, Cout, Ho, Wo).
+    GEMM written into the output, then cropped to (N, Cout, Ho, Wo).  The
+    caller and the conv worker take alternate chunks.
     """
     x, weight = as_tensor(x), as_tensor(weight)
     if x.ndim != 4 or weight.ndim != 4:
@@ -213,7 +284,7 @@ def conv2d(x, weight, bias=None, stride=1, padding=0) -> np.ndarray:
     dtype = np.result_type(cols, weight)
     w_stack = weight.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin).astype(dtype, copy=False)
     grid = np.empty((cout, x.shape[0], hq, wq), dtype=dtype)
-    _stacked_gemm(w_stack, [(cols[a, b], off) for _, _, a, b, off in taps],
+    _stacked_gemm(w_stack, [(cols[p], off) for _, _, p, off in taps],
                   grid.reshape(cout, -1)[:, :span])
     out = np.empty((x.shape[0], cout, ho, wo), dtype=dtype)
     crop = grid[:, :, :ho, :wo].transpose(1, 0, 2, 3)
@@ -224,12 +295,19 @@ def conv2d(x, weight, bias=None, stride=1, padding=0) -> np.ndarray:
 def conv2d_backward(g, x, weight, stride=1, padding=0, need_x=True, need_w=True):
     """Input and weight gradients of conv2d at input x, given the output gradient.
 
-    One loop serves both: each chunk of each phase (a, b) that a tap reads
-    stacks g shifted back by those taps' offsets.  The input gradient writes
-    the stacked weights times the stack into the phase (the gather form), and
-    the weight gradient adds the stack times the chunk's layout, transposed,
-    to those taps' rows: gw[o, c, i, j] = sum_p g[o, p - offset] * cols[a, b][c, p].
+    Each chunk of each layout phase p stacks g shifted back by the offsets of
+    the taps that read p.  The input gradient writes the stacked weights
+    times the stack into the phase (the gather form), and the weight
+    gradient adds the stack times the chunk's layout, transposed, to those
+    taps' rows: gw[o, c, i, j] = sum_q g[o, q - offset] * cols[p][c, q].
     Only the weight gradient reads the layout ``cols``; it rebuilds it from x.
+
+    When both are needed and some phase stacks more than one tap, the conv
+    worker stacks g on its own for the weight gradient, adding its chunks in
+    order, while the caller stacks g for the input gradient; without a
+    worker the caller stacks g twice.  An input gradient alone splits its
+    chunks between the two, as the forward does; a weight gradient alone,
+    and a 1x1 kernel's, run on the caller.
     """
     cout, cin, kh, kw = weight.shape
     (ho, wo), (hq, wq), phases, _, taps = _layout(x.shape, (kh, kw), stride, padding)
@@ -239,25 +317,34 @@ def conv2d_backward(g, x, weight, stride=1, padding=0, need_x=True, need_w=True)
     padded = np.zeros((cout, margin + width), dtype=g.dtype)
     padded[:, margin:].reshape(cout, -1, hq, wq)[:, :, :ho, :wo] = g.transpose(1, 0, 2, 3)
     dtype = np.result_type(g, x, weight)
+    reads = [[(i, j, off) for i, j, tp, off in taps if tp == p] for p in range(len(phases))]
+    sources = [[(padded, margin - off) for *_, off in read] for read in reads]
     cols = im2col(x, (kh, kw), stride, padding) if need_w else None
-    # col2im skips unread phases
-    g_cols = np.empty((*_pair(stride), cin, width), dtype=dtype) if need_x else None
+    g_cols = np.empty((len(phases), cin, width), dtype=dtype) if need_x else None
     gw = np.empty(weight.shape, dtype=dtype) if need_w else None
-    for a, b, *_ in phases:
-        read = [(i, j, off) for i, j, ta, tb, off in taps if (ta, tb) == (a, b)]
-        w_stack = np.concatenate([weight[:, :, i, j].T for i, j, _ in read], axis=1,
-                                 dtype=dtype)
-        gw_read = np.zeros((len(read) * cout, cin), dtype=dtype)
-        for c0, c1, stack in _stacked_chunks([(padded, margin - off) for *_, off in read],
-                                             width, dtype):
-            if need_x:
-                np.matmul(w_stack, stack, out=g_cols[a, b][:, c0:c1])
-            if need_w:
-                gw_read += stack @ cols[a, b][:, c0:c1].T
-        del stack  # frees the chunk buffer before the next phase or col2im allocates
-        if need_w:
-            for (i, j, _), rows in zip(read, gw_read.reshape(len(read), cout, cin)):
+
+    def input_grad(split):
+        for p, read in enumerate(reads):
+            w_stack = np.concatenate([weight[:, :, i, j].T for i, j, _ in read], axis=1,
+                                     dtype=dtype)
+            _stacked_gemm(w_stack, sources[p], g_cols[p], split)
+
+    def weight_grad():
+        for p, read in enumerate(reads):
+            acc = np.zeros((len(read) * cout, cin), dtype=dtype)
+            _stacked_chunks(sources[p], width, dtype,
+                            lambda c0, c1, stack: np.add(acc, stack @ cols[p][:, c0:c1].T,
+                                                         out=acc))
+            for (i, j, _), rows in zip(read, acc.reshape(len(read), cout, cin)):
                 gw[:, :, i, j] = rows
+
+    if need_x and need_w and len(taps) > len(phases):
+        _side_by_side(lambda: input_grad(False), weight_grad)
+    else:
+        if need_x:
+            input_grad(True)
+        if need_w:
+            weight_grad()
     gx = col2im(g_cols, x.shape, (kh, kw), stride, padding) if need_x else None
     return gx, gw
 

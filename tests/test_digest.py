@@ -1,5 +1,6 @@
 """tools/digest.py runs, and prints the same digests with the BLAS thread
-count left to phcnet and with it set to 1.
+count left to phcnet, with it set to 1, and in a process allowed one CPU,
+which runs no conv worker thread.
 
 That equality is the bitwise determinism check: the tool's output on two
 source trees diffs clean only if every run is deterministic on each, and
@@ -21,21 +22,31 @@ RUNS = ["patch", "two-view", "physenet", "phybonet", "segmentation", "pos-weight
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def digest(**threads) -> str:
+def digest(preexec_fn=None, **threads) -> str:
     env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
     proc = subprocess.run([sys.executable, str(ROOT / "tools" / "digest.py")],
-                          capture_output=True, text=True, timeout=600,
+                          capture_output=True, text=True, timeout=600, preexec_fn=preexec_fn,
                           env={**env, **threads, "PYTHONPATH": str(ROOT / "src")})
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
 
-def test_digest_runs_and_repeats():
-    first = digest()
-    rows = [line.split() for line in first.splitlines()]
+@pytest.fixture(scope="module")
+def default_digest() -> str:
+    return digest()
+
+
+def test_digest_runs_and_repeats(default_digest):
+    rows = [line.split() for line in default_digest.splitlines()]
     assert [row[0] for row in rows] == RUNS
     assert all(len(row) == 3 and row[1] == "epochs=3" for row in rows)
-    assert digest(OPENBLAS_NUM_THREADS="1") == first
+    assert digest(OPENBLAS_NUM_THREADS="1") == default_digest
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+def test_digest_on_one_cpu(default_digest):
+    cpu = min(os.sched_getaffinity(0))
+    assert digest(preexec_fn=lambda: os.sched_setaffinity(0, {cpu})) == default_digest
 
 
 def test_session_blas_threads_are_pinned():

@@ -6,7 +6,11 @@ float64 at workload shapes; col2im against the adjoint identity; kron
 against hand-applied definitions.
 """
 
+import multiprocessing
 import sys
+import threading
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import numpy.testing as npt
@@ -40,19 +44,27 @@ def small_chunks(monkeypatch):
     """Shrink the stacked-GEMM chunk so that the forward's span and every
     phase of the backward span at least three chunks, the last one partial;
     returns a function that sets it for one case and returns the chunk loops
-    run, as ((caller, caller's caller), sources, widths).  At teardown every
-    loop over more than one source is checked for this."""
+    run, as (calling function, thread, sources, (c0, c1) of each chunk run).
+    Every loop over more than one source is checked for this as it runs, and
+    for running exactly its share of the chunks; at teardown, when there is a
+    conv worker, the caller and the worker must both have run some."""
     loops = []
     chunks = T._stacked_chunks
 
-    def recorded(sources, cols, dtype):
-        widths = []
-        caller = sys._getframe(1)
-        loops.append(((caller.f_code.co_name, caller.f_back.f_code.co_name), len(sources),
-                      widths))
-        for chunk in chunks(sources, cols, dtype):
-            widths.append(chunk[1] - chunk[0])
-            yield chunk
+    def recorded(sources, cols, dtype, consume, first=0, step=1):
+        ran = []
+        loops.append((sys._getframe(1).f_code.co_name, threading.get_ident(), sources,
+                      ran))
+        width = T._chunk_width(sources, cols, dtype)
+        every = [(c0, min(c0 + width, cols)) for c0 in range(0, cols, width)]
+        assert len(sources) == 1 or (len(every) >= 3 and every[-1][1] - every[-1][0] < width)
+
+        def consume_recorded(c0, c1, stack):
+            ran.append((c0, c1))
+            consume(c0, c1, stack)
+
+        chunks(sources, cols, dtype, consume_recorded, first, step)
+        assert ran == every[first::step]
 
     def set_for(x_shape, w_shape, stride, padding):
         _, (hq, wq), _, span, _ = T._layout(x_shape, w_shape[2:], stride, padding)
@@ -64,8 +76,8 @@ def small_chunks(monkeypatch):
         return loops
 
     yield set_for
-    for caller, sources, widths in loops:
-        assert sources == 1 or (len(widths) >= 3 and widths[-1] < widths[0]), (caller, widths)
+    if T._conv_worker() is not None and any(len(sources) > 1 for _, _, sources, _ in loops):
+        assert {threading.get_ident()} < {thread for _, thread, _, ran in loops if ran}
 
 
 def rms_relative(a, ref) -> float:
@@ -186,13 +198,16 @@ class TestConv2d:
                                           padding):
         loops = small_chunks(x_shape, w_shape, stride, padding)
         self.test_grad_check_float64(x_shape, w_shape, stride, padding)
-        # the forward stacks through _stacked_gemm; the backward runs one loop of
-        # its own, for both gradients, per phase that some tap reads
-        callers = [caller for caller, *_ in loops]
-        backward = ("conv2d_backward", "rule")
-        assert set(callers) == {("_stacked_gemm", "conv2d"), backward}
-        phases = T._layout(x_shape, w_shape[2:], stride, padding)[2]
-        assert callers.count(backward) == len(phases)
+        # the forward and the input gradient stack through _stacked_gemm's part;
+        # conv2d_backward's weight_grad runs one loop of its own per phase that
+        # some tap reads, on the worker when the input gradient stacks more
+        # than one tap
+        gemm, weight = "part", "weight_grad"
+        assert {caller for caller, *_ in loops} == {gemm, weight}
+        threads = [thread for caller, thread, *_ in loops if caller == weight]
+        assert len(threads) == len(T._layout(x_shape, w_shape[2:], stride, padding)[2])
+        on_worker = T._conv_worker() is not None and w_shape[2] * w_shape[3] > 1
+        assert {thread != threading.get_ident() for thread in threads} == {on_worker}
 
     @pytest.mark.parametrize("x_shape,w_shape,stride,padding", CONV_CASES)
     def test_one_gradient_equals_both_bitwise(self, x_shape, w_shape, stride, padding):
@@ -276,6 +291,112 @@ class TestConv2d:
         w = np.zeros((3, 1, 1, 1))
         out = T.conv2d(x, w, bias=np.array([1.0, -2.0, 0.5]))
         npt.assert_allclose(out[0, :, 0, 0], [1.0, -2.0, 0.5])
+
+
+def _conv_in_child(x, w, expected):
+    sys.exit(0 if np.array_equal(T.conv2d(x, w, None, 1, 1), expected) else 1)
+
+
+class TestConvWorker:
+    """The conv worker changes no bit of any result, keeps the caller's numpy
+    error state, hands its errors to the caller and survives a fork."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("x_shape,w_shape,stride,padding", CONV_CASES)
+    def test_worker_on_and_off_bitwise(self, small_chunks, monkeypatch, x_shape, w_shape,
+                                       stride, padding, dtype):
+        small_chunks(x_shape, w_shape, stride, padding)
+        rng = np.random.default_rng(18)
+        x = rng.normal(size=x_shape).astype(dtype)
+        w = rng.normal(size=w_shape).astype(dtype)
+        g = rng.normal(size=T.conv2d(x, w, None, stride, padding).shape).astype(dtype)
+        results = []
+        with ThreadPoolExecutor(1) as pool:
+            for worker in (None, pool):
+                monkeypatch.setattr(T, "_conv_worker", lambda: worker)
+                results.append([T.conv2d(x, w, None, stride, padding)] + [
+                    grad for need in ((True, True), (True, False), (False, True))
+                    for grad in T.conv2d_backward(g, x, w, stride, padding, *need)])
+        for off, on in zip(*results):
+            assert (off is None and on is None) or np.array_equal(off, on)
+
+    def test_concurrent_callers_share_the_worker(self, small_chunks):
+        # four threads on at most two CPUs queue their halves on the one
+        # worker; with a short switch interval, a write that crossed into
+        # another call's arrays would show as a wrong bit
+        args = ((2, 3, 8, 9), (4, 3, 3, 3), 1, 1)
+        small_chunks(*args)
+        rng = np.random.default_rng(20)
+        cases = [(rng.normal(size=args[0]).astype(np.float32),
+                  rng.normal(size=args[1]).astype(np.float32)) for _ in range(4)]
+        g = rng.normal(size=T.conv2d(*cases[0], None, 1, 1).shape).astype(np.float32)
+
+        def run(x, w):
+            return [T.conv2d(x, w, None, 1, 1), *T.conv2d_backward(g, x, w, 1, 1)]
+
+        expected = [run(*case) for case in cases]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(len(cases)) as callers:
+                results = [callers.submit(run, *case) for case in cases for _ in range(5)]
+                got = [r.result(timeout=60) for r in results]
+        finally:
+            sys.setswitchinterval(interval)
+        for i, arrays in enumerate(got):
+            assert all(np.array_equal(a, b) for a, b in zip(arrays, expected[i // 5]))
+
+    def test_overflow_on_the_worker_raises_in_the_caller(self, monkeypatch):
+        # chunks of 20 grid columns; the 10x10 padded grid puts output (2, 5)
+        # at column 25, in the worker's chunk 1, and only the centre tap,
+        # the one that reads x[2, 5] there, has a weight
+        monkeypatch.setattr(T, "_CHUNK_BYTES", 0)
+        monkeypatch.setattr(T, "_CHUNK_MIN_COLS", 20)
+        x = np.zeros((1, 1, 8, 8), dtype=np.float32)
+        x[0, 0, 2, 5] = 3e38
+        w = np.zeros((1, 1, 3, 3), dtype=np.float32)
+        w[0, 0, 1, 1] = 10.0
+        with ThreadPoolExecutor(1) as pool:
+            monkeypatch.setattr(T, "_conv_worker", lambda: pool)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                    T.conv2d(x, w, None, 1, 1)
+                assert np.isinf(T.conv2d(x, w, None, 1, 1)[0, 0, 2, 5])
+        assert [str(c.message) for c in caught] == ["overflow encountered in matmul"]
+
+    def test_worker_error_reaches_the_caller(self, small_chunks, monkeypatch):
+        args = ((2, 3, 8, 9), (4, 3, 3, 3), 1, 1)
+        small_chunks(*args)
+        recorded = T._stacked_chunks
+
+        def fails_off_the_caller(*chunk_args):
+            if threading.get_ident() != threading.main_thread().ident:
+                raise ValueError("raised on the worker")
+            recorded(*chunk_args)
+
+        with ThreadPoolExecutor(1) as pool:
+            monkeypatch.setattr(T, "_conv_worker", lambda: pool)
+            monkeypatch.setattr(T, "_stacked_chunks", fails_off_the_caller)
+            with pytest.raises(ValueError, match="raised on the worker"):
+                TestConv2d().test_matches_naive_oracle(*args)
+            monkeypatch.setattr(T, "_stacked_chunks", recorded)
+            TestConv2d().test_matches_naive_oracle(*args)
+
+    def test_forked_child_runs_a_split_conv(self, small_chunks):
+        small_chunks((2, 3, 8, 9), (4, 3, 3, 3), 1, 1)
+        rng = np.random.default_rng(19)
+        x = rng.normal(size=(2, 3, 8, 9)).astype(np.float32)
+        w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
+        expected = T.conv2d(x, w, None, 1, 1)  # the parent's worker, if any, now runs
+        child = multiprocessing.get_context("fork").Process(target=_conv_in_child,
+                                                            args=(x, w, expected))
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            pytest.fail("a conv in a forked child did not finish in 60 s")
+        assert child.exitcode == 0
 
 
 class TestPooling:
