@@ -20,11 +20,16 @@ input gradient back.  ``conv2d_naive`` is the sliding-window reference kept
 as a test oracle.
 
 A process that may run on two or more CPUs starts one conv worker thread on
-its first stacked conv.  The forward, and an input gradient alone, give it
-every odd chunk; a backward that needs both gradients gives it the weight
-gradient.  Both threads use the same chunk boundaries and each sum keeps its
-order, so every result is the same to the bit with or without the worker,
-and so on any number of CPUs.
+its first backward that needs both gradients.  While the caller stacks the
+weight gradient, whose chunks add in order, the worker takes input-gradient
+chunks; the caller then takes those left, and takes back any that the worker
+has not delivered, so a late or slow worker never holds it up
+(:class:`_Share`).  A forward, and an input or weight gradient alone, run on
+the caller: an eval pass is a short burst of forwards, and with a second
+thread its time depended on whether the second CPU happened to be free.
+Both threads use the same chunk boundaries and each sum keeps its order, so
+every result is the same to the bit with or without the worker, and so on
+any number of CPUs.
 """
 
 from __future__ import annotations
@@ -32,7 +37,8 @@ from __future__ import annotations
 import contextvars
 import functools
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -153,31 +159,67 @@ def _chunk_width(sources, cols, dtype) -> int:
                _CHUNK_MIN_COLS)
 
 
-def _stacked_chunks(sources, cols, dtype, consume, first=0, step=1) -> None:
-    """Call ``consume(c0, c1, stack)`` on chunks first, first + step, ... of
-    ``cols`` columns, :func:`_chunk_width` columns each but the last.
+def _stacked_chunks(sources, cols, dtype, consume, chunks=None) -> None:
+    """Call ``consume(c0, c1, stack)`` on each chunk k of ``chunks``, by
+    default every chunk of ``cols`` columns in order.  Chunk k is columns
+    k*width to (k + 1)*width, cut at ``cols``, with :func:`_chunk_width`'s
+    width.
 
     ``stack`` is ``stack(src[:, off + c0 : off + c1] for src, off in sources)``
-    as one (taps*rows, c1 - c0) matrix: every source's shifted slice is copied
-    into one buffer, so each chunk is one GEMM with K or M = taps*rows and no
-    per-tap partial sum is written or read back.  One source is not copied:
-    its slice is passed in place as the only chunk.  Each call has its own
-    buffer and reuses it, so ``consume`` is done with a chunk when it returns.
-    The chunk boundaries do not depend on ``first`` and ``step``, so neither
-    does any chunk's result, to the bit.
+    as one (taps*rows, c1 - c0) matrix, so each chunk is one GEMM with K or M =
+    taps*rows and no per-tap partial sum is written or read back.  Sources on
+    a grid (:func:`_tap_grid`) are copied into the buffer in one call, others
+    one by one.  One source is not copied: its slice is passed in place as
+    the only chunk.  Each call makes its own buffer when it takes its first
+    chunk and reuses it, so ``consume`` is done with a chunk when it returns.
+
+    The chunk boundaries do not depend on which chunks a call runs, so
+    neither does any chunk's result, to the bit.
     """
-    if len(sources) == 1:
-        (src, off), = sources
-        if first == 0:
-            consume(0, cols, src[:, off : off + cols])
-        return
     width = _chunk_width(sources, cols, dtype)
-    buf = np.empty((len(sources), sources[0][0].shape[0], min(width, cols)), dtype=dtype)
-    for c0 in range(first * width, cols, step * width):
+    buf = grid = None
+    for k in range(-(-cols // width)) if chunks is None else chunks:
+        c0 = k * width
         n = min(width, cols - c0)
-        for t, (src, off) in enumerate(sources):
-            buf[t, :, :n] = src[:, off + c0 : off + c0 + n]
+        if len(sources) == 1:
+            (src, off), = sources
+            consume(c0, c0 + n, src[:, off + c0 : off + c0 + n])
+            continue
+        if buf is None:
+            buf = np.empty((len(sources), sources[0][0].shape[0], min(width, cols)),
+                           dtype=dtype)
+            grid = _tap_grid(sources, cols)
+        if grid is None:
+            for t, (src, off) in enumerate(sources):
+                buf[t, :, :n] = src[:, off + c0 : off + c0 + n]
+        else:
+            np.copyto(buf[:, :, :n].reshape(*grid.shape[:2], -1, n), grid[..., c0 : c0 + n])
         consume(c0, c0 + n, buf[:, :, :n].reshape(-1, n))
+
+
+def _tap_grid(sources, cols):
+    """The sources as one read-only (A, B, rows, cols) view when they are
+    slices of one array (the same object) at offsets first + a*da + b*db, in
+    (a, b) order; else None.
+
+    The taps that read one stride phase form such a grid, with a and b
+    running over the kernel rows and columns that read it, so each phase of
+    a backward stacks g with one copy per chunk.  A copy per tap would hand
+    the GIL to the other conv thread and back at each tap.
+    """
+    src, first = sources[0]
+    offs = [off for s, off in sources if s is src]
+    if len(offs) < len(sources) or min(offs) < 0 or max(offs) + cols > src.shape[1]:
+        return None
+    db = offs[1] - offs[0]
+    b = next((k for k in range(1, len(offs)) if offs[k] - offs[k - 1] != db), len(offs))
+    a, da = len(offs) // b, offs[b % len(offs)] - first
+    if offs != [first + i * da + j * db for i in range(a) for j in range(b)]:
+        return None
+    step = src.strides[1]
+    return np.lib.stride_tricks.as_strided(src[:, first:], (a, b, src.shape[0], cols),
+                                           (da * step, db * step, src.strides[0], step),
+                                           writeable=False)
 
 
 _worker = (None, None)  # (pid, the conv worker or None)
@@ -198,39 +240,103 @@ def _conv_worker():
 
 
 def _side_by_side(mine, theirs) -> None:
-    """Run ``theirs()`` on the conv worker while the caller runs ``mine()``,
-    and return when both are done; an error on either side reaches the caller.
+    """Run ``mine()`` on the caller and ``theirs()`` on the conv worker.
 
-    The worker runs in a copy of the caller's context, which holds numpy's
-    ``errstate``.  Without a worker the caller runs both, in that order.
+    ``theirs`` only takes work that ``mine`` would otherwise do (see
+    :class:`_Share`), so the caller does not wait for it: a worker that has
+    not started ``theirs`` by the time ``mine`` returns drops it, and one
+    still busy finishes a chunk that nothing reads.  An error that the
+    worker raised before the caller is done reaches the caller; when
+    ``mine`` fails, the caller waits for the worker to stop first.  The
+    worker runs in a copy of the caller's context, which holds numpy's
+    ``errstate``.  Without a worker the caller runs ``mine`` alone.
     """
     pool = _conv_worker()
     if pool is None:
         mine()
-        theirs()
         return
     done = pool.submit(contextvars.copy_context().run, theirs)
     try:
         mine()
-    finally:
+    except BaseException:
+        done.cancel()
+        wait([done])
+        raise
+    if not done.cancel() and done.done():
         done.result()
 
 
-def _stacked_gemm(w, sources, out, split=True) -> None:
-    """``out = w @ stack(src[:, off : off + cols] for src, off in sources)``.
+class _Share:
+    """``out = w @ stack(src[:, off : off + cols] for src, off in sources)``,
+    chunk by chunk, as the caller and the conv worker share it.
 
-    With ``split`` and more than one chunk, the caller runs the even chunks
-    and the conv worker the odd ones, each with its own buffer.
+    Each side takes the next chunk when it is done with its last.  The
+    worker computes a chunk into a buffer of its own and copies it to
+    ``out`` unless the caller has taken it back: once no chunk is left to
+    take, the caller takes back every chunk that the worker has not
+    delivered and computes it itself.  So a worker that is slow, or whose
+    CPU is taken away mid-chunk, never holds the caller up, and nothing
+    reaches ``out`` after the caller is done.  The lock is held for a
+    take and for a delivery's copy.
     """
-    def part(first, step):
-        _stacked_chunks(sources, out.shape[1], out.dtype,
-                        lambda c0, c1, stack: np.matmul(w, stack, out=out[:, c0:c1]),
-                        first, step)
 
-    if split and _chunk_width(sources, out.shape[1], out.dtype) < out.shape[1]:
-        _side_by_side(lambda: part(0, 2), lambda: part(1, 2))
+    def __init__(self, w, sources, out):
+        self.w, self.sources, self.out = w, sources, out
+        self.width = _chunk_width(sources, out.shape[1], out.dtype)
+        self.count = -(-out.shape[1] // self.width)
+        self.next, self.lock, self.pending = 0, threading.Lock(), set()
+
+    def _taken(self, worker):
+        """The chunks that one side computes, in the order it takes them."""
+        while True:
+            with self.lock:
+                k, self.next = self.next, self.next + 1
+                if k >= self.count:
+                    back = () if worker else sorted(self.pending)
+                    self.pending.difference_update(back)
+                    break
+                if worker:
+                    self.pending.add(k)
+            yield k
+        yield from back
+
+    def side(self, worker):
+        """Compute one side's chunks: the caller's straight into ``out``."""
+        w, out = self.w, self.out
+        if worker:
+            own = np.empty((out.shape[0], min(self.width, out.shape[1])), dtype=out.dtype)
+
+            def consume(c0, c1, stack):
+                np.matmul(w, stack, out=own[:, : c1 - c0])
+                with self.lock:
+                    if c0 // self.width in self.pending:
+                        self.pending.remove(c0 // self.width)
+                        out[:, c0:c1] = own[:, : c1 - c0]
+        else:
+            def consume(c0, c1, stack):
+                np.matmul(w, stack, out=out[:, c0:c1])
+
+        _stacked_chunks(self.sources, out.shape[1], out.dtype, consume, self._taken(worker))
+
+
+def _stacked_gemms(gemms, first=None) -> None:
+    """``out = w @ stack(src[:, off : off + cols] for src, off in sources)``
+    for each (w, sources, out) of ``gemms``.  With ``first``, the caller runs
+    ``first()`` while the conv worker starts on the GEMMs' chunks, which the
+    two then share (:class:`_Share`); otherwise, and when every GEMM is one
+    chunk, the caller runs everything."""
+    shares = [_Share(*gemm) for gemm in gemms]
+
+    def mine():
+        if first is not None:
+            first()
+        for share in shares:
+            share.side(False)
+
+    if first is not None and any(share.count > 1 for share in shares):
+        _side_by_side(mine, lambda: [share.side(True) for share in shares])
     else:
-        part(0, 1)
+        mine()
 
 
 def im2col(x: np.ndarray, khw, stride, padding) -> np.ndarray:
@@ -266,8 +372,7 @@ def conv2d(x, weight, bias=None, stride=1, padding=0) -> np.ndarray:
 
     Every kernel tap's shifted slice of the im2col layout is stacked along K,
     so each cache-sized chunk of the flat phase grid is one (Cout, Kh*Kw*Cin)
-    GEMM written into the output, then cropped to (N, Cout, Ho, Wo).  The
-    caller and the conv worker take alternate chunks.
+    GEMM written into the output, then cropped to (N, Cout, Ho, Wo).
     """
     x, weight = as_tensor(x), as_tensor(weight)
     if x.ndim != 4 or weight.ndim != 4:
@@ -284,8 +389,8 @@ def conv2d(x, weight, bias=None, stride=1, padding=0) -> np.ndarray:
     dtype = np.result_type(cols, weight)
     w_stack = weight.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin).astype(dtype, copy=False)
     grid = np.empty((cout, x.shape[0], hq, wq), dtype=dtype)
-    _stacked_gemm(w_stack, [(cols[p], off) for _, _, p, off in taps],
-                  grid.reshape(cout, -1)[:, :span])
+    _stacked_gemms([(w_stack, [(cols[p], off) for _, _, p, off in taps],
+                     grid.reshape(cout, -1)[:, :span])])
     out = np.empty((x.shape[0], cout, ho, wo), dtype=dtype)
     crop = grid[:, :, :ho, :wo].transpose(1, 0, 2, 3)
     np.add(crop, 0 if bias is None else as_tensor(bias)[None, :, None, None], out=out)
@@ -302,12 +407,11 @@ def conv2d_backward(g, x, weight, stride=1, padding=0, need_x=True, need_w=True)
     taps' rows: gw[o, c, i, j] = sum_q g[o, q - offset] * cols[p][c, q].
     Only the weight gradient reads the layout ``cols``; it rebuilds it from x.
 
-    When both are needed and some phase stacks more than one tap, the conv
-    worker stacks g on its own for the weight gradient, adding its chunks in
-    order, while the caller stacks g for the input gradient; without a
-    worker the caller stacks g twice.  An input gradient alone splits its
-    chunks between the two, as the forward does; a weight gradient alone,
-    and a 1x1 kernel's, run on the caller.
+    When both are needed and some phase stacks more than one tap, the caller
+    stacks g for the weight gradient, adding its chunks in order, while the
+    conv worker takes input-gradient chunks; the caller then takes those
+    left (:class:`_Share`).  Without a worker the caller stacks g twice.  An
+    input or weight gradient alone, and a 1x1 kernel's, run on the caller.
     """
     cout, cin, kh, kw = weight.shape
     (ho, wo), (hq, wq), phases, _, taps = _layout(x.shape, (kh, kw), stride, padding)
@@ -323,12 +427,6 @@ def conv2d_backward(g, x, weight, stride=1, padding=0, need_x=True, need_w=True)
     g_cols = np.empty((len(phases), cin, width), dtype=dtype) if need_x else None
     gw = np.empty(weight.shape, dtype=dtype) if need_w else None
 
-    def input_grad(split):
-        for p, read in enumerate(reads):
-            w_stack = np.concatenate([weight[:, :, i, j].T for i, j, _ in read], axis=1,
-                                     dtype=dtype)
-            _stacked_gemm(w_stack, sources[p], g_cols[p], split)
-
     def weight_grad():
         for p, read in enumerate(reads):
             acc = np.zeros((len(read) * cout, cin), dtype=dtype)
@@ -338,13 +436,12 @@ def conv2d_backward(g, x, weight, stride=1, padding=0, need_x=True, need_w=True)
             for (i, j, _), rows in zip(read, acc.reshape(len(read), cout, cin)):
                 gw[:, :, i, j] = rows
 
-    if need_x and need_w and len(taps) > len(phases):
-        _side_by_side(lambda: input_grad(False), weight_grad)
-    else:
-        if need_x:
-            input_grad(True)
-        if need_w:
-            weight_grad()
+    if need_x:
+        _stacked_gemms([(np.concatenate([weight[:, :, i, j].T for i, j, _ in read], axis=1,
+                                        dtype=dtype), sources[p], g_cols[p])
+                        for p, read in enumerate(reads)], weight_grad if need_w else None)
+    elif need_w:
+        weight_grad()
     gx = col2im(g_cols, x.shape, (kh, kw), stride, padding) if need_x else None
     return gx, gw
 

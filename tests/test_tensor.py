@@ -9,8 +9,9 @@ against hand-applied definitions.
 import multiprocessing
 import sys
 import threading
+import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 import numpy.testing as npt
@@ -45,26 +46,49 @@ def small_chunks(monkeypatch):
     phase of the backward span at least three chunks, the last one partial;
     returns a function that sets it for one case and returns the chunk loops
     run, as (calling function, thread, sources, (c0, c1) of each chunk run).
-    Every loop over more than one source is checked for this as it runs, and
-    for running exactly its share of the chunks; at teardown, when there is a
-    conv worker, the caller and the worker must both have run some."""
-    loops = []
-    chunks = T._stacked_chunks
 
-    def recorded(sources, cols, dtype, consume, first=0, step=1):
-        ran = []
-        loops.append((sys._getframe(1).f_code.co_name, threading.get_ident(), sources,
-                      ran))
+    Every loop over more than one source is checked for this as it runs.  A
+    caller that shares a loop with a conv worker waits in its first chunk
+    until another thread has run one of that loop, so that whenever they
+    share, both threads run chunks.  At teardown, a loop run by one call
+    must have run every chunk in order; the calls that shared a loop must
+    have run every chunk between them, and at most one of them twice (the
+    worker's last, taken back by the caller).  When some loop was shared
+    with a worker, the caller and another thread must both have run some."""
+    loops, by_loop, local, shared = [], {}, threading.local(), []
+    chunks_of, side_by_side = T._stacked_chunks, T._side_by_side
+
+    def recorded(sources, cols, dtype, consume, chunks=None):
+        me, ran, caller = threading.get_ident(), [], sys._getframe(1).f_code.co_name
+        loops.append((caller, me, sources, ran))
         width = T._chunk_width(sources, cols, dtype)
         every = [(c0, min(c0 + width, cols)) for c0 in range(0, cols, width)]
         assert len(sources) == 1 or (len(every) >= 3 and every[-1][1] - every[-1][0] < width)
+        runs = by_loop.setdefault((id(sources), caller), (sources, every, chunks is None, []))[3]
+        runs.append((me, ran))
+        hold = chunks is not None and getattr(local, "caller", False) and T._conv_worker()
 
         def consume_recorded(c0, c1, stack):
             ran.append((c0, c1))
+            deadline = time.monotonic() + 30
+            while hold and len(ran) == 1 and not any(r for t, r in runs if t != me):
+                assert time.monotonic() < deadline, "the conv worker ran no chunk"
+                time.sleep(1e-4)
             consume(c0, c1, stack)
 
-        chunks(sources, cols, dtype, consume_recorded, first, step)
-        assert ran == every[first::step]
+        chunks_of(sources, cols, dtype, consume_recorded, chunks)
+
+    def caller_side(mine, theirs):
+        shared.append(theirs)
+
+        def marked():
+            local.caller = True
+            try:
+                mine()
+            finally:
+                local.caller = False
+
+        side_by_side(marked, theirs)
 
     def set_for(x_shape, w_shape, stride, padding):
         _, (hq, wq), _, span, _ = T._layout(x_shape, w_shape[2:], stride, padding)
@@ -73,10 +97,16 @@ def small_chunks(monkeypatch):
         monkeypatch.setattr(T, "_CHUNK_BYTES", 0)
         monkeypatch.setattr(T, "_CHUNK_MIN_COLS", width)
         monkeypatch.setattr(T, "_stacked_chunks", recorded)
+        monkeypatch.setattr(T, "_side_by_side", caller_side)
         return loops
 
     yield set_for
-    if T._conv_worker() is not None and any(len(sources) > 1 for _, _, sources, _ in loops):
+    for _, every, alone, runs in by_loop.values():
+        for _, ran in runs:
+            assert len(set(ran)) == len(ran) and (not alone or ran == every)
+        ran = [chunk for _, r in runs for chunk in r]
+        assert sorted(set(ran)) == every and len(ran) <= len(every) + 1
+    if T._conv_worker() is not None and shared:
         assert {threading.get_ident()} < {thread for _, thread, _, ran in loops if ran}
 
 
@@ -198,16 +228,19 @@ class TestConv2d:
                                           padding):
         loops = small_chunks(x_shape, w_shape, stride, padding)
         self.test_grad_check_float64(x_shape, w_shape, stride, padding)
-        # the forward and the input gradient stack through _stacked_gemm's part;
+        # the forward and the input gradient stack through _Share.side;
         # conv2d_backward's weight_grad runs one loop of its own per phase that
-        # some tap reads, on the worker when the input gradient stacks more
-        # than one tap
-        gemm, weight = "part", "weight_grad"
+        # some tap reads, always on the caller, which adds its chunks in order,
+        # and the input gradient's chunks are shared with the worker when
+        # there is one and some phase stacks more than one tap
+        gemm, weight = "side", "weight_grad"
         assert {caller for caller, *_ in loops} == {gemm, weight}
         threads = [thread for caller, thread, *_ in loops if caller == weight]
         assert len(threads) == len(T._layout(x_shape, w_shape[2:], stride, padding)[2])
+        assert set(threads) == {threading.get_ident()}
+        helpers = {thread for caller, thread, _, ran in loops if caller == gemm and ran}
         on_worker = T._conv_worker() is not None and w_shape[2] * w_shape[3] > 1
-        assert {thread != threading.get_ident() for thread in threads} == {on_worker}
+        assert bool(helpers - {threading.get_ident()}) == on_worker
 
     @pytest.mark.parametrize("x_shape,w_shape,stride,padding", CONV_CASES)
     def test_one_gradient_equals_both_bitwise(self, x_shape, w_shape, stride, padding):
@@ -293,13 +326,34 @@ class TestConv2d:
         npt.assert_allclose(out[0, :, 0, 0], [1.0, -2.0, 0.5])
 
 
-def _conv_in_child(x, w, expected):
-    sys.exit(0 if np.array_equal(T.conv2d(x, w, None, 1, 1), expected) else 1)
+class _Started:
+    """A conv worker whose task is running by the time ``submit`` returns, so
+    that the worker cannot drop it."""
+
+    def __init__(self, pool):
+        self.pool, self.tasks = pool, []
+
+    def submit(self, fn, *args):
+        started = threading.Event()
+
+        def run():
+            started.set()
+            return fn(*args)
+
+        self.tasks.append(self.pool.submit(run))
+        started.wait()
+        return self.tasks[-1]
+
+
+def _conv_in_child(g, x, w, expected):
+    got = T.conv2d_backward(g, x, w, 1, 1)
+    sys.exit(0 if all(np.array_equal(a, b) for a, b in zip(got, expected)) else 1)
 
 
 class TestConvWorker:
     """The conv worker changes no bit of any result, keeps the caller's numpy
-    error state, hands its errors to the caller and survives a fork."""
+    error state, hands its errors to the caller, holds up no caller when it
+    starts late or stalls in a chunk, and survives a fork."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("x_shape,w_shape,stride,padding", CONV_CASES)
@@ -321,8 +375,8 @@ class TestConvWorker:
             assert (off is None and on is None) or np.array_equal(off, on)
 
     def test_concurrent_callers_share_the_worker(self, small_chunks):
-        # four threads on at most two CPUs queue their halves on the one
-        # worker; with a short switch interval, a write that crossed into
+        # four threads on at most two CPUs queue their input gradients on the
+        # one worker; with a short switch interval, a write that crossed into
         # another call's arrays would show as a wrong bit
         args = ((2, 3, 8, 9), (4, 3, 3, 3), 1, 1)
         small_chunks(*args)
@@ -347,50 +401,127 @@ class TestConvWorker:
             assert all(np.array_equal(a, b) for a, b in zip(arrays, expected[i // 5]))
 
     def test_overflow_on_the_worker_raises_in_the_caller(self, monkeypatch):
-        # chunks of 20 grid columns; the 10x10 padded grid puts output (2, 5)
-        # at column 25, in the worker's chunk 1, and only the centre tap,
-        # the one that reads x[2, 5] there, has a weight
+        # chunks of 20 columns of the 10x10 padded grid, in every one of
+        # which the input gradient overflows; the worker is running before
+        # the caller starts the weight gradient, so it takes a chunk first
         monkeypatch.setattr(T, "_CHUNK_BYTES", 0)
         monkeypatch.setattr(T, "_CHUNK_MIN_COLS", 20)
         x = np.zeros((1, 1, 8, 8), dtype=np.float32)
-        x[0, 0, 2, 5] = 3e38
+        g = np.full((1, 1, 8, 8), 3e38, dtype=np.float32)
         w = np.zeros((1, 1, 3, 3), dtype=np.float32)
         w[0, 0, 1, 1] = 10.0
         with ThreadPoolExecutor(1) as pool:
-            monkeypatch.setattr(T, "_conv_worker", lambda: pool)
+            monkeypatch.setattr(T, "_conv_worker", lambda: _Started(pool))
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-                    T.conv2d(x, w, None, 1, 1)
-                assert np.isinf(T.conv2d(x, w, None, 1, 1)[0, 0, 2, 5])
-        assert [str(c.message) for c in caught] == ["overflow encountered in matmul"]
+                    T.conv2d_backward(g, x, w, 1, 1)
+                assert caught == []
+                assert np.isinf(T.conv2d_backward(g, x, w, 1, 1)[0]).all()
+        assert {str(c.message) for c in caught} == {"overflow encountered in matmul"}
 
-    def test_worker_error_reaches_the_caller(self, small_chunks, monkeypatch):
-        args = ((2, 3, 8, 9), (4, 3, 3, 3), 1, 1)
-        small_chunks(*args)
-        recorded = T._stacked_chunks
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(T, "_CHUNK_BYTES", 0)
+        monkeypatch.setattr(T, "_CHUNK_MIN_COLS", 20)
+        chunks = T._stacked_chunks
 
         def fails_off_the_caller(*chunk_args):
             if threading.get_ident() != threading.main_thread().ident:
                 raise ValueError("raised on the worker")
-            recorded(*chunk_args)
+            wait(worker.tasks, timeout=60)  # the error is raised before the caller is done
+            chunks(*chunk_args)
 
+        rng = np.random.default_rng(23)
+        x = rng.normal(size=(2, 3, 8, 9)).astype(np.float32)
+        w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
+        g = rng.normal(size=(2, 4, 8, 9)).astype(np.float32)
         with ThreadPoolExecutor(1) as pool:
-            monkeypatch.setattr(T, "_conv_worker", lambda: pool)
+            worker = _Started(pool)
+            monkeypatch.setattr(T, "_conv_worker", lambda: worker)
             monkeypatch.setattr(T, "_stacked_chunks", fails_off_the_caller)
             with pytest.raises(ValueError, match="raised on the worker"):
-                TestConv2d().test_matches_naive_oracle(*args)
-            monkeypatch.setattr(T, "_stacked_chunks", recorded)
-            TestConv2d().test_matches_naive_oracle(*args)
+                T.conv2d_backward(g, x, w, 1, 1)
+            monkeypatch.setattr(T, "_stacked_chunks", chunks)
+            gx, gw = T.conv2d_backward(g, x, w, 1, 1)
+        monkeypatch.setattr(T, "_conv_worker", lambda: None)
+        assert all(np.array_equal(a, b) for a, b in zip((gx, gw), T.conv2d_backward(g, x, w, 1, 1)))
+
+    def test_a_worker_stalled_in_a_chunk_holds_no_caller_up(self, monkeypatch):
+        # the worker takes a chunk and stalls in it; the caller takes the
+        # rest, takes that one back and returns, and the stalled chunk never
+        # reaches the output
+        monkeypatch.setattr(T, "_CHUNK_BYTES", 0)
+        monkeypatch.setattr(T, "_CHUNK_MIN_COLS", 20)
+        rng = np.random.default_rng(22)
+        src = rng.normal(size=(3, 102)).astype(np.float32)
+        gemm = (rng.normal(size=(4, 9)).astype(np.float32), [(src, 0), (src, 1), (src, 2)])
+        monkeypatch.setattr(T, "_conv_worker", lambda: None)
+        alone = np.empty((4, 100), dtype=np.float32)
+        T._stacked_gemms([(*gemm, alone)])
+        chunks, stalled, release = T._stacked_chunks, threading.Event(), threading.Event()
+
+        def stalls_on_the_worker(sources, cols, dtype, consume, taken=None):
+            def stall(*chunk):
+                stalled.set()
+                release.wait(60)
+                consume(*chunk)
+
+            if threading.get_ident() == threading.main_thread().ident:
+                assert stalled.wait(60)
+                chunks(sources, cols, dtype, consume, taken)
+            else:
+                chunks(sources, cols, dtype, stall, taken)
+
+        out = np.empty_like(alone)
+        with ThreadPoolExecutor(1) as pool:
+            worker = _Started(pool)
+            monkeypatch.setattr(T, "_conv_worker", lambda: worker)
+            monkeypatch.setattr(T, "_stacked_chunks", stalls_on_the_worker)
+            try:
+                T._stacked_gemms([(*gemm, out)], first=lambda: None)
+                assert not worker.tasks[0].done() and np.array_equal(out, alone)
+                out[...] = np.nan
+            finally:
+                release.set()
+            worker.tasks[0].result(timeout=60)
+        assert np.isnan(out).all()
+
+    def test_a_late_worker_holds_no_caller_up(self, monkeypatch):
+        # the worker is busy with another task for the whole conv, so it
+        # drops each side it is given and the caller runs every chunk itself
+        monkeypatch.setattr(T, "_CHUNK_BYTES", 0)
+        monkeypatch.setattr(T, "_CHUNK_MIN_COLS", 20)
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(2, 3, 8, 9)).astype(np.float32)
+        w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
+        g = rng.normal(size=(2, 4, 8, 9)).astype(np.float32)
+
+        def run():
+            return [T.conv2d(x, w, None, 1, 1), *T.conv2d_backward(g, x, w, 1, 1),
+                    T.conv2d_backward(g, x, w, 1, 1, need_w=False)[0]]
+
+        monkeypatch.setattr(T, "_conv_worker", lambda: None)
+        alone = run()
+        with ThreadPoolExecutor(1) as pool:
+            release = threading.Event()
+            busy = pool.submit(release.wait, 60)
+            monkeypatch.setattr(T, "_conv_worker", lambda: pool)
+            try:
+                late = run()
+                assert not busy.done()
+            finally:
+                release.set()
+        assert all(np.array_equal(a, b) for a, b in zip(alone, late))
 
     def test_forked_child_runs_a_split_conv(self, small_chunks):
         small_chunks((2, 3, 8, 9), (4, 3, 3, 3), 1, 1)
         rng = np.random.default_rng(19)
         x = rng.normal(size=(2, 3, 8, 9)).astype(np.float32)
         w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
-        expected = T.conv2d(x, w, None, 1, 1)  # the parent's worker, if any, now runs
+        g = rng.normal(size=(2, 4, 8, 9)).astype(np.float32)
+        expected = T.conv2d_backward(g, x, w, 1, 1)  # the parent's worker, if any, now runs
         child = multiprocessing.get_context("fork").Process(target=_conv_in_child,
-                                                            args=(x, w, expected))
+                                                            args=(g, x, w, expected))
         child.start()
         child.join(timeout=60)
         if child.is_alive():
