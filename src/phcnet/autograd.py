@@ -224,10 +224,13 @@ def linear(x, w, b) -> Node:
 def conv2d(x, w, b=None, stride=1, padding=0) -> Node:
     """Differentiable tensor.conv2d.  The node keeps no im2col layout: only a
     weight gradient needs one, and the rule rebuilds it from ``x.value``, so
-    nothing may write x between forward and backward."""
+    nothing may write x between forward and backward.  Only a conv that keeps
+    a graph may share its forward with the conv worker (``tensor.conv2d``)."""
     x, w = _as_node(x), _as_node(w)
     b = None if b is None else _as_node(b)
-    out = T.conv2d(x.value, w.value, None if b is None else b.value, stride, padding)
+    parents = (x, w) if b is None else (x, w, b)
+    out = T.conv2d(x.value, w.value, None if b is None else b.value, stride, padding,
+                   keeps_graph=any(p.requires_grad for p in parents))
 
     def rule(g):
         gx, gw = T.conv2d_backward(g, x.value, w.value, stride, padding,
@@ -236,7 +239,7 @@ def conv2d(x, w, b=None, stride=1, padding=0) -> Node:
             return gx, gw
         return gx, gw, g.sum(axis=(0, 2, 3))
 
-    return Node(out, (x, w) if b is None else (x, w, b), rule)
+    return Node(out, parents, rule)
 
 
 def kron_sum(a, f) -> Node:

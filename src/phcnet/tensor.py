@@ -19,23 +19,25 @@ grid and cropped; ``col2im``, the exact adjoint of ``im2col``, folds an
 input gradient back.  ``conv2d_naive`` is the sliding-window reference kept
 as a test oracle.
 
-A process that may run on two or more CPUs starts one conv worker thread on
-its first backward that needs both gradients.  While the caller stacks the
-weight gradient, whose chunks add in order, the worker takes input-gradient
-chunks; the caller then takes those left, and takes back any that the worker
-has not delivered, so a late or slow worker never holds it up
-(:class:`_Share`).  A forward, and an input or weight gradient alone, run on
-the caller: an eval pass is a short burst of forwards, and with a second
-thread its time depended on whether the second CPU happened to be free.
-Both threads use the same chunk boundaries and each sum keeps its order, so
-every result is the same to the bit with or without the worker, and so on
-any number of CPUs.
+A process that may run on two or more CPUs starts one conv worker thread,
+which joins the conv loops that keep a graph: the forward of a train step
+(or of a saliency map) and every backward.  Each backward phase is one loop
+that stacks g once per chunk for both gradients.  The caller and the worker
+take chunks from one counter, and the caller takes back any chunk that the
+worker has not delivered, so a late or slow worker never holds it up
+(:class:`_Share`).  An eval forward keeps no graph and runs on the caller:
+an eval pass is a short burst of forwards, and with a second thread its
+time depended on whether the second CPU happened to be free.  Chunk
+boundaries are fixed by the shapes, and the weight gradient's partial sums
+are added in chunk order, so every result is the same to the bit with or
+without the worker, and so on any number of CPUs.
 """
 
 from __future__ import annotations
 
 import contextvars
 import functools
+import itertools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -159,7 +161,7 @@ def _chunk_width(sources, cols, dtype) -> int:
                _CHUNK_MIN_COLS)
 
 
-def _stacked_chunks(sources, cols, dtype, consume, chunks=None) -> None:
+def _stacked_chunks(sources, cols, dtype, consume, buf, chunks=None) -> None:
     """Call ``consume(c0, c1, stack)`` on each chunk k of ``chunks``, by
     default every chunk of ``cols`` columns in order.  Chunk k is columns
     k*width to (k + 1)*width, cut at ``cols``, with :func:`_chunk_width`'s
@@ -167,17 +169,21 @@ def _stacked_chunks(sources, cols, dtype, consume, chunks=None) -> None:
 
     ``stack`` is ``stack(src[:, off + c0 : off + c1] for src, off in sources)``
     as one (taps*rows, c1 - c0) matrix, so each chunk is one GEMM with K or M =
-    taps*rows and no per-tap partial sum is written or read back.  Sources on
-    a grid (:func:`_tap_grid`) are copied into the buffer in one call, others
-    one by one.  One source is not copied: its slice is passed in place as
-    the only chunk.  Each call makes its own buffer when it takes its first
-    chunk and reuses it, so ``consume`` is done with a chunk when it returns.
+    taps*rows and no per-tap partial sum is written or read back.  It is
+    built in the flat buffer ``buf`` (:meth:`_Loop.sizes`), which every
+    chunk reuses, so ``consume`` is done with a chunk when it returns.
+    Sources on a grid (:func:`_tap_grid`) are copied in one call, others one
+    by one.  One source is not copied: its slice is passed in place as the
+    only chunk.
 
     The chunk boundaries do not depend on which chunks a call runs, so
     neither does any chunk's result, to the bit.
     """
     width = _chunk_width(sources, cols, dtype)
-    buf = grid = None
+    if len(sources) > 1:
+        rows = sources[0][0].shape[0]
+        stack = buf[: len(sources) * rows * min(width, cols)].reshape(len(sources), rows, -1)
+        grid = _tap_grid(sources, cols)
     for k in range(-(-cols // width)) if chunks is None else chunks:
         c0 = k * width
         n = min(width, cols - c0)
@@ -185,16 +191,12 @@ def _stacked_chunks(sources, cols, dtype, consume, chunks=None) -> None:
             (src, off), = sources
             consume(c0, c0 + n, src[:, off + c0 : off + c0 + n])
             continue
-        if buf is None:
-            buf = np.empty((len(sources), sources[0][0].shape[0], min(width, cols)),
-                           dtype=dtype)
-            grid = _tap_grid(sources, cols)
         if grid is None:
             for t, (src, off) in enumerate(sources):
-                buf[t, :, :n] = src[:, off + c0 : off + c0 + n]
+                stack[t, :, :n] = src[:, off + c0 : off + c0 + n]
         else:
-            np.copyto(buf[:, :, :n].reshape(*grid.shape[:2], -1, n), grid[..., c0 : c0 + n])
-        consume(c0, c0 + n, buf[:, :, :n].reshape(-1, n))
+            np.copyto(stack[:, :, :n].reshape(*grid.shape[:2], -1, n), grid[..., c0 : c0 + n])
+        consume(c0, c0 + n, stack[:, :, :n].reshape(-1, n))
 
 
 def _tap_grid(sources, cols):
@@ -204,7 +206,8 @@ def _tap_grid(sources, cols):
 
     The taps that read one stride phase form such a grid, with a and b
     running over the kernel rows and columns that read it, so each phase of
-    a backward stacks g with one copy per chunk.  A copy per tap would hand
+    a backward stacks g with one copy per chunk, and so does a stride-1
+    forward, whose taps all read its one phase.  A copy per tap would hand
     the GIL to the other conv thread and back at each tap.
     """
     src, first = sources[0]
@@ -239,8 +242,8 @@ def _conv_worker():
     return _worker[1]
 
 
-def _side_by_side(mine, theirs) -> None:
-    """Run ``mine()`` on the caller and ``theirs()`` on the conv worker.
+def _side_by_side(pool, mine, theirs) -> None:
+    """Run ``mine()`` on the caller and ``theirs()`` on the conv worker ``pool``.
 
     ``theirs`` only takes work that ``mine`` would otherwise do (see
     :class:`_Share`), so the caller does not wait for it: a worker that has
@@ -249,12 +252,8 @@ def _side_by_side(mine, theirs) -> None:
     worker raised before the caller is done reaches the caller; when
     ``mine`` fails, the caller waits for the worker to stop first.  The
     worker runs in a copy of the caller's context, which holds numpy's
-    ``errstate``.  Without a worker the caller runs ``mine`` alone.
+    ``errstate``.
     """
-    pool = _conv_worker()
-    if pool is None:
-        mine()
-        return
     done = pool.submit(contextvars.copy_context().run, theirs)
     try:
         mine()
@@ -266,77 +265,133 @@ def _side_by_side(mine, theirs) -> None:
         done.result()
 
 
+class _Loop:
+    """One chunk loop of a conv.  Chunk k of ``stack(src[:, off : off + cols]
+    for src, off in sources)`` (:func:`_stacked_chunks`) is stacked once for
+    both products: ``out[:, chunk k] = w @ stack`` when ``w`` is given, and
+    the partial sum ``parts[k] = stack @ layout[:, chunk k].T`` when
+    ``layout`` is, which the caller adds up in chunk order."""
+
+    def __init__(self, sources, cols, dtype, w=None, out=None, layout=None):
+        self.sources, self.cols, self.dtype = sources, cols, dtype
+        self.w, self.out, self.layout = w, out, layout
+        self.width = _chunk_width(sources, cols, dtype)
+        self.count = -(-cols // self.width)
+        self.parts = None if layout is None else np.empty(
+            (self.count, len(sources) * sources[0][0].shape[0], layout.shape[0]), dtype=dtype)
+
+    def sizes(self):
+        """Elements of the stack, GEMM-output and partial buffers that one
+        thread needs to run this loop."""
+        n = min(self.width, self.cols)
+        return (len(self.sources) * self.sources[0][0].shape[0] * n if len(self.sources) > 1
+                else 0,
+                0 if self.w is None else self.w.shape[0] * n,
+                0 if self.parts is None else self.parts[0].size)
+
+    def products(self, c0, c1, stack, out, part) -> None:
+        """Chunk (c0, c1)'s products, into ``out`` and ``part``."""
+        if self.w is not None:
+            np.matmul(self.w, stack, out=out)
+        if self.layout is not None:
+            np.matmul(stack, self.layout[:, c0:c1].T, out=part)
+
+    def run(self, buf, chunks=None) -> None:
+        """Run ``chunks`` (default all, in order) straight into ``out`` and ``parts``."""
+        def consume(c0, c1, stack):
+            self.products(c0, c1, stack, None if self.w is None else self.out[:, c0:c1],
+                          None if self.parts is None else self.parts[c0 // self.width])
+
+        _stacked_chunks(self.sources, self.cols, self.dtype, consume, buf, chunks)
+
+
 class _Share:
-    """``out = w @ stack(src[:, off : off + cols] for src, off in sources)``,
-    chunk by chunk, as the caller and the conv worker share it.
+    """The chunks of a conv's loops, as the caller and the conv worker share
+    them: one counter runs over every chunk of every loop, in loop order.
 
     Each side takes the next chunk when it is done with its last.  The
-    worker computes a chunk into a buffer of its own and copies it to
-    ``out`` unless the caller has taken it back: once no chunk is left to
-    take, the caller takes back every chunk that the worker has not
-    delivered and computes it itself.  So a worker that is slow, or whose
-    CPU is taken away mid-chunk, never holds the caller up, and nothing
-    reaches ``out`` after the caller is done.  The lock is held for a
-    take and for a delivery's copy.
+    worker computes a chunk into buffers that the caller made and copies it
+    to ``out`` and ``parts`` unless the caller has taken it back: once no
+    chunk is left to take, the caller takes back every chunk that the worker
+    has not delivered and computes it itself.  So a worker that is slow, or
+    whose CPU is taken away mid-chunk, never holds the caller up, and
+    nothing reaches ``out`` or ``parts`` after the caller is done.  The lock
+    is held for a take and for a delivery's copy.
     """
 
-    def __init__(self, w, sources, out):
-        self.w, self.sources, self.out = w, sources, out
-        self.width = _chunk_width(sources, out.shape[1], out.dtype)
-        self.count = -(-out.shape[1] // self.width)
+    def __init__(self, loops):
+        self.chunks = [(loop, k) for loop in loops for k in range(loop.count)]
+        self.first = {loop: self.chunks.index((loop, 0)) for loop in loops}
         self.next, self.lock, self.pending = 0, threading.Lock(), set()
 
     def _taken(self, worker):
         """The chunks that one side computes, in the order it takes them."""
         while True:
             with self.lock:
-                k, self.next = self.next, self.next + 1
-                if k >= self.count:
+                i, self.next = self.next, self.next + 1
+                if i >= len(self.chunks):
                     back = () if worker else sorted(self.pending)
                     self.pending.difference_update(back)
                     break
                 if worker:
-                    self.pending.add(k)
-            yield k
+                    self.pending.add(i)
+            yield i
         yield from back
 
-    def side(self, worker):
-        """Compute one side's chunks: the caller's straight into ``out``."""
-        w, out = self.w, self.out
-        if worker:
-            own = np.empty((out.shape[0], min(self.width, out.shape[1])), dtype=out.dtype)
+    def _by_loop(self, worker):
+        """This side's chunks as (loop, its chunk numbers), in taking order."""
+        for loop, taken in itertools.groupby(self._taken(worker), lambda i: self.chunks[i][0]):
+            yield loop, (self.chunks[i][1] for i in taken)
+
+    def mine(self, buf) -> None:
+        """The caller's chunks, straight into ``out`` and ``parts``."""
+        for loop, chunks in self._by_loop(False):
+            loop.run(buf, chunks)
+
+    def theirs(self, buf, own, part) -> None:
+        """The worker's chunks, computed in the flat buffers ``own`` and
+        ``part`` and delivered unless the caller took them back."""
+        for loop, chunks in self._by_loop(True):
+            first = self.first[loop]
+            n = min(loop.width, loop.cols)
+            out = None if loop.w is None else own[: loop.w.shape[0] * n].reshape(-1, n)
+            partial = None if loop.parts is None else part[: loop.parts[0].size].reshape(
+                loop.parts.shape[1:])
 
             def consume(c0, c1, stack):
-                np.matmul(w, stack, out=own[:, : c1 - c0])
+                loop.products(c0, c1, stack, None if out is None else out[:, : c1 - c0], partial)
+                k = c0 // loop.width
                 with self.lock:
-                    if c0 // self.width in self.pending:
-                        self.pending.remove(c0 // self.width)
-                        out[:, c0:c1] = own[:, : c1 - c0]
-        else:
-            def consume(c0, c1, stack):
-                np.matmul(w, stack, out=out[:, c0:c1])
+                    if first + k in self.pending:
+                        self.pending.remove(first + k)
+                        if out is not None:
+                            loop.out[:, c0:c1] = out[:, : c1 - c0]
+                        if partial is not None:
+                            loop.parts[k] = partial
 
-        _stacked_chunks(self.sources, out.shape[1], out.dtype, consume, self._taken(worker))
+            _stacked_chunks(loop.sources, loop.cols, loop.dtype, consume, buf, chunks)
 
 
-def _stacked_gemms(gemms, first=None) -> None:
-    """``out = w @ stack(src[:, off : off + cols] for src, off in sources)``
-    for each (w, sources, out) of ``gemms``.  With ``first``, the caller runs
-    ``first()`` while the conv worker starts on the GEMMs' chunks, which the
-    two then share (:class:`_Share`); otherwise, and when every GEMM is one
-    chunk, the caller runs everything."""
-    shares = [_Share(*gemm) for gemm in gemms]
+def _run(loops, split) -> None:
+    """Run every chunk of ``loops``.  With ``split``, a conv worker and more
+    than one chunk, the caller and the worker share them (:class:`_Share`);
+    otherwise the caller runs each loop in order.
 
-    def mine():
-        if first is not None:
-            first()
-        for share in shares:
-            share.side(False)
-
-    if first is not None and any(share.count > 1 for share in shares):
-        _side_by_side(mine, lambda: [share.side(True) for share in shares])
-    else:
-        mine()
+    The caller makes every buffer that either side uses, each as large as
+    the largest loop needs (a side runs its loops one after another), so
+    the worker allocates nothing: what a thread allocates comes from its own
+    malloc arena, which keeps it resident.
+    """
+    pool = _conv_worker() if split and sum(loop.count for loop in loops) > 1 else None
+    sizes = [max(size) for size in zip(*(loop.sizes() for loop in loops))]
+    mine = np.empty(sizes[0], dtype=loops[0].dtype)
+    if pool is None:
+        for loop in loops:
+            loop.run(mine)
+        return
+    share = _Share(loops)
+    theirs = [np.empty(size, dtype=loops[0].dtype) for size in sizes]
+    _side_by_side(pool, lambda: share.mine(mine), lambda: share.theirs(*theirs))
 
 
 def im2col(x: np.ndarray, khw, stride, padding) -> np.ndarray:
@@ -367,12 +422,17 @@ def col2im(cols: np.ndarray, x_shape, khw, stride, padding) -> np.ndarray:
     return img
 
 
-def conv2d(x, weight, bias=None, stride=1, padding=0) -> np.ndarray:
+def conv2d(x, weight, bias=None, stride=1, padding=0, keeps_graph=False) -> np.ndarray:
     """2D cross-correlation of (N,Cin,H,W) with (Cout,Cin,Kh,Kw) filters.
 
     Every kernel tap's shifted slice of the im2col layout is stacked along K,
     so each cache-sized chunk of the flat phase grid is one (Cout, Kh*Kw*Cin)
     GEMM written into the output, then cropped to (N, Cout, Ho, Wo).
+
+    ``keeps_graph`` says that the result feeds an autograd graph, so the
+    conv runs in a train step (or a saliency map), not in an eval pass.
+    Such a conv shares its chunks with the conv worker; an eval forward
+    stays on the caller.
     """
     x, weight = as_tensor(x), as_tensor(weight)
     if x.ndim != 4 or weight.ndim != 4:
@@ -385,12 +445,12 @@ def conv2d(x, weight, bias=None, stride=1, padding=0) -> np.ndarray:
     if bias is not None and np.shape(bias) != (cout,):
         raise ShapeError(f"conv2d bias shape {np.shape(bias)} != ({cout},)")
     (ho, wo), (hq, wq), _, span, taps = _layout(x.shape, (kh, kw), stride, padding)
-    cols = im2col(x, (kh, kw), stride, padding)
-    dtype = np.result_type(cols, weight)
+    cols = list(im2col(x, (kh, kw), stride, padding))  # one view per phase: see _tap_grid
+    dtype = np.result_type(cols[0], weight)
     w_stack = weight.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin).astype(dtype, copy=False)
     grid = np.empty((cout, x.shape[0], hq, wq), dtype=dtype)
-    _stacked_gemms([(w_stack, [(cols[p], off) for _, _, p, off in taps],
-                     grid.reshape(cout, -1)[:, :span])])
+    _run([_Loop([(cols[p], off) for _, _, p, off in taps], span, dtype, w_stack,
+                grid.reshape(cout, -1)[:, :span])], keeps_graph)
     out = np.empty((x.shape[0], cout, ho, wo), dtype=dtype)
     crop = grid[:, :, :ho, :wo].transpose(1, 0, 2, 3)
     np.add(crop, 0 if bias is None else as_tensor(bias)[None, :, None, None], out=out)
@@ -407,11 +467,11 @@ def conv2d_backward(g, x, weight, stride=1, padding=0, need_x=True, need_w=True)
     taps' rows: gw[o, c, i, j] = sum_q g[o, q - offset] * cols[p][c, q].
     Only the weight gradient reads the layout ``cols``; it rebuilds it from x.
 
-    When both are needed and some phase stacks more than one tap, the caller
-    stacks g for the weight gradient, adding its chunks in order, while the
-    conv worker takes input-gradient chunks; the caller then takes those
-    left (:class:`_Share`).  Without a worker the caller stacks g twice.  An
-    input or weight gradient alone, and a 1x1 kernel's, run on the caller.
+    Each phase is one chunk loop that stacks g once per chunk for both
+    gradients, and the caller shares every loop with the conv worker
+    (:class:`_Share`).  The weight gradient's partial sums are added in
+    chunk order, so no result depends on which thread computed a chunk, or
+    on whether there is a worker at all.
     """
     cout, cin, kh, kw = weight.shape
     (ho, wo), (hq, wq), phases, _, taps = _layout(x.shape, (kh, kw), stride, padding)
@@ -422,27 +482,24 @@ def conv2d_backward(g, x, weight, stride=1, padding=0, need_x=True, need_w=True)
     padded[:, margin:].reshape(cout, -1, hq, wq)[:, :, :ho, :wo] = g.transpose(1, 0, 2, 3)
     dtype = np.result_type(g, x, weight)
     reads = [[(i, j, off) for i, j, tp, off in taps if tp == p] for p in range(len(phases))]
-    sources = [[(padded, margin - off) for *_, off in read] for read in reads]
-    cols = im2col(x, (kh, kw), stride, padding) if need_w else None
+    cols = im2col(x, (kh, kw), stride, padding) if need_w else [None] * len(phases)
     g_cols = np.empty((len(phases), cin, width), dtype=dtype) if need_x else None
-    gw = np.empty(weight.shape, dtype=dtype) if need_w else None
-
-    def weight_grad():
-        for p, read in enumerate(reads):
-            acc = np.zeros((len(read) * cout, cin), dtype=dtype)
-            _stacked_chunks(sources[p], width, dtype,
-                            lambda c0, c1, stack: np.add(acc, stack @ cols[p][:, c0:c1].T,
-                                                         out=acc))
-            for (i, j, _), rows in zip(read, acc.reshape(len(read), cout, cin)):
-                gw[:, :, i, j] = rows
-
-    if need_x:
-        _stacked_gemms([(np.concatenate([weight[:, :, i, j].T for i, j, _ in read], axis=1,
-                                        dtype=dtype), sources[p], g_cols[p])
-                        for p, read in enumerate(reads)], weight_grad if need_w else None)
-    elif need_w:
-        weight_grad()
+    loops = [_Loop([(padded, margin - off) for *_, off in read], width, dtype,
+                   np.concatenate([weight[:, :, i, j].T for i, j, _ in read], axis=1,
+                                  dtype=dtype) if need_x else None,
+                   g_cols[p] if need_x else None, cols[p])
+             for p, read in enumerate(reads)]
+    _run(loops, True)
     gx = col2im(g_cols, x.shape, (kh, kw), stride, padding) if need_x else None
+    if not need_w:
+        return gx, None
+    gw = np.empty(weight.shape, dtype=dtype)
+    for loop, read in zip(loops, reads):
+        acc = np.zeros(loop.parts.shape[1:], dtype=dtype)
+        for part in loop.parts:
+            np.add(acc, part, out=acc)
+        for (i, j, _), rows in zip(read, acc.reshape(len(read), cout, cin)):
+            gw[:, :, i, j] = rows
     return gx, gw
 
 

@@ -44,51 +44,59 @@ CONV_CASES = [
 def small_chunks(monkeypatch):
     """Shrink the stacked-GEMM chunk so that the forward's span and every
     phase of the backward span at least three chunks, the last one partial;
-    returns a function that sets it for one case and returns the chunk loops
-    run, as (calling function, thread, sources, (c0, c1) of each chunk run).
+    returns a function that sets it for one case and returns the convs run,
+    as (calling function, loops, runs): ``runs`` maps each loop's sources to
+    a (thread, (c0, c1) of each chunk run, whether it ran them all) triple
+    per chunk loop over them.
 
-    Every loop over more than one source is checked for this as it runs.  A
-    caller that shares a loop with a conv worker waits in its first chunk
-    until another thread has run one of that loop, so that whenever they
-    share, both threads run chunks.  At teardown, a loop run by one call
-    must have run every chunk in order; the calls that shared a loop must
-    have run every chunk between them, and at most one of them twice (the
-    worker's last, taken back by the caller).  When some loop was shared
-    with a worker, the caller and another thread must both have run some."""
-    loops, by_loop, local, shared = [], {}, threading.local(), []
-    chunks_of, side_by_side = T._stacked_chunks, T._side_by_side
+    Every loop over more than one source is checked for this as it runs.
+    Each of the two threads that share a conv waits in its first chunk of it
+    until the other has run one, so that whenever they share, both threads
+    run chunks.  At teardown, a conv run alone must have run each loop once,
+    every chunk in order; the two threads sharing a conv must have run every
+    chunk of each loop between them, and at most one chunk of the conv twice
+    (the worker's last, taken back by the caller).  When some conv was
+    shared with a worker, the caller and another thread must both have run
+    some chunks."""
+    convs, local = [], threading.local()
+    chunks_of, run, side_by_side = T._stacked_chunks, T._run, T._side_by_side
 
-    def recorded(sources, cols, dtype, consume, chunks=None):
-        me, ran, caller = threading.get_ident(), [], sys._getframe(1).f_code.co_name
-        loops.append((caller, me, sources, ran))
+    def recorded_run(loops, split):
+        local.conv = (sys._getframe(1).f_code.co_name, loops,
+                      {id(loop.sources): [] for loop in loops})
+        convs.append(local.conv)
+        run(loops, split)
+
+    def recorded(sources, cols, dtype, consume, buf, chunks=None):
+        me, ran, runs = threading.get_ident(), [], local.conv[2]
+        runs[id(sources)].append((me, ran, chunks is None))
         width = T._chunk_width(sources, cols, dtype)
         every = [(c0, min(c0 + width, cols)) for c0 in range(0, cols, width)]
         assert len(sources) == 1 or (len(every) >= 3 and every[-1][1] - every[-1][0] < width)
-        runs = by_loop.setdefault((id(sources), caller), (sources, every, chunks is None, []))[3]
-        runs.append((me, ran))
-        hold = chunks is not None and getattr(local, "caller", False) and T._conv_worker()
+        hold = chunks is not None
+
+        def run_by(mine):
+            return sum(len(r) for loop_runs in runs.values() for t, r, _ in loop_runs
+                       if (t == me) == mine)
 
         def consume_recorded(c0, c1, stack):
             ran.append((c0, c1))
             deadline = time.monotonic() + 30
-            while hold and len(ran) == 1 and not any(r for t, r in runs if t != me):
-                assert time.monotonic() < deadline, "the conv worker ran no chunk"
+            while hold and run_by(True) == 1 and not run_by(False):
+                assert time.monotonic() < deadline, "the other thread ran no chunk"
                 time.sleep(1e-4)
             consume(c0, c1, stack)
 
-        chunks_of(sources, cols, dtype, consume_recorded, chunks)
+        chunks_of(sources, cols, dtype, consume_recorded, buf, chunks)
 
-    def caller_side(mine, theirs):
-        shared.append(theirs)
+    def caller_side(pool, mine, theirs):
+        conv = local.conv
 
-        def marked():
-            local.caller = True
-            try:
-                mine()
-            finally:
-                local.caller = False
+        def on_the_worker():
+            local.conv = conv
+            theirs()
 
-        side_by_side(marked, theirs)
+        side_by_side(pool, mine, on_the_worker)
 
     def set_for(x_shape, w_shape, stride, padding):
         _, (hq, wq), _, span, _ = T._layout(x_shape, w_shape[2:], stride, padding)
@@ -96,18 +104,29 @@ def small_chunks(monkeypatch):
         width = max(w for w in range(2, min(span, phase) // 3 + 1) if span % w and phase % w)
         monkeypatch.setattr(T, "_CHUNK_BYTES", 0)
         monkeypatch.setattr(T, "_CHUNK_MIN_COLS", width)
+        monkeypatch.setattr(T, "_run", recorded_run)
         monkeypatch.setattr(T, "_stacked_chunks", recorded)
         monkeypatch.setattr(T, "_side_by_side", caller_side)
-        return loops
+        return convs
 
     yield set_for
-    for _, every, alone, runs in by_loop.values():
-        for _, ran in runs:
-            assert len(set(ran)) == len(ran) and (not alone or ran == every)
-        ran = [chunk for _, r in runs for chunk in r]
-        assert sorted(set(ran)) == every and len(ran) <= len(every) + 1
-    if T._conv_worker() is not None and shared:
-        assert {threading.get_ident()} < {thread for _, thread, _, ran in loops if ran}
+    shared = False
+    for _, loops, runs in convs:
+        alone = all(a for loop_runs in runs.values() for *_, a in loop_runs)
+        twice = 0
+        for loop in loops:
+            every = [(c0, min(c0 + loop.width, loop.cols))
+                     for c0 in range(0, loop.cols, loop.width)]
+            ran = [chunk for _, r, _ in runs[id(loop.sources)] for chunk in r]
+            assert all(len(set(r)) == len(r) for _, r, _ in runs[id(loop.sources)])
+            assert sorted(set(ran)) == every and (not alone or ran == every)
+            twice += len(ran) - len(every)
+        assert twice <= 1
+        shared |= not alone
+    if shared:
+        threads = {t for *_, runs in convs for loop_runs in runs.values()
+                   for t, r, _ in loop_runs if r}
+        assert {threading.get_ident()} < threads
 
 
 def rms_relative(a, ref) -> float:
@@ -226,21 +245,19 @@ class TestConv2d:
     @pytest.mark.parametrize("x_shape,w_shape,stride,padding", CONV_CASES)
     def test_grad_check_float64_in_chunks(self, small_chunks, x_shape, w_shape, stride,
                                           padding):
-        loops = small_chunks(x_shape, w_shape, stride, padding)
+        convs = small_chunks(x_shape, w_shape, stride, padding)
         self.test_grad_check_float64(x_shape, w_shape, stride, padding)
-        # the forward and the input gradient stack through _Share.side;
-        # conv2d_backward's weight_grad runs one loop of its own per phase that
-        # some tap reads, always on the caller, which adds its chunks in order,
-        # and the input gradient's chunks are shared with the worker when
-        # there is one and some phase stacks more than one tap
-        gemm, weight = "side", "weight_grad"
-        assert {caller for caller, *_ in loops} == {gemm, weight}
-        threads = [thread for caller, thread, *_ in loops if caller == weight]
-        assert len(threads) == len(T._layout(x_shape, w_shape[2:], stride, padding)[2])
-        assert set(threads) == {threading.get_ident()}
-        helpers = {thread for caller, thread, _, ran in loops if caller == gemm and ran}
-        on_worker = T._conv_worker() is not None and w_shape[2] * w_shape[3] > 1
-        assert bool(helpers - {threading.get_ident()}) == on_worker
+        # every conv here keeps a graph.  Its forward is one loop and its
+        # backward one loop per phase that some tap reads, each chunk stacked
+        # once for both gradients; both are shared whenever there is a
+        # worker and more than one chunk, that is, more than one tap
+        phases = len(T._layout(x_shape, w_shape[2:], stride, padding)[2])
+        shared = T._conv_worker() is not None and w_shape[2] * w_shape[3] > 1
+        assert {name for name, *_ in convs} == {"conv2d", "conv2d_backward"}
+        for name, loops, runs in convs[1:]:  # the first is the shape probe, with no graph
+            assert len(loops) == (1 if name == "conv2d" else phases)
+            helpers = {t for loop_runs in runs.values() for t, r, _ in loop_runs if r}
+            assert bool(helpers - {threading.get_ident()}) == shared
 
     @pytest.mark.parametrize("x_shape,w_shape,stride,padding", CONV_CASES)
     def test_one_gradient_equals_both_bitwise(self, x_shape, w_shape, stride, padding):
@@ -351,9 +368,12 @@ def _conv_in_child(g, x, w, expected):
 
 
 class TestConvWorker:
-    """The conv worker changes no bit of any result, keeps the caller's numpy
+    """The conv worker joins only the forwards that keep a graph, and every
+    backward.  It changes no bit of any result, keeps the caller's numpy
     error state, hands its errors to the caller, holds up no caller when it
-    starts late or stalls in a chunk, and survives a fork."""
+    starts late or stalls in a chunk, delivers nothing that the caller took
+    back, and survives a fork.  Without it, a backward stacks each chunk
+    once for both gradients."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("x_shape,w_shape,stride,padding", CONV_CASES)
@@ -368,15 +388,63 @@ class TestConvWorker:
         with ThreadPoolExecutor(1) as pool:
             for worker in (None, pool):
                 monkeypatch.setattr(T, "_conv_worker", lambda: worker)
-                results.append([T.conv2d(x, w, None, stride, padding)] + [
+                results.append([T.conv2d(x, w, None, stride, padding, keeps_graph=keeps)
+                                for keeps in (False, True)] + [
                     grad for need in ((True, True), (True, False), (False, True))
                     for grad in T.conv2d_backward(g, x, w, stride, padding, *need)])
         for off, on in zip(*results):
             assert (off is None and on is None) or np.array_equal(off, on)
 
+    def test_only_a_forward_that_keeps_a_graph_shares_its_chunks(self, small_chunks,
+                                                                 monkeypatch):
+        convs = small_chunks((2, 3, 8, 9), (4, 3, 3, 3), 1, 1)
+        rng = np.random.default_rng(25)
+        x = ag.Node(rng.normal(size=(2, 3, 8, 9)).astype(np.float32), requires_grad=True)
+        w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
+        with ThreadPoolExecutor(1) as pool:
+            monkeypatch.setattr(T, "_conv_worker", lambda: pool)
+            kept = ag.conv2d(x, w, padding=1)
+            evaluated = ag.conv2d(ag.constant(x.value), w, padding=1)
+        assert kept.requires_grad and not evaluated.requires_grad
+        assert kept.value.tobytes() == evaluated.value.tobytes()
+        (*_, kept_runs), (*_, eval_runs) = convs
+        main = threading.get_ident()
+        assert {t for runs in kept_runs.values() for t, r, _ in runs if r} > {main}
+        assert [(t, alone) for runs in eval_runs.values() for t, _, alone in runs] == [
+            (main, True)]
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_one_cpu_stacks_each_chunk_once_for_both_gradients(self, monkeypatch, stride):
+        monkeypatch.setattr(T, "_conv_worker", lambda: None)
+        monkeypatch.setattr(T, "_CHUNK_BYTES", 0)
+        monkeypatch.setattr(T, "_CHUNK_MIN_COLS", 20)
+        loops, chunks = [], T._stacked_chunks
+
+        def recorded(sources, cols, dtype, consume, *rest):
+            ran = []
+            loops.append((cols, ran))
+
+            def stacked(c0, c1, stack):
+                ran.append((c0, c1))
+                consume(c0, c1, stack)
+
+            chunks(sources, cols, dtype, stacked, *rest)
+
+        rng = np.random.default_rng(26)
+        x = rng.normal(size=(2, 3, 8, 9)).astype(np.float32)
+        w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
+        g = rng.normal(size=T.conv2d(x, w, None, stride, 1).shape).astype(np.float32)
+        monkeypatch.setattr(T, "_stacked_chunks", recorded)
+        T.conv2d_backward(g, x, w, stride, 1)
+        # one loop per phase that some tap reads, each running its chunks once, in order
+        assert len(loops) == len(T._layout(x.shape, (3, 3), stride, 1)[2])
+        for cols, ran in loops:
+            assert ran[0][0] == 0 and ran[-1][1] == cols
+            assert all(a[1] == b[0] for a, b in zip(ran, ran[1:]))
+
     def test_concurrent_callers_share_the_worker(self, small_chunks):
-        # four threads on at most two CPUs queue their input gradients on the
-        # one worker; with a short switch interval, a write that crossed into
+        # four threads on at most two CPUs queue their graph-keeping forwards
+        # and their backwards on the one worker; with a short switch interval, a write that crossed into
         # another call's arrays would show as a wrong bit
         args = ((2, 3, 8, 9), (4, 3, 3, 3), 1, 1)
         small_chunks(*args)
@@ -386,7 +454,8 @@ class TestConvWorker:
         g = rng.normal(size=T.conv2d(*cases[0], None, 1, 1).shape).astype(np.float32)
 
         def run(x, w):
-            return [T.conv2d(x, w, None, 1, 1), *T.conv2d_backward(g, x, w, 1, 1)]
+            return [T.conv2d(x, w, None, 1, 1, keeps_graph=True),
+                    *T.conv2d_backward(g, x, w, 1, 1)]
 
         expected = [run(*case) for case in cases]
         interval = sys.getswitchinterval()
@@ -449,18 +518,24 @@ class TestConvWorker:
     def test_a_worker_stalled_in_a_chunk_holds_no_caller_up(self, monkeypatch):
         # the worker takes a chunk and stalls in it; the caller takes the
         # rest, takes that one back and returns, and the stalled chunk never
-        # reaches the output
+        # reaches the output or the partial sums
         monkeypatch.setattr(T, "_CHUNK_BYTES", 0)
         monkeypatch.setattr(T, "_CHUNK_MIN_COLS", 20)
         rng = np.random.default_rng(22)
         src = rng.normal(size=(3, 102)).astype(np.float32)
-        gemm = (rng.normal(size=(4, 9)).astype(np.float32), [(src, 0), (src, 1), (src, 2)])
+        w = rng.normal(size=(4, 9)).astype(np.float32)
+        layout = rng.normal(size=(5, 100)).astype(np.float32)
+
+        def loop():
+            return T._Loop([(src, 0), (src, 1), (src, 2)], 100, np.float32, w,
+                           np.empty((4, 100), dtype=np.float32), layout)
+
         monkeypatch.setattr(T, "_conv_worker", lambda: None)
-        alone = np.empty((4, 100), dtype=np.float32)
-        T._stacked_gemms([(*gemm, alone)])
+        alone = loop()
+        T._run([alone], True)
         chunks, stalled, release = T._stacked_chunks, threading.Event(), threading.Event()
 
-        def stalls_on_the_worker(sources, cols, dtype, consume, taken=None):
+        def stalls_on_the_worker(sources, cols, dtype, consume, buf, taken=None):
             def stall(*chunk):
                 stalled.set()
                 release.wait(60)
@@ -468,23 +543,77 @@ class TestConvWorker:
 
             if threading.get_ident() == threading.main_thread().ident:
                 assert stalled.wait(60)
-                chunks(sources, cols, dtype, consume, taken)
+                chunks(sources, cols, dtype, consume, buf, taken)
             else:
-                chunks(sources, cols, dtype, stall, taken)
+                chunks(sources, cols, dtype, stall, buf, taken)
 
-        out = np.empty_like(alone)
+        shared = loop()
         with ThreadPoolExecutor(1) as pool:
             worker = _Started(pool)
             monkeypatch.setattr(T, "_conv_worker", lambda: worker)
             monkeypatch.setattr(T, "_stacked_chunks", stalls_on_the_worker)
             try:
-                T._stacked_gemms([(*gemm, out)], first=lambda: None)
-                assert not worker.tasks[0].done() and np.array_equal(out, alone)
-                out[...] = np.nan
+                T._run([shared], True)
+                assert not worker.tasks[0].done()
+                assert np.array_equal(shared.out, alone.out)
+                assert np.array_equal(shared.parts, alone.parts)
+                shared.out[...] = shared.parts[...] = np.nan
             finally:
                 release.set()
             worker.tasks[0].result(timeout=60)
-        assert np.isnan(out).all()
+        assert np.isnan(shared.out).all() and np.isnan(shared.parts).all()
+
+    @pytest.mark.parametrize("late", [False, True], ids=["stalled", "late"])
+    def test_a_chunk_taken_back_never_reaches_the_gradients(self, monkeypatch, late):
+        # the caller takes back the worker's chunk, and the worker then
+        # delivers a wrong copy of it before the caller adds the partial sums
+        # up.  A stalled worker takes the first chunk and stalls in it; a
+        # late one takes the last chunk once the caller has run every other
+        monkeypatch.setattr(T, "_CHUNK_BYTES", 0)
+        monkeypatch.setattr(T, "_CHUNK_MIN_COLS", 20)
+        rng = np.random.default_rng(24)
+        x = rng.normal(size=(2, 3, 8, 9)).astype(np.float32)
+        w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
+        g = rng.normal(size=(2, 4, 8, 9)).astype(np.float32)
+        monkeypatch.setattr(T, "_conv_worker", lambda: None)
+        alone = T.conv2d_backward(g, x, w, 1, 1)
+        products, mine, theirs = T._Loop.products, T._Share.mine, T._Share.theirs
+        may_take, taken, release = threading.Event(), threading.Event(), threading.Event()
+        total, on_the_caller = [], []
+
+        def products_in_order(loop, c0, c1, stack, out, part):
+            if threading.get_ident() != threading.main_thread().ident:
+                taken.set()
+                assert release.wait(60)
+                products(loop, c0, c1, stack, out, part)
+                out[...] = part[...] = np.nan
+                return
+            products(loop, c0, c1, stack, out, part)
+            on_the_caller.append(c0)
+            if late and len(on_the_caller) == total[0] - 1:
+                may_take.set()
+                assert taken.wait(60)
+
+        def delivered_after_the_take_back(share, buf):
+            total.append(len(share.chunks))
+            assert late or taken.wait(60)
+            mine(share, buf)
+            release.set()
+            worker.tasks[0].result(timeout=60)
+
+        def takes_late(share, *buffers):
+            assert not late or may_take.wait(60)
+            theirs(share, *buffers)
+
+        with ThreadPoolExecutor(1) as pool:
+            worker = _Started(pool)
+            monkeypatch.setattr(T, "_conv_worker", lambda: worker)
+            monkeypatch.setattr(T._Loop, "products", products_in_order)
+            monkeypatch.setattr(T._Share, "mine", delivered_after_the_take_back)
+            monkeypatch.setattr(T._Share, "theirs", takes_late)
+            got = T.conv2d_backward(g, x, w, 1, 1)
+        assert len(on_the_caller) == total[0] > 2  # every chunk, one of them taken back
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, alone))
 
     def test_a_late_worker_holds_no_caller_up(self, monkeypatch):
         # the worker is busy with another task for the whole conv, so it
@@ -497,7 +626,8 @@ class TestConvWorker:
         g = rng.normal(size=(2, 4, 8, 9)).astype(np.float32)
 
         def run():
-            return [T.conv2d(x, w, None, 1, 1), *T.conv2d_backward(g, x, w, 1, 1),
+            return [T.conv2d(x, w, None, 1, 1, keeps_graph=True),
+                    *T.conv2d_backward(g, x, w, 1, 1),
                     T.conv2d_backward(g, x, w, 1, 1, need_w=False)[0]]
 
         monkeypatch.setattr(T, "_conv_worker", lambda: None)
