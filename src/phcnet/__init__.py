@@ -3,9 +3,10 @@ self-contained CPU autograd engine.
 
 Importing phcnet before numpy runs BLAS on one thread, so results do not depend
 on the core count; a count set in OPENBLAS_, OMP_ or MKL_NUM_THREADS still wins.
-A process allowed two or more CPUs runs each conv backward that needs both
-gradients on two threads: the caller and one conv worker thread (see ``tensor``),
-which split the work without changing any result by a bit."""
+A process allowed two or more CPUs runs every conv backward, and every conv
+forward that keeps a graph, on two threads: the caller and one conv worker
+thread (see ``tensor``), which split the work without changing any result by
+a bit.  An eval forward runs on the caller alone."""
 
 import os
 

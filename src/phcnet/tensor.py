@@ -9,9 +9,9 @@ violation raises a recoverable :class:`ShapeError`.
 pads the input and splits it into the stride phases that some kernel tap
 reads, channel-major with the batch folded into one flat axis,
 (P, C, N*Hq*Wq).  Every kernel tap is then a contiguous shifted slice of one
-phase.  ``_stacked_chunks`` stacks those slices, one cache-sized chunk of
-columns at a time, so each chunk is one GEMM over every tap, written straight
-into the output.  The backward stacks the output gradient per chunk of each
+phase.  A chunk loop (:class:`_Loop`) stacks those slices, one cache-sized
+chunk of columns at a time, so each chunk is one GEMM over every tap, written
+straight into the output.  The backward stacks the output gradient per chunk of each
 phase: the input gradient writes its GEMM with the weight into that phase,
 and the weight gradient adds the stack's product with the same chunk of the
 layout, which it rebuilds from the input.  All are computed on the padded
@@ -21,13 +21,13 @@ as a test oracle.
 
 A process that may run on two or more CPUs starts one conv worker thread,
 which joins the conv loops that keep a graph: the forward of a train step
-(or of a saliency map) and every backward.  Each backward phase is one loop
-that stacks g once per chunk for both gradients.  The caller and the worker
-take chunks from one counter, and the caller takes back any chunk that the
+(or of a saliency map) and every backward.  The caller and the worker take
+chunks from one counter, and the caller takes back any chunk that the
 worker has not delivered, so a late or slow worker never holds it up
 (:class:`_Share`).  An eval forward keeps no graph and runs on the caller:
-an eval pass is a short burst of forwards, and with a second thread its
-time depended on whether the second CPU happened to be free.  Chunk
+an eval pass is a short burst of forwards, whose time on two threads
+depends on whether the second CPU is free.  Every side, the caller alone
+on one CPU too, computes a chunk with the one :meth:`_Loop.chunk`.  Chunk
 boundaries are fixed by the shapes, and the weight gradient's partial sums
 are added in chunk order, so every result is the same to the bit with or
 without the worker, and so on any number of CPUs.
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import contextvars
 import functools
-import itertools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -151,54 +150,6 @@ _CHUNK_BYTES = 1 << 20
 _CHUNK_MIN_COLS = 128
 
 
-def _chunk_width(sources, cols, dtype) -> int:
-    """Columns per chunk of :func:`_stacked_chunks`: about ``_CHUNK_BYTES`` of
-    stacked sources, at least ``_CHUNK_MIN_COLS``; all ``cols`` for one source."""
-    if len(sources) == 1:
-        return cols
-    rows = sources[0][0].shape[0]
-    return max(_CHUNK_BYTES // (len(sources) * rows * np.dtype(dtype).itemsize),
-               _CHUNK_MIN_COLS)
-
-
-def _stacked_chunks(sources, cols, dtype, consume, buf, chunks=None) -> None:
-    """Call ``consume(c0, c1, stack)`` on each chunk k of ``chunks``, by
-    default every chunk of ``cols`` columns in order.  Chunk k is columns
-    k*width to (k + 1)*width, cut at ``cols``, with :func:`_chunk_width`'s
-    width.
-
-    ``stack`` is ``stack(src[:, off + c0 : off + c1] for src, off in sources)``
-    as one (taps*rows, c1 - c0) matrix, so each chunk is one GEMM with K or M =
-    taps*rows and no per-tap partial sum is written or read back.  It is
-    built in the flat buffer ``buf`` (:meth:`_Loop.sizes`), which every
-    chunk reuses, so ``consume`` is done with a chunk when it returns.
-    Sources on a grid (:func:`_tap_grid`) are copied in one call, others one
-    by one.  One source is not copied: its slice is passed in place as the
-    only chunk.
-
-    The chunk boundaries do not depend on which chunks a call runs, so
-    neither does any chunk's result, to the bit.
-    """
-    width = _chunk_width(sources, cols, dtype)
-    if len(sources) > 1:
-        rows = sources[0][0].shape[0]
-        stack = buf[: len(sources) * rows * min(width, cols)].reshape(len(sources), rows, -1)
-        grid = _tap_grid(sources, cols)
-    for k in range(-(-cols // width)) if chunks is None else chunks:
-        c0 = k * width
-        n = min(width, cols - c0)
-        if len(sources) == 1:
-            (src, off), = sources
-            consume(c0, c0 + n, src[:, off + c0 : off + c0 + n])
-            continue
-        if grid is None:
-            for t, (src, off) in enumerate(sources):
-                stack[t, :, :n] = src[:, off + c0 : off + c0 + n]
-        else:
-            np.copyto(stack[:, :, :n].reshape(*grid.shape[:2], -1, n), grid[..., c0 : c0 + n])
-        consume(c0, c0 + n, stack[:, :, :n].reshape(-1, n))
-
-
 def _tap_grid(sources, cols):
     """The sources as one read-only (A, B, rows, cols) view when they are
     slices of one array (the same object) at offsets first + a*da + b*db, in
@@ -242,67 +193,64 @@ def _conv_worker():
     return _worker[1]
 
 
-def _side_by_side(pool, mine, theirs) -> None:
-    """Run ``mine()`` on the caller and ``theirs()`` on the conv worker ``pool``.
-
-    ``theirs`` only takes work that ``mine`` would otherwise do (see
-    :class:`_Share`), so the caller does not wait for it: a worker that has
-    not started ``theirs`` by the time ``mine`` returns drops it, and one
-    still busy finishes a chunk that nothing reads.  An error that the
-    worker raised before the caller is done reaches the caller; when
-    ``mine`` fails, the caller waits for the worker to stop first.  The
-    worker runs in a copy of the caller's context, which holds numpy's
-    ``errstate``.
-    """
-    done = pool.submit(contextvars.copy_context().run, theirs)
-    try:
-        mine()
-    except BaseException:
-        done.cancel()
-        wait([done])
-        raise
-    if not done.cancel() and done.done():
-        done.result()
-
-
 class _Loop:
-    """One chunk loop of a conv.  Chunk k of ``stack(src[:, off : off + cols]
-    for src, off in sources)`` (:func:`_stacked_chunks`) is stacked once for
-    both products: ``out[:, chunk k] = w @ stack`` when ``w`` is given, and
-    the partial sum ``parts[k] = stack @ layout[:, chunk k].T`` when
-    ``layout`` is, which the caller adds up in chunk order."""
+    """One chunk loop of a conv over ``stack(src[:, off : off + cols] for
+    src, off in sources)``, one (taps*rows, cols) matrix, so that each chunk
+    is one GEMM with K or M = taps*rows.  Chunk k is columns k*width to
+    (k + 1)*width, cut at ``cols``: about ``_CHUNK_BYTES`` of stack, at
+    least ``_CHUNK_MIN_COLS`` wide; one source is one chunk, not copied.
+    Each chunk is stacked once for both products: ``out[:, chunk k] = w @
+    stack`` when ``w`` is given, and the partial sum ``parts[k] = stack @
+    layout[:, chunk k].T`` when ``layout`` is, which the caller adds up in
+    chunk order.  The boundaries depend on the shapes alone, so no chunk's
+    result depends on which thread runs it, to the bit."""
 
     def __init__(self, sources, cols, dtype, w=None, out=None, layout=None):
         self.sources, self.cols, self.dtype = sources, cols, dtype
         self.w, self.out, self.layout = w, out, layout
-        self.width = _chunk_width(sources, cols, dtype)
+        rows = sources[0][0].shape[0]
+        self.width = cols if len(sources) == 1 else max(
+            _CHUNK_BYTES // (len(sources) * rows * np.dtype(dtype).itemsize), _CHUNK_MIN_COLS)
         self.count = -(-cols // self.width)
+        self.stack = len(sources), rows, min(self.width, cols)
+        self.grid = None if len(sources) == 1 else _tap_grid(sources, cols)
         self.parts = None if layout is None else np.empty(
-            (self.count, len(sources) * sources[0][0].shape[0], layout.shape[0]), dtype=dtype)
+            (self.count, len(sources) * rows, layout.shape[0]), dtype=dtype)
+        # elements of the stack, GEMM-output and partial buffers that one thread needs
+        self.sizes = (0 if len(sources) == 1 else len(sources) * rows * self.stack[2],
+                      0 if w is None else w.shape[0] * self.stack[2],
+                      0 if layout is None else self.parts[0].size)
 
-    def sizes(self):
-        """Elements of the stack, GEMM-output and partial buffers that one
-        thread needs to run this loop."""
-        n = min(self.width, self.cols)
-        return (len(self.sources) * self.sources[0][0].shape[0] * n if len(self.sources) > 1
-                else 0,
-                0 if self.w is None else self.w.shape[0] * n,
-                0 if self.parts is None else self.parts[0].size)
-
-    def products(self, c0, c1, stack, out, part) -> None:
-        """Chunk (c0, c1)'s products, into ``out`` and ``part``."""
+    def chunk(self, k, buf, own=None, part=None):
+        """Stack chunk k in the flat buffer ``buf`` and compute its products
+        into ``out`` and ``parts[k]``, or into the worker's flat buffers
+        ``own`` and ``part``, as the views returned.  Sources on a grid
+        (:func:`_tap_grid`) are stacked in one copy, others one by one."""
+        c0 = k * self.width
+        n = min(self.width, self.cols - c0)
+        if len(self.sources) == 1:
+            (src, off), = self.sources
+            stack = src[:, off + c0 : off + c0 + n]
+        else:
+            stack = buf[: self.sizes[0]].reshape(self.stack)[:, :, :n]
+            if self.grid is None:
+                for t, (src, off) in enumerate(self.sources):
+                    stack[t] = src[:, off + c0 : off + c0 + n]
+            else:
+                np.copyto(stack.reshape(*self.grid.shape[:2], -1, n), self.grid[..., c0 : c0 + n])
+            stack = stack.reshape(-1, n)
+        if own is None:
+            own = None if self.w is None else self.out[:, c0 : c0 + n]
+            part = None if self.layout is None else self.parts[k]
+        else:
+            own = None if self.w is None else own[: self.w.shape[0] * n].reshape(-1, n)
+            part = None if self.layout is None else part[: self.sizes[2]].reshape(
+                self.parts.shape[1:])
         if self.w is not None:
-            np.matmul(self.w, stack, out=out)
+            np.matmul(self.w, stack, out=own)
         if self.layout is not None:
-            np.matmul(stack, self.layout[:, c0:c1].T, out=part)
-
-    def run(self, buf, chunks=None) -> None:
-        """Run ``chunks`` (default all, in order) straight into ``out`` and ``parts``."""
-        def consume(c0, c1, stack):
-            self.products(c0, c1, stack, None if self.w is None else self.out[:, c0:c1],
-                          None if self.parts is None else self.parts[c0 // self.width])
-
-        _stacked_chunks(self.sources, self.cols, self.dtype, consume, buf, chunks)
+            np.matmul(stack, self.layout[:, c0 : c0 + n].T, out=part)
+        return own, part
 
 
 class _Share:
@@ -321,11 +269,13 @@ class _Share:
 
     def __init__(self, loops):
         self.chunks = [(loop, k) for loop in loops for k in range(loop.count)]
-        self.first = {loop: self.chunks.index((loop, 0)) for loop in loops}
         self.next, self.lock, self.pending = 0, threading.Lock(), set()
 
-    def _taken(self, worker):
-        """The chunks that one side computes, in the order it takes them."""
+    def run(self, buf, own=None, part=None) -> None:
+        """Take and run chunks until none is left: the caller's straight into
+        ``out`` and ``parts``, and then those it takes back; the worker's,
+        given ``own`` and ``part``, in those, each delivered if still pending."""
+        worker = own is not None
         while True:
             with self.lock:
                 i, self.next = self.next, self.next + 1
@@ -335,63 +285,54 @@ class _Share:
                     break
                 if worker:
                     self.pending.add(i)
-            yield i
-        yield from back
-
-    def _by_loop(self, worker):
-        """This side's chunks as (loop, its chunk numbers), in taking order."""
-        for loop, taken in itertools.groupby(self._taken(worker), lambda i: self.chunks[i][0]):
-            yield loop, (self.chunks[i][1] for i in taken)
-
-    def mine(self, buf) -> None:
-        """The caller's chunks, straight into ``out`` and ``parts``."""
-        for loop, chunks in self._by_loop(False):
-            loop.run(buf, chunks)
-
-    def theirs(self, buf, own, part) -> None:
-        """The worker's chunks, computed in the flat buffers ``own`` and
-        ``part`` and delivered unless the caller took them back."""
-        for loop, chunks in self._by_loop(True):
-            first = self.first[loop]
-            n = min(loop.width, loop.cols)
-            out = None if loop.w is None else own[: loop.w.shape[0] * n].reshape(-1, n)
-            partial = None if loop.parts is None else part[: loop.parts[0].size].reshape(
-                loop.parts.shape[1:])
-
-            def consume(c0, c1, stack):
-                loop.products(c0, c1, stack, None if out is None else out[:, : c1 - c0], partial)
-                k = c0 // loop.width
+            loop, k = self.chunks[i]
+            out, partial = loop.chunk(k, buf, own, part)
+            if worker:
                 with self.lock:
-                    if first + k in self.pending:
-                        self.pending.remove(first + k)
+                    if i in self.pending:
+                        self.pending.remove(i)
+                        c0 = k * loop.width
                         if out is not None:
-                            loop.out[:, c0:c1] = out[:, : c1 - c0]
+                            loop.out[:, c0 : c0 + out.shape[1]] = out
                         if partial is not None:
                             loop.parts[k] = partial
-
-            _stacked_chunks(loop.sources, loop.cols, loop.dtype, consume, buf, chunks)
+        for loop, k in (self.chunks[i] for i in back):
+            loop.chunk(k, buf)
 
 
 def _run(loops, split) -> None:
-    """Run every chunk of ``loops``.  With ``split``, a conv worker and more
-    than one chunk, the caller and the worker share them (:class:`_Share`);
-    otherwise the caller runs each loop in order.
+    """Run every chunk of ``loops`` (:class:`_Share`).  With ``split``, a
+    conv worker and more than one chunk, the caller and the worker share
+    them; otherwise the caller runs them all, in order.
+
+    The worker does not hold the caller up: one that has not started by the
+    time the caller is done drops its side, and one still busy finishes a
+    chunk that nothing reads.  An error that the worker raised before the
+    caller is done reaches the caller; when the caller fails, it waits for
+    the worker to stop first.  The worker runs in a copy of the caller's
+    context, which holds numpy's ``errstate``.
 
     The caller makes every buffer that either side uses, each as large as
-    the largest loop needs (a side runs its loops one after another), so
-    the worker allocates nothing: what a thread allocates comes from its own
-    malloc arena, which keeps it resident.
+    the largest loop needs, so the worker allocates nothing: what a thread
+    allocates comes from its own malloc arena, which keeps it resident.
     """
-    pool = _conv_worker() if split and sum(loop.count for loop in loops) > 1 else None
-    sizes = [max(size) for size in zip(*(loop.sizes() for loop in loops))]
+    share = _Share(loops)
+    pool = _conv_worker() if split and len(share.chunks) > 1 else None
+    sizes = [max(size) for size in zip(*(loop.sizes for loop in loops))]
     mine = np.empty(sizes[0], dtype=loops[0].dtype)
     if pool is None:
-        for loop in loops:
-            loop.run(mine)
+        share.run(mine)
         return
-    share = _Share(loops)
-    theirs = [np.empty(size, dtype=loops[0].dtype) for size in sizes]
-    _side_by_side(pool, lambda: share.mine(mine), lambda: share.theirs(*theirs))
+    theirs = pool.submit(contextvars.copy_context().run, share.run,
+                         *(np.empty(size, dtype=loops[0].dtype) for size in sizes))
+    try:
+        share.run(mine)
+    except BaseException:
+        theirs.cancel()
+        wait([theirs])
+        raise
+    if not theirs.cancel() and theirs.done():
+        theirs.result()
 
 
 def im2col(x: np.ndarray, khw, stride, padding) -> np.ndarray:
@@ -431,8 +372,8 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, keeps_graph=False) -> np.n
 
     ``keeps_graph`` says that the result feeds an autograd graph, so the
     conv runs in a train step (or a saliency map), not in an eval pass.
-    Such a conv shares its chunks with the conv worker; an eval forward
-    stays on the caller.
+    Such a conv shares its chunks with the conv worker (:func:`_run`); an
+    eval forward runs them all on the caller.
     """
     x, weight = as_tensor(x), as_tensor(weight)
     if x.ndim != 4 or weight.ndim != 4:
@@ -467,11 +408,11 @@ def conv2d_backward(g, x, weight, stride=1, padding=0, need_x=True, need_w=True)
     taps' rows: gw[o, c, i, j] = sum_q g[o, q - offset] * cols[p][c, q].
     Only the weight gradient reads the layout ``cols``; it rebuilds it from x.
 
-    Each phase is one chunk loop that stacks g once per chunk for both
+    Each phase is one :class:`_Loop`, whose chunks stack g once for both
     gradients, and the caller shares every loop with the conv worker
-    (:class:`_Share`).  The weight gradient's partial sums are added in
-    chunk order, so no result depends on which thread computed a chunk, or
-    on whether there is a worker at all.
+    (:func:`_run`).  The weight gradient's partial sums are added in chunk
+    order, so no result depends on which thread computed a chunk, or on
+    whether there is a worker at all.
     """
     cout, cin, kh, kw = weight.shape
     (ho, wo), (hq, wq), phases, _, taps = _layout(x.shape, (kh, kw), stride, padding)

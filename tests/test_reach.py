@@ -22,12 +22,22 @@ KEPT = [
 ]
 
 
-def test_only_kept_functions_are_unreached():
+def unreached(**run):
     proc = subprocess.run([sys.executable, str(ROOT / "tools" / "reach.py")],
                           capture_output=True, text=True, timeout=600,
-                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, **run)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == sorted(KEPT)
+    return proc.stdout.splitlines()
+
+
+def test_only_kept_functions_are_unreached():
+    assert unreached() == sorted(KEPT)
+
+
+def test_only_kept_functions_are_unreached_on_one_cpu():
+    # with no conv worker, every conv still runs through the one chunk path
+    cpu = min(os.sched_getaffinity(0))
+    assert unreached(preexec_fn=lambda: os.sched_setaffinity(0, {cpu})) == sorted(KEPT)
 
 
 def test_function_table_lists_nested_rules(monkeypatch):

@@ -45,58 +45,41 @@ def small_chunks(monkeypatch):
     """Shrink the stacked-GEMM chunk so that the forward's span and every
     phase of the backward span at least three chunks, the last one partial;
     returns a function that sets it for one case and returns the convs run,
-    as (calling function, loops, runs): ``runs`` maps each loop's sources to
-    a (thread, (c0, c1) of each chunk run, whether it ran them all) triple
-    per chunk loop over them.
+    as (calling function, loops, ran, shared): ``ran`` lists each chunk
+    computed, as (thread, loop, k), and ``shared`` says whether
+    ``_run``'s rule (a split conv of more than one chunk, with a worker)
+    shares the conv's chunks with the worker.
 
-    Every loop over more than one source is checked for this as it runs.
+    Every loop over more than one source is checked for this as it starts.
     Each of the two threads that share a conv waits in its first chunk of it
-    until the other has run one, so that whenever they share, both threads
-    run chunks.  At teardown, a conv run alone must have run each loop once,
-    every chunk in order; the two threads sharing a conv must have run every
-    chunk of each loop between them, and at most one chunk of the conv twice
-    (the worker's last, taken back by the caller).  When some conv was
-    shared with a worker, the caller and another thread must both have run
-    some chunks."""
-    convs, local = [], threading.local()
-    chunks_of, run, side_by_side = T._stacked_chunks, T._run, T._side_by_side
+    until the other has started one, so that both threads run chunks.  At
+    teardown, a conv run alone must have run on one thread each loop once,
+    every chunk in order; the two threads sharing a conv must both have run
+    chunks, every chunk of each loop between them, none twice on one thread
+    and at most one chunk of the conv twice (the worker's last, taken back
+    by the caller)."""
+    convs, conv_of = [], {}
+    run, chunk = T._run, T._Loop.chunk
 
     def recorded_run(loops, split):
-        local.conv = (sys._getframe(1).f_code.co_name, loops,
-                      {id(loop.sources): [] for loop in loops})
-        convs.append(local.conv)
+        assert all(len(loop.sources) == 1 or (loop.count >= 3 and loop.cols % loop.width)
+                   for loop in loops)
+        shared = (split and T._conv_worker() is not None
+                  and sum(loop.count for loop in loops) > 1)
+        conv = (sys._getframe(1).f_code.co_name, loops, [], shared)
+        convs.append(conv)
+        conv_of.update(dict.fromkeys(loops, conv))
         run(loops, split)
 
-    def recorded(sources, cols, dtype, consume, buf, chunks=None):
-        me, ran, runs = threading.get_ident(), [], local.conv[2]
-        runs[id(sources)].append((me, ran, chunks is None))
-        width = T._chunk_width(sources, cols, dtype)
-        every = [(c0, min(c0 + width, cols)) for c0 in range(0, cols, width)]
-        assert len(sources) == 1 or (len(every) >= 3 and every[-1][1] - every[-1][0] < width)
-        hold = chunks is not None
-
-        def run_by(mine):
-            return sum(len(r) for loop_runs in runs.values() for t, r, _ in loop_runs
-                       if (t == me) == mine)
-
-        def consume_recorded(c0, c1, stack):
-            ran.append((c0, c1))
-            deadline = time.monotonic() + 30
-            while hold and run_by(True) == 1 and not run_by(False):
-                assert time.monotonic() < deadline, "the other thread ran no chunk"
-                time.sleep(1e-4)
-            consume(c0, c1, stack)
-
-        chunks_of(sources, cols, dtype, consume_recorded, buf, chunks)
-
-    def caller_side(pool, mine, theirs):
-        conv = local.conv
-
-        def on_the_worker():
-            local.conv = conv
-            theirs()
-
-        side_by_side(pool, mine, on_the_worker)
+    def recorded_chunk(loop, k, *buffers):
+        _, _, ran, shared = conv_of[loop]
+        me = threading.get_ident()
+        ran.append((me, loop, k))
+        first, deadline = sum(t == me for t, *_ in ran) == 1, time.monotonic() + 30
+        while shared and first and all(t == me for t, *_ in ran):
+            assert time.monotonic() < deadline, "the other thread ran no chunk"
+            time.sleep(1e-4)
+        return chunk(loop, k, *buffers)
 
     def set_for(x_shape, w_shape, stride, padding):
         _, (hq, wq), _, span, _ = T._layout(x_shape, w_shape[2:], stride, padding)
@@ -105,28 +88,21 @@ def small_chunks(monkeypatch):
         monkeypatch.setattr(T, "_CHUNK_BYTES", 0)
         monkeypatch.setattr(T, "_CHUNK_MIN_COLS", width)
         monkeypatch.setattr(T, "_run", recorded_run)
-        monkeypatch.setattr(T, "_stacked_chunks", recorded)
-        monkeypatch.setattr(T, "_side_by_side", caller_side)
+        monkeypatch.setattr(T._Loop, "chunk", recorded_chunk)
         return convs
 
     yield set_for
-    shared = False
-    for _, loops, runs in convs:
-        alone = all(a for loop_runs in runs.values() for *_, a in loop_runs)
-        twice = 0
-        for loop in loops:
-            every = [(c0, min(c0 + loop.width, loop.cols))
-                     for c0 in range(0, loop.cols, loop.width)]
-            ran = [chunk for _, r, _ in runs[id(loop.sources)] for chunk in r]
-            assert all(len(set(r)) == len(r) for _, r, _ in runs[id(loop.sources)])
-            assert sorted(set(ran)) == every and (not alone or ran == every)
-            twice += len(ran) - len(every)
-        assert twice <= 1
-        shared |= not alone
-    if shared:
-        threads = {t for *_, runs in convs for loop_runs in runs.values()
-                   for t, r, _ in loop_runs if r}
-        assert {threading.get_ident()} < threads
+    for _, loops, ran, shared in convs:
+        every = [(loop, k) for loop in loops for k in range(loop.count)]
+        chunks = [(loop, k) for _, loop, k in ran]
+        threads = {t for t, *_ in ran}
+        if not shared:
+            assert chunks == every and len(threads) == 1
+            continue
+        assert len(threads) == 2 and set(chunks) == set(every) and len(chunks) <= len(every) + 1
+        for thread in threads:
+            mine = [(loop, k) for t, loop, k in ran if t == thread]
+            assert len(set(mine)) == len(mine)
 
 
 def rms_relative(a, ref) -> float:
@@ -254,10 +230,9 @@ class TestConv2d:
         phases = len(T._layout(x_shape, w_shape[2:], stride, padding)[2])
         shared = T._conv_worker() is not None and w_shape[2] * w_shape[3] > 1
         assert {name for name, *_ in convs} == {"conv2d", "conv2d_backward"}
-        for name, loops, runs in convs[1:]:  # the first is the shape probe, with no graph
+        for name, loops, ran, _ in convs[1:]:  # the first is the shape probe, with no graph
             assert len(loops) == (1 if name == "conv2d" else phases)
-            helpers = {t for loop_runs in runs.values() for t, r, _ in loop_runs if r}
-            assert bool(helpers - {threading.get_ident()}) == shared
+            assert bool({t for t, *_ in ran} - {threading.get_ident()}) == shared
 
     @pytest.mark.parametrize("x_shape,w_shape,stride,padding", CONV_CASES)
     def test_one_gradient_equals_both_bitwise(self, x_shape, w_shape, stride, padding):
@@ -402,45 +377,40 @@ class TestConvWorker:
         x = ag.Node(rng.normal(size=(2, 3, 8, 9)).astype(np.float32), requires_grad=True)
         w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
         with ThreadPoolExecutor(1) as pool:
-            monkeypatch.setattr(T, "_conv_worker", lambda: pool)
+            worker = _Started(pool)
+            monkeypatch.setattr(T, "_conv_worker", lambda: worker)
             kept = ag.conv2d(x, w, padding=1)
             evaluated = ag.conv2d(ag.constant(x.value), w, padding=1)
         assert kept.requires_grad and not evaluated.requires_grad
         assert kept.value.tobytes() == evaluated.value.tobytes()
-        (*_, kept_runs), (*_, eval_runs) = convs
+        (_, _, kept_ran, _), (_, _, eval_ran, _) = convs
         main = threading.get_ident()
-        assert {t for runs in kept_runs.values() for t, r, _ in runs if r} > {main}
-        assert [(t, alone) for runs in eval_runs.values() for t, _, alone in runs] == [
-            (main, True)]
+        assert len(worker.tasks) == 1  # the eval forward submits nothing
+        assert {t for t, *_ in kept_ran} > {main} and {t for t, *_ in eval_ran} == {main}
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_one_cpu_stacks_each_chunk_once_for_both_gradients(self, monkeypatch, stride):
         monkeypatch.setattr(T, "_conv_worker", lambda: None)
         monkeypatch.setattr(T, "_CHUNK_BYTES", 0)
         monkeypatch.setattr(T, "_CHUNK_MIN_COLS", 20)
-        loops, chunks = [], T._stacked_chunks
+        ran, chunk = [], T._Loop.chunk
 
-        def recorded(sources, cols, dtype, consume, *rest):
-            ran = []
-            loops.append((cols, ran))
-
-            def stacked(c0, c1, stack):
-                ran.append((c0, c1))
-                consume(c0, c1, stack)
-
-            chunks(sources, cols, dtype, stacked, *rest)
+        def recorded(loop, k, *buffers):
+            ran.append((loop, k))
+            return chunk(loop, k, *buffers)
 
         rng = np.random.default_rng(26)
         x = rng.normal(size=(2, 3, 8, 9)).astype(np.float32)
         w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
         g = rng.normal(size=T.conv2d(x, w, None, stride, 1).shape).astype(np.float32)
-        monkeypatch.setattr(T, "_stacked_chunks", recorded)
+        monkeypatch.setattr(T._Loop, "chunk", recorded)
         T.conv2d_backward(g, x, w, stride, 1)
-        # one loop per phase that some tap reads, each running its chunks once, in order
+        # one loop per phase that some tap reads, each computing both
+        # gradients' products of its chunks once, in order
+        loops = list(dict.fromkeys(loop for loop, _ in ran))
         assert len(loops) == len(T._layout(x.shape, (3, 3), stride, 1)[2])
-        for cols, ran in loops:
-            assert ran[0][0] == 0 and ran[-1][1] == cols
-            assert all(a[1] == b[0] for a, b in zip(ran, ran[1:]))
+        assert all(loop.w is not None and loop.layout is not None for loop in loops)
+        assert ran == [(loop, k) for loop in loops for k in range(loop.count)]
 
     def test_concurrent_callers_share_the_worker(self, small_chunks):
         # four threads on at most two CPUs queue their graph-keeping forwards
@@ -492,13 +462,13 @@ class TestConvWorker:
     def test_worker_error_reaches_the_caller(self, monkeypatch):
         monkeypatch.setattr(T, "_CHUNK_BYTES", 0)
         monkeypatch.setattr(T, "_CHUNK_MIN_COLS", 20)
-        chunks = T._stacked_chunks
+        chunk = T._Loop.chunk
 
         def fails_off_the_caller(*chunk_args):
             if threading.get_ident() != threading.main_thread().ident:
                 raise ValueError("raised on the worker")
             wait(worker.tasks, timeout=60)  # the error is raised before the caller is done
-            chunks(*chunk_args)
+            return chunk(*chunk_args)
 
         rng = np.random.default_rng(23)
         x = rng.normal(size=(2, 3, 8, 9)).astype(np.float32)
@@ -507,10 +477,10 @@ class TestConvWorker:
         with ThreadPoolExecutor(1) as pool:
             worker = _Started(pool)
             monkeypatch.setattr(T, "_conv_worker", lambda: worker)
-            monkeypatch.setattr(T, "_stacked_chunks", fails_off_the_caller)
+            monkeypatch.setattr(T._Loop, "chunk", fails_off_the_caller)
             with pytest.raises(ValueError, match="raised on the worker"):
                 T.conv2d_backward(g, x, w, 1, 1)
-            monkeypatch.setattr(T, "_stacked_chunks", chunks)
+            monkeypatch.setattr(T._Loop, "chunk", chunk)
             gx, gw = T.conv2d_backward(g, x, w, 1, 1)
         monkeypatch.setattr(T, "_conv_worker", lambda: None)
         assert all(np.array_equal(a, b) for a, b in zip((gx, gw), T.conv2d_backward(g, x, w, 1, 1)))
@@ -533,25 +503,21 @@ class TestConvWorker:
         monkeypatch.setattr(T, "_conv_worker", lambda: None)
         alone = loop()
         T._run([alone], True)
-        chunks, stalled, release = T._stacked_chunks, threading.Event(), threading.Event()
+        chunk, stalled, release = T._Loop.chunk, threading.Event(), threading.Event()
 
-        def stalls_on_the_worker(sources, cols, dtype, consume, buf, taken=None):
-            def stall(*chunk):
-                stalled.set()
-                release.wait(60)
-                consume(*chunk)
-
+        def stalls_on_the_worker(*chunk_args):
             if threading.get_ident() == threading.main_thread().ident:
                 assert stalled.wait(60)
-                chunks(sources, cols, dtype, consume, buf, taken)
             else:
-                chunks(sources, cols, dtype, stall, buf, taken)
+                stalled.set()
+                release.wait(60)
+            return chunk(*chunk_args)
 
         shared = loop()
         with ThreadPoolExecutor(1) as pool:
             worker = _Started(pool)
             monkeypatch.setattr(T, "_conv_worker", lambda: worker)
-            monkeypatch.setattr(T, "_stacked_chunks", stalls_on_the_worker)
+            monkeypatch.setattr(T._Loop, "chunk", stalls_on_the_worker)
             try:
                 T._run([shared], True)
                 assert not worker.tasks[0].done()
@@ -577,40 +543,40 @@ class TestConvWorker:
         g = rng.normal(size=(2, 4, 8, 9)).astype(np.float32)
         monkeypatch.setattr(T, "_conv_worker", lambda: None)
         alone = T.conv2d_backward(g, x, w, 1, 1)
-        products, mine, theirs = T._Loop.products, T._Share.mine, T._Share.theirs
+        chunk, run = T._Loop.chunk, T._Share.run
         may_take, taken, release = threading.Event(), threading.Event(), threading.Event()
         total, on_the_caller = [], []
 
-        def products_in_order(loop, c0, c1, stack, out, part):
-            if threading.get_ident() != threading.main_thread().ident:
+        def chunk_in_order(loop, k, buf, own=None, part=None):
+            if own is not None:
                 taken.set()
                 assert release.wait(60)
-                products(loop, c0, c1, stack, out, part)
-                out[...] = part[...] = np.nan
-                return
-            products(loop, c0, c1, stack, out, part)
-            on_the_caller.append(c0)
+                products = chunk(loop, k, buf, own, part)
+                for product in products:
+                    product[...] = np.nan
+                return products
+            products = chunk(loop, k, buf)
+            on_the_caller.append(k)
             if late and len(on_the_caller) == total[0] - 1:
                 may_take.set()
                 assert taken.wait(60)
+            return products
 
-        def delivered_after_the_take_back(share, buf):
+        def delivered_after_the_take_back(share, buf, *buffers):
+            if buffers:  # the worker's side
+                assert not late or may_take.wait(60)
+                return run(share, buf, *buffers)
             total.append(len(share.chunks))
             assert late or taken.wait(60)
-            mine(share, buf)
+            run(share, buf)
             release.set()
             worker.tasks[0].result(timeout=60)
-
-        def takes_late(share, *buffers):
-            assert not late or may_take.wait(60)
-            theirs(share, *buffers)
 
         with ThreadPoolExecutor(1) as pool:
             worker = _Started(pool)
             monkeypatch.setattr(T, "_conv_worker", lambda: worker)
-            monkeypatch.setattr(T._Loop, "products", products_in_order)
-            monkeypatch.setattr(T._Share, "mine", delivered_after_the_take_back)
-            monkeypatch.setattr(T._Share, "theirs", takes_late)
+            monkeypatch.setattr(T._Loop, "chunk", chunk_in_order)
+            monkeypatch.setattr(T._Share, "run", delivered_after_the_take_back)
             got = T.conv2d_backward(g, x, w, 1, 1)
         assert len(on_the_caller) == total[0] > 2  # every chunk, one of them taken back
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, alone))
