@@ -6,7 +6,8 @@ on the core count; a count set in OPENBLAS_, OMP_ or MKL_NUM_THREADS still wins.
 A process allowed two or more CPUs runs every conv backward, and every conv
 forward that keeps a graph, on two threads: the caller and one conv worker
 thread (see ``tensor``), which split the work without changing any result by
-a bit.  An eval forward runs on the caller alone."""
+a bit.  At the end of each such conv, the caller waits for the worker's one
+chunk in flight.  An eval forward runs on the caller alone."""
 
 import os
 

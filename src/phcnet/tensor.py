@@ -22,15 +22,16 @@ as a test oracle.
 A process that may run on two or more CPUs starts one conv worker thread,
 which joins the conv loops that keep a graph: the forward of a train step
 (or of a saliency map) and every backward.  The caller and the worker take
-chunks from one counter, and the caller takes back any chunk that the
-worker has not delivered, so a late or slow worker never holds it up
-(:class:`_Share`).  An eval forward keeps no graph and runs on the caller:
-an eval pass is a short burst of forwards, whose time on two threads
-depends on whether the second CPU is free.  Every side, the caller alone
-on one CPU too, computes a chunk with the one :meth:`_Loop.chunk`.  Chunk
-boundaries are fixed by the shapes, and the weight gradient's partial sums
-are added in chunk order, so every result is the same to the bit with or
-without the worker, and so on any number of CPUs.
+chunks from one counter and write each straight into its own slice of the
+results; once no chunk is left, the caller waits for the one chunk that the
+worker holds, if any (:func:`_run`).  An eval forward keeps no graph and
+runs on the caller: an eval pass is a short burst of forwards, whose time
+on two threads depends on whether the second CPU is free.  Every side, the
+caller alone on one CPU too, computes a chunk with the one
+:meth:`_Loop.chunk`.  Chunk boundaries are fixed by the shapes, and the
+weight gradient's partial sums are added in chunk order, so every result is
+the same to the bit with or without the worker, and so on any number of
+CPUs.
 """
 
 from __future__ import annotations
@@ -216,15 +217,12 @@ class _Loop:
         self.grid = None if len(sources) == 1 else _tap_grid(sources, cols)
         self.parts = None if layout is None else np.empty(
             (self.count, len(sources) * rows, layout.shape[0]), dtype=dtype)
-        # elements of the stack, GEMM-output and partial buffers that one thread needs
-        self.sizes = (0 if len(sources) == 1 else len(sources) * rows * self.stack[2],
-                      0 if w is None else w.shape[0] * self.stack[2],
-                      0 if layout is None else self.parts[0].size)
+        self.size = 0 if len(sources) == 1 else len(sources) * rows * self.stack[2]
 
-    def chunk(self, k, buf, own=None, part=None):
-        """Stack chunk k in the flat buffer ``buf`` and compute its products
-        into ``out`` and ``parts[k]``, or into the worker's flat buffers
-        ``own`` and ``part``, as the views returned.  Sources on a grid
+    def chunk(self, k, buf):
+        """Stack chunk k in the flat buffer ``buf``, of at least ``size``
+        elements, and compute its products straight into ``out[:, chunk k]``
+        and ``parts[k]``, which no other chunk writes.  Sources on a grid
         (:func:`_tap_grid`) are stacked in one copy, others one by one."""
         c0 = k * self.width
         n = min(self.width, self.cols - c0)
@@ -232,106 +230,60 @@ class _Loop:
             (src, off), = self.sources
             stack = src[:, off + c0 : off + c0 + n]
         else:
-            stack = buf[: self.sizes[0]].reshape(self.stack)[:, :, :n]
+            stack = buf[: self.size].reshape(self.stack)[:, :, :n]
             if self.grid is None:
                 for t, (src, off) in enumerate(self.sources):
                     stack[t] = src[:, off + c0 : off + c0 + n]
             else:
                 np.copyto(stack.reshape(*self.grid.shape[:2], -1, n), self.grid[..., c0 : c0 + n])
             stack = stack.reshape(-1, n)
-        if own is None:
-            own = None if self.w is None else self.out[:, c0 : c0 + n]
-            part = None if self.layout is None else self.parts[k]
-        else:
-            own = None if self.w is None else own[: self.w.shape[0] * n].reshape(-1, n)
-            part = None if self.layout is None else part[: self.sizes[2]].reshape(
-                self.parts.shape[1:])
         if self.w is not None:
-            np.matmul(self.w, stack, out=own)
+            np.matmul(self.w, stack, out=self.out[:, c0 : c0 + n])
         if self.layout is not None:
-            np.matmul(stack, self.layout[:, c0 : c0 + n].T, out=part)
-        return own, part
-
-
-class _Share:
-    """The chunks of a conv's loops, as the caller and the conv worker share
-    them: one counter runs over every chunk of every loop, in loop order.
-
-    Each side takes the next chunk when it is done with its last.  The
-    worker computes a chunk into buffers that the caller made and copies it
-    to ``out`` and ``parts`` unless the caller has taken it back: once no
-    chunk is left to take, the caller takes back every chunk that the worker
-    has not delivered and computes it itself.  So a worker that is slow, or
-    whose CPU is taken away mid-chunk, never holds the caller up, and
-    nothing reaches ``out`` or ``parts`` after the caller is done.  The lock
-    is held for a take and for a delivery's copy.
-    """
-
-    def __init__(self, loops):
-        self.chunks = [(loop, k) for loop in loops for k in range(loop.count)]
-        self.next, self.lock, self.pending = 0, threading.Lock(), set()
-
-    def run(self, buf, own=None, part=None) -> None:
-        """Take and run chunks until none is left: the caller's straight into
-        ``out`` and ``parts``, and then those it takes back; the worker's,
-        given ``own`` and ``part``, in those, each delivered if still pending."""
-        worker = own is not None
-        while True:
-            with self.lock:
-                i, self.next = self.next, self.next + 1
-                if i >= len(self.chunks):
-                    back = () if worker else sorted(self.pending)
-                    self.pending.difference_update(back)
-                    break
-                if worker:
-                    self.pending.add(i)
-            loop, k = self.chunks[i]
-            out, partial = loop.chunk(k, buf, own, part)
-            if worker:
-                with self.lock:
-                    if i in self.pending:
-                        self.pending.remove(i)
-                        c0 = k * loop.width
-                        if out is not None:
-                            loop.out[:, c0 : c0 + out.shape[1]] = out
-                        if partial is not None:
-                            loop.parts[k] = partial
-        for loop, k in (self.chunks[i] for i in back):
-            loop.chunk(k, buf)
+            np.matmul(stack, self.layout[:, c0 : c0 + n].T, out=self.parts[k])
 
 
 def _run(loops, split) -> None:
-    """Run every chunk of ``loops`` (:class:`_Share`).  With ``split``, a
-    conv worker and more than one chunk, the caller and the worker share
-    them; otherwise the caller runs them all, in order.
+    """Run every chunk of ``loops``.  With ``split``, a conv worker and more
+    than one chunk, the caller and the worker share them: each side takes
+    the next chunk from one counter, over every chunk of every loop in loop
+    order, when it is done with its last.  Otherwise the caller runs them
+    all, in order.
 
-    The worker does not hold the caller up: one that has not started by the
-    time the caller is done drops its side, and one still busy finishes a
-    chunk that nothing reads.  An error that the worker raised before the
-    caller is done reaches the caller; when the caller fails, it waits for
-    the worker to stop first.  The worker runs in a copy of the caller's
+    Once no chunk is left, the caller drops the worker's side if it has not
+    started, or else waits for the one chunk that the worker holds, so
+    nothing is written after ``_run`` returns.  An error that the worker
+    raised reaches the caller; when the caller fails, it waits for the
+    worker to stop first.  The worker runs in a copy of the caller's
     context, which holds numpy's ``errstate``.
 
-    The caller makes every buffer that either side uses, each as large as
-    the largest loop needs, so the worker allocates nothing: what a thread
-    allocates comes from its own malloc arena, which keeps it resident.
+    The caller makes both sides' stack buffers, each as large as the largest
+    loop needs, so the worker allocates nothing: what a thread allocates
+    comes from its own malloc arena, which keeps it resident.
     """
-    share = _Share(loops)
-    pool = _conv_worker() if split and len(share.chunks) > 1 else None
-    sizes = [max(size) for size in zip(*(loop.sizes for loop in loops))]
-    mine = np.empty(sizes[0], dtype=loops[0].dtype)
+    chunks, lock = iter([(loop, k) for loop in loops for k in range(loop.count)]), threading.Lock()
+
+    def take():
+        with lock:
+            return next(chunks, None)
+
+    def run(buf):
+        for loop, k in iter(take, None):
+            loop.chunk(k, buf)
+
+    pool = _conv_worker() if split and sum(loop.count for loop in loops) > 1 else None
+    size, dtype = max(loop.size for loop in loops), loops[0].dtype
     if pool is None:
-        share.run(mine)
+        run(np.empty(size, dtype=dtype))
         return
-    theirs = pool.submit(contextvars.copy_context().run, share.run,
-                         *(np.empty(size, dtype=loops[0].dtype) for size in sizes))
+    theirs = pool.submit(contextvars.copy_context().run, run, np.empty(size, dtype=dtype))
     try:
-        share.run(mine)
+        run(np.empty(size, dtype=dtype))
     except BaseException:
-        theirs.cancel()
-        wait([theirs])
+        if not theirs.cancel():
+            wait([theirs])
         raise
-    if not theirs.cancel() and theirs.done():
+    if not theirs.cancel():
         theirs.result()
 
 
@@ -372,8 +324,9 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, keeps_graph=False) -> np.n
 
     ``keeps_graph`` says that the result feeds an autograd graph, so the
     conv runs in a train step (or a saliency map), not in an eval pass.
-    Such a conv shares its chunks with the conv worker (:func:`_run`); an
-    eval forward runs them all on the caller.
+    Such a conv shares its chunks with the conv worker and returns once the
+    worker's chunk in flight, if any, is written (:func:`_run`); an eval
+    forward runs them all on the caller.
     """
     x, weight = as_tensor(x), as_tensor(weight)
     if x.ndim != 4 or weight.ndim != 4:
@@ -409,10 +362,11 @@ def conv2d_backward(g, x, weight, stride=1, padding=0, need_x=True, need_w=True)
     Only the weight gradient reads the layout ``cols``; it rebuilds it from x.
 
     Each phase is one :class:`_Loop`, whose chunks stack g once for both
-    gradients, and the caller shares every loop with the conv worker
-    (:func:`_run`).  The weight gradient's partial sums are added in chunk
-    order, so no result depends on which thread computed a chunk, or on
-    whether there is a worker at all.
+    gradients, and the caller shares every loop with the conv worker,
+    waiting at the end for the worker's chunk in flight (:func:`_run`).  The
+    weight gradient's partial sums are added in chunk order, so no result
+    depends on which thread computed a chunk, or on whether there is a
+    worker at all.
     """
     cout, cin, kh, kw = weight.shape
     (ho, wo), (hq, wq), phases, _, taps = _layout(x.shape, (kh, kw), stride, padding)

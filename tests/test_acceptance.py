@@ -1,11 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Criteria 1-6 are exact algebraic/numerical checks and run in seconds.
-Criteria 7-12 (marked slow) are desk-scale training experiments on
-synthetic multi-view data; they share session-scoped datasets and trained
-models to stay inside the stated runtime budgets.
-
-Run only the fast half with ``pytest -m "not slow"``.
+Criteria 7-12, the paper's claims as desk-scale training experiments on
+synthetic multi-view data, are not written yet (ROADMAP item 4); when they
+are, they will be marked ``slow`` (see ``pyproject.toml``), and
+``pytest -m "not slow"`` will run only the fast half.
 """
 
 import time

@@ -55,9 +55,7 @@ def small_chunks(monkeypatch):
     until the other has started one, so that both threads run chunks.  At
     teardown, a conv run alone must have run on one thread each loop once,
     every chunk in order; the two threads sharing a conv must both have run
-    chunks, every chunk of each loop between them, none twice on one thread
-    and at most one chunk of the conv twice (the worker's last, taken back
-    by the caller)."""
+    chunks, and every chunk of each loop exactly once between them."""
     convs, conv_of = [], {}
     run, chunk = T._run, T._Loop.chunk
 
@@ -71,7 +69,7 @@ def small_chunks(monkeypatch):
         conv_of.update(dict.fromkeys(loops, conv))
         run(loops, split)
 
-    def recorded_chunk(loop, k, *buffers):
+    def recorded_chunk(loop, k, buf):
         _, _, ran, shared = conv_of[loop]
         me = threading.get_ident()
         ran.append((me, loop, k))
@@ -79,7 +77,7 @@ def small_chunks(monkeypatch):
         while shared and first and all(t == me for t, *_ in ran):
             assert time.monotonic() < deadline, "the other thread ran no chunk"
             time.sleep(1e-4)
-        return chunk(loop, k, *buffers)
+        chunk(loop, k, buf)
 
     def set_for(x_shape, w_shape, stride, padding):
         _, (hq, wq), _, span, _ = T._layout(x_shape, w_shape[2:], stride, padding)
@@ -99,10 +97,7 @@ def small_chunks(monkeypatch):
         if not shared:
             assert chunks == every and len(threads) == 1
             continue
-        assert len(threads) == 2 and set(chunks) == set(every) and len(chunks) <= len(every) + 1
-        for thread in threads:
-            mine = [(loop, k) for t, loop, k in ran if t == thread]
-            assert len(set(mine)) == len(mine)
+        assert len(threads) == 2 and len(chunks) == len(every) and set(chunks) == set(every)
 
 
 def rms_relative(a, ref) -> float:
@@ -337,6 +332,16 @@ class _Started:
         return self.tasks[-1]
 
 
+def _three_tap_loop(seed):
+    """A loop over three taps of one source, with both products."""
+    rng = np.random.default_rng(seed)
+    src = rng.normal(size=(3, 102)).astype(np.float32)
+    w = rng.normal(size=(4, 9)).astype(np.float32)
+    layout = rng.normal(size=(5, 100)).astype(np.float32)
+    return T._Loop([(src, 0), (src, 1), (src, 2)], 100, np.float32, w,
+                   np.empty((4, 100), dtype=np.float32), layout)
+
+
 def _conv_in_child(g, x, w, expected):
     got = T.conv2d_backward(g, x, w, 1, 1)
     sys.exit(0 if all(np.array_equal(a, b) for a, b in zip(got, expected)) else 1)
@@ -346,9 +351,9 @@ class TestConvWorker:
     """The conv worker joins only the forwards that keep a graph, and every
     backward.  It changes no bit of any result, keeps the caller's numpy
     error state, hands its errors to the caller, holds up no caller when it
-    starts late or stalls in a chunk, delivers nothing that the caller took
-    back, and survives a fork.  Without it, a backward stacks each chunk
-    once for both gradients."""
+    starts late, and survives a fork.  Once no chunk is left, the caller
+    waits for the one chunk that the worker holds.  Without the worker, a
+    backward stacks each chunk once for both gradients."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("x_shape,w_shape,stride,padding", CONV_CASES)
@@ -395,9 +400,9 @@ class TestConvWorker:
         monkeypatch.setattr(T, "_CHUNK_MIN_COLS", 20)
         ran, chunk = [], T._Loop.chunk
 
-        def recorded(loop, k, *buffers):
+        def recorded(loop, k, buf):
             ran.append((loop, k))
-            return chunk(loop, k, *buffers)
+            chunk(loop, k, buf)
 
         rng = np.random.default_rng(26)
         x = rng.normal(size=(2, 3, 8, 9)).astype(np.float32)
@@ -485,101 +490,76 @@ class TestConvWorker:
         monkeypatch.setattr(T, "_conv_worker", lambda: None)
         assert all(np.array_equal(a, b) for a, b in zip((gx, gw), T.conv2d_backward(g, x, w, 1, 1)))
 
-    def test_a_worker_stalled_in_a_chunk_holds_no_caller_up(self, monkeypatch):
-        # the worker takes a chunk and stalls in it; the caller takes the
-        # rest, takes that one back and returns, and the stalled chunk never
-        # reaches the output or the partial sums
+    def test_a_worker_stalled_in_a_chunk_holds_the_caller_until_it_is_written(
+            self, monkeypatch):
+        # the worker takes a chunk and stalls in it; the caller runs every
+        # other chunk and then waits in _run until the worker has written it
         monkeypatch.setattr(T, "_CHUNK_BYTES", 0)
         monkeypatch.setattr(T, "_CHUNK_MIN_COLS", 20)
-        rng = np.random.default_rng(22)
-        src = rng.normal(size=(3, 102)).astype(np.float32)
-        w = rng.normal(size=(4, 9)).astype(np.float32)
-        layout = rng.normal(size=(5, 100)).astype(np.float32)
-
-        def loop():
-            return T._Loop([(src, 0), (src, 1), (src, 2)], 100, np.float32, w,
-                           np.empty((4, 100), dtype=np.float32), layout)
-
         monkeypatch.setattr(T, "_conv_worker", lambda: None)
-        alone = loop()
+        alone = _three_tap_loop(22)
         T._run([alone], True)
         chunk, stalled, release = T._Loop.chunk, threading.Event(), threading.Event()
+        on_the_caller = []
 
-        def stalls_on_the_worker(*chunk_args):
-            if threading.get_ident() == threading.main_thread().ident:
+        def stalls_on_the_worker(loop, k, buf):
+            if threading.current_thread().name.startswith("caller"):
                 assert stalled.wait(60)
+                on_the_caller.append(k)
             else:
                 stalled.set()
-                release.wait(60)
-            return chunk(*chunk_args)
+                assert release.wait(60)
+            chunk(loop, k, buf)
 
-        shared = loop()
-        with ThreadPoolExecutor(1) as pool:
+        shared = _three_tap_loop(22)
+        with ThreadPoolExecutor(1) as pool, ThreadPoolExecutor(1, "caller") as caller:
             worker = _Started(pool)
             monkeypatch.setattr(T, "_conv_worker", lambda: worker)
             monkeypatch.setattr(T._Loop, "chunk", stalls_on_the_worker)
             try:
-                T._run([shared], True)
-                assert not worker.tasks[0].done()
-                assert np.array_equal(shared.out, alone.out)
-                assert np.array_equal(shared.parts, alone.parts)
-                shared.out[...] = shared.parts[...] = np.nan
+                done = caller.submit(T._run, [shared], True)
+                deadline = time.monotonic() + 60
+                while len(on_the_caller) < shared.count - 1:
+                    assert time.monotonic() < deadline and not done.done()
+                    time.sleep(1e-3)
+                assert not wait([done], timeout=0.2).done
             finally:
                 release.set()
-            worker.tasks[0].result(timeout=60)
-        assert np.isnan(shared.out).all() and np.isnan(shared.parts).all()
+            done.result(timeout=60)
+            assert worker.tasks[0].done()
+        assert len(on_the_caller) == shared.count - 1
+        assert shared.out.tobytes() == alone.out.tobytes()
+        assert shared.parts.tobytes() == alone.parts.tobytes()
 
-    @pytest.mark.parametrize("late", [False, True], ids=["stalled", "late"])
-    def test_a_chunk_taken_back_never_reaches_the_gradients(self, monkeypatch, late):
-        # the caller takes back the worker's chunk, and the worker then
-        # delivers a wrong copy of it before the caller adds the partial sums
-        # up.  A stalled worker takes the first chunk and stalls in it; a
-        # late one takes the last chunk once the caller has run every other
+    def test_a_worker_error_after_the_caller_ran_out_reaches_it(self, monkeypatch):
+        # the worker holds a chunk until the caller has run every other one,
+        # and raises in it only after the caller has run out of chunks
         monkeypatch.setattr(T, "_CHUNK_BYTES", 0)
         monkeypatch.setattr(T, "_CHUNK_MIN_COLS", 20)
-        rng = np.random.default_rng(24)
-        x = rng.normal(size=(2, 3, 8, 9)).astype(np.float32)
-        w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
-        g = rng.normal(size=(2, 4, 8, 9)).astype(np.float32)
-        monkeypatch.setattr(T, "_conv_worker", lambda: None)
-        alone = T.conv2d_backward(g, x, w, 1, 1)
-        chunk, run = T._Loop.chunk, T._Share.run
-        may_take, taken, release = threading.Event(), threading.Event(), threading.Event()
-        total, on_the_caller = [], []
+        shared = _three_tap_loop(27)
+        chunk, taken, last = T._Loop.chunk, threading.Event(), threading.Event()
+        on_the_caller = []
 
-        def chunk_in_order(loop, k, buf, own=None, part=None):
-            if own is not None:
+        def fails_late_on_the_worker(loop, k, buf):
+            if threading.get_ident() != threading.main_thread().ident:
                 taken.set()
-                assert release.wait(60)
-                products = chunk(loop, k, buf, own, part)
-                for product in products:
-                    product[...] = np.nan
-                return products
-            products = chunk(loop, k, buf)
+                assert last.wait(60)
+                time.sleep(0.1)
+                raise ValueError("raised on the worker")
+            assert taken.wait(60)
+            chunk(loop, k, buf)
             on_the_caller.append(k)
-            if late and len(on_the_caller) == total[0] - 1:
-                may_take.set()
-                assert taken.wait(60)
-            return products
-
-        def delivered_after_the_take_back(share, buf, *buffers):
-            if buffers:  # the worker's side
-                assert not late or may_take.wait(60)
-                return run(share, buf, *buffers)
-            total.append(len(share.chunks))
-            assert late or taken.wait(60)
-            run(share, buf)
-            release.set()
-            worker.tasks[0].result(timeout=60)
+            if len(on_the_caller) == shared.count - 1:
+                last.set()
 
         with ThreadPoolExecutor(1) as pool:
             worker = _Started(pool)
             monkeypatch.setattr(T, "_conv_worker", lambda: worker)
-            monkeypatch.setattr(T._Loop, "chunk", chunk_in_order)
-            monkeypatch.setattr(T._Share, "run", delivered_after_the_take_back)
-            got = T.conv2d_backward(g, x, w, 1, 1)
-        assert len(on_the_caller) == total[0] > 2  # every chunk, one of them taken back
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, alone))
+            monkeypatch.setattr(T._Loop, "chunk", fails_late_on_the_worker)
+            with pytest.raises(ValueError, match="raised on the worker"):
+                T._run([shared], True)
+            assert worker.tasks[0].done()
+        assert len(on_the_caller) == shared.count - 1
 
     def test_a_late_worker_holds_no_caller_up(self, monkeypatch):
         # the worker is busy with another task for the whole conv, so it
