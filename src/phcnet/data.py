@@ -78,6 +78,8 @@ def load_pgm(path) -> np.ndarray:
         pos = m.end()
     pos += 1  # single whitespace byte after maxval
     w, h, maxval = fields
+    if w < 1 or h < 1:
+        raise DataError(f"{path}: empty {w}x{h} image")
     if not (0 < maxval < 65536):
         raise DataError(f"{path}: invalid maxval {maxval}")
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")

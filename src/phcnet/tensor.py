@@ -9,15 +9,16 @@ violation raises a recoverable :class:`ShapeError`.
 pads the input and splits it into the stride phases that some kernel tap
 reads, channel-major with the batch folded into one flat axis,
 (P, C, N*Hq*Wq).  Every kernel tap is then a contiguous shifted slice of one
-phase.  A chunk loop (:class:`_Loop`) stacks those slices, one cache-sized
-chunk of columns at a time, so each chunk is one GEMM over every tap, written
-straight into the output.  The backward stacks the output gradient per chunk of each
-phase: the input gradient writes its GEMM with the weight into that phase,
-and the weight gradient adds the stack's product with the same chunk of the
-layout, which it rebuilds from the input.  All are computed on the padded
-grid and cropped; ``col2im``, the exact adjoint of ``im2col``, folds an
-input gradient back.  ``conv2d_naive`` is the sliding-window reference kept
-as a test oracle.
+phase; the taps that read a phase are one kernel sub-grid, whose slices form
+one strided view of it.  A chunk loop (:class:`_Loop`) stacks them, one copy
+per phase and cache-sized chunk of columns, so each chunk is one GEMM over
+every tap, written straight into the output.  The backward stacks the output
+gradient per chunk of each phase: the input gradient writes its GEMM with
+the sub-grid's weights into that phase, and the weight gradient adds the
+stack's product with the same chunk of the layout, rebuilt from the input,
+to the sub-grid's rows.  All are computed on the padded grid and cropped;
+``col2im``, the exact adjoint of ``im2col``, folds an input gradient back.
+``conv2d_naive`` is the sliding-window reference kept as a test oracle.
 
 A process that may run on two or more CPUs starts one conv worker thread,
 which joins the conv loops that keep a graph: the forward of a train step
@@ -118,14 +119,14 @@ def _layout(x_shape, khw, stride, padding):
 
     Padded pixel (r, s) lands in phase (r % Sh, s % Sw) at grid position
     (r // Sh, s // Sw) of an Hq x Wq grid per image.  Tap (i, j) of output
-    pixel (y, z) reads phase (i % Sh, j % Sw) at (y + i // Sh, z + j // Sw), a
-    fixed flat offset.  Outputs sit at their own flat grid index, all below
-    ``span``, so each of ``taps`` (i, j, p, offset) is one shifted slice of
-    layout phase p.  ``phases`` holds, per phase that some tap reads, the
-    strided input slice it stores and its place in the grid; the layout
-    keeps no others (a strided 1x1 kernel reads one phase).  The geometry
-    depends on the shapes alone, so it is cached, as tuples that no caller
-    can change.
+    pixel (y, z) reads phase (i % Sh, j % Sw) at (y + i // Sh, z + j // Sw),
+    flat offset (i // Sh) * Wq + j // Sw; outputs sit at their own flat grid
+    index, all below ``span``.  So phase (a, b) is read by the kernel
+    sub-grid ``[a::Sh, b::Sw]``, whose slices form one :func:`_grid`.  Per
+    phase that some tap reads (a strided 1x1 kernel reads one), ``phases``
+    holds the input slice it stores and its place in the grid, and
+    ``subgrids`` its kernel sub-grid, as slices.  The geometry depends on
+    the shapes alone, so it is cached, as tuples that no caller can change.
     """
     ho, wo = conv_output_shape(x_shape[2:], khw, stride, padding)
     sh, sw = _pair(stride)
@@ -136,14 +137,12 @@ def _layout(x_shape, khw, stride, padding):
             (slice(y, None, s), slice((y + p) // s, (y + p) // s + len(range(y, size, s))))
             for y in firsts]))
     (hq, rows), (wq, cols) = axes
-    read = sorted({(i % sh, j % sw) for i in range(khw[0]) for j in range(khw[1])})
     phases = tuple(((..., yi, zi), (..., yq, zq))
-                   for a, (yi, yq) in enumerate(rows) for b, (zi, zq) in enumerate(cols)
-                   if (a, b) in read)
-    taps = tuple((i, j, read.index((i % sh, j % sw)), (i // sh) * wq + j // sw)
-                 for i in range(khw[0]) for j in range(khw[1]))
+                   for yi, yq in rows[: khw[0]] for zi, zq in cols[: khw[1]])
+    subgrids = tuple((slice(a, None, sh), slice(b, None, sw))
+                     for a in range(min(sh, khw[0])) for b in range(min(sw, khw[1])))
     span = (x_shape[0] - 1) * hq * wq + (ho - 1) * wq + wo
-    return (ho, wo), (hq, wq), phases, span, taps
+    return (ho, wo), (hq, wq), phases, span, subgrids
 
 
 # bytes of one stacked chunk; a sweep of 256 KiB to 2 MiB put 1 MiB fastest
@@ -151,30 +150,20 @@ _CHUNK_BYTES = 1 << 20
 _CHUNK_MIN_COLS = 128
 
 
-def _tap_grid(sources, cols):
-    """The sources as one read-only (A, B, rows, cols) view when they are
-    slices of one array (the same object) at offsets first + a*da + b*db, in
-    (a, b) order; else None.
-
-    The taps that read one stride phase form such a grid, with a and b
-    running over the kernel rows and columns that read it, so each phase of
-    a backward stacks g with one copy per chunk, and so does a stride-1
-    forward, whose taps all read its one phase.  A copy per tap would hand
-    the GIL to the other conv thread and back at each tap.
+def _grid(src, first, steps, shape, cols):
+    """The (A, B, rows, cols) view of a contiguous (rows, L) ``src`` whose
+    slice (u, v) is ``src[:, first + u*steps[0] + v*steps[1]]`` on, ``cols``
+    wide: the slices of one kernel sub-grid's taps, of shape (A, B), which
+    a chunk stacks with one copy.  ``np.ndarray`` checks the view against
+    ``src``'s buffer, which ``as_strided`` would read past without a word;
+    a slice that would leave ``src`` raises ShapeError.
     """
-    src, first = sources[0]
-    offs = [off for s, off in sources if s is src]
-    if len(offs) < len(sources) or min(offs) < 0 or max(offs) + cols > src.shape[1]:
-        return None
-    db = offs[1] - offs[0]
-    b = next((k for k in range(1, len(offs)) if offs[k] - offs[k - 1] != db), len(offs))
-    a, da = len(offs) // b, offs[b % len(offs)] - first
-    if offs != [first + i * da + j * db for i in range(a) for j in range(b)]:
-        return None
-    step = src.strides[1]
-    return np.lib.stride_tricks.as_strided(src[:, first:], (a, b, src.shape[0], cols),
-                                           (da * step, db * step, src.strides[0], step),
-                                           writeable=False)
+    item = src.itemsize
+    try:
+        return np.ndarray((*shape, src.shape[0], cols), src.dtype, src, first * item,
+                          (steps[0] * item, steps[1] * item, src.strides[0], item))
+    except ValueError as e:
+        raise ShapeError(f"tap grid {shape} by {steps} from {first} leaves its source") from e
 
 
 _worker = (None, None)  # (pid, the conv worker or None)
@@ -195,48 +184,43 @@ def _conv_worker():
 
 
 class _Loop:
-    """One chunk loop of a conv over ``stack(src[:, off : off + cols] for
-    src, off in sources)``, one (taps*rows, cols) matrix, so that each chunk
-    is one GEMM with K or M = taps*rows.  Chunk k is columns k*width to
+    """One chunk loop of a conv over a (KH, KW, rows, cols) stack of tap
+    slices, ``taps`` = (KH, KW), so that each chunk is one GEMM with K or M =
+    KH*KW*rows.  Each of ``grids`` is a kernel sub-grid of the stack and the
+    :func:`_grid` of its taps' slices.  Chunk k is columns k*width to
     (k + 1)*width, cut at ``cols``: about ``_CHUNK_BYTES`` of stack, at
-    least ``_CHUNK_MIN_COLS`` wide; one source is one chunk, not copied.
-    Each chunk is stacked once for both products: ``out[:, chunk k] = w @
-    stack`` when ``w`` is given, and the partial sum ``parts[k] = stack @
-    layout[:, chunk k].T`` when ``layout`` is, which the caller adds up in
-    chunk order.  The boundaries depend on the shapes alone, so no chunk's
-    result depends on which thread runs it, to the bit."""
+    least ``_CHUNK_MIN_COLS`` wide; one tap is one chunk, not copied.  Each
+    chunk is stacked once for both products: ``out[:, chunk k] = w @ stack``
+    when ``w`` is given, and the partial sum ``parts[k] = stack @ layout[:,
+    chunk k].T`` when ``layout`` is, which the caller adds up in chunk
+    order.  The boundaries depend on the shapes alone, so no chunk's result
+    depends on which thread runs it, to the bit."""
 
-    def __init__(self, sources, cols, dtype, w=None, out=None, layout=None):
-        self.sources, self.cols, self.dtype = sources, cols, dtype
+    def __init__(self, taps, grids, cols, dtype, w=None, out=None, layout=None):
+        self.grids, self.cols, self.dtype = grids, cols, dtype
         self.w, self.out, self.layout = w, out, layout
-        rows = sources[0][0].shape[0]
-        self.width = cols if len(sources) == 1 else max(
-            _CHUNK_BYTES // (len(sources) * rows * np.dtype(dtype).itemsize), _CHUNK_MIN_COLS)
+        rows, n_taps = grids[0][1].shape[2], taps[0] * taps[1]
+        self.width = cols if n_taps == 1 else max(
+            _CHUNK_BYTES // (n_taps * rows * np.dtype(dtype).itemsize), _CHUNK_MIN_COLS)
         self.count = -(-cols // self.width)
-        self.stack = len(sources), rows, min(self.width, cols)
-        self.grid = None if len(sources) == 1 else _tap_grid(sources, cols)
+        self.stack = *taps, rows, min(self.width, cols)
         self.parts = None if layout is None else np.empty(
-            (self.count, len(sources) * rows, layout.shape[0]), dtype=dtype)
-        self.size = 0 if len(sources) == 1 else len(sources) * rows * self.stack[2]
+            (self.count, n_taps * rows, layout.shape[0]), dtype=dtype)
+        self.size = 0 if n_taps == 1 else n_taps * rows * self.stack[3]
 
     def chunk(self, k, buf):
         """Stack chunk k in the flat buffer ``buf``, of at least ``size``
-        elements, and compute its products straight into ``out[:, chunk k]``
-        and ``parts[k]``, which no other chunk writes.  Sources on a grid
-        (:func:`_tap_grid`) are stacked in one copy, others one by one."""
+        elements, one copy per grid, and compute its products straight into
+        ``out[:, chunk k]`` and ``parts[k]``, which no other chunk writes."""
         c0 = k * self.width
         n = min(self.width, self.cols - c0)
-        if len(self.sources) == 1:
-            (src, off), = self.sources
-            stack = src[:, off + c0 : off + c0 + n]
-        else:
-            stack = buf[: self.size].reshape(self.stack)[:, :, :n]
-            if self.grid is None:
-                for t, (src, off) in enumerate(self.sources):
-                    stack[t] = src[:, off + c0 : off + c0 + n]
-            else:
-                np.copyto(stack.reshape(*self.grid.shape[:2], -1, n), self.grid[..., c0 : c0 + n])
+        if self.size:
+            stack = buf[: self.size].reshape(self.stack)[..., :n]
+            for sub, grid in self.grids:
+                np.copyto(stack[sub], grid[..., c0 : c0 + n])
             stack = stack.reshape(-1, n)
+        else:
+            stack = self.grids[0][1][0, 0, :, c0 : c0 + n]
         if self.w is not None:
             np.matmul(self.w, stack, out=self.out[:, c0 : c0 + n])
         if self.layout is not None:
@@ -319,8 +303,10 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, keeps_graph=False) -> np.n
     """2D cross-correlation of (N,Cin,H,W) with (Cout,Cin,Kh,Kw) filters.
 
     Every kernel tap's shifted slice of the im2col layout is stacked along K,
-    so each cache-sized chunk of the flat phase grid is one (Cout, Kh*Kw*Cin)
-    GEMM written into the output, then cropped to (N, Cout, Ho, Wo).
+    in kernel order, so each cache-sized chunk of the flat phase grid is one
+    (Cout, Kh*Kw*Cin) GEMM written into the output, then cropped to (N,
+    Cout, Ho, Wo).  The taps of a stride phase, one kernel sub-grid, go into
+    their sub-grid of the stack with one copy per chunk.
 
     ``keeps_graph`` says that the result feeds an autograd graph, so the
     conv runs in a train step (or a saliency map), not in an eval pass.
@@ -338,13 +324,15 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, keeps_graph=False) -> np.n
         raise ShapeError(f"conv2d channel mismatch: input {x.shape[1]}, weight {cin}")
     if bias is not None and np.shape(bias) != (cout,):
         raise ShapeError(f"conv2d bias shape {np.shape(bias)} != ({cout},)")
-    (ho, wo), (hq, wq), _, span, taps = _layout(x.shape, (kh, kw), stride, padding)
-    cols = list(im2col(x, (kh, kw), stride, padding))  # one view per phase: see _tap_grid
-    dtype = np.result_type(cols[0], weight)
+    (ho, wo), (hq, wq), _, span, subgrids = _layout(x.shape, (kh, kw), stride, padding)
+    cols = im2col(x, (kh, kw), stride, padding)
+    dtype = np.result_type(cols, weight)
     w_stack = weight.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin).astype(dtype, copy=False)
     grid = np.empty((cout, x.shape[0], hq, wq), dtype=dtype)
-    _run([_Loop([(cols[p], off) for _, _, p, off in taps], span, dtype, w_stack,
-                grid.reshape(cout, -1)[:, :span])], keeps_graph)
+    grids = [(sub, _grid(phase, 0, (wq, 1), weight[0, 0][sub].shape, span))
+             for sub, phase in zip(subgrids, cols)]
+    _run([_Loop((kh, kw), grids, span, dtype, w_stack, grid.reshape(cout, -1)[:, :span])],
+         keeps_graph)
     out = np.empty((x.shape[0], cout, ho, wo), dtype=dtype)
     crop = grid[:, :, :ho, :wo].transpose(1, 0, 2, 3)
     np.add(crop, 0 if bias is None else as_tensor(bias)[None, :, None, None], out=out)
@@ -355,11 +343,12 @@ def conv2d_backward(g, x, weight, stride=1, padding=0, need_x=True, need_w=True)
     """Input and weight gradients of conv2d at input x, given the output gradient.
 
     Each chunk of each layout phase p stacks g shifted back by the offsets of
-    the taps that read p.  The input gradient writes the stacked weights
-    times the stack into the phase (the gather form), and the weight
-    gradient adds the stack times the chunk's layout, transposed, to those
-    taps' rows: gw[o, c, i, j] = sum_q g[o, q - offset] * cols[p][c, q].
-    Only the weight gradient reads the layout ``cols``; it rebuilds it from x.
+    the taps that read p, the phase's kernel sub-grid, with one copy.  The
+    input gradient writes the sub-grid's weights times the stack into the
+    phase (the gather form), and the weight gradient adds the stack times
+    the chunk's layout, transposed, to the sub-grid's rows of gw:
+    gw[o, c, i, j] = sum_q g[o, q - offset] * cols[p][c, q].  Only the weight
+    gradient reads the layout ``cols``; it rebuilds it from x.
 
     Each phase is one :class:`_Loop`, whose chunks stack g once for both
     gradients, and the caller shares every loop with the conv worker,
@@ -369,32 +358,33 @@ def conv2d_backward(g, x, weight, stride=1, padding=0, need_x=True, need_w=True)
     worker at all.
     """
     cout, cin, kh, kw = weight.shape
-    (ho, wo), (hq, wq), phases, _, taps = _layout(x.shape, (kh, kw), stride, padding)
-    # g on the flat grid, behind a zero margin as long as the largest tap offset
-    margin = max(off for *_, off in taps)
+    (ho, wo), (hq, wq), _, _, subgrids = _layout(x.shape, (kh, kw), stride, padding)
+    ws = [weight[:, :, a, b] for a, b in subgrids]
+    # g on the flat grid, behind a zero margin as long as the largest tap
+    # offset, that of phase (0, 0)'s last tap
+    margin = (ws[0].shape[2] - 1) * wq + ws[0].shape[3] - 1
     width = x.shape[0] * hq * wq
     padded = np.zeros((cout, margin + width), dtype=g.dtype)
     padded[:, margin:].reshape(cout, -1, hq, wq)[:, :, :ho, :wo] = g.transpose(1, 0, 2, 3)
     dtype = np.result_type(g, x, weight)
-    reads = [[(i, j, off) for i, j, tp, off in taps if tp == p] for p in range(len(phases))]
-    cols = im2col(x, (kh, kw), stride, padding) if need_w else [None] * len(phases)
-    g_cols = np.empty((len(phases), cin, width), dtype=dtype) if need_x else None
-    loops = [_Loop([(padded, margin - off) for *_, off in read], width, dtype,
-                   np.concatenate([weight[:, :, i, j].T for i, j, _ in read], axis=1,
-                                  dtype=dtype) if need_x else None,
+    cols = im2col(x, (kh, kw), stride, padding) if need_w else [None] * len(ws)
+    g_cols = np.empty((len(ws), cin, width), dtype=dtype) if need_x else None
+    # each phase's weights as (Cin, A*B*Cout) in F order, on which the GEMM's bits depend
+    loops = [_Loop(w.shape[2:], [(..., _grid(padded, margin, (-wq, -1), w.shape[2:], width))],
+                   width, dtype,
+                   w.transpose(2, 3, 0, 1).reshape(-1, cin).astype(dtype).T if need_x else None,
                    g_cols[p] if need_x else None, cols[p])
-             for p, read in enumerate(reads)]
+             for p, w in enumerate(ws)]
     _run(loops, True)
     gx = col2im(g_cols, x.shape, (kh, kw), stride, padding) if need_x else None
     if not need_w:
         return gx, None
     gw = np.empty(weight.shape, dtype=dtype)
-    for loop, read in zip(loops, reads):
+    for loop, (a, b) in zip(loops, subgrids):
         acc = np.zeros(loop.parts.shape[1:], dtype=dtype)
         for part in loop.parts:
             np.add(acc, part, out=acc)
-        for (i, j, _), rows in zip(read, acc.reshape(len(read), cout, cin)):
-            gw[:, :, i, j] = rows
+        gw[:, :, a, b] = acc.reshape(*loop.stack[:2], cout, cin).transpose(2, 3, 0, 1)
     return gx, gw
 
 

@@ -90,6 +90,15 @@ class TestPgm:
         with pytest.raises(DataError):
             D.load_pgm(path)
 
+    @pytest.mark.parametrize("size", [b"0 0", b"0 4", b"4 0"])
+    def test_empty_image_names_the_file(self, tmp_path, size):
+        # a width or height of 0 would load as an empty plane, which fails
+        # only later, in the first conv, without naming the file
+        path = tmp_path / "empty.pgm"
+        path.write_bytes(b"P5\n" + size + b"\n255\n")
+        with pytest.raises(DataError, match="empty.pgm: empty"):
+            D.load_pgm(path)
+
 
 class TestGenSynthetic:
     def test_bitwise_deterministic(self, tmp_path):

@@ -37,6 +37,8 @@ CONV_CASES = [
     pytest.param((2, 4, 5, 6), (3, 4, 1, 1), 1, 0, id="k1-s1"),
     pytest.param((2, 4, 7, 7), (3, 4, 1, 1), 2, 0, id="k1-s2"),
     pytest.param((1, 3, 6, 6), (2, 3, 3, 3), 2, 1, id="batch1"),
+    # narrower than the stride in one axis only: phases (0, 1) and (1, 1) are unread
+    pytest.param((2, 3, 9, 8), (4, 3, 3, 1), 2, (1, 0), id="k3x1-s2"),
 ]
 
 
@@ -50,7 +52,7 @@ def small_chunks(monkeypatch):
     ``_run``'s rule (a split conv of more than one chunk, with a worker)
     shares the conv's chunks with the worker.
 
-    Every loop over more than one source is checked for this as it starts.
+    Every loop over more than one tap is checked for this as it starts.
     Each of the two threads that share a conv waits in its first chunk of it
     until the other has started one, so that both threads run chunks.  At
     teardown, a conv run alone must have run on one thread each loop once,
@@ -60,7 +62,7 @@ def small_chunks(monkeypatch):
     run, chunk = T._run, T._Loop.chunk
 
     def recorded_run(loops, split):
-        assert all(len(loop.sources) == 1 or (loop.count >= 3 and loop.cols % loop.width)
+        assert all(loop.size == 0 or (loop.count >= 3 and loop.cols % loop.width)
                    for loop in loops)
         shared = (split and T._conv_worker() is not None
                   and sum(loop.count for loop in loops) > 1)
@@ -160,8 +162,40 @@ class TestConv2d:
         first, again = T._layout(*args), T._layout(*args)
         assert again is first
         assert first == T._layout.__wrapped__(*args)
-        phases, taps = first[2], first[4]
-        assert isinstance(phases, tuple) and isinstance(taps, tuple)
+        phases, subgrids = first[2], first[4]
+        assert isinstance(phases, tuple) and isinstance(subgrids, tuple)
+        self.test_layout_geometry(args[0], (4, 3, k, k), stride, k // 2)
+
+    @pytest.mark.parametrize("x_shape,w_shape,stride,padding", CONV_CASES)
+    def test_layout_geometry(self, x_shape, w_shape, stride, padding):
+        # each kernel tap (i, j) lies in exactly one phase's sub-grid, the
+        # phase (i % Sh, j % Sw), and its slice of that phase's grid starts
+        # at flat offset (i // Sh) * Wq + j // Sw
+        (kh, kw), (sh, sw), (ph, pw) = w_shape[2:], T._pair(stride), T._pair(padding)
+        _, (hq, wq), phases, _, subgrids = T._layout(x_shape, (kh, kw), stride, padding)
+        assert len(subgrids) == len(phases)
+        flat = np.arange(x_shape[0] * hq * wq)[None]
+        found = {}
+        for ((_, rows, cols), _), (a, b) in zip(phases, subgrids):
+            taps = [(i, j) for i in range(kh)[a] for j in range(kw)[b]]
+            starts = T._grid(flat, 0, (wq, 1), np.empty((kh, kw))[a, b].shape, 1).ravel()
+            for tap, start in zip(taps, starts, strict=True):
+                assert tap not in found
+                found[tap] = ((rows.start + ph) % sh, (cols.start + pw) % sw), start
+        assert found == {(i, j): ((i % sh, j % sw), i // sh * wq + j // sw)
+                         for i in range(kh) for j in range(kw)}
+
+    def test_a_grid_that_leaves_its_source_raises(self):
+        # slices of 6 columns at offsets 4 - 3u - v, for u, v in {0, 1},
+        # reach columns 0 to 9 of 10
+        src = np.arange(20.0).reshape(2, 10)
+        grid = T._grid(src, 4, (-3, -1), (2, 2), 6)
+        for (u, v), first in zip(np.ndindex(2, 2), (4, 3, 1, 0), strict=True):
+            npt.assert_array_equal(grid[u, v], src[:, first : first + 6])
+        for first, steps, cols in ((3, (-3, -1), 6), (4, (-3, -1), 7), (0, (3, 1), 7),
+                                   (-1, (0, 1), 2)):
+            with pytest.raises(ShapeError):
+                T._grid(src, first, steps, (2, 2), cols)
 
     def test_pointwise_scaling(self):
         x = np.ones((1, 1, 3, 3))
@@ -333,12 +367,12 @@ class _Started:
 
 
 def _three_tap_loop(seed):
-    """A loop over three taps of one source, with both products."""
+    """A loop over a 1x3 grid of taps of one source, with both products."""
     rng = np.random.default_rng(seed)
     src = rng.normal(size=(3, 102)).astype(np.float32)
     w = rng.normal(size=(4, 9)).astype(np.float32)
     layout = rng.normal(size=(5, 100)).astype(np.float32)
-    return T._Loop([(src, 0), (src, 1), (src, 2)], 100, np.float32, w,
+    return T._Loop((1, 3), [(..., T._grid(src, 0, (0, 1), (1, 3), 100))], 100, np.float32, w,
                    np.empty((4, 100), dtype=np.float32), layout)
 
 
