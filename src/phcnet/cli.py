@@ -208,13 +208,12 @@ def cmd_maps(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    state, model_cfg = ckpt.load(args.checkpoint)
-    model = MODELS.build_model(model_cfg)
+    model, model_cfg = _load_model(args.checkpoint)
     total = model.param_count()
     ratio = total / MODELS.real_equivalent_params(model)
     rows = [
         {"name": name, "dtype": str(arr.dtype), "shape": list(arr.shape)}
-        for name, arr in sorted(state.items())
+        for name, arr in sorted(model.state_dict().items())
     ]
     print(
         json.dumps(

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, in_range, is_number
+from .errors import DataError, finite, in_range, is_number
 
 MANIFEST_VERSION = 1
 CLASS_NAMES = (
@@ -348,43 +348,38 @@ def render_side(spec: SyntheticSpec, latent: dict, rng) -> tuple[np.ndarray, np.
 
 
 def gen_synthetic(spec: SyntheticSpec, out_dir) -> Manifest:
-    """Generate a dataset on disk; returns its manifest (also written)."""
+    """Generate a dataset on disk; returns its manifest (also written).
+    Rendering runs in :func:`errors.finite`: a noise or contrast too large
+    for float32 pixels raises NumericError."""
     out = Path(out_dir)
     (out / "images").mkdir(parents=True, exist_ok=True)
     (out / "masks").mkdir(exist_ok=True)
     root_ss = np.random.SeedSequence(spec.seed)
     sides = 1 if spec.views == 2 else 2
     entries = []
-    for i, child in enumerate(root_ss.spawn(spec.count)):
-        rng = np.random.default_rng(child)
-        sid = f"s{i:05d}"
-        view_paths, labels, boxes = [], [], []
-        mask_path = None
-        lesion = None
-        for side in range(sides):
-            latent = sample_latent(spec, rng)
-            views, mask = render_side(spec, latent, rng)
-            for v in range(2):
-                rel = f"images/{sid}_v{2 * side + v}.pgm"
-                save_pgm(out / rel, views[v])
-                view_paths.append(rel)
-            labels.append(latent["label"])
-            boxes.append([float(latent["center"][0]), float(latent["center"][1]),
-                          latent["radius"]])
-            boxes.append([float(latent["center2"][0]), float(latent["center2"][1]),
-                          latent["radius"] * (2.0 if spec.label_rule ==
-                                              "cross-view-xor" else 1.0)])
-            if side == 0:
-                mask_path = f"masks/{sid}.pgm"
-                save_pgm(out / mask_path, mask)
-                lesion = {"kind": latent["kind"], "malignant": latent["malignant"]}
-                if "cue1" in latent:
-                    lesion["cue1"] = latent["cue1"]
-                    lesion["cue2"] = latent["cue2"]
-        entries.append(
-            Entry(id=sid, views=view_paths, labels=labels, mask=mask_path,
-                  boxes=boxes, lesion=lesion)
-        )
+    with finite("the synthetic set"):
+        for i, child in enumerate(root_ss.spawn(spec.count)):
+            rng = np.random.default_rng(child)
+            sid = f"s{i:05d}"
+            view_paths, labels, boxes = [], [], []
+            for side in range(sides):
+                latent = sample_latent(spec, rng)
+                views, mask = render_side(spec, latent, rng)
+                for v in range(2):
+                    rel = f"images/{sid}_v{2 * side + v}.pgm"
+                    save_pgm(out / rel, views[v])
+                    view_paths.append(rel)
+                labels.append(latent["label"])
+                scale = 2.0 if spec.label_rule == "cross-view-xor" else 1.0
+                boxes += [[*map(float, latent["center"]), latent["radius"]],
+                          [*map(float, latent["center2"]), latent["radius"] * scale]]
+                if side == 0:  # the mask and the lesion record are side 0's
+                    mask_path = f"masks/{sid}.pgm"
+                    save_pgm(out / mask_path, mask)
+                    lesion = {k: latent[k] for k in ("kind", "malignant", "cue1", "cue2")
+                              if k in latent}
+            entries.append(Entry(id=sid, views=view_paths, labels=labels, mask=mask_path,
+                                 boxes=boxes, lesion=lesion))
     metadata = {
         "image-size": spec.size,
         "views-per-sample": spec.views,

@@ -3,8 +3,11 @@
 The CLI maps these onto exit codes, so keep the hierarchy flat and stable.
 """
 
+import contextlib
 import sys
 from numbers import Integral, Real
+
+import numpy as np
 
 
 def is_number(value, integer=False) -> bool:
@@ -21,6 +24,25 @@ def in_range(error, name: str, value, low, high=sys.maxsize, integer=True):
         noun = "an integer" if integer else "a number"
         raise error(f"{name} must be {noun} from {low} to {high}, got {value!r}")
     return value
+
+
+@contextlib.contextmanager
+def finite(what: str):
+    """The one numeric guard, around every train step, eval pass, map and
+    synthetic set.  An overflow or invalid operation in the block (numpy's
+    errstate raises them), or an array that is not finite given to the
+    yielded ``check(*(name, array))`` (None skipped), raises NumericError
+    naming ``what``.  errstate changes no arithmetic: the bits stay the same."""
+    def check(*named):
+        for name, array in named:
+            if array is not None and not np.isfinite(array).all():
+                raise NumericError(f"a value of {name} in {what} is not finite")
+
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield check
+    except FloatingPointError as exc:
+        raise NumericError(f"a value in {what} is not finite: {exc}") from exc
 
 
 class PhcnetError(Exception):

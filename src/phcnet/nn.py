@@ -23,7 +23,7 @@ import numpy as np
 
 from . import autograd as ag
 from . import tensor as T
-from .errors import ConfigError, ContractError, DataError, NumericError, ShapeError
+from .errors import ConfigError, ContractError, DataError, ShapeError
 from .module import Module, Parameter
 from .phc import PHCConv2d
 
@@ -253,11 +253,11 @@ def bce_with_logits(logits: ag.Node, targets, pos_weight: float = 1.0) -> ag.Nod
     """Weighted binary cross entropy, mean over all entries.
 
     Computed as w*y*softplus(-z) + (1-y)*softplus(z) per entry, which never
-    overflows for finite logits.
+    overflows for finite logits.  A logit that is not finite makes the loss
+    not finite or an operation on it invalid; the train step's guard
+    (:func:`errors.finite`) stops either.
     """
     z = logits.value
-    if not np.all(np.isfinite(z)):
-        raise NumericError("bce_with_logits: non-finite logits")
     y = T.as_tensor(targets, dtype=z.dtype)
     if y.shape != z.shape:
         raise ShapeError(f"bce targets shape {y.shape} != logits shape {z.shape}")

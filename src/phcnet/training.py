@@ -11,6 +11,8 @@ is a mask.  How a model splits an exam into sides is known to
 :mod:`phcnet.models` alone.
 :func:`maps` runs one eval forward with a graph on a sample: its taps give
 the activation planes and its backward the saliency plane.
+Each train step, eval pass and map runs in :func:`errors.finite`, the one
+numeric guard: a value that is not finite stops the run with a NumericError.
 Everything is a deterministic function of (seed, config, manifest):
 repeating a run reproduces the checkpoint bit for bit.
 """
@@ -30,7 +32,7 @@ from . import autograd as ag
 from . import data as D
 from . import metrics as M
 from . import nn, phc
-from .errors import ConfigError, DataError, NumericError, ShapeError, in_range, is_number
+from .errors import ConfigError, DataError, ShapeError, finite, in_range, is_number
 
 
 @dataclass(frozen=True)
@@ -269,25 +271,13 @@ def _outputs(model, stage: Stage, x: np.ndarray, batch_size: int) -> np.ndarray:
                                for start in range(0, len(x), batch_size)])
 
 
-def _finite(what: str, compute):
-    """``compute()``, which returns a list of arrays.  An overflow or invalid
-    operation in it raises NumericError naming ``what``, instead of a numpy
-    warning, and so does any returned array that is not finite."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            arrays = compute()
-    except FloatingPointError as exc:
-        raise NumericError(f"{what} are not finite: {exc}") from exc
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise NumericError(f"{what} are not finite")
-    return arrays
-
-
 def _evaluate(model, stage: Stage, data: _StageData, batch_size: int = 32) -> EvalResult:
     """Score the model on a loaded split; validation and evaluate share it.
-    Outputs that are not finite raise NumericError (:func:`_finite`)."""
-    [logits] = _finite(f"the model's {stage.name} outputs",
-                       lambda: [_outputs(model, stage, data.x, batch_size)])
+    The eval pass runs in :func:`errors.finite`, so outputs that are not
+    finite raise NumericError."""
+    with finite(f"the {stage.name} eval pass") as check:
+        logits = _outputs(model, stage, data.x, batch_size)
+        check(("the outputs", logits))
     if stage.role == "class":
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         probs = e / e.sum(axis=1, keepdims=True)
@@ -311,7 +301,10 @@ def train(cfg: TrainConfig, manifest: D.Manifest, model):
 
     Training stops once the validation metric has gone more than
     ``cfg.patience`` epochs without a strict gain.  The model is left holding
-    the best-validation weights.
+    the best-validation weights.  Each step (forward, backward, the check of
+    the loss and of every parameter's gradient, then Adam's update) runs in
+    :func:`errors.finite`, so a value that is not finite raises NumericError,
+    and a gradient that is not finite does so before the update.
     """
     stage = STAGE[cfg.stage]
     ss = np.random.SeedSequence(cfg.seed)
@@ -358,21 +351,15 @@ def train(cfg: TrainConfig, manifest: D.Manifest, model):
             model.train()
             epoch_loss = 0.0
             for (xb, mb), idx in zip(prepared, batches):
-                loss = _stage_loss(model, stage, xb, train_data.y[idx], mb, pos_weights)
-                lval = float(loss.value)
-                if not np.isfinite(lval):
-                    raise NumericError(
-                        f"non-finite training loss {lval} at epoch {epoch}"
-                    )
-                model.zero_grad()
-                ag.backward(loss)
-                for name, p in named_params:
-                    if p.grad is not None and not np.isfinite(p.grad).all():
-                        raise NumericError(
-                            f"non-finite gradient for {name} at epoch {epoch}"
-                        )
-                opt.step()
-                epoch_loss += lval
+                with finite(f"the {stage.name} train step at epoch {epoch}") as check:
+                    loss = _stage_loss(model, stage, xb, train_data.y[idx], mb,
+                                       pos_weights)
+                    model.zero_grad()
+                    ag.backward(loss)
+                    check(("the loss", loss.value),
+                          *((f"the gradient for {name}", p.grad) for name, p in named_params))
+                    opt.step()
+                epoch_loss += float(loss.value)
             val_metric = getattr(_evaluate(model, stage, val_data), stage.metric)
             log.append(epoch=epoch, train_loss=epoch_loss / len(batches),
                        val_metric=val_metric, seconds=time.perf_counter() - t0)
@@ -421,17 +408,16 @@ def maps(model, views: np.ndarray) -> dict[str, np.ndarray]:
     score is a mask's mean logit, or the logit of the largest head.  The
     forward is the one scoring runs, which reads every parameter as a
     constant, so only the input gets a gradient: no parameter's is set.
-    Logits or planes that are not finite raise NumericError (:func:`_finite`)."""
+    The forward and backward run in :func:`errors.finite`, so logits or
+    planes that are not finite raise NumericError."""
     model.eval()
     h, w = views.shape[-2:]
     x = ag.Node(views[None], requires_grad=True)
     taps: dict = {}
-    out: dict = {}
-
-    def compute():
+    with finite("the maps") as check:
         logits = model(x, taps=taps)
-        out.update((name, _resize_nearest(node.value[0].mean(axis=0), h, w))
-                   for name, node in taps.items())
+        out = {name: _resize_nearest(node.value[0].mean(axis=0), h, w)
+               for name, node in taps.items()}
         if logits.ndim == 4:
             score = ag.nmean(logits)
         else:
@@ -439,9 +425,7 @@ def maps(model, views: np.ndarray) -> dict[str, np.ndarray]:
             score = ag.reshape(ag.narrow(logits, head, head + 1), ())
         ag.backward(score)
         out["saliency"] = np.abs(x.grad[0]).sum(axis=0)
-        return [logits.value, *out.values()]
-
-    _finite("the model's maps", compute)
+        check(("the logits", logits.value), *((f"plane {k}", v) for k, v in out.items()))
     return out
 
 

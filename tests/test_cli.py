@@ -112,6 +112,19 @@ class TestGenSynthetic:
         assert code == 2
         assert err
 
+    @pytest.mark.parametrize("spec", [{"noise": 1e300}, {"contrast": [1e300, 1e300]}],
+                             ids=["noise 1e300", "contrast [1e300, 1e300]"])
+    def test_pixels_too_large_for_float32(self, tmp_path, capsys, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"size": 32, "count": 2, **spec}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, "gen-synthetic", "--spec", str(path),
+                               "--out", str(tmp_path / "o"))
+        assert code == 5 and err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "synthetic set is not finite" in err and "overflow" in err
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
     def test_unwritable_out_exit_3(self, workspace, tmp_path, capsys):
         _, spec_path, _, _ = workspace
         blocked = tmp_path / "file"
@@ -205,6 +218,22 @@ class TestTrain:
         assert "trunk.conv1" in err
 
 
+    @pytest.mark.parametrize("overrides", [
+        ("train.lr=1e12", "train.weight_decay=0"), ("train.lr=1e39",),
+    ], ids=["lr 1e12", "lr 1e39"])
+    def test_diverging_lr_exit_5(self, workspace, capsys, tmp_path, overrides):
+        _, _, _, cfg_path = workspace
+        sets = [arg for item in overrides for arg in ("--set", item)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, "train", "--config", str(cfg_path),
+                               "--stage", "two-view", "--out", str(tmp_path / "d.ckpt"),
+                               *sets)
+        assert code == 5 and err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "two-view train step at epoch 0 is not finite" in err
+        assert not (tmp_path / "d.ckpt").exists()
+
+
 @pytest.fixture(scope="module")
 def patch_run(workspace, tmp_path_factory):
     """(config, checkpoint) of a patch stage run on 12 px patches."""
@@ -278,6 +307,17 @@ class TestMapsInspect:
         bad.write_bytes(b"not a checkpoint at all")
         code, _, err = run(capsys, "inspect", "--checkpoint", str(bad))
         assert code == 4
+
+    def test_config_that_does_not_fit_the_tensors_exit_4(self, checkpoint, capsys,
+                                                         tmp_path):
+        def widen(header):
+            assert header["model-config"]["width"] == 4
+            header["model-config"]["width"] = 8
+
+        path = _rewrite(checkpoint, tmp_path / "wide.ckpt", edit_header=widen)
+        code, out, err = run(capsys, "inspect", "--checkpoint", path)
+        assert code == 4 and out == ""
+        assert "shape mismatch for trunk.conv1.F" in err
 
 
 def _rewrite(src, dst, edit_header=None, cut=None):
