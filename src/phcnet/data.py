@@ -13,6 +13,10 @@ views from a shared latent; the two label rules are
   determines the label.  Both flips and the augmentation's rotations about
   the centre keep both cues, so augmentation keeps the label.
 
+A rule lives in :func:`sample_latent`, which draws all that a side renders,
+and in its placement margin, :meth:`SyntheticSpec.margin`; ``render_side``
+and ``gen_synthetic`` never name it.
+
 Backgrounds combine low-frequency texture and pixel noise.  Generation is a
 pure function of (spec, seed): rerunning a spec reproduces every file bit
 for bit.
@@ -188,6 +192,11 @@ class Manifest:
 
 @dataclass
 class SyntheticSpec:
+    """``count`` exams of ``views`` ``size`` x ``size`` views (2: one side, 4:
+    both), one lesion per side with radius and contrast uniform in their
+    ``(low, high)`` pairs, pixel noise of deviation ``noise``, one ``seed``, and
+    ``label_rule`` ``single-view`` or ``cross-view-xor`` (module docstring).
+    The smallest size keeps :meth:`margin` at the largest radius from both edges."""
     size: int = 32
     count: int = 100
     views: int = 2              # 2 (one side) or 4 (both sides)
@@ -215,15 +224,16 @@ class SyntheticSpec:
                 raise DataError(f"{name} must be an ordered pair of positive numbers, "
                                 f"got {pair!r}")
             setattr(self, name, tuple(pair))
-        # sample_latent's placement margins at the largest radius; an xor
-        # lesion's reach, (size - 1) / 2 - (r + 1.5), must be positive
-        r = self.radius[1]
-        need = math.ceil(2 * (r + 4.0) if self.label_rule == "single-view"
-                         else max(2 * (r + 1.5) + 1, 2 * (2.2 * r + 2.0)))
+        need = math.ceil(min(2 * self.margin(self.radius[1]), sys.maxsize))  # inf for r ~ 1e308
         if self.size < need:
-            raise DataError(f"image size {self.size} cannot place {self.label_rule} "
-                            f"lesions of radius up to {r}; the smallest size that "
+            raise DataError(f"image size {self.size} cannot place {self.label_rule} lesions "
+                            f"of radius up to {self.radius[1]}; the smallest size that "
                             f"fits is {need}")
+
+    def margin(self, r: float) -> float:
+        """How far from each edge :func:`sample_latent` draws view 1's centre (at the
+        largest radius) for single-view, view 2's (radius ``r``) for xor."""
+        return r + 4.0 if self.label_rule == "single-view" else 2.2 * r + 2.0
 
 
 def view_transform_point(point, size: int) -> np.ndarray:
@@ -233,49 +243,38 @@ def view_transform_point(point, size: int) -> np.ndarray:
 
 
 def sample_latent(spec: SyntheticSpec, rng) -> dict:
-    """Draw the latent state of one breast side (pure plumbing for render)."""
+    """Draw one side, the home of a label rule: all its views, mask, boxes and
+    lesion record render from, with view 2's blob ``orientation`` (None: view
+    1's shape) and box radius ``radius2``."""
     r = float(rng.uniform(*spec.radius))
     contrast = float(rng.uniform(*spec.contrast))
     if spec.label_rule == "single-view":
         kind = "mass" if rng.random() < 0.5 else "calc"
         malignant = bool(rng.random() < 0.5)
-        margin = spec.radius[1] + 4.0
+        margin = spec.margin(spec.radius[1])
         center = rng.uniform(margin, spec.size - margin, size=2)
-        return {
-            "kind": kind,
-            "malignant": malignant,
-            "label": int(malignant),
-            "radius": r,
-            "contrast": contrast,
-            "center": center,
-            "center2": view_transform_point(center, spec.size),
+        rule = {"kind": kind, "malignant": malignant, "label": int(malignant),
+                "center": center, "center2": view_transform_point(center, spec.size),
+                "orientation": None, "radius2": r}
+    else:
+        # view 1's lesion lies on an outer ring (cue 1) or in an inner disc (cue 0)
+        # about the centre c, 1.5 pixels inside the inscribed circle, at a uniform
+        # angle; view 2's cue is its orientation.  margin(r) > r + 1.5 keeps reach > 0
+        cue1 = int(rng.random() < 0.5)
+        c = (spec.size - 1) / 2.0
+        reach = c - (r + 1.5)
+        dist = reach * float(rng.uniform(0.55, 1.0) if cue1 else rng.uniform(0.0, 0.3))
+        angle = float(rng.uniform(0.0, 2.0 * math.pi))
+        cue2 = int(rng.random() < 0.5)
+        margin = spec.margin(r)
+        rule = {"kind": "mass", "malignant": None, "label": cue1 ^ cue2,
+                "cue1": cue1, "cue2": cue2,
+                "center": c + dist * np.array([math.sin(angle), math.cos(angle)]),
+                "center2": rng.uniform(margin, spec.size - margin, size=2),
+                "orientation": cue2, "radius2": r * 2.0}
+    return {**rule, "radius": r, "contrast": contrast,
             "phase": float(rng.uniform(0.0, 2.0 * math.pi)),
-            "dots": rng.standard_normal((9, 2)),
-        }
-    # cross-view-xor: view 1's lesion lies on an outer ring (cue 1) or in an
-    # inner disc (cue 0) about the image centre, at a uniform angle, and stays
-    # 1.5 pixels inside the inscribed circle; view 2's cue is its orientation
-    cue1 = int(rng.random() < 0.5)
-    c = (spec.size - 1) / 2.0
-    reach = c - (r + 1.5)
-    dist = reach * float(rng.uniform(0.55, 1.0) if cue1 else rng.uniform(0.0, 0.3))
-    angle = float(rng.uniform(0.0, 2.0 * math.pi))
-    cue2 = int(rng.random() < 0.5)
-    margin = 2.2 * r + 2.0
-    center2 = rng.uniform(margin, spec.size - margin, size=2)
-    return {
-        "kind": "mass",
-        "malignant": None,
-        "label": cue1 ^ cue2,
-        "cue1": cue1,
-        "cue2": cue2,
-        "radius": r,
-        "contrast": contrast,
-        "center": c + dist * np.array([math.sin(angle), math.cos(angle)]),
-        "center2": center2,
-        "phase": float(rng.uniform(0.0, 2.0 * math.pi)),
-        "dots": rng.standard_normal((9, 2)),
-    }
+            "dots": rng.standard_normal((9, 2))}
 
 
 def _background(size: int, noise: float, rng) -> np.ndarray:
@@ -333,11 +332,8 @@ def _lesion_field(size, latent, center, orientation=None) -> np.ndarray:
 
 def render_side(spec: SyntheticSpec, latent: dict, rng) -> tuple[np.ndarray, np.ndarray]:
     """Render the two views of one side; returns (views (2,H,W), mask (H,W))."""
-    xor = spec.label_rule == "cross-view-xor"
     v1_field = _lesion_field(spec.size, latent, latent["center"], None)
-    v2_field = _lesion_field(
-        spec.size, latent, latent["center2"], latent["cue2"] if xor else None
-    )
+    v2_field = _lesion_field(spec.size, latent, latent["center2"], latent["orientation"])
     views = []
     for field in (v1_field, v2_field):
         img = _background(spec.size, spec.noise, rng)
@@ -370,9 +366,8 @@ def gen_synthetic(spec: SyntheticSpec, out_dir) -> Manifest:
                     save_pgm(out / rel, views[v])
                     view_paths.append(rel)
                 labels.append(latent["label"])
-                scale = 2.0 if spec.label_rule == "cross-view-xor" else 1.0
                 boxes += [[*map(float, latent["center"]), latent["radius"]],
-                          [*map(float, latent["center2"]), latent["radius"] * scale]]
+                          [*map(float, latent["center2"]), latent["radius2"]]]
                 if side == 0:  # the mask and the lesion record are side 0's
                     mask_path = f"masks/{sid}.pgm"
                     save_pgm(out / mask_path, mask)

@@ -313,18 +313,22 @@ class Adam:
         self._v = [np.zeros_like(p.value) for p in self.params]
 
     def step(self):
-        self.step_count += 1
-        t = self.step_count
+        """Update every parameter or none: every new value and moment is computed
+        before any is written, so a NumericError on the way changes nothing."""
+        t = self.step_count + 1
         bc1 = 1.0 - ADAM_BETA1**t
         bc2 = 1.0 - ADAM_BETA2**t
+        new = []
         for p, m, v in zip(self.params, self._m, self._v):
-            g = p.grad
-            if self.weight_decay:
-                p.value *= 1.0 - self.lr * self.weight_decay
-            if g is None:
-                continue
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * (g * g)
-            p.value -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+            value, g = p.value * (1.0 - self.lr * self.weight_decay), p.grad
+            if g is not None:
+                m = m * ADAM_BETA1
+                m += (1.0 - ADAM_BETA1) * g
+                v = v * ADAM_BETA2
+                v += (1.0 - ADAM_BETA2) * (g * g)
+                value -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+            new.append((value, m, v))
+        for p, (value, _, _) in zip(self.params, new):
+            p.value[...] = value
+        self._m, self._v = [m for _, m, _ in new], [v for _, _, v in new]
+        self.step_count = t

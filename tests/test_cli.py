@@ -615,10 +615,11 @@ class TestInputErrors:
         ({"contrast": [-0.2, 0.3]}, "contrast"), ({"noise": -0.1}, "noise"),
         ({"radius": [1, HUGE]}, "radius"), ({"size": HUGE}, "size"),
         ({"size": BIG}, "size"), ({"count": BIG}, "count"),
+        ({"radius": [1, 1e308]}, "radius up to 1e+308"),
     ], ids=["spec0", "spec1", "size 16", "xor size 24", "radius [5, 3]",
             "radius [3, 20]", "radius [0, 3]", "contrast [0.6, 0.3]",
             "contrast [-0.2, 0.3]", "noise -0.1", "radius [1, 10**400]",
-            "size 10**400", "size 10**300", "count 10**300"])
+            "size 10**400", "size 10**300", "count 10**300", "radius [1, 1e308]"])
     def test_bad_spec_pair(self, capsys, tmp_path, spec, word):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"size": 32, "count": 2, **spec}))

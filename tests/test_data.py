@@ -126,6 +126,36 @@ class TestGenSynthetic:
         assert len(entry.views) == 4
         assert len(entry.labels) == 2
 
+    @pytest.mark.parametrize("rule, radius", [
+        ("single-view", 5.5), ("single-view", 9.25), ("single-view", 20.0),
+        ("cross-view-xor", 3.0), ("cross-view-xor", 5.5), ("cross-view-xor", 9.25),
+        ("cross-view-xor", 20.0)])
+    def test_smallest_size_places_every_lesion(self, rule, radius):
+        # the size limit and sample_latent's placement agree: at the smallest size
+        # the spec names, single-view's view-1 centres keep the largest radius + 4
+        # and xor's view-2 centres 2.2 r + 2 from every edge, and xor's view-1
+        # centres lie within c - (r + 1.5) of the centre c; one pixel less is refused
+        def spec(size):
+            return D.SyntheticSpec(size=size, radius=(radius / 2, radius), label_rule=rule)
+
+        with pytest.raises(DataError, match="the smallest size that fits is") as refused:
+            spec(16)
+        size = int(str(refused.value).split()[-1])
+        with pytest.raises(DataError, match=f"fits is {size}$"):
+            spec(size - 1)
+        accepted, c = spec(size), (size - 1) / 2.0
+        rng = np.random.default_rng(12)
+        for _ in range(2000):
+            latent = D.sample_latent(accepted, rng)
+            r = latent["radius"]
+            if rule == "single-view":
+                center, margin = latent["center"], radius + 4.0
+            else:
+                center, margin = latent["center2"], 2.2 * r + 2.0
+                assert np.hypot(*(latent["center"] - c)) <= c - (r + 1.5) + 1e-9
+            assert np.all(center >= margin) and np.all(center <= size - margin), (
+                size, r, center)
+
     def test_xor_cue_balance_and_independence(self):
         # Monte Carlo over latents only: marginals balanced within 2% at 10k
         spec = D.SyntheticSpec(size=32, count=10, label_rule="cross-view-xor",

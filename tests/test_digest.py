@@ -38,8 +38,10 @@ def default_digest() -> str:
 
 def test_digest_runs_and_repeats(default_digest):
     rows = [line.split() for line in default_digest.splitlines()]
-    assert [row[0] for row in rows] == RUNS
-    assert all(len(row) == 3 and row[1] == "epochs=3" for row in rows)
+    assert [row[0] for row in rows] == RUNS + ["datasets"]
+    assert all(len(row) == 3 and row[1] == "epochs=3" for row in rows[:-1])
+    # 16 + 16 + 32 samples: their views, one mask each and the three manifests
+    assert rows[-1][1:2] == [f"files={(16 + 16) * 3 + 32 * 5 + 3}"]
     assert digest(OPENBLAS_NUM_THREADS="1") == default_digest
 
 

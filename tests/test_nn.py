@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from phcnet import autograd as ag
 from phcnet import nn
-from phcnet.errors import ContractError, DataError, ShapeError
+from phcnet.errors import ContractError, DataError, NumericError, ShapeError, finite
 from phcnet.module import Parameter
 
 
@@ -356,3 +356,21 @@ class TestAdam:
         p.grad = rng.normal(size=(3, 3))
         opt.step()
         npt.assert_array_equal(p.value, before)
+
+    def test_a_step_that_overflows_writes_nothing(self):
+        # lr 1e39 overflows float32 after the first parameter's decay: the
+        # NumericError leaves every value, every moment and the step count
+        rng = np.random.default_rng(11)
+        params = [Parameter(rng.normal(size=shape).astype(np.float32))
+                  for shape in ((3, 2), (4,))]
+        opt = nn.Adam(params, lr=1e39, weight_decay=5e-4)
+        for p in params:
+            p.grad = rng.normal(size=p.shape).astype(np.float32)
+        before = [[a.copy() for a in arrays]
+                  for arrays in zip([p.value for p in params], opt._m, opt._v)]
+        with pytest.raises(NumericError), finite("the step"):
+            opt.step()
+        for want, got in zip(before, zip([p.value for p in params], opt._m, opt._v)):
+            for w, g in zip(want, got):
+                npt.assert_array_equal(g, w)
+        assert opt.step_count == 0

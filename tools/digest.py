@@ -8,7 +8,10 @@ random-algebra model, augmentation with masks and an early stop.  Each run
 prints one line: its name, the epochs it ran and a SHA-256 over the
 checkpoint bytes, the run log without timings (per-epoch losses and
 validation metrics), the ``eval`` JSON and the activation and saliency maps.
-Two trees are the same program on these runs when their outputs diff clean.
+A last line, ``datasets``, gives the number of files of the three generated
+sets and a SHA-256 over their paths and bytes, so a generator change shows
+directly.  Two trees are the same program on these runs when their outputs
+diff clean.
 """
 
 from __future__ import annotations
@@ -85,15 +88,27 @@ def run(root: Path, name, dataset, stage, model, train, init) -> str:
     return f"{name:<13} epochs={final['epochs_run']} {digest.hexdigest()[:32]}"
 
 
+def datasets(root: Path) -> str:
+    """The digest line of every file of the generated sets under ``root``."""
+    files = sorted(path for name in DATASETS for path in (root / name).rglob("*")
+                   if path.is_file())
+    digest = hashlib.sha256()
+    for path in files:
+        digest.update(path.relative_to(root).as_posix().encode() + path.read_bytes())
+    return f"{'datasets':<13} files={len(files)} {digest.hexdigest()[:32]}"
+
+
 def run_set(root: Path):
     """Generate the datasets under ``root``, then do every run; yields each
-    run's digest line as it finishes.  Run ``name`` leaves its config and
-    checkpoint in ``root / name``."""
+    run's digest line as it finishes, then the datasets' line.  Run ``name``
+    leaves its config and checkpoint in ``root / name``."""
     for name, spec in DATASETS.items():
         (root / f"{name}.json").write_text(json.dumps(spec))
         cli("gen-synthetic", "--spec", root / f"{name}.json", "--out", root / name)
+    line = datasets(root)
     for row in RUNS:
         yield run(root, *row)
+    yield line
 
 
 def digest_all() -> None:
