@@ -1,17 +1,27 @@
 """phcnet: parameterized hypercomplex convolutional networks on a
 self-contained CPU autograd engine.
 
-Importing phcnet before numpy runs BLAS on one thread, so results do not depend
-on the core count; a count set in OPENBLAS_, OMP_ or MKL_NUM_THREADS still wins.
-A process allowed two or more CPUs runs every conv backward, and every conv
-forward that keeps a graph, on two threads: the caller and one conv worker
-thread (see ``tensor``), which split the work without changing any result by
-a bit.  At the end of each such conv, the caller waits for the worker's one
-chunk in flight.  An eval forward runs on the caller alone."""
+Importing phcnet runs BLAS on one thread, so results do not depend on the core
+count: through OPENBLAS_, OMP_ and MKL_NUM_THREADS before numpy loads, and
+after it through numpy's bundled scipy-openblas (another BLAS keeps its count);
+a count set in those variables wins.  A process allowed two or more CPUs runs
+every conv backward, every conv forward that keeps a graph and train-mode batch
+norm (in blocks of channels, ``nn._BN_BLOCK_BYTES``) on two threads: the caller
+and one conv worker thread (see ``tensor``), which split the work without
+changing any result by a bit.  At the end of each such op, the caller waits for
+the worker's one chunk in flight.  An eval forward runs on the caller alone."""
 
+import contextlib
+import ctypes
 import os
+import sys
 
-for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_umath = sys.modules.get("numpy._core._multiarray_umath")  # numpy is loaded
+if _umath is not None and not os.environ.keys() & set(_THREAD_VARS):
+    with contextlib.suppress(AttributeError, OSError):  # another BLAS keeps its count
+        ctypes.CDLL(_umath.__file__).scipy_openblas_set_num_threads64_(1)
+for _name in _THREAD_VARS:
     os.environ.setdefault(_name, "1")
 
 from . import autograd, checkpoint, data, metrics, models, nn, phc, tensor, training

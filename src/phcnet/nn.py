@@ -4,9 +4,10 @@ Residual blocks follow y = ReLU(F(x) + skip(x)) with
 F = BN(PHC(ReLU(BN(PHC(x))))); the refiner variant uses the 1x1 -> 3x3 ->
 1x1 bottleneck design with mid channels = out/4.  Every BN(PHC(x)) pair
 runs through :func:`conv_bn`: in train mode a conv node and one batch-norm
-node that also carries the residual add and the ReLU.  Backward recomputes
-x̂ from the conv's output and the conv's im2col layout from its input, so a
-pair holds exactly two full-size arrays, its outputs, and the conv none.  In
+node that also carries the residual add and the ReLU, in blocks of channels
+shared with the conv worker.  Backward recomputes x̂ from the conv's output
+and the conv's im2col layout from its input, so a pair holds exactly two
+full-size arrays, its outputs, and the conv none.  In
 eval mode the conv folds the batch norm in.  Every layer with parameters,
 here and in :mod:`.phc`, passes its parameters' values, not the Parameter
 nodes, to autograd in eval mode, so an eval forward keeps a graph exactly
@@ -31,6 +32,8 @@ BN_MOMENTUM = 0.1  # weight of the batch statistics in the running estimates
 BN_EPS = 1e-5
 ADAM_BETA1, ADAM_BETA2 = 0.9, 0.999
 ADAM_EPS = 1e-8
+# bytes of one full-size array per batch-norm block: faster than 128 KiB to 1 MiB
+_BN_BLOCK_BYTES = 1 << 19
 
 
 def _seeds(seed, k: int):
@@ -54,12 +57,30 @@ def _channel_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     runs of at most 256 values (an image row, or a whole plane when that is
     small) and the partial sums are added in float64.  A float32 dot then
     rounds no worse than numpy's pairwise summation of the product, without
-    a float64 copy of the arrays or a product array.
+    a float64 copy of the arrays or a product array.  Rows are summed, then
+    images in order, so a block of channels, even of one, gives the same bits.
     """
     _, _, h, w = a.shape
     rows = h * w > 256
     partial = np.einsum("nchw,nchw->nch" if rows else "nchw,nchw->nc", a, b)
-    return partial.sum(axis=(0, 2) if rows else 0, dtype=np.float64)
+    if rows:
+        partial = partial.sum(axis=2, dtype=np.float64)
+    return np.add.accumulate(partial, axis=0, dtype=np.float64)[-1]
+
+
+class _Channels:
+    """A :func:`tensor._run` loop over blocks of whole channels, at least one,
+    of about ``_BN_BLOCK_BYTES`` of an array of ``shape``: chunk k runs
+    ``block(its channels, the side's buffer)``, of one block if ``buffered``."""
+
+    def __init__(self, shape, dtype, block, buffered=False):
+        plane = shape[0] * shape[2] * shape[3]
+        self.width = max(_BN_BLOCK_BYTES // (plane * np.dtype(dtype).itemsize), 1)
+        self.count, self.dtype, self.block = -(-shape[1] // self.width), dtype, block
+        self.size = plane * min(self.width, shape[1]) if buffered else 0
+
+    def chunk(self, k, buf):
+        self.block(slice(k * self.width, (k + 1) * self.width), buf)
 
 
 class Linear(Module):
@@ -86,10 +107,10 @@ class BatchNorm2d(Module):
 
     Train mode normalizes with the biased batch statistics over the
     m = N*H*W values of each channel, x̂ = (x - μ)/σ with σ = √(var + BN_EPS),
-    returns γ·x̂ + β, plus ``skip`` if given, then ReLU if ``relu``, and
-    folds μ and var into the running estimates with weight BN_MOMENTUM.
-    Its input gradient is the Ioffe–Szegedy rule rearranged into three
-    terms with per-channel factors,
+    returns γ·x̂ + β, plus ``skip`` if given, then ReLU if ``relu``, and then
+    folds μ and var into the running estimates with weight BN_MOMENTUM, so a
+    forward that fails leaves them.  Its input gradient is the Ioffe–Szegedy
+    rule rearranged into three terms with per-channel factors,
 
         dx = g·k₁ - x̂·k₂ - k₃,  k₁ = γ/σ,  k₂ = k₁·dγ/m,  k₃ = k₁·dβ/m,
 
@@ -98,7 +119,9 @@ class BatchNorm2d(Module):
     step in place on it, so the node keeps no full-size array but its
     output.  Backward recomputes x̂ from x by the forward's own ops, so the
     results equal those of separate add and ReLU nodes bit for bit, and x
-    must not be written between forward and backward.
+    must not be written between forward and backward.  Each is one loop over
+    blocks of channels (:class:`_Channels`) shared with the conv worker, with
+    the same ops in the same order.
 
     Eval mode has no op of its own: the layer is the per-channel affine map
     x·a + b of :meth:`affine`, with a = γ/√(running_var + BN_EPS) and
@@ -126,48 +149,59 @@ class BatchNorm2d(Module):
     def forward(self, x: ag.Node, skip: ag.Node | None = None,
                 relu: bool = False) -> ag.Node:
         if x.ndim != 4 or x.shape[1] != self.channels:
-            raise ShapeError(
-                f"batchnorm expects (N,{self.channels},H,W), got {x.shape}"
-            )
+            raise ShapeError(f"batchnorm expects (N,{self.channels},H,W), got {x.shape}")
         if skip is not None and skip.shape != x.shape:
             raise ShapeError(f"batchnorm: skip shape {skip.shape} != input shape {x.shape}")
         if not self.training:
             raise ContractError("batchnorm has no eval-mode op: conv_bn folds it "
                                 "into the preceding conv")
-        gamma, beta = self.gamma, self.beta
-        dtype = x.dtype
+        gamma, beta, dtype = self.gamma, self.beta, x.dtype
         exp = lambda v: v.astype(dtype, copy=False)[None, :, None, None]
         m = x.shape[0] * x.shape[2] * x.shape[3]
-        mu = _channel_sum(x.value) / m
-        out = x.value - exp(mu)
-        var = _channel_dot(out, out) / m
+        mu, var, inv_std = (np.empty(self.channels) for _ in range(3))
+        out = np.empty(x.shape, dtype=dtype)
+
+        def forward(c, _):
+            mu[c] = _channel_sum(x.value[:, c]) / m
+            o = np.subtract(x.value[:, c], exp(mu[c]), out=out[:, c])
+            var[c] = _channel_dot(o, o) / m
+            inv_std[c] = 1.0 / np.sqrt(var[c] + BN_EPS)
+            o *= exp(inv_std[c])
+            o *= exp(gamma.value[c])
+            o += exp(beta.value[c])
+            if skip is not None:
+                o += skip.value[:, c]
+            if relu:
+                np.maximum(o, 0, out=o)
+
+        T._run([_Channels(x.shape, dtype, forward)], True)
         self.running_mean[...] = (1 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mu
         self.running_var[...] = (1 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * var
-        inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        out *= exp(inv_std)
-        out *= exp(gamma.value)
-        out += exp(beta.value)
-        if skip is not None:
-            out += skip.value
-        if relu:
-            np.maximum(out, 0, out=out)
 
         def rule(g):
-            if relu:
-                g = g * (out > 0)  # ag.relu's rule: the subgradient at 0 is 0
-            xhat = x.value - exp(mu)
-            xhat *= exp(inv_std)
-            dgamma, dbeta = _channel_dot(g, xhat), _channel_sum(g)
-            dx = None
-            if x.requires_grad:
-                k1 = gamma.value.astype(np.float64) * inv_std
-                # the two small terms first, so g·k1 meets one rounding less
-                dx = xhat * exp(k1 * dgamma / m)
-                dx += exp(k1 * dbeta / m)
-                np.subtract(g * exp(k1), dx, out=dx)
-                dx = np.ascontiguousarray(dx)
-            return (dx, dgamma.astype(dtype) if gamma.requires_grad else None,
-                    dbeta.astype(dtype) if beta.requires_grad else None, g)
+            gm = np.empty(g.shape, dtype=g.dtype) if relu else g  # g masked as ag.relu does
+            dx = np.empty(x.shape, dtype=dtype)  # x̂, then dx in place
+            dgamma, dbeta = np.empty(self.channels), np.empty(self.channels)
+
+            def backward(c, buf):
+                gc, xhat = gm[:, c], dx[:, c]
+                if relu:
+                    np.multiply(np.greater(out[:, c], 0, out=gc), g[:, c], out=gc)
+                np.subtract(x.value[:, c], exp(mu[c]), out=xhat)
+                xhat *= exp(inv_std[c])
+                dgamma[c], dbeta[c] = _channel_dot(gc, xhat), _channel_sum(gc)
+                if x.requires_grad:
+                    k1 = gamma.value[c].astype(np.float64) * inv_std[c]
+                    # the two small terms first, so g·k1 meets one rounding less
+                    xhat *= exp(k1 * dgamma[c] / m)
+                    xhat += exp(k1 * dbeta[c] / m)
+                    gk1 = np.multiply(gc, exp(k1), out=buf[: xhat.size].reshape(xhat.shape))
+                    np.subtract(gk1, xhat, out=xhat)
+
+            T._run([_Channels(x.shape, dtype, backward, buffered=True)], True)
+            return (dx if x.requires_grad else None,
+                    dgamma.astype(dtype) if gamma.requires_grad else None,
+                    dbeta.astype(dtype) if beta.requires_grad else None, gm)
 
         parents = (x, gamma, beta) if skip is None else (x, gamma, beta, skip)
         return ag.Node(out, parents, rule)

@@ -22,7 +22,8 @@ to the sub-grid's rows.  All are computed on the padded grid and cropped;
 
 A process that may run on two or more CPUs starts one conv worker thread,
 which joins the conv loops that keep a graph: the forward of a train step
-(or of a saliency map) and every backward.  The caller and the worker take
+(or of a saliency map) and every backward, and train-mode batch norm's loops
+over blocks of channels (``nn._Channels``).  The caller and the worker take
 chunks from one counter and write each straight into its own slice of the
 results; once no chunk is left, the caller waits for the one chunk that the
 worker holds, if any (:func:`_run`).  An eval forward keeps no graph and
@@ -228,11 +229,11 @@ class _Loop:
 
 
 def _run(loops, split) -> None:
-    """Run every chunk of ``loops``.  With ``split``, a conv worker and more
-    than one chunk, the caller and the worker share them: each side takes
-    the next chunk from one counter, over every chunk of every loop in loop
-    order, when it is done with its last.  Otherwise the caller runs them
-    all, in order.
+    """Run every chunk of ``loops`` (:class:`_Loop` or ``nn._Channels``).
+    With ``split``, a conv worker and more than one chunk, the caller and the
+    worker share them: each side takes the next chunk from one counter, over
+    every chunk of every loop in loop order, when it is done with its last.
+    Otherwise the caller runs them all, in order.
 
     Once no chunk is left, the caller drops the worker's side if it has not
     started, or else waits for the one chunk that the worker holds, so
@@ -241,7 +242,7 @@ def _run(loops, split) -> None:
     worker to stop first.  The worker runs in a copy of the caller's
     context, which holds numpy's ``errstate``.
 
-    The caller makes both sides' stack buffers, each as large as the largest
+    The caller makes both sides' buffers, each as large as the largest
     loop needs, so the worker allocates nothing: what a thread allocates
     comes from its own malloc arena, which keeps it resident.
     """

@@ -65,3 +65,37 @@ def test_session_blas_threads_are_pinned():
     want = int(os.environ["OPENBLAS_NUM_THREADS"])
     # OpenBLAS caps a count set before the session at the cores it sees
     assert threads == want if want == 1 else 1 <= threads <= want
+
+
+# OpenBLAS's thread count before and after ``import phcnet``, numpy imported first
+PROBE = """
+import ctypes, sys, numpy
+lib = ctypes.CDLL(sys.modules["numpy._core._multiarray_umath"].__file__)
+count = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+if count is None:
+    sys.exit(3)
+before = count()
+import phcnet
+print(before, count())
+"""
+
+
+def blas_threads_around_import(**threads) -> tuple[int, int]:
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    proc = subprocess.run([sys.executable, "-c", PROBE], capture_output=True, text=True,
+                          timeout=120, env={**env, **threads, "PYTHONPATH": str(ROOT / "src")})
+    if proc.returncode == 3:
+        pytest.skip("numpy does not bundle scipy-openblas")
+    assert proc.returncode == 0, proc.stderr
+    before, after = map(int, proc.stdout.split())
+    return before, after
+
+
+def test_numpy_first_runs_blas_on_one_thread():
+    assert blas_threads_around_import()[1] == 1
+
+
+def test_numpy_first_keeps_a_count_set_in_the_environment():
+    before, after = blas_threads_around_import(OPENBLAS_NUM_THREADS="2")
+    # OpenBLAS caps the count at the CPUs the process may use
+    assert after == before == min(2, len(os.sched_getaffinity(0)))

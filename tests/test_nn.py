@@ -4,6 +4,9 @@ contracts, stable losses with frozen hand-computed values, Adam update
 mechanics."""
 
 import math
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import numpy.testing as npt
@@ -12,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from phcnet import autograd as ag
 from phcnet import nn
+from phcnet import tensor as T
 from phcnet.errors import ContractError, DataError, NumericError, ShapeError, finite
 from phcnet.module import Parameter
 
@@ -184,6 +188,96 @@ class TestBatchNorm:
         with pytest.raises(ShapeError, match="skip"):
             bn(ag.constant(np.zeros((2, 3, 4, 4), np.float32)),
                ag.constant(np.zeros((2, 3, 2, 2), np.float32)))
+
+
+def bits(a):
+    """``a``'s bits, so that -0.0 and +0.0 differ."""
+    return None if a is None else a.view(np.uint64 if a.dtype == np.float64 else np.uint32)
+
+
+CHANNELS_CHUNK = nn._Channels.chunk
+
+
+def bn_in_blocks(monkeypatch, case, width, worker):
+    """One train-mode forward and backward of ``case`` = (shape, dtype, skip,
+    relu, requires_grad) in blocks of ``width`` channels (None: the default),
+    with ``worker`` as the conv worker: the bits of the output, dx, dskip,
+    dgamma, dbeta and the running statistics, and the threads that ran each
+    loop's blocks.  With a worker, each side's first block of a loop of
+    several waits until the other side has run one, so that both run blocks."""
+    shape, dtype, skip, relu, requires_grad = case
+    if width is not None:
+        plane = shape[0] * shape[2] * shape[3] * np.dtype(dtype).itemsize
+        monkeypatch.setattr(nn, "_BN_BLOCK_BYTES", width * plane)
+    monkeypatch.setattr(T, "_conv_worker", lambda: worker)
+    threads, chunk = {}, CHANNELS_CHUNK
+
+    def recorded(loop, k, buf):
+        ran, me = threads.setdefault(loop, []), threading.get_ident()
+        ran.append(me)
+        deadline = time.monotonic() + 30
+        while worker is not None and loop.count > 1 and set(ran) == {me}:
+            assert time.monotonic() < deadline, "the other side ran no block"
+            time.sleep(1e-4)
+        chunk(loop, k, buf)
+
+    monkeypatch.setattr(nn._Channels, "chunk", recorded)
+    bn, x, g = bn_case(shape, True, seed=31, dtype=dtype)
+    s = np.random.default_rng(32).normal(size=shape).astype(dtype)
+    xn, sn = ag.Node(x, requires_grad=requires_grad), ag.Node(s, requires_grad=True)
+    out = bn(xn, sn if skip else None, relu=relu)
+    ag.backward(ag.nsum(ag.mul(out, ag.constant(g))))
+    results = [bits(a) for a in (out.value, xn.grad, sn.grad if skip else None, bn.gamma.grad,
+                                 bn.beta.grad, bn.running_mean, bn.running_var)]
+    return results, [set(ran) for ran in threads.values()]
+
+
+class TestBatchNormBlocks:
+    """Train-mode batch norm runs its forward and its backward each as one
+    loop over blocks of whole channels, shared with the conv worker; no bit
+    of any result depends on the blocks or on which side ran them."""
+
+    @pytest.mark.parametrize("requires_grad", [True, False])
+    @pytest.mark.parametrize("skip,relu", [(False, False), (True, False), (False, True),
+                                           (True, True)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape,width", [
+        pytest.param((2, 7, 20, 20), 3, id="rows-3-3-1"),
+        pytest.param((3, 5, 7, 9), 2, id="planes-2-2-1"),
+        pytest.param((8, 9, 16, 16), 1, id="planes-of-256-1"),
+        pytest.param((8, 16, 64, 64), None, id="8x16x64x64"),
+        pytest.param((8, 8, 64, 64), None, id="8x8x64x64"),
+    ])
+    def test_worker_off_and_one_block_bitwise(self, monkeypatch, shape, width, dtype, skip,
+                                              relu, requires_grad):
+        case = shape, dtype, skip, relu, requires_grad
+        with ThreadPoolExecutor(1) as pool:
+            shared, threads = bn_in_blocks(monkeypatch, case, width, pool)
+        assert len(threads) == 2 and all(len(ran) == 2 for ran in threads)
+        alone, threads = bn_in_blocks(monkeypatch, case, width, None)
+        assert threads == [{threading.get_ident()}] * 2
+        one, _ = bn_in_blocks(monkeypatch, case, shape[1], None)
+        for name, *arrays in zip(("out", "dx", "dskip", "dgamma", "dbeta", "mean", "var"),
+                                 shared, alone, one):
+            assert all((a is None) == (arrays[0] is None) for a in arrays), name
+            assert arrays[0] is None or all(np.array_equal(a, arrays[0]) for a in arrays), name
+        assert (shared[1] is None) == (not requires_grad)
+
+    def test_a_failed_forward_writes_no_running_statistics(self, monkeypatch):
+        # gamma 1e38 overflows x̂·γ in the blocks of channels 8-15, of four
+        # blocks of four channels; the statistics are written after every block
+        bn, x, _ = bn_case((8, 16, 64, 64), True, seed=33, dtype=np.float32)
+        bn.gamma.value[8:] = 1e38
+        before = bn.running_mean.copy(), bn.running_var.copy()
+        with ThreadPoolExecutor(1) as pool:
+            tasks, submit = [], pool.submit
+            monkeypatch.setattr(pool, "submit", lambda *a: tasks.append(submit(*a)) or tasks[-1])
+            monkeypatch.setattr(T, "_conv_worker", lambda: pool)
+            with pytest.raises(NumericError), finite("the step"):
+                bn(ag.Node(x, requires_grad=True))
+            assert len(tasks) == 1 and tasks[0].done()
+        assert bn.running_mean.tobytes() == before[0].tobytes()
+        assert bn.running_var.tobytes() == before[1].tobytes()
 
 
 class TestResidualBlock:

@@ -5,7 +5,9 @@ blocks' gradients and the arrays they hold for backward, train-mode convs
 that hold no im2col layout and rebuild one per weight gradient, constant conv
 weights, folded or plain, kept for one evaluation pass."""
 
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import numpy.testing as npt
@@ -493,6 +495,35 @@ class TestTrainMode:
         # every node but the built weights holds an activation: a conv's or a pair's output
         held = sum(n.value.nbytes for n in order if ops.get(id(n)) not in (None, "kron_sum"))
         assert held == 2 * sum(n.value.nbytes for n in bns)
+
+    def test_a_train_step_in_batch_norm_blocks_is_bitwise(self, monkeypatch):
+        # every batch norm in blocks of one channel, shared with a worker,
+        # on the caller alone, and each as one block: the same step to the bit
+        rng = np.random.default_rng(47)
+        x = rng.normal(size=(8, 2, 24, 24)).astype(np.float32)
+        y = rng.integers(0, 2, size=(8, 1)).astype(np.float32)
+        chunk, off_the_caller = nn._Channels.chunk, []
+
+        def recorded(loop, k, buf):
+            off_the_caller.append(threading.get_ident() != threading.main_thread().ident)
+            chunk(loop, k, buf)
+
+        monkeypatch.setattr(nn._Channels, "chunk", recorded)
+        states = []
+        with ThreadPoolExecutor(1) as pool:
+            for worker, block_bytes in ((pool, 0), (None, 0), (None, nn._BN_BLOCK_BYTES)):
+                monkeypatch.setattr(T, "_conv_worker", lambda: worker)
+                monkeypatch.setattr(nn, "_BN_BLOCK_BYTES", block_bytes)
+                model = tiny_model(seed=48)
+                opt = nn.Adam(model.parameters(), lr=1e-3, weight_decay=5e-4)
+                ag.backward(nn.bce_with_logits(model(ag.constant(x)), y))
+                opt.step()
+                states.append([a.tobytes() for a in (*model.state_dict().values(),
+                                                     *opt._m, *opt._v)])
+                if worker is not None:
+                    shared = len(off_the_caller)  # the blocks of the shared step
+        assert states[0] == states[1] == states[2]
+        assert any(off_the_caller[:shared]) and not any(off_the_caller[shared:])
 
 
 def bench_phresnet():
