@@ -54,9 +54,6 @@ class Node:
     def ndim(self):
         return self.value.ndim
 
-    def __repr__(self):
-        return f"Node(shape={self.shape}, requires_grad={self.requires_grad})"
-
 
 def constant(value) -> Node:
     return Node(T.as_tensor(value), requires_grad=False)

@@ -1,8 +1,10 @@
 """Command-line entry point.
 
 Subcommands: gen-synthetic, train, eval, maps, inspect.  Runs are driven
-by a JSON config file (``config-version`` 1) with dot-path ``--set``
-overrides; machine-readable results go to stdout, diagnostics to stderr.
+by a JSON config file (``config-version`` 1; sections ``train``, ``data``
+with its ``manifest``, and ``model``; any other key is a configuration error)
+with dot-path ``--set`` overrides; machine-readable results go to stdout,
+diagnostics to stderr.
 
 BLAS runs on one thread unless the environment sets its thread count (see the
 package docstring), so outputs do not depend on the machine's core count.
@@ -106,6 +108,10 @@ def _load_config(path: str | None, overrides: list[str]) -> dict:
         if not isinstance(config.get(section, {}), dict):
             raise ConfigError(f"config section {section} is not an object: "
                               f"{config[section]!r}")
+    unknown = ([key for key in config if key not in ("config-version", "train", "data", "model")]
+               + [f"data.{key}" for key in config.get("data", {}) if key != "manifest"])
+    if unknown:
+        raise ConfigError(f"unknown config key {unknown[0]!r}")
     return config
 
 

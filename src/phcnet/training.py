@@ -156,16 +156,6 @@ class EvalResult:
         return out
 
 
-def summarize_runs(results: list[EvalResult]) -> dict:
-    """Mean +- standard deviation over repeated-seed evaluations."""
-    out = {}
-    for key in ("auc", "accuracy", "dice"):
-        vals = [getattr(r, key) for r in results if getattr(r, key) is not None]
-        if vals:
-            out[key] = {"mean": float(np.mean(vals)), "std": float(np.std(vals))}
-    return out
-
-
 # ---------------------------------------------------------------------------
 # in-memory stage datasets
 # ---------------------------------------------------------------------------

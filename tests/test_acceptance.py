@@ -4,7 +4,10 @@ Criteria 1-6 are exact algebraic/numerical checks and run in seconds.
 Criteria 7-12, the paper's claims as desk-scale training experiments on
 synthetic multi-view data, are not written yet (ROADMAP item 4); when they
 are, they will be marked ``slow`` (see ``pyproject.toml``), and
-``pytest -m "not slow"`` will run only the fast half.
+``pytest -m "not slow"`` will run only the fast half.  Each claim compares two
+models scored on the same held-out exams and is judged by :func:`claim_holds`,
+fixed here before any claim is run.  Criterion 15 is the exam's view symmetry,
+an exact check that needs no training.
 """
 
 import time
@@ -23,6 +26,20 @@ from phcnet import tensor as T
 from phcnet import training as TR
 
 PASS = "[acceptance] criterion {n}: PASS — {detail}"
+
+
+def claim_holds(runs) -> bool:
+    """Whether model a beats model b, from one ``metrics.auc_difference(a, b,
+    labels)`` pair (difference, standard error) per seed: every difference is
+    positive and their mean exceeds twice the mean standard error.
+
+    Every seed is scored on the same held-out exams, so the seeds' differences
+    are correlated, and a combined z, sum(d) / sqrt(sum(se**2)), which assumes
+    them independent, would overstate the evidence.  The standard deviation
+    of a mean is at most the mean of the standard deviations, so this rule
+    stays conservative under any correlation."""
+    diffs, ses = np.array(runs, dtype=np.float64).T
+    return bool((diffs > 0).all() and diffs.mean() > 2.0 * ses.mean())
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +226,19 @@ def test_criterion_5_metric_unit_vectors():
     print(PASS.format(n=5, detail="AUC/accuracy/Dice unit vectors exact"))
 
 
+@pytest.mark.parametrize("runs, holds", [
+    ([(0.5, 0.125), (0.25, 0.125)], True),
+    ([(1.0, 0.0), (0.125, 0.25)], True),      # judged on the means, not seed by seed
+    ([(0.25, 0.0), (0.5, 0.0)], True),        # se = 0: every positive difference wins
+    ([(0.0, 0.0), (0.5, 0.0)], False),        # a tie is not a win
+    ([(0.5, 0.125), (-0.25, 0.0)], False),    # one seed the other way
+    ([(0.25, 0.125), (0.25, 0.125)], False),  # the mean only equals 2 x the mean se
+    ([(0.25, 0.140625)] * 4, False),          # a combined z of 3.6 would pass it
+])
+def test_claim_rule(runs, holds):
+    assert claim_holds(runs) is holds
+
+
 # ---------------------------------------------------------------------------
 # 6. checkpoint integrity and transfer prefixes
 # ---------------------------------------------------------------------------
@@ -236,3 +266,65 @@ def test_criterion_6_checkpoint_integrity(tmp_path):
                                              before["encoder." + k[len("trunk."):]])}
     print(PASS.format(n=6, detail=f"bitwise round trip, {copied} tensors on the "
                                   "documented prefixes"))
+
+
+# ---------------------------------------------------------------------------
+# 15. the exam's view symmetry (PHResNet)
+# ---------------------------------------------------------------------------
+
+def _view_swapped(state):
+    """The state of the model that reads an exam with its two views swapped:
+    each A_i conjugated by the swap P (P A_i Pᵀ), every per-channel vector's
+    two halves swapped and the head's input columns swapped."""
+    def swap(v, axis=0):
+        return np.roll(v, v.shape[axis] // 2, axis=axis)
+
+    out = {}
+    for key, value in state.items():
+        if key.endswith(".A"):
+            out[key] = value[:, ::-1, ::-1].copy()
+        elif key == "head.weight":
+            out[key] = swap(value, axis=1)
+        elif key.endswith(".F") or key == "head.bias":
+            out[key] = value
+        else:
+            out[key] = swap(value)
+    return out
+
+
+def test_criterion_15_view_swap_oracle():
+    t0 = time.perf_counter()
+    cfg = MD.PHResNetConfig(n=2, blocks=(1, 1), width=8, refiners=1)
+    worst = {"eval": 0.0, "train": 0.0}
+    unconjugated = np.inf
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        model = MD.PHResNet(cfg, seed=seed)
+        state = model.state_dict()
+        for key, value in state.items():
+            if key.endswith((".A", ".gamma", ".beta", ".running_mean")):
+                value += (0.3 * rng.normal(size=value.shape)).astype(value.dtype)
+            elif key.endswith(".running_var"):
+                value[...] = rng.uniform(0.5, 1.5, size=value.shape)
+        model.load_state_dict(state)
+        swapped = MD.PHResNet(cfg, seed=seed)
+        swapped.load_state_dict(_view_swapped(state))
+        x = rng.normal(size=(4, 2, 24, 24)).astype(np.float32)
+        x_swapped = np.ascontiguousarray(x[:, ::-1])
+        for mode in ("eval", "train"):
+            model.train(mode == "train")
+            swapped.train(mode == "train")
+            logits = model(ag.constant(x)).value
+            delta = np.abs(swapped(ag.constant(x_swapped)).value - logits).max()
+            worst[mode] = max(worst[mode], float(delta))
+            if mode == "eval":
+                moved = np.abs(model(ag.constant(x_swapped)).value - logits).max()
+                unconjugated = min(unconjugated, float(moved))
+    elapsed = time.perf_counter() - t0
+    assert worst["eval"] < 1e-6 and worst["train"] < 2e-5, worst
+    assert unconjugated > 1e-2, unconjugated  # the swap alone does move the logits
+    assert elapsed < 10.0, elapsed
+    print(PASS.format(n=15, detail=f"PHResNet view swap, max |delta logit| "
+                                   f"{worst['eval']:.1e} eval, {worst['train']:.1e} "
+                                   f"train, unconjugated {unconjugated:.2f}, "
+                                   f"{elapsed:.1f}s"))

@@ -502,8 +502,12 @@ class TestInputErrors:
         (("train", "--config", "CFG", "--set",
           'model={"kind": "phunet", "width": 4, "depth": -1}'), "depth"),
         (("eval", "--checkpoint", "HEADS0"), "heads"),
+        (("train", "--config", "CFG", "--set", "trian.max_epochs=1"), "'trian'"),
+        (("train", "--config", "CFG", "--set", "=3"), "key ''"),
+        (("eval", "--checkpoint", "CKPT", "--set", "data.manifestt=x"), "'data.manifestt'"),
     ], ids=["train=5", "data=5", "list config", "eval train=5", "eval stage=[1]",
-            "phunet depth=-1", "checkpoint heads=0"])
+            "phunet depth=-1", "checkpoint heads=0", "unknown section",
+            "empty key", "unknown data key"])
     def test_bad_config_shape(self, workspace, checkpoint, capsys, tmp_path, argv, word):
         _, _, data_dir, cfg_path = workspace
         (tmp_path / "list.json").write_text("[]")

@@ -85,6 +85,81 @@ class TestAuc:
         assert M.auc(scores, labels) + M.auc(scores, 1 - labels) == pytest.approx(1.0)
 
 
+def brute_difference(a, b, labels):
+    """The paired DeLong difference and standard error from every
+    positive-negative pair: O(P*N), the reference for metrics.auc_difference."""
+    pos, neg = labels == 1, labels != 1
+
+    def components(s):
+        x, y = s[pos][:, None], s[neg][None, :]
+        kernel = (x > y) + 0.5 * (x == y)
+        return kernel.mean(axis=1), kernel.mean(axis=0)
+
+    (a10, a01), (b10, b01) = components(a), components(b)
+    var = np.var(a10 - b10, ddof=1) / a10.size + np.var(a01 - b01, ddof=1) / a01.size
+    return a10.mean() - b10.mean(), np.sqrt(var)
+
+
+def correlated_scores(rng, size=200, positives=90):
+    """Two correlated scorings of the same exams, with ties, ``a`` the sharper."""
+    labels = np.zeros(size, dtype=int)
+    labels[:positives] = 1
+    shared = rng.normal(size=size) + labels
+    a = np.round(shared + 0.5 * rng.normal(size=size), 1)
+    b = np.round(shared + rng.normal(size=size), 1)
+    return a, b, labels
+
+
+class TestAucDifference:
+    def test_difference_is_the_auc_difference_exactly(self):
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            size = int(rng.integers(4, 120))
+            a, b, labels = correlated_scores(rng, size, int(rng.integers(2, size - 1)))
+            assert M.auc_difference(a, b, labels)[0] == M.auc(a, labels) - M.auc(b, labels)
+
+    def test_standard_error_matches_the_pairwise_placements(self):
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            size = int(rng.integers(4, 80))
+            a, b, labels = correlated_scores(rng, size, int(rng.integers(2, size - 1)))
+            diff, se = M.auc_difference(a, b, labels)
+            ref_diff, ref_se = brute_difference(a, b, labels)
+            assert diff == pytest.approx(ref_diff, abs=1e-12)
+            assert se == pytest.approx(ref_se, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_standard_error_matches_a_paired_bootstrap(self, seed):
+        rng = np.random.default_rng(seed)
+        a, b, labels = correlated_scores(rng)
+        pos, neg = np.flatnonzero(labels == 1), np.flatnonzero(labels == 0)
+        diffs = []
+        for _ in range(2000):  # resampled within each class, the same exams for a and b
+            idx = np.concatenate([rng.choice(pos, pos.size), rng.choice(neg, neg.size)])
+            diffs.append(M.auc(a[idx], labels[idx]) - M.auc(b[idx], labels[idx]))
+        se = M.auc_difference(a, b, labels)[1]
+        assert abs(np.std(diffs, ddof=1) / se - 1.0) < 0.10
+
+    def test_identical_and_swapped_scorings(self):
+        a, b, labels = correlated_scores(np.random.default_rng(5))
+        assert M.auc_difference(a, a, labels) == (0.0, 0.0)
+        diff, se = M.auc_difference(a, b, labels)
+        assert diff != 0.0 and se > 0.0
+        assert M.auc_difference(b, a, labels) == (-diff, se)
+
+    @pytest.mark.parametrize("labels", [[1, 0, 0, 0], [1, 1, 1, 0]])
+    def test_a_class_of_one_exam_raises(self, labels):
+        with pytest.raises(MetricError, match="2 exams of each class"):
+            M.auc_difference([0.1, 0.4, 0.3, 0.2], [0.2, 0.1, 0.4, 0.3], labels)
+
+    def test_checks_each_scoring_as_auc_does(self):
+        labels = [1, 0, 1, 0]
+        with pytest.raises(ShapeError):
+            M.auc_difference([0.1, 0.4, 0.3, 0.2], [0.2, 0.1, 0.4], labels)
+        with pytest.raises(MetricError, match="finite"):
+            M.auc_difference([0.1, 0.4, 0.3, 0.2], [0.2, np.nan, 0.4, 0.3], labels)
+
+
 class TestAccuracy:
     def test_exact_match(self):
         assert M.accuracy([1.0, 0.0, 1.0], [1, 0, 1]) == 100.0

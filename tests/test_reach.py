@@ -16,8 +16,7 @@ KEPT = [
     "phc.hamilton_weight", "phc.hamilton_conv",              # the quaternion oracle
     "autograd.grad_check", "autograd.GradReport.passed",     # the gradient oracle
     "autograd.mul", "autograd.nsum",                         # the grad checks' losses
-    "training.summarize_runs",                               # repeated-seed reports
-    "autograd.Node.__repr__",
+    "metrics.auc_difference",                                # the claims' paired reports
     "cli._fail", "cli._exit_code_for",                       # error paths
 ]
 

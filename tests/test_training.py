@@ -225,13 +225,6 @@ class TestEvaluate:
         assert set(res.per_head) == {"auc", "accuracy"}
         assert len(res.per_head["auc"]) == 2
 
-    def test_summarize_runs(self):
-        rs = [TR.EvalResult(auc=0.8, accuracy=80.0),
-              TR.EvalResult(auc=0.9, accuracy=90.0)]
-        out = TR.summarize_runs(rs)
-        assert out["auc"]["mean"] == pytest.approx(0.85)
-        assert out["accuracy"]["std"] == pytest.approx(5.0)
-
 
 class TestMaps:
     def test_flat_maps_for_zero_model_constant_input(self, tmp_path):
