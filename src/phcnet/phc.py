@@ -13,8 +13,9 @@ real-valued convolution.  Both A and F are trained.  An eval-mode conv
 runs on constant arrays, :meth:`PHCConv2d.constants`, with an eval-mode
 batch norm folded in if one is given; :func:`eval_pass` builds them once.
 
-``hamilton_conv`` builds the explicit 4x4 sign-block weight and serves as
-the independent oracle the n=4 path is verified against.
+``hamilton_weight`` builds the explicit 4x4 sign-block weight and serves as
+the independent oracle the n=4 path is verified against; a quaternion conv
+by it is ``tensor.conv2d(x, hamilton_weight(...), bias, stride)``.
 """
 
 from __future__ import annotations
@@ -81,12 +82,13 @@ class PHCConv2d(Module):
     (n, out/n, in/n, k, k), so the layer holds n^3 + out*in*k*k/n
     weights against out*in*k*k for its real-valued counterpart.
 
-    The k x k kernel is padded by k // 2 ("same" padding for odd k).  F is
-    Kaiming-uniform over the materialized fan-in (in_channels*k*k); the
-    fixed-algebra scheme sets A to the canonical real/complex/quaternion sign
-    matrices (n in {1, 2, 4}), random-algebra draws A uniformly from
-    [-1/n, 1/n].  A stays trainable under both schemes.  In eval mode the
-    conv runs on the arrays of :meth:`constants`.
+    The k x k kernel is padded by k // 2 ("same" padding for odd k), as
+    ``tensor.conv2d`` pads every conv.  F is Kaiming-uniform over the
+    materialized fan-in (in_channels*k*k); the fixed-algebra scheme sets A
+    to the canonical real/complex/quaternion sign matrices (n in {1, 2, 4}),
+    random-algebra draws A uniformly from [-1/n, 1/n].  A stays trainable
+    under both schemes.  In eval mode the conv runs on the arrays of
+    :meth:`constants`.
     """
 
     def __init__(self, n, in_channels, out_channels, kernel_size, stride=1, bias=True,
@@ -138,7 +140,7 @@ class PHCConv2d(Module):
         """conv(x); in eval mode with the eval-mode batch norm ``bn`` folded in.
         Train mode takes no ``bn``: it runs as ``bn(conv(x))``."""
         w, b = (self.build_weight(), self.bias) if self.training else self.constants(bn)
-        return ag.conv2d(x, w, b, stride=self.stride, padding=self.kernel_size // 2)
+        return ag.conv2d(x, w, b, stride=self.stride)
 
 
 @contextlib.contextmanager
@@ -175,16 +177,3 @@ def hamilton_weight(w0, w1, w2, w3) -> np.ndarray:
         np.concatenate([w3, -w2, w1, w0], axis=1),
     ]
     return np.concatenate(rows, axis=0)
-
-
-def hamilton_conv(x, w0, w1, w2, w3, bias=None, stride=1, padding=0) -> np.ndarray:
-    """Quaternion convolution via the explicit block weight (test oracle)."""
-    x = T.as_tensor(x)
-    if x.shape[1] % 4:
-        raise ShapeError(f"hamilton_conv needs 4c input channels, got {x.shape[1]}")
-    weight = hamilton_weight(w0, w1, w2, w3)
-    if weight.shape[1] != x.shape[1]:
-        raise ShapeError(
-            f"hamilton_conv channel mismatch: weight {weight.shape[1]}, input {x.shape[1]}"
-        )
-    return T.conv2d(x, weight, bias, stride=stride, padding=padding)

@@ -5,12 +5,15 @@ Tensors are contiguous row-major ``numpy.ndarray`` values of dtype float32
 functions here are pure: they never mutate their inputs, and every shape
 violation raises a recoverable :class:`ShapeError`.
 
-``conv2d`` follows cross-correlation semantics (no kernel flip).  ``im2col``
-pads the input and splits it into the stride phases that some kernel tap
-reads, channel-major with the batch folded into one flat axis,
-(P, C, N*Hq*Wq).  Every kernel tap is then a contiguous shifted slice of one
-phase; the taps that read a phase are one kernel sub-grid, whose slices form
-one strided view of it.  A chunk loop (:class:`_Loop`) stacks them, one copy
+``conv2d`` follows cross-correlation semantics (no kernel flip) with one
+geometry, that of the PHC layers: a square k x k kernel, one integer stride
+for both axes and padding k // 2, worked out here, so an odd kernel keeps
+an H x W input at ceil(H / stride) x ceil(W / stride).  ``im2col`` pads the
+input and splits it into the stride phases that some kernel tap reads,
+channel-major with the batch folded into one flat axis, (P, C, N*Hq*Wq).
+Every kernel tap is then a contiguous shifted slice of one phase; the taps
+that read a phase are one kernel sub-grid, whose slices form one strided
+view of it.  A chunk loop (:class:`_Loop`) stacks them, one copy
 per phase and cache-sized chunk of columns, so each chunk is one GEMM over
 every tap, written straight into the output.  The backward stacks the output
 gradient per chunk of each phase: the input gradient writes its GEMM with
@@ -63,85 +66,47 @@ def as_tensor(x, dtype=None) -> np.ndarray:
     return arr
 
 
-def _pair(v) -> tuple[int, int]:
-    if np.isscalar(v):
-        return int(v), int(v)
-    a, b = v
-    return int(a), int(b)
-
-
-# ---------------------------------------------------------------------------
-# Kronecker product (test oracle for kron_sum)
-# ---------------------------------------------------------------------------
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of a rank-2 ``a`` with the two leading axes of ``b``.
-
-    ``a`` has shape (p, q); ``b`` has shape (r, s, *spatial) with the two
-    leading axes treated as output/input channel axes.  The result has shape
-    (p*r, q*s, *spatial):
-
-        out[i*r+u, j*s+v, ...] = a[i, j] * b[u, v, ...]
-    """
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim != 2:
-        raise ShapeError(f"kron: first operand must be rank-2, got rank {a.ndim}")
-    if b.ndim < 2:
-        raise ShapeError(f"kron: second operand must have rank >= 2, got rank {b.ndim}")
-    p, q = a.shape
-    r, s = b.shape[:2]
-    spatial = b.shape[2:]
-    out = np.einsum("ij,uv...->iujv...", a, b)
-    return np.ascontiguousarray(out.reshape(p * r, q * s, *spatial))
-
-
 # ---------------------------------------------------------------------------
 # convolution
 # ---------------------------------------------------------------------------
 
-def conv_output_shape(hw, khw, stride, padding) -> tuple[int, int]:
-    h, w = hw
-    kh, kw = khw
-    sh, sw = _pair(stride)
-    ph, pw = _pair(padding)
-    ho = (h + 2 * ph - kh) // sh + 1
-    wo = (w + 2 * pw - kw) // sw + 1
+def conv_output_shape(hw, k, stride) -> tuple[int, int]:
+    """(Ho, Wo) of a k x k conv at ``stride`` with padding k // 2."""
+    ho, wo = ((size + 2 * (k // 2) - k) // stride + 1 for size in hw)
     if ho < 1 or wo < 1:
-        raise ShapeError(
-            f"conv2d produces empty output: input {h}x{w}, kernel {kh}x{kw}, "
-            f"stride {(sh, sw)}, padding {(ph, pw)}"
-        )
+        raise ShapeError(f"conv2d produces empty output: input {hw[0]}x{hw[1]}, "
+                         f"kernel {k}x{k}, stride {stride}")
     return ho, wo
 
 
 @functools.lru_cache(maxsize=256)
-def _layout(x_shape, khw, stride, padding):
-    """Geometry of the im2col layout and of the kernel taps' slices of it.
+def _layout(x_shape, k, stride):
+    """Geometry of the im2col layout and of the kernel taps' slices of it,
+    for a k x k kernel at stride S, padded by p = k // 2.
 
-    Padded pixel (r, s) lands in phase (r % Sh, s % Sw) at grid position
-    (r // Sh, s // Sw) of an Hq x Wq grid per image.  Tap (i, j) of output
-    pixel (y, z) reads phase (i % Sh, j % Sw) at (y + i // Sh, z + j // Sw),
-    flat offset (i // Sh) * Wq + j // Sw; outputs sit at their own flat grid
+    Padded pixel (r, s) lands in phase (r % S, s % S) at grid position
+    (r // S, s // S) of an Hq x Wq grid per image.  Tap (i, j) of output
+    pixel (y, z) reads phase (i % S, j % S) at (y + i // S, z + j // S),
+    flat offset (i // S) * Wq + j // S; outputs sit at their own flat grid
     index, all below ``span``.  So phase (a, b) is read by the kernel
-    sub-grid ``[a::Sh, b::Sw]``, whose slices form one :func:`_grid`.  Per
+    sub-grid ``[a::S, b::S]``, whose slices form one :func:`_grid`.  Per
     phase that some tap reads (a strided 1x1 kernel reads one), ``phases``
     holds the input slice it stores and its place in the grid, and
     ``subgrids`` its kernel sub-grid, as slices.  The geometry depends on
     the shapes alone, so it is cached, as tuples that no caller can change.
     """
-    ho, wo = conv_output_shape(x_shape[2:], khw, stride, padding)
-    sh, sw = _pair(stride)
+    ho, wo = conv_output_shape(x_shape[2:], k, stride)
+    p, read = k // 2, range(min(stride, k))  # the phases that some tap reads
     axes = []
-    for size, s, p in zip(x_shape[2:], (sh, sw), _pair(padding)):
-        firsts = [(a - p) % s for a in range(s)]
-        axes.append((-(-(size + 2 * p) // s), [
-            (slice(y, None, s), slice((y + p) // s, (y + p) // s + len(range(y, size, s))))
+    for size in x_shape[2:]:
+        firsts = [(a - p) % stride for a in read]
+        axes.append((-(-(size + 2 * p) // stride), [
+            (slice(y, None, stride),
+             slice((y + p) // stride, (y + p) // stride + len(range(y, size, stride))))
             for y in firsts]))
     (hq, rows), (wq, cols) = axes
-    phases = tuple(((..., yi, zi), (..., yq, zq))
-                   for yi, yq in rows[: khw[0]] for zi, zq in cols[: khw[1]])
-    subgrids = tuple((slice(a, None, sh), slice(b, None, sw))
-                     for a in range(min(sh, khw[0])) for b in range(min(sw, khw[1])))
+    phases = tuple(((..., yi, zi), (..., yq, zq)) for yi, yq in rows for zi, zq in cols)
+    subgrids = tuple((slice(a, None, stride), slice(b, None, stride)) for a in read for b in read)
     span = (x_shape[0] - 1) * hq * wq + (ho - 1) * wq + wo
     return (ho, wo), (hq, wq), phases, span, subgrids
 
@@ -272,40 +237,40 @@ def _run(loops, split) -> None:
         theirs.result()
 
 
-def im2col(x: np.ndarray, khw, stride, padding) -> np.ndarray:
-    """Pad (N,C,H,W) and split it into the P stride phases that some tap
-    reads, (P, C, N*Hq*Wq).
+def im2col(x: np.ndarray, k, stride) -> np.ndarray:
+    """Pad (N,C,H,W) by k // 2 and split it into the P stride phases that
+    some tap of a k x k kernel reads, (P, C, N*Hq*Wq).
 
     Each input pixel that some tap reads is stored once, so the layout is at
     most the size of the padded input whatever the kernel.
     """
-    _, (hq, wq), phases, _, _ = _layout(x.shape, khw, stride, padding)
+    _, (hq, wq), phases, _, _ = _layout(x.shape, k, stride)
     out = np.zeros((len(phases), x.shape[1], x.shape[0], hq, wq), dtype=x.dtype)
     for grid, (src, dst) in zip(out, phases):
         grid[dst] = x[src].transpose(1, 0, 2, 3)
     return out.reshape(*out.shape[:2], -1)
 
 
-def col2im(cols: np.ndarray, x_shape, khw, stride, padding) -> np.ndarray:
+def col2im(cols: np.ndarray, x_shape, k, stride) -> np.ndarray:
     """Adjoint of im2col: fold the phases back into (N,C,H,W), dropping the padding.
 
     The pixels of a phase that no tap reads are 0.
     """
-    _, (hq, wq), phases, _, _ = _layout(x_shape, khw, stride, padding)
+    _, (hq, wq), phases, _, _ = _layout(x_shape, k, stride)
     grids = cols.reshape(*cols.shape[:2], x_shape[0], hq, wq)
-    img = (np.empty if len(phases) == np.prod(_pair(stride)) else np.zeros)(
-        x_shape, dtype=cols.dtype)
+    img = (np.empty if len(phases) == stride * stride else np.zeros)(x_shape, dtype=cols.dtype)
     for grid, (src, dst) in zip(grids, phases):
         img[src] = grid[dst].transpose(1, 0, 2, 3)
     return img
 
 
-def conv2d(x, weight, bias=None, stride=1, padding=0, keeps_graph=False) -> np.ndarray:
-    """2D cross-correlation of (N,Cin,H,W) with (Cout,Cin,Kh,Kw) filters.
+def conv2d(x, weight, bias=None, stride=1, keeps_graph=False) -> np.ndarray:
+    """2D cross-correlation of (N,Cin,H,W) with square (Cout,Cin,K,K)
+    filters at ``stride``, padded by K // 2.
 
     Every kernel tap's shifted slice of the im2col layout is stacked along K,
     in kernel order, so each cache-sized chunk of the flat phase grid is one
-    (Cout, Kh*Kw*Cin) GEMM written into the output, then cropped to (N,
+    (Cout, K*K*Cin) GEMM written into the output, then cropped to (N,
     Cout, Ho, Wo).  The taps of a stride phase, one kernel sub-grid, go into
     their sub-grid of the stack with one copy per chunk.
 
@@ -320,19 +285,21 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, keeps_graph=False) -> np.n
         raise ShapeError(
             f"conv2d expects rank-4 input and weight, got {x.ndim} and {weight.ndim}"
         )
-    cout, cin, kh, kw = weight.shape
+    cout, cin, k, kw = weight.shape
+    if kw != k:
+        raise ShapeError(f"conv2d needs a square kernel, got {k}x{kw}")
     if x.shape[1] != cin:
         raise ShapeError(f"conv2d channel mismatch: input {x.shape[1]}, weight {cin}")
     if bias is not None and np.shape(bias) != (cout,):
         raise ShapeError(f"conv2d bias shape {np.shape(bias)} != ({cout},)")
-    (ho, wo), (hq, wq), _, span, subgrids = _layout(x.shape, (kh, kw), stride, padding)
-    cols = im2col(x, (kh, kw), stride, padding)
+    (ho, wo), (hq, wq), _, span, subgrids = _layout(x.shape, k, stride)
+    cols = im2col(x, k, stride)
     dtype = np.result_type(cols, weight)
-    w_stack = weight.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin).astype(dtype, copy=False)
+    w_stack = weight.transpose(0, 2, 3, 1).reshape(cout, k * k * cin).astype(dtype, copy=False)
     grid = np.empty((cout, x.shape[0], hq, wq), dtype=dtype)
     grids = [(sub, _grid(phase, 0, (wq, 1), weight[0, 0][sub].shape, span))
              for sub, phase in zip(subgrids, cols)]
-    _run([_Loop((kh, kw), grids, span, dtype, w_stack, grid.reshape(cout, -1)[:, :span])],
+    _run([_Loop((k, k), grids, span, dtype, w_stack, grid.reshape(cout, -1)[:, :span])],
          keeps_graph)
     out = np.empty((x.shape[0], cout, ho, wo), dtype=dtype)
     crop = grid[:, :, :ho, :wo].transpose(1, 0, 2, 3)
@@ -340,7 +307,7 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, keeps_graph=False) -> np.n
     return out
 
 
-def conv2d_backward(g, x, weight, stride=1, padding=0, need_x=True, need_w=True):
+def conv2d_backward(g, x, weight, stride=1, need_x=True, need_w=True):
     """Input and weight gradients of conv2d at input x, given the output gradient.
 
     Each chunk of each layout phase p stacks g shifted back by the offsets of
@@ -358,8 +325,8 @@ def conv2d_backward(g, x, weight, stride=1, padding=0, need_x=True, need_w=True)
     depends on which thread computed a chunk, or on whether there is a
     worker at all.
     """
-    cout, cin, kh, kw = weight.shape
-    (ho, wo), (hq, wq), _, _, subgrids = _layout(x.shape, (kh, kw), stride, padding)
+    cout, cin, k, _ = weight.shape
+    (ho, wo), (hq, wq), _, _, subgrids = _layout(x.shape, k, stride)
     ws = [weight[:, :, a, b] for a, b in subgrids]
     # g on the flat grid, behind a zero margin as long as the largest tap
     # offset, that of phase (0, 0)'s last tap
@@ -368,7 +335,7 @@ def conv2d_backward(g, x, weight, stride=1, padding=0, need_x=True, need_w=True)
     padded = np.zeros((cout, margin + width), dtype=g.dtype)
     padded[:, margin:].reshape(cout, -1, hq, wq)[:, :, :ho, :wo] = g.transpose(1, 0, 2, 3)
     dtype = np.result_type(g, x, weight)
-    cols = im2col(x, (kh, kw), stride, padding) if need_w else [None] * len(ws)
+    cols = im2col(x, k, stride) if need_w else [None] * len(ws)
     g_cols = np.empty((len(ws), cin, width), dtype=dtype) if need_x else None
     # each phase's weights as (Cin, A*B*Cout) in F order, on which the GEMM's bits depend
     loops = [_Loop(w.shape[2:], [(..., _grid(padded, margin, (-wq, -1), w.shape[2:], width))],
@@ -377,7 +344,7 @@ def conv2d_backward(g, x, weight, stride=1, padding=0, need_x=True, need_w=True)
                    g_cols[p] if need_x else None, cols[p])
              for p, w in enumerate(ws)]
     _run(loops, True)
-    gx = col2im(g_cols, x.shape, (kh, kw), stride, padding) if need_x else None
+    gx = col2im(g_cols, x.shape, k, stride) if need_x else None
     if not need_w:
         return gx, None
     gw = np.empty(weight.shape, dtype=dtype)
@@ -390,22 +357,23 @@ def conv2d_backward(g, x, weight, stride=1, padding=0, need_x=True, need_w=True)
 
 
 def conv2d_naive(x, weight, bias=None, stride=1, padding=0) -> np.ndarray:
-    """Direct sliding-window convolution, kept as an independent test oracle."""
+    """Direct sliding-window convolution at any int ``stride`` and
+    ``padding``, kept as an independent test oracle: it shares no geometry
+    with :func:`conv2d`, its output extents included."""
     x, weight = as_tensor(x), as_tensor(weight)
     n, cin, h, w = x.shape
     cout, cin_w, kh, kw = weight.shape
     if cin != cin_w:
         raise ShapeError(f"conv2d channel mismatch: input {cin}, weight {cin_w}")
-    sh, sw = _pair(stride)
-    ph, pw = _pair(padding)
-    ho, wo = conv_output_shape((h, w), (kh, kw), stride, padding)
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    ho, wo = (h + 2 * padding - kh) // stride + 1, (w + 2 * padding - kw) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     out = np.zeros((n, cout, ho, wo), dtype=x.dtype)
     for b in range(n):
         for o in range(cout):
             for i in range(ho):
                 for j in range(wo):
-                    patch = xp[b, :, i * sh : i * sh + kh, j * sw : j * sw + kw]
+                    y, z = i * stride, j * stride
+                    patch = xp[b, :, y : y + kh, z : z + kw]
                     out[b, o, i, j] = np.sum(patch * weight[o])
     if bias is not None:
         out += as_tensor(bias)[None, :, None, None]

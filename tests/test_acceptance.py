@@ -7,7 +7,11 @@ are, they will be marked ``slow`` (see ``pyproject.toml``), and
 ``pytest -m "not slow"`` will run only the fast half.  Each claim compares two
 models scored on the same held-out exams and is judged by :func:`claim_holds`,
 fixed here before any claim is run.  Criterion 15 is the exam's view symmetry,
-an exact check that needs no training.
+an exact check that needs no training, for PHResNet (its two views swapped)
+and for PHYBOnet and PHYSEnet (their two sides swapped).  PHUNet is open: its
+decoder joins each skip by a plain channel concat, so the next PHC conv's
+channel groups are "skip" and "upsampled" rather than the two views, and a
+view swap is no group permutation there (ROADMAP item 19).
 """
 
 import time
@@ -62,8 +66,7 @@ def test_criterion_1_n1_degeneration():
         layer.A.value[...] = 1.0
         x = rng.normal(size=(n_batch, cin, h, w)).astype(np.float32)
         out = layer(ag.constant(x)).value
-        ref = T.conv2d(x, layer.F.value[0], layer.bias.value,
-                       stride=stride, padding=k // 2)
+        ref = T.conv2d(x, layer.F.value[0], layer.bias.value, stride=stride)
         worst = max(worst, float(np.abs(out - ref).max()))
     elapsed = time.perf_counter() - t0
     assert worst < 1e-6, worst
@@ -98,7 +101,7 @@ def test_criterion_2_quaternion_oracle():
         layer32.A.value[...] = phc.quaternion_algebra()
         layer32.F.value[...] = banks.astype(np.float32)
         out = layer32(ag.constant(x32)).value
-        ref = phc.hamilton_conv(x32, *banks.astype(np.float32), padding=k // 2)
+        ref = T.conv2d(x32, phc.hamilton_weight(*banks.astype(np.float32)))
         rel = float(np.abs(out - ref).max() / max(np.abs(ref).max(), 1e-6))
         worst_rel = max(worst_rel, rel)
     elapsed = time.perf_counter() - t0
@@ -269,26 +272,60 @@ def test_criterion_6_checkpoint_integrity(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# 15. the exam's view symmetry (PHResNet)
+# 15. the exam's view symmetry (PHResNet, PHYBOnet, PHYSEnet)
 # ---------------------------------------------------------------------------
 
-def _view_swapped(state):
-    """The state of the model that reads an exam with its two views swapped:
-    each A_i conjugated by the swap P (P A_i Pᵀ), every per-channel vector's
-    two halves swapped and the head's input columns swapped."""
-    def swap(v, axis=0):
-        return np.roll(v, v.shape[axis] // 2, axis=axis)
+def _perturbed(model, rng):
+    """Draw the model's algebras, batch-norm affines and running statistics
+    away from their initial values, so that no symmetry of the initial
+    state hides a wrong map; returns the new state."""
+    state = model.state_dict()
+    for key, value in state.items():
+        if key.endswith((".A", ".gamma", ".beta", ".running_mean")):
+            value += (0.3 * rng.normal(size=value.shape)).astype(value.dtype)
+        elif key.endswith(".running_var"):
+            value[...] = rng.uniform(0.5, 1.5, size=value.shape)
+    model.load_state_dict(state)
+    return state
 
+
+def _halves_swapped(key, value):
+    """A PHC layer's or a per-channel entry of the state of a layer whose
+    input and output channel groups' halves are swapped: each A_i conjugated
+    by that group permutation P (P A_i Pᵀ), F kept, and a per-channel
+    vector's halves swapped."""
+    if key.endswith(".A"):
+        perm = np.roll(np.arange(len(value)), len(value) // 2)
+        return value[:, perm][:, :, perm]
+    if key.endswith(".F"):
+        return value
+    return np.roll(value, len(value) // 2)
+
+
+def _view_swapped(state):
+    """The state of the PHResNet that reads an exam with its two views
+    swapped: every layer's halves swapped, and the head's input columns."""
+    return {key: (np.roll(value, value.shape[1] // 2, axis=1) if key == "head.weight"
+                  else value if key == "head.bias" else _halves_swapped(key, value))
+            for key, value in state.items()}
+
+
+TRADED = {"encoder_l": "encoder_r", "head_l": "head_r", "branch_l": "branch_r"}
+TRADED.update({right: left for left, right in TRADED.items()})
+
+
+def _sides_swapped(state):
+    """The state of the four-view model that reads an exam with its sides
+    swapped: each side's modules trade weights with the other side's, and
+    PHYBOnet's n=4 bottleneck and refiners, whose groups are [left | right],
+    have their halves swapped.  PHYSEnet's shared encoder stays."""
     out = {}
     for key, value in state.items():
-        if key.endswith(".A"):
-            out[key] = value[:, ::-1, ::-1].copy()
-        elif key == "head.weight":
-            out[key] = swap(value, axis=1)
-        elif key.endswith(".F") or key == "head.bias":
-            out[key] = value
+        top, rest = key.split(".", 1)
+        if top in TRADED:
+            out[f"{TRADED[top]}.{rest}"] = value
         else:
-            out[key] = swap(value)
+            out[key] = _halves_swapped(key, value) if top in ("bottleneck", "refiners") else value
     return out
 
 
@@ -300,13 +337,7 @@ def test_criterion_15_view_swap_oracle():
     for seed in range(3):
         rng = np.random.default_rng(seed)
         model = MD.PHResNet(cfg, seed=seed)
-        state = model.state_dict()
-        for key, value in state.items():
-            if key.endswith((".A", ".gamma", ".beta", ".running_mean")):
-                value += (0.3 * rng.normal(size=value.shape)).astype(value.dtype)
-            elif key.endswith(".running_var"):
-                value[...] = rng.uniform(0.5, 1.5, size=value.shape)
-        model.load_state_dict(state)
+        state = _perturbed(model, rng)
         swapped = MD.PHResNet(cfg, seed=seed)
         swapped.load_state_dict(_view_swapped(state))
         x = rng.normal(size=(4, 2, 24, 24)).astype(np.float32)
@@ -328,3 +359,46 @@ def test_criterion_15_view_swap_oracle():
                                    f"{worst['eval']:.1e} eval, {worst['train']:.1e} "
                                    f"train, unconjugated {unconjugated:.2f}, "
                                    f"{elapsed:.1f}s"))
+
+
+# width 4, one refiner, and the largest |delta logit| allowed in eval and in
+# train mode, fixed before the first run: PHYSEnet runs each side through its
+# shared encoder alone, so its logits must swap to the bit
+FOUR_VIEW = {
+    "PHYBOnet": (lambda seed: MD.PHYBOnet(
+        MD.PHYBOnetConfig(width=4, blocks=(1, 1, 1, 1), refiners=1), seed=seed), 1e-5, 5e-5),
+    "PHYSEnet": (lambda seed: MD.PHYSEnet(
+        MD.PHYSEnetConfig(width=4, blocks=(1, 1), refiners=1), seed=seed), 0.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("name", FOUR_VIEW)
+def test_criterion_15_side_swap_oracle(name):
+    t0 = time.perf_counter()
+    build, *bounds = FOUR_VIEW[name]
+    worst = {"eval": 0.0, "train": 0.0}
+    unmapped = np.inf
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        model = build(seed)
+        state = _perturbed(model, rng)
+        swapped = build(seed)
+        swapped.load_state_dict(_sides_swapped(state))
+        x = rng.normal(size=(3, 4, 32, 32)).astype(np.float32)
+        x_swapped = np.ascontiguousarray(x[:, [2, 3, 0, 1]])
+        for mode in ("eval", "train"):
+            model.train(mode == "train")
+            swapped.train(mode == "train")
+            logits = model(ag.constant(x)).value[:, ::-1]  # right, then left
+            delta = np.abs(swapped(ag.constant(x_swapped)).value - logits).max()
+            worst[mode] = max(worst[mode], float(delta))
+            if mode == "eval":
+                moved = np.abs(model(ag.constant(x_swapped)).value - logits).max()
+                unmapped = min(unmapped, float(moved))
+    elapsed = time.perf_counter() - t0
+    assert worst["eval"] <= bounds[0] and worst["train"] <= bounds[1], worst
+    assert unmapped > 1e-2, unmapped  # the swap alone does move the logits
+    assert elapsed < 10.0, elapsed
+    print(PASS.format(n=15, detail=f"{name} side swap, max |delta logit| "
+                                   f"{worst['eval']:.1e} eval, {worst['train']:.1e} "
+                                   f"train, unmapped {unmapped:.2f}, {elapsed:.1f}s"))

@@ -60,7 +60,7 @@ class TestBackwardBasics:
         w = leaf(rng.normal(size=(3, 2, 3, 3)))
 
         def f():
-            return ag.nsum(ag.conv2d(x, w, stride=1, padding=1))
+            return ag.nsum(ag.conv2d(x, w, stride=1))
 
         report = ag.grad_check(f, {"w": w}, h=1e-6, tol=1e-5)
         assert report.passed, report.per_param
@@ -72,7 +72,7 @@ class TestBackwardBasics:
             rng = np.random.default_rng(42)
             x = leaf(rng.normal(size=(2, 2, 5, 5)))
             w = leaf(rng.normal(size=(2, 2, 3, 3)))
-            out = ag.relu(ag.conv2d(x, w, padding=1))
+            out = ag.relu(ag.conv2d(x, w))
             ag.backward(ag.nsum(ag.mul(out, out)))
             grads.append((x.grad.copy(), w.grad.copy()))
         assert np.array_equal(grads[0][0], grads[1][0])
@@ -133,8 +133,7 @@ class TestOpGradients:
                                               ag.reshape(b, (4, 32)))),
             "mean": lambda: ag.nmean(ag.mul(a, b)),
             "conv_strided": lambda: ag.nsum(
-                ag.conv2d(a, leaf_cache["cw"], leaf_cache["cb"],
-                          stride=2, padding=1)
+                ag.conv2d(a, leaf_cache["cw"], leaf_cache["cb"], stride=2)
             ),
         }
         leaf_cache = {

@@ -1,6 +1,6 @@
-"""PHC layers: weight construction against hand Kronecker sums and the
-Hamilton-product oracle, the parameter law, degeneration to real layers,
-initialization schemes, differentiability in A and F."""
+"""PHC layers: weight construction against hand Kronecker sums, numpy's
+np.kron and the Hamilton-product oracle, the parameter law, degeneration to
+real layers, initialization schemes, differentiability in A and F."""
 
 import numpy as np
 import numpy.testing as npt
@@ -38,6 +38,15 @@ class TestBuildWeight:
             oracle = phc.hamilton_weight(f[0], f[1], f[2], f[3])
             npt.assert_array_equal(built, oracle)  # exact, binary64
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_kron_sum_matches_numpy_kron(self, n, k):
+        # numpy's Kronecker product shares no index layout with kron_sum's einsum
+        rng = np.random.default_rng(10 * n + k)
+        a, f = rng.normal(size=(n, n, n)), rng.normal(size=(n, 2, 3, k, k))
+        expected = sum(np.kron(a[i][:, :, None, None], f[i]) for i in range(n))
+        npt.assert_array_equal(ag.kron_sum(a, f).value, expected)
+
     def test_linear_in_each_filter_bank(self):
         rng = np.random.default_rng(1)
         layer = phc.PHCConv2d(2, 4, 4, 3, seed=5)
@@ -67,17 +76,17 @@ class TestForward:
         layer.A.value[...] = 1.0
         x = rng.normal(size=(2, 3, 9, 9)).astype(np.float32)
         out = layer(ag.constant(x)).value
-        ref = T.conv2d(x, layer.F.value[0], layer.bias.value, stride=2, padding=1)
+        ref = T.conv2d(x, layer.F.value[0], layer.bias.value, stride=2)
         assert np.abs(out - ref).max() < 1e-6
 
-    def test_n4_matches_hamilton_conv(self):
+    def test_n4_matches_the_hamilton_weight(self):
         rng = np.random.default_rng(3)
         layer = phc.PHCConv2d(4, 8, 4, 3, bias=False, seed=4)
         layer.A.value[...] = phc.quaternion_algebra()
         x = rng.normal(size=(2, 8, 6, 6)).astype(np.float32)
         out = layer(ag.constant(x)).value
         f = layer.F.value
-        ref = phc.hamilton_conv(x, f[0], f[1], f[2], f[3], padding=1)
+        ref = T.conv2d(x, phc.hamilton_weight(f[0], f[1], f[2], f[3]))
         scale = max(np.abs(ref).max(), 1.0)
         assert np.abs(out - ref).max() / scale < 1e-6
 
@@ -94,32 +103,33 @@ class TestHamiltonConv:
         w0 = rng.normal(size=(2, 1, 3, 3))
         zero = np.zeros_like(w0)
         x = rng.normal(size=(1, 4, 5, 5))
-        out = phc.hamilton_conv(x, w0, zero, zero, zero, padding=1)
+        out = T.conv2d(x, phc.hamilton_weight(w0, zero, zero, zero))
         for comp in range(4):
-            ref = T.conv2d(x[:, comp : comp + 1], w0, padding=1)
+            ref = T.conv2d(x[:, comp : comp + 1], w0)
             npt.assert_allclose(out[:, 2 * comp : 2 * comp + 2], ref, atol=1e-6)
 
     def test_quaternion_identity_kernel(self):
         x = np.random.default_rng(6).normal(size=(2, 4, 4, 4))
         one = np.ones((1, 1, 1, 1))
         zero = np.zeros((1, 1, 1, 1))
-        out = phc.hamilton_conv(x, one, zero, zero, zero)
+        out = T.conv2d(x, phc.hamilton_weight(one, zero, zero, zero))
         npt.assert_allclose(out, x, atol=1e-7)
 
     def test_dual_construction_agreement(self):
         rng = np.random.default_rng(7)
         banks = rng.normal(size=(4, 3, 2, 3, 3))
-        weight = T.kron(phc.quaternion_algebra()[0], banks[0])
-        for i in range(1, 4):
-            weight = weight + T.kron(phc.quaternion_algebra()[i], banks[i])
+        # sum_i A_i (x) F_i by numpy's Kronecker product, against the sign blocks
+        weight = sum(np.kron(a[:, :, None, None], f)
+                     for a, f in zip(phc.quaternion_algebra(), banks))
         x = rng.normal(size=(2, 8, 6, 6))
-        via_weight = T.conv2d(x, weight, padding=1)
-        via_oracle = phc.hamilton_conv(x, *banks, padding=1)
+        via_weight = T.conv2d(x, weight)
+        via_oracle = T.conv2d(x, phc.hamilton_weight(*banks))
         npt.assert_allclose(via_weight, via_oracle, rtol=1e-6, atol=1e-6)
 
     def test_channel_constraint(self):
+        # four banks of c input channels read 4c: 6 channels fit no bank width
         with pytest.raises(ShapeError):
-            phc.hamilton_conv(np.ones((1, 6, 4, 4)), *np.ones((4, 1, 1, 3, 3)))
+            T.conv2d(np.ones((1, 6, 4, 4)), phc.hamilton_weight(*np.ones((4, 1, 1, 3, 3))))
 
 
 class TestParamCounting:
@@ -205,5 +215,5 @@ class TestDifferentiability:
         layer.A.value[...] = -1.7
         x = rng.normal(size=(2, 2, 6, 6)).astype(np.float32)
         out = layer(ag.constant(x)).value
-        ref = T.conv2d(x, -1.7 * layer.F.value[0], padding=1)
+        ref = T.conv2d(x, -1.7 * layer.F.value[0])
         npt.assert_allclose(out, ref, rtol=1e-5, atol=1e-6)

@@ -326,7 +326,7 @@ def unfolded_block(block, x):
     def conv_bn(conv, bn, h):
         a, b = (v.astype(h.dtype)[None, :, None, None] for v in bn.affine())
         w = conv.build_weight().value
-        return T.conv2d(h, w, stride=conv.stride, padding=conv.kernel_size // 2) * a + b
+        return T.conv2d(h, w, stride=conv.stride) * a + b
 
     skip = x if block.proj is None else conv_bn(block.proj, block.proj_bn, x)
     h = np.maximum(conv_bn(block.phc1, block.bn1, x), 0)
@@ -559,11 +559,11 @@ class TestConvHoldsNoLayout:
         rng = np.random.default_rng(51)
         x = ag.Node(rng.normal(size=(8, 16, 64, 64)).astype(np.float32), requires_grad=True)
         w = ag.Node(rng.normal(size=(16, 16, 3, 3)).astype(np.float32), requires_grad=True)
-        ag.conv2d(x, w, padding=1)
-        layout = T.im2col(x.value, (3, 3), 1, 1).nbytes
+        ag.conv2d(x, w)
+        layout = T.im2col(x.value, 3, 1).nbytes
         slack = 1 << 16  # the node and its rule; a layout is 2.2 MB
         assert slack < layout
-        node, held = traced_bytes(lambda: ag.conv2d(x, w, padding=1))
+        node, held = traced_bytes(lambda: ag.conv2d(x, w))
         assert node.value.nbytes <= held < node.value.nbytes + slack
 
     def test_phresnet_holds_node_values_only(self):
@@ -581,7 +581,7 @@ class TestConvHoldsNoLayout:
         # nodes, rules and per-channel statistics; the stem's layout, the
         # smallest of any conv over an image plane, is 272 KiB
         slack = 1 << 18
-        assert slack < T.im2col(x.value, (3, 3), 1, 1).nbytes
+        assert slack < T.im2col(x.value, 3, 1).nbytes
         assert values <= held < values + slack
 
     def test_train_step_rebuilds_layouts_for_weight_gradients_only(self, monkeypatch):
