@@ -5,6 +5,7 @@ real layers, initialization schemes, differentiability in A and F."""
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phcnet import autograd as ag
 from phcnet import phc
@@ -67,6 +68,60 @@ class TestBuildWeight:
             phc.PHCConv2d(2, 3, 4, 3)
         with pytest.raises(ConfigError):
             phc.PHCConv2d(4, 8, 6, 3)
+
+
+def kron(a, b):
+    """One Kronecker product, as a one-term ``kron_sum``."""
+    return ag.kron_sum(np.asarray(a)[None], np.asarray(b)[None]).value
+
+
+class TestKronSum:
+    """A one-term ``kron_sum`` against the Kronecker product written out by
+    hand, which shares nothing with its einsum."""
+
+    def test_identity_block_diagonal(self):
+        a = np.eye(2)
+        b = np.array([[5.0, 6.0], [7.0, 8.0]])
+        expected = [[5, 6, 0, 0], [7, 8, 0, 0], [0, 0, 5, 6], [0, 0, 7, 8]]
+        npt.assert_array_equal(kron(a, b), expected)
+
+    def test_swap_matrix(self):
+        # hand-applied Kronecker definition, entry by entry
+        a = np.array([[0.0, 1.0], [1.0, 0.0]])
+        b = np.array([[1.0, 2.0], [3.0, 4.0]])
+        expected = [[0, 0, 1, 2], [0, 0, 3, 4], [1, 2, 0, 0], [3, 4, 0, 0]]
+        npt.assert_array_equal(kron(a, b), expected)
+
+    def test_scalar_scaling(self):
+        npt.assert_array_equal(kron([[2.0]], np.ones((2, 2))), np.full((2, 2), 2.0))
+
+    def test_trailing_spatial_dims_carried(self):
+        a = np.array([[1.0, 0.0], [0.0, 1.0]])
+        b = np.arange(24.0).reshape(2, 3, 2, 2)
+        out = kron(a, b)
+        assert out.shape == (4, 6, 2, 2)
+        npt.assert_array_equal(out[:2, :3], b)
+        npt.assert_array_equal(out[2:, 3:], b)
+        npt.assert_array_equal(out[:2, 3:], 0)
+
+    def test_rank1_rejected(self):
+        with pytest.raises(ShapeError):
+            kron(np.eye(2), np.ones(3))
+
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(0, 7))
+    @settings(max_examples=25, deadline=None)
+    def test_associativity_integer_exact(self, p, q, r, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.integers(-3, 4, size=(p, p)).astype(np.float64)
+        b = rng.integers(-3, 4, size=(q, q)).astype(np.float64)
+        c = rng.integers(-3, 4, size=(r, r)).astype(np.float64)
+        npt.assert_array_equal(kron(a, kron(b, c)), kron(kron(a, b), c))
+
+    def test_block_diagonal_copies(self):
+        f = np.random.default_rng(0).normal(size=(3, 3))
+        out = kron(np.eye(4), f)
+        for i in range(4):
+            npt.assert_array_equal(out[3 * i : 3 * i + 3, 3 * i : 3 * i + 3], f)
 
 
 class TestForward:

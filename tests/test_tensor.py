@@ -34,6 +34,16 @@ CONV_CASES = [
     # narrower than the stride: phases (0, 1), (1, 0) and (1, 1) are unread
     pytest.param((2, 4, 7, 7), (3, 4, 1, 1), 2, id="k1-s2"),
     pytest.param((1, 3, 6, 6), (2, 3, 3, 3), 2, id="batch1"),
+    # each of the nine phases holds one tap
+    pytest.param((2, 3, 8, 10), (4, 3, 3, 3), 3, id="k3-s3"),
+    # phases of 2 x 2, 2 x 1, 1 x 2 and 1 x 1 taps
+    pytest.param((2, 2, 11, 9), (3, 2, 5, 5), 3, id="k5-s3"),
+    # a stride beyond the kernel: 7 of the 16 phases are unread
+    pytest.param((2, 3, 9, 10), (4, 3, 3, 3), 4, id="k3-s4"),
+    pytest.param((2, 2, 6, 7), (3, 2, 7, 7), 2, id="k7-s2"),
+    # a kernel wider than the plane: most taps read only padding
+    pytest.param((2, 2, 3, 4), (3, 2, 5, 5), 1, id="k5-plane-3x4"),
+    pytest.param((3, 4, 1, 1), (2, 4, 3, 3), 1, id="plane-1x1"),
 ]
 
 
