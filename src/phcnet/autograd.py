@@ -219,8 +219,8 @@ def linear(x, w, b) -> Node:
 
 
 def conv2d(x, w, b=None, stride=1) -> Node:
-    """Differentiable tensor.conv2d: a square k x k kernel ``w`` at ``stride``,
-    padded by k // 2 (a non-square kernel raises ShapeError).  The node keeps
+    """Differentiable tensor.conv2d: a square, odd k x k kernel ``w`` at an
+    integer ``stride`` >= 1, padded by k // 2 (else ShapeError).  The node keeps
     no im2col layout: only a weight gradient needs one, and the rule rebuilds
     it from ``x.value``, so nothing may write x between forward and backward.
     Only a conv that keeps a graph may share its forward with the conv worker

@@ -9,7 +9,9 @@ where the n algebra matrices A (n x n each) encode how the n filter banks
 F are arranged across input/output channel blocks.  With the fixed
 quaternion algebra and n=4 this reproduces the Hamilton-product sign block
 structure exactly; with n=1 and A=[[1]] it degenerates to an ordinary
-real-valued convolution.  Both A and F are trained.  An eval-mode conv
+real-valued convolution.  Both A and F are trained, A from the units of
+``_FIXED_ALGEBRAS`` or at random.  A PHC conv is a "same" conv: an odd
+kernel, padded by k // 2 (``tensor._layout`` checks it).  An eval-mode conv
 runs on constant arrays, :meth:`PHCConv2d.constants`, with an eval-mode
 batch norm folded in if one is given; :func:`eval_pass` builds them once.
 
@@ -27,48 +29,35 @@ import numpy as np
 
 from . import autograd as ag
 from . import tensor as T
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, in_range
 from .module import Module, Parameter
 
 _pass_constants = None  # {(conv, bn): (w, b)} inside eval_pass, else None
 
 
-def real_algebra() -> np.ndarray:
-    return np.ones((1, 1, 1), dtype=np.float32)
-
-
-def complex_algebra() -> np.ndarray:
-    """2x2 matrix representation of multiplication by 1 and by i."""
-    a = np.zeros((2, 2, 2), dtype=np.float32)
-    a[0] = np.eye(2)
-    a[1] = [[0.0, -1.0], [1.0, 0.0]]
-    return a
-
-
-def quaternion_algebra() -> np.ndarray:
-    """Left-multiplication matrices of 1, i, j, k.
-
-    Substituted as A with n=4, these reproduce the quaternion convolution
-    sign block pattern
-        [[W0, -W1, -W2, -W3],
-         [W1,  W0, -W3,  W2],
-         [W2,  W3,  W0, -W1],
-         [W3, -W2,  W1,  W0]].
-    """
-    a = np.zeros((4, 4, 4), dtype=np.float32)
-    a[0] = np.eye(4)
-    a[1] = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
-    a[2] = [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]]
-    a[3] = [[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]
-    return a
-
-
-_FIXED_ALGEBRAS = {1: real_algebra, 2: complex_algebra, 4: quaternion_algebra}
+# The left-multiplication matrices of the units 1; 1, i; and 1, i, j, k of
+# the real numbers, the complex numbers and the quaternions.  Substituted as
+# A with n=4, the quaternion units reproduce the quaternion convolution sign
+# block pattern
+#     [[W0, -W1, -W2, -W3],
+#      [W1,  W0, -W3,  W2],
+#      [W2,  W3,  W0, -W1],
+#      [W3, -W2,  W1,  W0]].
+_FIXED_ALGEBRAS = {
+    1: [[[1]]],
+    2: [[[1, 0], [0, 1]],
+        [[0, -1], [1, 0]]],
+    4: [[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
+        [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]],
+        [[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]],
+}
 
 
 def fixed_algebra(n: int) -> np.ndarray:
+    """The (n, n, n) float32 units of the fixed algebra of order n in {1, 2, 4}."""
     try:
-        return _FIXED_ALGEBRAS[n]()
+        return np.array(_FIXED_ALGEBRAS[n], dtype=np.float32)
     except KeyError:
         raise ConfigError(
             f"no fixed algebra for n={n}; supported: {sorted(_FIXED_ALGEBRAS)}"
@@ -82,8 +71,9 @@ class PHCConv2d(Module):
     (n, out/n, in/n, k, k), so the layer holds n^3 + out*in*k*k/n
     weights against out*in*k*k for its real-valued counterpart.
 
-    The k x k kernel is padded by k // 2 ("same" padding for odd k), as
-    ``tensor.conv2d`` pads every conv.  F is Kaiming-uniform over the
+    The k x k kernel must be odd: it is padded by k // 2 ("same" padding),
+    as ``tensor.conv2d`` pads every conv, and an even one raises ShapeError
+    in the forward.  F is Kaiming-uniform over the
     materialized fan-in (in_channels*k*k); the fixed-algebra scheme sets A
     to the canonical real/complex/quaternion sign matrices (n in {1, 2, 4}),
     random-algebra draws A uniformly from [-1/n, 1/n].  A stays trainable
@@ -103,7 +93,7 @@ class PHCConv2d(Module):
         self.n = n
         self.in_channels = in_channels
         self.out_channels = out_channels
-        self.kernel_size = k = kernel_size
+        self.kernel_size = k = in_range(ConfigError, "kernel_size", kernel_size, 1)
         self.stride = stride
         rng = np.random.default_rng(seed)
         bound = math.sqrt(6.0 / (in_channels * k * k))

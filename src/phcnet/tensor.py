@@ -6,22 +6,23 @@ functions here are pure: they never mutate their inputs, and every shape
 violation raises a recoverable :class:`ShapeError`.
 
 ``conv2d`` follows cross-correlation semantics (no kernel flip) with one
-geometry, that of the PHC layers: a square k x k kernel, one integer stride
-for both axes and padding k // 2, worked out here, so an odd kernel keeps
-an H x W input at ceil(H / stride) x ceil(W / stride).  ``im2col`` pads the
-input and splits it into the stride phases that some kernel tap reads,
-channel-major with the batch folded into one flat axis, (P, C, N*Hq*Wq).
-Every kernel tap is then a contiguous shifted slice of one phase; the taps
-that read a phase are one kernel sub-grid, whose slices form one strided
-view of it.  A chunk loop (:class:`_Loop`) stacks them, one copy
-per phase and cache-sized chunk of columns, so each chunk is one GEMM over
-every tap, written straight into the output.  The backward stacks the output
-gradient per chunk of each phase: the input gradient writes its GEMM with
-the sub-grid's weights into that phase, and the weight gradient adds the
-stack's product with the same chunk of the layout, rebuilt from the input,
-to the sub-grid's rows.  All are computed on the padded grid and cropped;
-``col2im``, the exact adjoint of ``im2col``, folds an input gradient back.
-``conv2d_naive`` is the sliding-window reference kept as a test oracle.
+geometry, that of the PHC layers: a square, odd k x k kernel, one integer
+stride for both axes and padding k // 2, derived and checked in ``_layout``
+alone, so an H x W input gives ceil(H / stride) x ceil(W / stride).
+``im2col`` pads the input and splits it into the stride phases that some
+kernel tap reads, channel-major with the batch folded into one flat axis,
+(P, C, N*Hq*Wq).  Every kernel tap is then a contiguous shifted slice of
+one phase; the taps that read a phase are one kernel sub-grid, whose slices
+form one strided view of it.  A chunk loop (:class:`_Loop`) stacks them,
+one copy per phase and cache-sized chunk of columns, so each chunk is one
+GEMM over every tap, written straight into the output.  The backward stacks
+the output gradient per chunk of each phase: the input gradient writes its
+GEMM with the sub-grid's weights into that phase, and the weight gradient
+adds the stack's product with the same chunk of the layout, rebuilt from
+the input, to the sub-grid's rows.  All are computed on the padded grid and
+cropped; ``col2im``, the exact adjoint of ``im2col``, folds an input
+gradient back.  ``conv2d_naive`` is the sliding-window reference kept as a
+test oracle.
 
 A process that may run on two or more CPUs starts one conv worker thread,
 which joins the conv loops that keep a graph: the forward of a train step
@@ -49,7 +50,7 @@ from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ShapeError, in_range
 
 DEFAULT_DTYPE = np.float32
 SUPPORTED_DTYPES = (np.float32, np.float64)
@@ -70,19 +71,12 @@ def as_tensor(x, dtype=None) -> np.ndarray:
 # convolution
 # ---------------------------------------------------------------------------
 
-def conv_output_shape(hw, k, stride) -> tuple[int, int]:
-    """(Ho, Wo) of a k x k conv at ``stride`` with padding k // 2."""
-    ho, wo = ((size + 2 * (k // 2) - k) // stride + 1 for size in hw)
-    if ho < 1 or wo < 1:
-        raise ShapeError(f"conv2d produces empty output: input {hw[0]}x{hw[1]}, "
-                         f"kernel {k}x{k}, stride {stride}")
-    return ho, wo
-
-
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=256, typed=True)
 def _layout(x_shape, k, stride):
     """Geometry of the im2col layout and of the kernel taps' slices of it,
-    for a k x k kernel at stride S, padded by p = k // 2.
+    for a k x k kernel at stride S, padded by p = k // 2, and its one check:
+    an odd k (so the output is ceil(H / S) x ceil(W / S)), an integer S >= 1
+    and a non-empty output, or ShapeError.
 
     Padded pixel (r, s) lands in phase (r % S, s % S) at grid position
     (r // S, s // S) of an Hq x Wq grid per image.  Tap (i, j) of output
@@ -93,9 +87,16 @@ def _layout(x_shape, k, stride):
     phase that some tap reads (a strided 1x1 kernel reads one), ``phases``
     holds the input slice it stores and its place in the grid, and
     ``subgrids`` its kernel sub-grid, as slices.  The geometry depends on
-    the shapes alone, so it is cached, as tuples that no caller can change.
+    the shapes alone, so it is cached (typed: a stride of True or 1.0 is
+    not 1), as tuples that no caller can change.
     """
-    ho, wo = conv_output_shape(x_shape[2:], k, stride)
+    conv = f"a {k}x{k} conv on input {x_shape}"
+    in_range(ShapeError, f"the stride of {conv}", stride, 1)
+    if k < 1 or k % 2 != 1:
+        raise ShapeError(f"{conv} needs an odd kernel, to keep the map's size")
+    ho, wo = (-(-size // stride) for size in x_shape[2:])
+    if 0 in (x_shape[0], ho, wo):
+        raise ShapeError(f"{conv} at stride {stride} produces an empty output")
     p, read = k // 2, range(min(stride, k))  # the phases that some tap reads
     axes = []
     for size in x_shape[2:]:
@@ -266,7 +267,8 @@ def col2im(cols: np.ndarray, x_shape, k, stride) -> np.ndarray:
 
 def conv2d(x, weight, bias=None, stride=1, keeps_graph=False) -> np.ndarray:
     """2D cross-correlation of (N,Cin,H,W) with square (Cout,Cin,K,K)
-    filters at ``stride``, padded by K // 2.
+    filters at ``stride``, padded by K // 2.  This checks the operands;
+    :func:`_layout` checks the geometry.
 
     Every kernel tap's shifted slice of the im2col layout is stacked along K,
     in kernel order, so each cache-sized chunk of the flat phase grid is one

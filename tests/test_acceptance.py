@@ -90,7 +90,7 @@ def test_criterion_2_quaternion_oracle():
         banks = rng.normal(size=(4, d, c, k, k))
         layer = phc.PHCConv2d(4, 4 * c, 4 * d, k, bias=False, seed=trial,
                               dtype=np.float64)
-        layer.A.value[...] = phc.quaternion_algebra()
+        layer.A.value[...] = phc.fixed_algebra(4)
         layer.F.value[...] = banks
         built = layer.build_weight().value
         oracle = phc.hamilton_weight(*banks)
@@ -98,7 +98,7 @@ def test_criterion_2_quaternion_oracle():
 
         x32 = rng.normal(size=(2, 4 * c, 7, 7)).astype(np.float32)
         layer32 = phc.PHCConv2d(4, 4 * c, 4 * d, k, bias=False, seed=trial)
-        layer32.A.value[...] = phc.quaternion_algebra()
+        layer32.A.value[...] = phc.fixed_algebra(4)
         layer32.F.value[...] = banks.astype(np.float32)
         out = layer32(ag.constant(x32)).value
         ref = T.conv2d(x32, phc.hamilton_weight(*banks.astype(np.float32)))

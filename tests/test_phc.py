@@ -22,7 +22,7 @@ class TestBuildWeight:
     def test_n2_hand_kronecker_sum(self):
         # A0=I, A1=[[0,-1],[1,0]], scalar filters a=2, b=3 -> [[2,-3],[3,2]]
         layer = phc.PHCConv2d(2, 2, 2, 1, seed=0)
-        layer.A.value[...] = phc.complex_algebra()
+        layer.A.value[...] = phc.fixed_algebra(2)
         layer.F.value[0] = 2.0
         layer.F.value[1] = 3.0
         w = layer.build_weight().value[:, :, 0, 0]
@@ -33,7 +33,7 @@ class TestBuildWeight:
         for trial in range(20):
             f = rng.normal(size=(4, 2, 3, 3, 3))
             layer = phc.PHCConv2d(4, 12, 8, 3, seed=trial, dtype=np.float64)
-            layer.A.value[...] = phc.quaternion_algebra()
+            layer.A.value[...] = phc.fixed_algebra(4)
             layer.F.value[...] = f
             built = layer.build_weight().value
             oracle = phc.hamilton_weight(f[0], f[1], f[2], f[3])
@@ -137,7 +137,7 @@ class TestForward:
     def test_n4_matches_the_hamilton_weight(self):
         rng = np.random.default_rng(3)
         layer = phc.PHCConv2d(4, 8, 4, 3, bias=False, seed=4)
-        layer.A.value[...] = phc.quaternion_algebra()
+        layer.A.value[...] = phc.fixed_algebra(4)
         x = rng.normal(size=(2, 8, 6, 6)).astype(np.float32)
         out = layer(ag.constant(x)).value
         f = layer.F.value
@@ -150,6 +150,19 @@ class TestForward:
         layer.bias.value[...] = np.arange(4.0)
         out = layer(ag.constant(np.zeros((1, 2, 5, 5), dtype=np.float32))).value
         npt.assert_allclose(out[0, :, 2, 2], np.arange(4.0), atol=1e-7)
+
+    # an even kernel would grow the map (a 2x2 one made 6x6 into 7x7), and
+    # no stride but an integer of at least 1 fits the phase layout
+    @pytest.mark.parametrize("k,stride", [(2, 1), (4, 1), (4, 2), (3, 0), (3, -1), (3, 1.5)])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_bad_geometry_raises_in_the_forward(self, k, stride, training):
+        layer = phc.PHCConv2d(2, 2, 2, k, stride=stride, seed=0).train(training)
+        with pytest.raises(ShapeError, match=r"\(1, 2, 6, 6\)"):
+            layer(ag.constant(np.ones((1, 2, 6, 6), dtype=np.float32)))
+
+    def test_a_kernel_without_taps_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="kernel_size"):
+            phc.PHCConv2d(2, 2, 2, 0)
 
 
 class TestHamiltonConv:
@@ -175,7 +188,7 @@ class TestHamiltonConv:
         banks = rng.normal(size=(4, 3, 2, 3, 3))
         # sum_i A_i (x) F_i by numpy's Kronecker product, against the sign blocks
         weight = sum(np.kron(a[:, :, None, None], f)
-                     for a, f in zip(phc.quaternion_algebra(), banks))
+                     for a, f in zip(phc.fixed_algebra(4), banks))
         x = rng.normal(size=(2, 8, 6, 6))
         via_weight = T.conv2d(x, weight)
         via_oracle = T.conv2d(x, phc.hamilton_weight(*banks))
@@ -217,9 +230,26 @@ class TestParamCounting:
 
 
 class TestInit:
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_fixed_algebra_starts_at_the_real_unit(self, n):
+        layer = phc.PHCConv2d(n, n, n, 3, scheme="fixed-algebra", seed=0)
+        assert phc.fixed_algebra(n).dtype == np.float32
+        npt.assert_array_equal(layer.A.value, phc.fixed_algebra(n))
+        npt.assert_array_equal(layer.A.value[0], np.eye(n))
+
+    def test_fixed_algebra_n2_is_complex(self):
+        one, i = phc.fixed_algebra(2)
+        npt.assert_array_equal(i @ i, -one)
+
     def test_fixed_algebra_n4_is_quaternion(self):
-        layer = phc.PHCConv2d(4, 4, 4, 3, scheme="fixed-algebra", seed=0)
-        npt.assert_array_equal(layer.A.value, phc.quaternion_algebra())
+        # Hamilton's rules on the units' left-multiplication matrices:
+        # i^2 = j^2 = k^2 = ijk = -1, ij = k, jk = i, ki = j
+        one, i, j, k = phc.fixed_algebra(4)
+        for square in (i @ i, j @ j, k @ k, i @ j @ k):
+            npt.assert_array_equal(square, -one)
+        npt.assert_array_equal(i @ j, k)
+        npt.assert_array_equal(j @ k, i)
+        npt.assert_array_equal(k @ i, j)
 
     def test_fixed_algebra_n1(self):
         layer = phc.PHCConv2d(1, 1, 1, 3, scheme="fixed-algebra", seed=0)

@@ -7,6 +7,7 @@ identity.
 """
 
 import multiprocessing
+import re
 import sys
 import threading
 import time
@@ -44,6 +45,19 @@ CONV_CASES = [
     # a kernel wider than the plane: most taps read only padding
     pytest.param((2, 2, 3, 4), (3, 2, 5, 5), 1, id="k5-plane-3x4"),
     pytest.param((3, 4, 1, 1), (2, 4, 3, 3), 1, id="plane-1x1"),
+]
+
+# (x shape, w shape, stride) of convs that no geometry fits: an even kernel
+# (a 2x2 one made 4x4 into 5x5), a stride that is not an integer of at least
+# 1, and an empty batch
+BAD_GEOMETRY = [
+    pytest.param((1, 1, 4, 4), (1, 1, 2, 2), 1, id="k2"),
+    pytest.param((1, 1, 6, 6), (1, 1, 4, 4), 1, id="k4"),
+    pytest.param((1, 1, 4, 4), (1, 1, 0, 0), 1, id="k0"),
+    pytest.param((1, 1, 4, 4), (1, 1, 3, 3), 0, id="s0"),
+    pytest.param((1, 1, 4, 4), (1, 1, 3, 3), -1, id="s-1"),
+    pytest.param((1, 1, 4, 4), (1, 1, 3, 3), 1.5, id="s1.5"),
+    pytest.param((0, 1, 4, 4), (1, 1, 3, 3), 1, id="batch0"),
 ]
 
 
@@ -204,6 +218,26 @@ class TestConv2d:
                 T.conv2d(x, w)
             with pytest.raises(ShapeError, match="square"):
                 ag.conv2d(ag.constant(x), ag.Node(w, requires_grad=True))
+
+    @pytest.mark.parametrize("x_shape,w_shape,stride", BAD_GEOMETRY)
+    @pytest.mark.parametrize("conv", ["tensor", "backward", "autograd"])
+    def test_a_bad_geometry_raises(self, conv, x_shape, w_shape, stride):
+        x, w = np.ones(x_shape), np.ones(w_shape)
+        with pytest.raises(ShapeError, match=re.escape(str(x_shape))):
+            if conv == "tensor":
+                T.conv2d(x, w, stride=stride)
+            elif conv == "backward":
+                T.conv2d_backward(np.ones((1, 1, 4, 4)), x, w, stride)
+            else:
+                ag.conv2d(ag.Node(x, requires_grad=True), ag.Node(w, requires_grad=True),
+                          stride=stride)
+
+    def test_a_cached_geometry_admits_no_other_stride_type(self):
+        x, w = np.ones((1, 1, 4, 4)), np.ones((1, 1, 3, 3))
+        T.conv2d(x, w, stride=1)
+        for stride in (True, 1.0):
+            with pytest.raises(ShapeError, match="stride"):
+                T.conv2d(x, w, stride=stride)
 
     @pytest.mark.parametrize("x_shape,w_shape,stride", CONV_CASES)
     def test_grad_check_float64(self, x_shape, w_shape, stride):
