@@ -5,11 +5,11 @@ Importing phcnet runs BLAS on one thread, so results do not depend on the core
 count: through OPENBLAS_, OMP_ and MKL_NUM_THREADS before numpy loads, and
 after it through numpy's bundled scipy-openblas (another BLAS keeps its count);
 a count set in those variables wins.  A process allowed two or more CPUs runs
-every conv backward, every conv forward that keeps a graph and train-mode batch
-norm (in blocks of channels, ``nn._BN_BLOCK_BYTES``) on two threads: the caller
-and one conv worker thread (see ``tensor``), which split the work without
-changing any result by a bit.  At the end of each such op, the caller waits for
-the worker's one chunk in flight.  An eval forward runs on the caller alone."""
+every conv, forward and backward, and train-mode batch norm (in blocks of
+channels, ``nn._BN_BLOCK_BYTES``) on two threads: the caller and one conv
+worker thread (see ``tensor``), which split the work without changing any
+result by a bit.  At the end of each such op, the caller waits for the
+worker's one chunk in flight."""
 
 import contextlib
 import ctypes

@@ -222,14 +222,11 @@ def conv2d(x, w, b=None, stride=1) -> Node:
     """Differentiable tensor.conv2d: a square, odd k x k kernel ``w`` at an
     integer ``stride`` >= 1, padded by k // 2 (else ShapeError).  The node keeps
     no im2col layout: only a weight gradient needs one, and the rule rebuilds
-    it from ``x.value``, so nothing may write x between forward and backward.
-    Only a conv that keeps a graph may share its forward with the conv worker
-    (``tensor.conv2d``)."""
+    it from ``x.value``, so nothing may write x between forward and backward."""
     x, w = _as_node(x), _as_node(w)
     b = None if b is None else _as_node(b)
     parents = (x, w) if b is None else (x, w, b)
-    out = T.conv2d(x.value, w.value, None if b is None else b.value, stride,
-                   keeps_graph=any(p.requires_grad for p in parents))
+    out = T.conv2d(x.value, w.value, None if b is None else b.value, stride)
 
     def rule(g):
         gx, gw = T.conv2d_backward(g, x.value, w.value, stride,

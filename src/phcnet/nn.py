@@ -174,7 +174,7 @@ class BatchNorm2d(Module):
             if relu:
                 np.maximum(o, 0, out=o)
 
-        T._run([_Channels(x.shape, dtype, forward)], True)
+        T._run([_Channels(x.shape, dtype, forward)])
         self.running_mean[...] = (1 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mu
         self.running_var[...] = (1 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * var
 
@@ -198,7 +198,7 @@ class BatchNorm2d(Module):
                     gk1 = np.multiply(gc, exp(k1), out=buf[: xhat.size].reshape(xhat.shape))
                     np.subtract(gk1, xhat, out=xhat)
 
-            T._run([_Channels(x.shape, dtype, backward, buffered=True)], True)
+            T._run([_Channels(x.shape, dtype, backward, buffered=True)])
             return (dx if x.requires_grad else None,
                     dgamma.astype(dtype) if gamma.requires_grad else None,
                     dbeta.astype(dtype) if beta.requires_grad else None, gm)

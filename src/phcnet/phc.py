@@ -84,8 +84,9 @@ class PHCConv2d(Module):
     def __init__(self, n, in_channels, out_channels, kernel_size, stride=1, bias=True,
                  scheme="fixed-algebra", seed=0, dtype=np.float32):
         super().__init__()
-        if n < 1:
-            raise ConfigError(f"order n must be >= 1, got {n}")
+        for name, count in (("n", n), ("in_channels", in_channels),
+                            ("out_channels", out_channels)):
+            in_range(ConfigError, name, count, 1)
         if in_channels % n or out_channels % n:
             raise ConfigError(
                 f"channels ({in_channels} -> {out_channels}) must be divisible by n={n}"

@@ -25,19 +25,17 @@ gradient back.  ``conv2d_naive`` is the sliding-window reference kept as a
 test oracle.
 
 A process that may run on two or more CPUs starts one conv worker thread,
-which joins the conv loops that keep a graph: the forward of a train step
-(or of a saliency map) and every backward, and train-mode batch norm's loops
-over blocks of channels (``nn._Channels``).  The caller and the worker take
-chunks from one counter and write each straight into its own slice of the
-results; once no chunk is left, the caller waits for the one chunk that the
-worker holds, if any (:func:`_run`).  An eval forward keeps no graph and
-runs on the caller: an eval pass is a short burst of forwards, whose time
-on two threads depends on whether the second CPU is free.  Every side, the
-caller alone on one CPU too, computes a chunk with the one
-:meth:`_Loop.chunk`.  Chunk boundaries are fixed by the shapes, and the
-weight gradient's partial sums are added in chunk order, so every result is
-the same to the bit with or without the worker, and so on any number of
-CPUs.
+which joins every conv loop of more than one chunk, forward (in a train
+step, an eval pass or a saliency map) and backward, and train-mode batch
+norm's loops over blocks of channels (``nn._Channels``).  The caller and the
+worker take chunks from one counter and write each straight into its own
+slice of the results; once no chunk is left, the caller waits for the one
+chunk that the worker holds, if any (:func:`_run`).  Every side, the caller
+alone on one CPU too, computes a chunk with the one :meth:`_Loop.chunk`.
+Chunk boundaries are fixed by the shapes, a forward chunk writes only its
+own slice of the output, and the weight gradient's partial sums are added
+in chunk order, so every result is the same to the bit with or without the
+worker, and so on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -194,11 +192,11 @@ class _Loop:
             np.matmul(stack, self.layout[:, c0 : c0 + n].T, out=self.parts[k])
 
 
-def _run(loops, split) -> None:
+def _run(loops) -> None:
     """Run every chunk of ``loops`` (:class:`_Loop` or ``nn._Channels``).
-    With ``split``, a conv worker and more than one chunk, the caller and the
-    worker share them: each side takes the next chunk from one counter, over
-    every chunk of every loop in loop order, when it is done with its last.
+    With a conv worker and more than one chunk, the caller and the worker
+    share them: each side takes the next chunk from one counter, over every
+    chunk of every loop in loop order, when it is done with its last.
     Otherwise the caller runs them all, in order.
 
     Once no chunk is left, the caller drops the worker's side if it has not
@@ -222,7 +220,7 @@ def _run(loops, split) -> None:
         for loop, k in iter(take, None):
             loop.chunk(k, buf)
 
-    pool = _conv_worker() if split and sum(loop.count for loop in loops) > 1 else None
+    pool = _conv_worker() if sum(loop.count for loop in loops) > 1 else None
     size, dtype = max(loop.size for loop in loops), loops[0].dtype
     if pool is None:
         run(np.empty(size, dtype=dtype))
@@ -265,33 +263,37 @@ def col2im(cols: np.ndarray, x_shape, k, stride) -> np.ndarray:
     return img
 
 
-def conv2d(x, weight, bias=None, stride=1, keeps_graph=False) -> np.ndarray:
-    """2D cross-correlation of (N,Cin,H,W) with square (Cout,Cin,K,K)
-    filters at ``stride``, padded by K // 2.  This checks the operands;
-    :func:`_layout` checks the geometry.
-
-    Every kernel tap's shifted slice of the im2col layout is stacked along K,
-    in kernel order, so each cache-sized chunk of the flat phase grid is one
-    (Cout, K*K*Cin) GEMM written into the output, then cropped to (N,
-    Cout, Ho, Wo).  The taps of a stride phase, one kernel sub-grid, go into
-    their sub-grid of the stack with one copy per chunk.
-
-    ``keeps_graph`` says that the result feeds an autograd graph, so the
-    conv runs in a train step (or a saliency map), not in an eval pass.
-    Such a conv shares its chunks with the conv worker and returns once the
-    worker's chunk in flight, if any, is written (:func:`_run`); an eval
-    forward runs them all on the caller.
-    """
-    x, weight = as_tensor(x), as_tensor(weight)
+def _operands(x, weight):
+    """(Cout, Cin, K) of a conv of (N,Cin,H,W) by (Cout,Cin,K,K), both directions'
+    operand check: ranks, a square kernel and matching, non-empty channels, or ShapeError."""
     if x.ndim != 4 or weight.ndim != 4:
-        raise ShapeError(
-            f"conv2d expects rank-4 input and weight, got {x.ndim} and {weight.ndim}"
-        )
+        raise ShapeError(f"conv2d expects rank-4 input and weight, "
+                         f"got {x.ndim} and {weight.ndim}")
     cout, cin, k, kw = weight.shape
     if kw != k:
         raise ShapeError(f"conv2d needs a square kernel, got {k}x{kw}")
     if x.shape[1] != cin:
         raise ShapeError(f"conv2d channel mismatch: input {x.shape[1]}, weight {cin}")
+    if 0 in (cout, cin):
+        raise ShapeError(f"conv2d needs input and output channels, got weight {weight.shape}")
+    return cout, cin, k
+
+
+def conv2d(x, weight, bias=None, stride=1) -> np.ndarray:
+    """2D cross-correlation of (N,Cin,H,W) with square (Cout,Cin,K,K)
+    filters at ``stride``, padded by K // 2.  :func:`_operands` checks the
+    operands and :func:`_layout` the geometry.
+
+    Every kernel tap's shifted slice of the im2col layout is stacked along K,
+    in kernel order, so each cache-sized chunk of the flat phase grid is one
+    (Cout, K*K*Cin) GEMM written into the output, then cropped to (N,
+    Cout, Ho, Wo).  The taps of a stride phase, one kernel sub-grid, go into
+    their sub-grid of the stack with one copy per chunk.  The chunks are
+    shared with the conv worker, and the conv returns once the worker's
+    chunk in flight, if any, is written (:func:`_run`).
+    """
+    x, weight = as_tensor(x), as_tensor(weight)
+    cout, cin, k = _operands(x, weight)
     if bias is not None and np.shape(bias) != (cout,):
         raise ShapeError(f"conv2d bias shape {np.shape(bias)} != ({cout},)")
     (ho, wo), (hq, wq), _, span, subgrids = _layout(x.shape, k, stride)
@@ -301,8 +303,7 @@ def conv2d(x, weight, bias=None, stride=1, keeps_graph=False) -> np.ndarray:
     grid = np.empty((cout, x.shape[0], hq, wq), dtype=dtype)
     grids = [(sub, _grid(phase, 0, (wq, 1), weight[0, 0][sub].shape, span))
              for sub, phase in zip(subgrids, cols)]
-    _run([_Loop((k, k), grids, span, dtype, w_stack, grid.reshape(cout, -1)[:, :span])],
-         keeps_graph)
+    _run([_Loop((k, k), grids, span, dtype, w_stack, grid.reshape(cout, -1)[:, :span])])
     out = np.empty((x.shape[0], cout, ho, wo), dtype=dtype)
     crop = grid[:, :, :ho, :wo].transpose(1, 0, 2, 3)
     np.add(crop, 0 if bias is None else as_tensor(bias)[None, :, None, None], out=out)
@@ -327,7 +328,7 @@ def conv2d_backward(g, x, weight, stride=1, need_x=True, need_w=True):
     depends on which thread computed a chunk, or on whether there is a
     worker at all.
     """
-    cout, cin, k, _ = weight.shape
+    cout, cin, k = _operands(x, weight)
     (ho, wo), (hq, wq), _, _, subgrids = _layout(x.shape, k, stride)
     ws = [weight[:, :, a, b] for a, b in subgrids]
     # g on the flat grid, behind a zero margin as long as the largest tap
@@ -345,7 +346,7 @@ def conv2d_backward(g, x, weight, stride=1, need_x=True, need_w=True):
                    w.transpose(2, 3, 0, 1).reshape(-1, cin).astype(dtype).T if need_x else None,
                    g_cols[p] if need_x else None, cols[p])
              for p, w in enumerate(ws)]
-    _run(loops, True)
+    _run(loops)
     gx = col2im(g_cols, x.shape, k, stride) if need_x else None
     if not need_w:
         return gx, None

@@ -164,6 +164,14 @@ class TestForward:
         with pytest.raises(ConfigError, match="kernel_size"):
             phc.PHCConv2d(2, 2, 2, 0)
 
+    @pytest.mark.parametrize("args, name", [
+        ((2, 0, 2, 3), "in_channels"), ((2, 2, 0, 3), "out_channels"),
+        ((2, -2, 2, 3), "in_channels"), ((0, 2, 2, 3), "n"),
+    ], ids=["no-input-channels", "no-output-channels", "negative-channels", "n0"])
+    def test_a_layer_without_channels_is_a_config_error(self, args, name):
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer from 1"):
+            phc.PHCConv2d(*args)
+
 
 class TestHamiltonConv:
     def test_zero_imaginary_banks_block_diagonal(self):

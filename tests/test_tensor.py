@@ -68,8 +68,8 @@ def small_chunks(monkeypatch):
     returns a function that sets it for one case and returns the convs run,
     as (calling function, loops, ran, shared): ``ran`` lists each chunk
     computed, as (thread, loop, k), and ``shared`` says whether
-    ``_run``'s rule (a split conv of more than one chunk, with a worker)
-    shares the conv's chunks with the worker.
+    ``_run``'s rule (more than one chunk, with a worker) shares the conv's
+    chunks with the worker.
 
     Every loop over more than one tap is checked for this as it starts.
     Each of the two threads that share a conv waits in its first chunk of it
@@ -80,15 +80,14 @@ def small_chunks(monkeypatch):
     convs, conv_of = [], {}
     run, chunk = T._run, T._Loop.chunk
 
-    def recorded_run(loops, split):
+    def recorded_run(loops):
         assert all(loop.size == 0 or (loop.count >= 3 and loop.cols % loop.width)
                    for loop in loops)
-        shared = (split and T._conv_worker() is not None
-                  and sum(loop.count for loop in loops) > 1)
+        shared = T._conv_worker() is not None and sum(loop.count for loop in loops) > 1
         conv = (sys._getframe(1).f_code.co_name, loops, [], shared)
         convs.append(conv)
         conv_of.update(dict.fromkeys(loops, conv))
-        run(loops, split)
+        run(loops)
 
     def recorded_chunk(loop, k, buf):
         _, _, ran, shared = conv_of[loop]
@@ -264,14 +263,14 @@ class TestConv2d:
     def test_grad_check_float64_in_chunks(self, small_chunks, x_shape, w_shape, stride):
         convs = small_chunks(x_shape, w_shape, stride)
         self.test_grad_check_float64(x_shape, w_shape, stride)
-        # every conv here keeps a graph.  Its forward is one loop and its
-        # backward one loop per phase that some tap reads, each chunk stacked
-        # once for both gradients; both are shared whenever there is a
-        # worker and more than one chunk, that is, more than one tap
+        # a forward is one loop and a backward one loop per phase that some
+        # tap reads, each chunk stacked once for both gradients; both are
+        # shared whenever there is a worker and more than one chunk, that
+        # is, more than one tap, the shape probe's forward, with no graph, too
         phases = len(T._layout(x_shape, w_shape[2], stride)[2])
         shared = T._conv_worker() is not None and w_shape[2] * w_shape[3] > 1
         assert {name for name, *_ in convs} == {"conv2d", "conv2d_backward"}
-        for name, loops, ran, _ in convs[1:]:  # the first is the shape probe, with no graph
+        for name, loops, ran, _ in convs:
             assert len(loops) == (1 if name == "conv2d" else phases)
             assert bool({t for t, *_ in ran} - {threading.get_ident()}) == shared
 
@@ -348,6 +347,19 @@ class TestConv2d:
         with pytest.raises(ShapeError):
             T.conv2d(np.ones((1, 2, 4, 4)), np.ones((1, 3, 3, 3)))
 
+    @pytest.mark.parametrize("x_shape,w_shape", [
+        pytest.param((1, 0, 4, 4), (1, 0, 3, 3), id="no-input-channels"),
+        pytest.param((1, 1, 4, 4), (0, 1, 3, 3), id="no-output-channels"),
+    ])
+    @pytest.mark.parametrize("conv", ["tensor", "backward"])
+    def test_a_conv_without_channels_raises(self, conv, x_shape, w_shape):
+        x, w = np.ones(x_shape), np.ones(w_shape)
+        with pytest.raises(ShapeError, match=re.escape(f"channels, got weight {w_shape}")):
+            if conv == "tensor":
+                T.conv2d(x, w)
+            else:
+                T.conv2d_backward(np.ones((1, w_shape[0], 4, 4)), x, w)
+
     def test_empty_output_extent(self):
         with pytest.raises(ShapeError):
             T.conv2d(np.ones((1, 1, 0, 4)), np.ones((1, 1, 3, 3)))
@@ -394,12 +406,13 @@ def _conv_in_child(g, x, w, expected):
 
 
 class TestConvWorker:
-    """The conv worker joins only the forwards that keep a graph, and every
-    backward.  It changes no bit of any result, keeps the caller's numpy
-    error state, hands its errors to the caller, holds up no caller when it
-    starts late, and survives a fork.  Once no chunk is left, the caller
-    waits for the one chunk that the worker holds.  Without the worker, a
-    backward stacks each chunk once for both gradients."""
+    """The conv worker joins every conv loop of more than one chunk: each
+    forward, with a graph or in an eval pass, and each backward.  It changes
+    no bit of any result, keeps the caller's numpy error state, hands its
+    errors to the caller, holds up no caller when it starts late, and
+    survives a fork.  Once no chunk is left, the caller waits for the one
+    chunk that the worker holds.  Without the worker, a backward stacks each
+    chunk once for both gradients."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("x_shape,w_shape,stride", CONV_CASES)
@@ -414,30 +427,31 @@ class TestConvWorker:
         with ThreadPoolExecutor(1) as pool:
             for worker in (None, pool):
                 monkeypatch.setattr(T, "_conv_worker", lambda: worker)
-                results.append([T.conv2d(x, w, None, stride, keeps_graph=keeps)
-                                for keeps in (False, True)] + [
+                results.append([T.conv2d(x, w, None, stride)] + [
                     grad for need in ((True, True), (True, False), (False, True))
                     for grad in T.conv2d_backward(g, x, w, stride, *need)])
         for off, on in zip(*results):
             assert (off is None and on is None) or np.array_equal(off, on)
 
-    def test_only_a_forward_that_keeps_a_graph_shares_its_chunks(self, small_chunks,
-                                                                 monkeypatch):
+    def test_an_eval_forward_shares_its_chunks(self, small_chunks, monkeypatch):
+        # a forward on a constant input and weight keeps no graph, as in an
+        # eval pass, and is shared like the forward that keeps one
         convs = small_chunks((2, 3, 8, 9), (4, 3, 3, 3), 1)
         rng = np.random.default_rng(25)
-        x = ag.Node(rng.normal(size=(2, 3, 8, 9)).astype(np.float32), requires_grad=True)
+        x = rng.normal(size=(2, 3, 8, 9)).astype(np.float32)
         w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
         with ThreadPoolExecutor(1) as pool:
             worker = _Started(pool)
             monkeypatch.setattr(T, "_conv_worker", lambda: worker)
-            kept = ag.conv2d(x, w)
-            evaluated = ag.conv2d(ag.constant(x.value), w)
-        assert kept.requires_grad and not evaluated.requires_grad
-        assert kept.value.tobytes() == evaluated.value.tobytes()
-        (_, _, kept_ran, _), (_, _, eval_ran, _) = convs
+            evaluated = ag.conv2d(ag.constant(x), ag.constant(w))
+            kept = ag.conv2d(ag.Node(x, requires_grad=True), w)
+        assert not evaluated.requires_grad and kept.requires_grad
+        assert evaluated.value.tobytes() == kept.value.tobytes()
         main = threading.get_ident()
-        assert len(worker.tasks) == 1  # the eval forward submits nothing
-        assert {t for t, *_ in kept_ran} > {main} and {t for t, *_ in eval_ran} == {main}
+        assert len(worker.tasks) == 2  # each forward submits the worker's side
+        assert len(convs) == 2
+        for _, _, ran, shared in convs:
+            assert shared and {t for t, *_ in ran} > {main}
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_one_cpu_stacks_each_chunk_once_for_both_gradients(self, monkeypatch, stride):
@@ -464,9 +478,9 @@ class TestConvWorker:
         assert ran == [(loop, k) for loop in loops for k in range(loop.count)]
 
     def test_concurrent_callers_share_the_worker(self, small_chunks):
-        # four threads on at most two CPUs queue their graph-keeping forwards
-        # and their backwards on the one worker; with a short switch interval, a write that crossed into
-        # another call's arrays would show as a wrong bit
+        # four threads on at most two CPUs queue their forwards and their
+        # backwards on the one worker; with a short switch interval, a write
+        # that crossed into another call's arrays would show as a wrong bit
         args = ((2, 3, 8, 9), (4, 3, 3, 3), 1)
         small_chunks(*args)
         rng = np.random.default_rng(20)
@@ -475,8 +489,7 @@ class TestConvWorker:
         g = rng.normal(size=T.conv2d(*cases[0], None, 1).shape).astype(np.float32)
 
         def run(x, w):
-            return [T.conv2d(x, w, None, 1, keeps_graph=True),
-                    *T.conv2d_backward(g, x, w, 1)]
+            return [T.conv2d(x, w, None, 1), *T.conv2d_backward(g, x, w, 1)]
 
         expected = [run(*case) for case in cases]
         interval = sys.getswitchinterval()
@@ -544,7 +557,7 @@ class TestConvWorker:
         monkeypatch.setattr(T, "_CHUNK_MIN_COLS", 20)
         monkeypatch.setattr(T, "_conv_worker", lambda: None)
         alone = _three_tap_loop(22)
-        T._run([alone], True)
+        T._run([alone])
         chunk, stalled, release = T._Loop.chunk, threading.Event(), threading.Event()
         on_the_caller = []
 
@@ -563,7 +576,7 @@ class TestConvWorker:
             monkeypatch.setattr(T, "_conv_worker", lambda: worker)
             monkeypatch.setattr(T._Loop, "chunk", stalls_on_the_worker)
             try:
-                done = caller.submit(T._run, [shared], True)
+                done = caller.submit(T._run, [shared])
                 deadline = time.monotonic() + 60
                 while len(on_the_caller) < shared.count - 1:
                     assert time.monotonic() < deadline and not done.done()
@@ -603,7 +616,7 @@ class TestConvWorker:
             monkeypatch.setattr(T, "_conv_worker", lambda: worker)
             monkeypatch.setattr(T._Loop, "chunk", fails_late_on_the_worker)
             with pytest.raises(ValueError, match="raised on the worker"):
-                T._run([shared], True)
+                T._run([shared])
             assert worker.tasks[0].done()
         assert len(on_the_caller) == shared.count - 1
 
@@ -618,8 +631,7 @@ class TestConvWorker:
         g = rng.normal(size=(2, 4, 8, 9)).astype(np.float32)
 
         def run():
-            return [T.conv2d(x, w, None, 1, keeps_graph=True),
-                    *T.conv2d_backward(g, x, w, 1),
+            return [T.conv2d(x, w, None, 1), *T.conv2d_backward(g, x, w, 1),
                     T.conv2d_backward(g, x, w, 1, need_w=False)[0]]
 
         monkeypatch.setattr(T, "_conv_worker", lambda: None)

@@ -3,11 +3,14 @@ pos-weight computation, evaluation contracts, maps from one forward,
 graph-free eval, the folded eval forward against a numpy oracle, train-mode
 blocks' gradients and the arrays they hold for backward, train-mode convs
 that hold no im2col layout and rebuild one per weight gradient, constant conv
-weights, folded or plain, kept for one evaluation pass."""
+weights, folded or plain, kept for one evaluation pass, and eval passes shared
+with the conv worker, bit for bit and under the numeric guard."""
 
 import threading
+import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -741,6 +744,76 @@ class TestEvalPass:
         ag.backward(score)
         want = np.abs(node.grad[0]).sum(axis=0)
         assert TR.maps(model, x[0])["saliency"].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", list(MODELS))
+    def test_pass_outputs_bitwise_equal_with_and_without_the_worker(self, monkeypatch,
+                                                                    kind):
+        # chunks of 16 columns; the first chunk that either thread runs of a
+        # conv of more than one chunk waits until the other has run one, so
+        # the pass with the worker passes only if its forwards ran on both
+        model = random_batchnorm(MODELS[kind](), seed=42)
+        x = kind_batch(kind, 3, seed=43)
+        monkeypatch.setattr(T, "_CHUNK_BYTES", 0)
+        monkeypatch.setattr(T, "_CHUNK_MIN_COLS", 16)
+        chunk, threads = T._Loop.chunk, set()
+
+        def recorded(loop, k, buf):
+            threads.add(threading.get_ident())
+            deadline = time.monotonic() + 30
+            while T._conv_worker() is not None and loop.count > 1 and len(threads) < 2:
+                assert time.monotonic() < deadline, "the other thread ran no chunk"
+                time.sleep(1e-4)
+            chunk(loop, k, buf)
+
+        monkeypatch.setattr(T._Loop, "chunk", recorded)
+        passes = []
+        with ThreadPoolExecutor(1) as pool:
+            for worker in (pool, None):
+                monkeypatch.setattr(T, "_conv_worker", lambda: worker)
+                threads.clear()
+                passes.append((TR._outputs(model, TR.STAGE[STAGE_OF[kind]], x, 3).tobytes(),
+                               set(threads)))
+        (shared, on_both), (alone, on_the_caller) = passes
+        assert shared == alone
+        assert len(on_both) == 2 and on_the_caller == {threading.get_ident()}
+
+    def test_overflow_in_a_worker_chunk_of_an_eval_pass_is_a_numeric_error(
+            self, tiny_dataset, monkeypatch):
+        # one pixel of the last exam, read by outputs of the last chunk of the
+        # stem conv alone (its 2650 columns make 50 chunks of 53), where 1e30
+        # times weights of about 1e10 overflows float32.  The caller waits in
+        # its first chunk until the worker has raised in that last chunk, so
+        # only the worker's errstate, copied from the pass's guard, can turn
+        # the overflow into an error
+        model = tiny_model(seed=18)
+        model.trunk.conv1.F.value[...] *= 1e10
+        data = TR._StageData(tiny_dataset, TR.STAGE["two-view"], None)
+        data.x = np.zeros((4, 2, 24, 24), dtype=np.float32)
+        data.x[-1, :, -1, -1] = 1e30
+        assert T._layout(data.x.shape, 3, 1)[3] == 50 * 53
+        monkeypatch.setattr(T, "_CHUNK_BYTES", 0)
+        monkeypatch.setattr(T, "_CHUNK_MIN_COLS", 53)
+        chunk, sides, raised_on = T._Loop.chunk, [], []
+
+        def worker_first(loop, k, buf):
+            if threading.get_ident() == threading.main_thread().ident and loop.count > 1:
+                wait(sides[-1:], timeout=60)
+            try:
+                chunk(loop, k, buf)
+            except FloatingPointError:
+                raised_on.append(threading.get_ident())
+                raise
+
+        with ThreadPoolExecutor(1) as pool:
+            def submit(*args):
+                sides.append(pool.submit(*args))
+                return sides[-1]
+
+            monkeypatch.setattr(T, "_conv_worker", lambda: SimpleNamespace(submit=submit))
+            monkeypatch.setattr(T._Loop, "chunk", worker_first)
+            with pytest.raises(NumericError, match="eval pass is not finite: overflow"):
+                TR._evaluate(model, TR.STAGE["two-view"], data)
+        assert len(raised_on) == 1 and raised_on[0] != threading.main_thread().ident
 
     @pytest.mark.parametrize("kind", list(MODELS))
     def test_builds_each_conv_once_per_pass(self, monkeypatch, kind):
