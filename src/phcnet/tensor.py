@@ -267,7 +267,7 @@ def _operands(x, weight):
     """(Cout, Cin, K) of a conv of (N,Cin,H,W) by (Cout,Cin,K,K), both directions'
     operand check: ranks, a square kernel and matching, non-empty channels, or ShapeError."""
     if x.ndim != 4 or weight.ndim != 4:
-        raise ShapeError(f"conv2d expects rank-4 input and weight, "
+        raise ShapeError("conv2d expects rank-4 input and weight, "
                          f"got {x.ndim} and {weight.ndim}")
     cout, cin, k, kw = weight.shape
     if kw != k:
