@@ -3,7 +3,8 @@
 A :class:`Node` wraps an array value together with its parents and a
 backward rule.  Graphs are DAGs built eagerly by the op functions below;
 :func:`backward` traverses them once in reverse topological order,
-accumulating gradients by summation across fan-out, then frees the graph.
+accumulating gradients by summation across fan-out, and releases each node
+as it passes it, so the graph's arrays are freed as the backward goes.
 An op output requires grad iff an input does; an eval-mode module passes its
 parameters' values, so its forward keeps a graph iff its input requires grad.
 
@@ -87,7 +88,12 @@ def backward(loss: Node) -> None:
 
     Gradients land on ``node.grad`` for every requires-grad leaf (existing
     values are accumulated into, matching optimizer zero_grad conventions).
-    Interior graph state is freed afterwards.
+    Nodes are popped off the topological order as the backward reaches
+    them, and each drops its rule and parents as its rule runs, so an array
+    that only the passed part of the graph holds, an op's output or what
+    its rule closes over, is freed during the backward, not after it.  A
+    node the caller holds keeps its value.  If a rule raises, every node
+    left drops its rule and parents too.
     """
     if loss.value.ndim != 0:
         raise ContractError(f"backward requires a rank-0 loss, got shape {loss.shape}")
@@ -95,31 +101,34 @@ def backward(loss: Node) -> None:
         return
     order = _topo_order(loss)
     grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=loss.dtype)}
-    for node in reversed(order):
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        if node._backward_rule is None:
-            if node.requires_grad:
+    try:
+        while order:
+            node = order.pop()
+            # popped before the node is released, so no key outlives its
+            # node to name a later object by a reused id
+            g = grads.pop(id(node), None)
+            rule, parents = node._backward_rule, node._parents
+            node._backward_rule, node._parents = None, ()
+            if g is None:
+                continue
+            if rule is None:
                 if node.grad is None:
                     node.grad = np.zeros_like(node.value)
                 node.grad += g
-            continue
-        parent_grads = node._backward_rule(g)
-        for parent, pg in zip(node._parents, parent_grads):
-            if pg is None or not parent.requires_grad:
                 continue
-            if pg.shape != parent.value.shape:
-                raise ShapeError(
-                    f"backward rule produced gradient of shape {pg.shape} "
-                    f"for value of shape {parent.value.shape}"
-                )
-            acc = grads.get(id(parent))
-            grads[id(parent)] = pg if acc is None else acc + pg
-    for node in order:
-        if node._backward_rule is not None:
-            node._parents = ()
-            node._backward_rule = None
+            for parent, pg in zip(parents, rule(g)):
+                if pg is None or not parent.requires_grad:
+                    continue
+                if pg.shape != parent.value.shape:
+                    raise ShapeError(
+                        f"backward rule produced gradient of shape {pg.shape} "
+                        f"for value of shape {parent.value.shape}"
+                    )
+                acc = grads.get(id(parent))
+                grads[id(parent)] = pg if acc is None else acc + pg
+    finally:
+        for node in order:
+            node._backward_rule, node._parents = None, ()
 
 
 # ---------------------------------------------------------------------------

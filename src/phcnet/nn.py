@@ -7,7 +7,9 @@ runs through :func:`conv_bn`: in train mode a conv node and one batch-norm
 node that also carries the residual add and the ReLU, in blocks of channels
 shared with the conv worker.  Backward recomputes x̂ from the conv's output
 and the conv's im2col layout from its input, so a pair holds exactly two
-full-size arrays, its outputs, and the conv none.  In
+full-size arrays, its outputs, and the conv none.  The backward frees them
+as it passes the pair, unless the caller holds them: the batch norm's output
+once the batch norm's rule has run, and the conv's once the conv's has.  In
 eval mode the conv folds the batch norm in.  Every layer with parameters,
 here and in :mod:`.phc`, passes its parameters' values, not the Parameter
 nodes, to autograd in eval mode, so an eval forward keeps a graph exactly

@@ -33,9 +33,10 @@ slice of the results; once no chunk is left, the caller waits for the one
 chunk that the worker holds, if any (:func:`_run`).  Every side, the caller
 alone on one CPU too, computes a chunk with the one :meth:`_Loop.chunk`.
 Chunk boundaries are fixed by the shapes, a forward chunk writes only its
-own slice of the output, and the weight gradient's partial sums are added
-in chunk order, so every result is the same to the bit with or without the
-worker, and so on any number of CPUs.
+own slice of the output, and a backward chunk's weight-gradient partial is
+folded into its phase's sum in chunk order, held in a ring of two until its
+turn, so every result is the same to the bit with or without the worker,
+and so on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -113,6 +114,9 @@ def _layout(x_shape, k, stride):
 # bytes of one stacked chunk; a sweep of 256 KiB to 2 MiB put 1 MiB fastest
 _CHUNK_BYTES = 1 << 20
 _CHUNK_MIN_COLS = 128
+# weight-gradient partials a backward loop holds; of 2, 3, 4 and 6 on a
+# PHResNet step, 2 waited near the least for the fewest bytes
+_FOLD_SLOTS = 2
 
 
 def _grid(src, first, steps, shape, cols):
@@ -156,10 +160,13 @@ class _Loop:
     (k + 1)*width, cut at ``cols``: about ``_CHUNK_BYTES`` of stack, at
     least ``_CHUNK_MIN_COLS`` wide; one tap is one chunk, not copied.  Each
     chunk is stacked once for both products: ``out[:, chunk k] = w @ stack``
-    when ``w`` is given, and the partial sum ``parts[k] = stack @ layout[:,
-    chunk k].T`` when ``layout`` is, which the caller adds up in chunk
-    order.  The boundaries depend on the shapes alone, so no chunk's result
-    depends on which thread runs it, to the bit."""
+    when ``w`` is given, and when ``layout`` is, the partial sum ``stack @
+    layout[:, chunk k].T`` into slot k % S of ``parts``, a ring of S =
+    ``_FOLD_SLOTS`` partials.  Under the loop's lock, the chunk whose partial
+    is the next to fold adds it to ``acc``, and every partial ready after
+    it, in chunk order: one left-to-right sum.  Chunk k waits for its slot
+    until chunk k - S is folded.  The boundaries depend on the shapes alone,
+    so no result depends on which thread runs which chunk, to the bit."""
 
     def __init__(self, taps, grids, cols, dtype, w=None, out=None, layout=None):
         self.grids, self.cols, self.dtype = grids, cols, dtype
@@ -169,14 +176,17 @@ class _Loop:
             _CHUNK_BYTES // (n_taps * rows * np.dtype(dtype).itemsize), _CHUNK_MIN_COLS)
         self.count = -(-cols // self.width)
         self.stack = *taps, rows, min(self.width, cols)
-        self.parts = None if layout is None else np.empty(
-            (self.count, n_taps * rows, layout.shape[0]), dtype=dtype)
         self.size = 0 if n_taps == 1 else n_taps * rows * self.stack[3]
+        self.parts = None if layout is None else np.empty(
+            (min(self.count, _FOLD_SLOTS), n_taps * rows, layout.shape[0]), dtype=dtype)
+        self.acc = None if layout is None else np.zeros(self.parts.shape[1:], dtype=dtype)
+        self.turn, self.folded, self.ready = threading.Condition(), 0, set()
 
     def chunk(self, k, buf):
         """Stack chunk k in the flat buffer ``buf``, of at least ``size``
         elements, one copy per grid, and compute its products straight into
-        ``out[:, chunk k]`` and ``parts[k]``, which no other chunk writes."""
+        ``out[:, chunk k]``, which no other chunk writes, and its slot of
+        ``parts``, which it folds into ``acc`` in turn."""
         c0 = k * self.width
         n = min(self.width, self.cols - c0)
         if self.size:
@@ -189,7 +199,17 @@ class _Loop:
         if self.w is not None:
             np.matmul(self.w, stack, out=self.out[:, c0 : c0 + n])
         if self.layout is not None:
-            np.matmul(stack, self.layout[:, c0 : c0 + n].T, out=self.parts[k])
+            slots = len(self.parts)
+            with self.turn:
+                self.turn.wait_for(lambda: self.folded > k - slots)
+            np.matmul(stack, self.layout[:, c0 : c0 + n].T, out=self.parts[k % slots])
+            with self.turn:
+                self.ready.add(k)
+                while self.folded in self.ready:
+                    np.add(self.acc, self.parts[self.folded % slots], out=self.acc)
+                    self.ready.remove(self.folded)
+                    self.folded += 1
+                self.turn.notify_all()
 
 
 def _run(loops) -> None:
@@ -203,12 +223,14 @@ def _run(loops) -> None:
     started, or else waits for the one chunk that the worker holds, so
     nothing is written after ``_run`` returns.  An error that the worker
     raised reaches the caller; when the caller fails, it waits for the
-    worker to stop first.  The worker runs in a copy of the caller's
-    context, which holds numpy's ``errstate``.
+    worker to stop first.  A side that fails abandons every conv loop's
+    fold, so that no chunk of the other side waits for the failed one.  The worker runs in a copy of the caller's context, which
+    holds numpy's ``errstate``.
 
     The caller makes both sides' buffers, each as large as the largest
-    loop needs, so the worker allocates nothing: what a thread allocates
-    comes from its own malloc arena, which keeps it resident.
+    loop needs, and every loop's partials and sum, so the worker allocates
+    nothing: what a thread allocates comes from its own malloc arena, which
+    keeps it resident.
     """
     chunks, lock = iter([(loop, k) for loop in loops for k in range(loop.count)]), threading.Lock()
 
@@ -217,8 +239,16 @@ def _run(loops) -> None:
             return next(chunks, None)
 
     def run(buf):
-        for loop, k in iter(take, None):
-            loop.chunk(k, buf)
+        try:
+            for loop, k in iter(take, None):
+                loop.chunk(k, buf)
+        except BaseException:
+            for loop in loops:  # no fold is read now: release every chunk waiting to fold
+                if isinstance(loop, _Loop):
+                    with loop.turn:
+                        loop.folded = float("inf")
+                        loop.turn.notify_all()
+            raise
 
     pool = _conv_worker() if sum(loop.count for loop in loops) > 1 else None
     size, dtype = max(loop.size for loop in loops), loops[0].dtype
@@ -323,13 +353,19 @@ def conv2d_backward(g, x, weight, stride=1, need_x=True, need_w=True):
 
     Each phase is one :class:`_Loop`, whose chunks stack g once for both
     gradients, and the caller shares every loop with the conv worker,
-    waiting at the end for the worker's chunk in flight (:func:`_run`).  The
-    weight gradient's partial sums are added in chunk order, so no result
-    depends on which thread computed a chunk, or on whether there is a
-    worker at all.
+    waiting at the end for the worker's chunk in flight (:func:`_run`).
+    Each chunk's weight-gradient partial is folded into the phase's sum in
+    chunk order, so no result depends on which thread computed a chunk, or
+    on whether there is a worker at all, and a phase holds two partials at
+    most, not one per chunk.  Every array made here but gx and gw, the
+    rebuilt layout included, is freed on return.  A ``g`` not of the conv's
+    output shape raises ShapeError before any array is made.
     """
     cout, cin, k = _operands(x, weight)
     (ho, wo), (hq, wq), _, _, subgrids = _layout(x.shape, k, stride)
+    if g.shape != (x.shape[0], cout, ho, wo):
+        raise ShapeError(f"conv2d_backward: output gradient of shape {g.shape}, "
+                         f"not the conv's output shape {(x.shape[0], cout, ho, wo)}")
     ws = [weight[:, :, a, b] for a, b in subgrids]
     # g on the flat grid, behind a zero margin as long as the largest tap
     # offset, that of phase (0, 0)'s last tap
@@ -352,10 +388,7 @@ def conv2d_backward(g, x, weight, stride=1, need_x=True, need_w=True):
         return gx, None
     gw = np.empty(weight.shape, dtype=dtype)
     for loop, (a, b) in zip(loops, subgrids):
-        acc = np.zeros(loop.parts.shape[1:], dtype=dtype)
-        for part in loop.parts:
-            np.add(acc, part, out=acc)
-        gw[:, :, a, b] = acc.reshape(*loop.stack[:2], cout, cin).transpose(2, 3, 0, 1)
+        gw[:, :, a, b] = loop.acc.reshape(*loop.stack[:2], cout, cin).transpose(2, 3, 0, 1)
     return gx, gw
 
 

@@ -1,6 +1,8 @@
 """Autograd engine: backward semantics, finite-difference agreement,
 fan-out accumulation, determinism, graph lifecycle."""
 
+import weakref
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -53,6 +55,53 @@ class TestBackwardBasics:
         out = ag.nsum(ag.mul(x, x))
         ag.backward(out)
         assert out._parents == () and out._backward_rule is None
+
+    def test_passed_values_are_freed_during_backward(self):
+        # a chain leaf -> first -> relu -> mul -> nsum; by the time the rule
+        # of the op nearest the leaf runs, the output of the op nearest the
+        # loss is gone, as is relu's, which its own rule closes over
+        x = leaf(np.arange(-3.0, 3.0))
+        alive = []
+
+        def rule(g):
+            alive.append([ref() is not None for ref in refs])
+            return (2 * g,)
+
+        first = ag.Node(2 * x.value, (x,), rule)
+        h = ag.relu(first)
+        near = ag.mul(h, h)
+        refs = [weakref.ref(near.value), weakref.ref(h.value)]
+        loss = ag.nsum(near)
+        del first, h, near
+        ag.backward(loss)
+        assert alive == [[False, False]]
+        npt.assert_allclose(x.grad, 8 * np.maximum(x.value, 0))
+
+    def test_nodes_the_caller_holds_keep_their_values(self):
+        x = leaf(np.arange(-2.0, 2.0))
+        out = ag.relu(ag.mul(x, x))
+        loss = ag.nmean(out)
+        kept = out.value.copy(), loss.value.copy()
+        ag.backward(loss)
+        assert out.value.tobytes() == kept[0].tobytes()
+        assert loss.value.tobytes() == kept[1].tobytes()
+        assert out._parents == () and out._backward_rule is None
+
+    def test_a_rule_that_raises_leaves_no_node_holding_a_rule(self):
+        x = leaf(np.ones(3))
+        a = ag.mul(x, x)
+
+        def fails(g):
+            raise ValueError("a failing rule")
+
+        mid = ag.Node(a.value + 1, (a,), fails)
+        nodes = [x, a, mid, ag.relu(mid)]
+        nodes.append(ag.nsum(ag.add(nodes[-1], a)))
+        nodes.append(nodes[-1]._parents[0])
+        with pytest.raises(ValueError, match="a failing rule"):
+            ag.backward(nodes[-2])
+        assert all(n._parents == () and n._backward_rule is None for n in nodes)
+        assert x.grad is None
 
     def test_conv_weight_grad_matches_central_differences(self):
         rng = np.random.default_rng(7)

@@ -11,6 +11,7 @@ import re
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor, wait
 
@@ -360,6 +361,13 @@ class TestConv2d:
             else:
                 T.conv2d_backward(np.ones((1, w_shape[0], 4, 4)), x, w)
 
+    @pytest.mark.parametrize("g_shape", [(1, 4, 4), (1, 2, 4, 4), (1, 1, 3, 3)],
+                             ids=["rank-3", "channels", "extent"])
+    def test_a_mis_shaped_output_gradient_raises(self, g_shape):
+        with pytest.raises(ShapeError, match=re.escape(
+                f"output gradient of shape {g_shape}, not the conv's output shape (1, 1, 4, 4)")):
+            T.conv2d_backward(np.ones(g_shape), np.ones((1, 1, 4, 4)), np.ones((1, 1, 3, 3)))
+
     def test_empty_output_extent(self):
         with pytest.raises(ShapeError):
             T.conv2d(np.ones((1, 1, 0, 4)), np.ones((1, 1, 3, 3)))
@@ -390,12 +398,13 @@ class _Started:
         return self.tasks[-1]
 
 
-def _three_tap_loop(seed):
-    """A loop over a 1x3 grid of taps of one source, with both products."""
+def _three_tap_loop(seed, fold=True):
+    """A loop over a 1x3 grid of taps of one source, with both products, or
+    the forward's alone when not ``fold``."""
     rng = np.random.default_rng(seed)
     src = rng.normal(size=(3, 102)).astype(np.float32)
     w = rng.normal(size=(4, 9)).astype(np.float32)
-    layout = rng.normal(size=(5, 100)).astype(np.float32)
+    layout = rng.normal(size=(5, 100)).astype(np.float32) if fold else None
     return T._Loop((1, 3), [(..., T._grid(src, 0, (0, 1), (1, 3), 100))], 100, np.float32, w,
                    np.empty((4, 100), dtype=np.float32), layout)
 
@@ -551,51 +560,122 @@ class TestConvWorker:
 
     def test_a_worker_stalled_in_a_chunk_holds_the_caller_until_it_is_written(
             self, monkeypatch):
-        # the worker takes a chunk and stalls in it; the caller runs every
-        # other chunk and then waits in _run until the worker has written it
+        # the worker stalls in the first chunk it takes, j; the caller folds
+        # every chunk before j and computes the chunks after it into the
+        # free slots, unfolded, then waits for chunk j's slot, so the
+        # partials are added in chunk order, as on one thread
         monkeypatch.setattr(T, "_CHUNK_BYTES", 0)
-        monkeypatch.setattr(T, "_CHUNK_MIN_COLS", 20)
+        monkeypatch.setattr(T, "_CHUNK_MIN_COLS", 10)
         monkeypatch.setattr(T, "_conv_worker", lambda: None)
         alone = _three_tap_loop(22)
         T._run([alone])
         chunk, stalled, release = T._Loop.chunk, threading.Event(), threading.Event()
-        on_the_caller = []
+        on_the_caller, on_the_worker = [], []
 
         def stalls_on_the_worker(loop, k, buf):
             if threading.current_thread().name.startswith("caller"):
                 assert stalled.wait(60)
                 on_the_caller.append(k)
-            else:
+            elif not on_the_worker:
+                on_the_worker.append(k)
                 stalled.set()
                 assert release.wait(60)
             chunk(loop, k, buf)
 
         shared = _three_tap_loop(22)
+        slots = len(shared.parts)
         with ThreadPoolExecutor(1) as pool, ThreadPoolExecutor(1, "caller") as caller:
             worker = _Started(pool)
             monkeypatch.setattr(T, "_conv_worker", lambda: worker)
             monkeypatch.setattr(T._Loop, "chunk", stalls_on_the_worker)
             try:
                 done = caller.submit(T._run, [shared])
+                assert stalled.wait(60)
+                j = on_the_worker[0]
+                expected = [k for k in range(j + slots + 1) if k != j]
                 deadline = time.monotonic() + 60
-                while len(on_the_caller) < shared.count - 1:
+                while on_the_caller != expected:
                     assert time.monotonic() < deadline and not done.done()
                     time.sleep(1e-3)
                 assert not wait([done], timeout=0.2).done
+                assert on_the_caller == expected and shared.folded == j
+                assert shared.ready == set(range(j + 1, j + slots))
             finally:
                 release.set()
             done.result(timeout=60)
             assert worker.tasks[0].done()
-        assert len(on_the_caller) == shared.count - 1
+        assert shared.folded == shared.count == 10 and not shared.ready
         assert shared.out.tobytes() == alone.out.tobytes()
-        assert shared.parts.tobytes() == alone.parts.tobytes()
+        assert shared.acc.tobytes() == alone.acc.tobytes()
+
+    def test_a_caller_error_releases_the_worker_waiting_to_fold(self, monkeypatch):
+        # the caller raises in its first chunk once the worker waits for
+        # that chunk's slot; the worker's chunks go on unfolded, and the
+        # caller's error reaches _run's caller once the worker has stopped
+        monkeypatch.setattr(T, "_CHUNK_BYTES", 0)
+        monkeypatch.setattr(T, "_CHUNK_MIN_COLS", 10)
+        shared = _three_tap_loop(29)
+        chunk, on_the_caller, on_the_worker = T._Loop.chunk, [], []
+
+        def fails_on_the_caller(loop, k, buf):
+            deadline = time.monotonic() + 60
+            if not threading.current_thread().name.startswith("caller"):
+                on_the_worker.append(k)
+                while not on_the_caller:
+                    assert time.monotonic() < deadline, "the caller took no chunk"
+                    time.sleep(1e-3)
+                return chunk(loop, k, buf)
+            on_the_caller.append(k)
+            while k + len(loop.parts) not in on_the_worker:
+                assert time.monotonic() < deadline, "the worker waits for no slot"
+                time.sleep(1e-3)
+            time.sleep(0.1)
+            raise ValueError("raised on the caller")
+
+        with ThreadPoolExecutor(1) as pool, ThreadPoolExecutor(1, "caller") as caller:
+            worker = _Started(pool)
+            monkeypatch.setattr(T, "_conv_worker", lambda: worker)
+            monkeypatch.setattr(T._Loop, "chunk", fails_on_the_caller)
+            done = caller.submit(T._run, [shared])
+            try:
+                with pytest.raises(ValueError, match="raised on the caller"):
+                    done.result(timeout=60)
+            finally:  # a worker still waiting would hold the pool's shutdown up
+                with shared.turn:
+                    shared.folded = float("inf")
+                    shared.turn.notify_all()
+            assert worker.tasks[0].done() and worker.tasks[0].exception() is None
+        assert len(on_the_caller) == 1
+        assert sorted(on_the_caller + on_the_worker) == list(range(shared.count))
+
+    def test_a_backward_holds_a_ring_of_partials_not_one_per_chunk(self, monkeypatch):
+        # a stride-1 3x3 weight gradient in chunks of 16 columns of the
+        # 34x34 padded grid: 73 chunks, whose partials, each the size of gw,
+        # would outweigh every other array of the backward
+        monkeypatch.setattr(T, "_CHUNK_BYTES", 0)
+        monkeypatch.setattr(T, "_CHUNK_MIN_COLS", 16)
+        rng = np.random.default_rng(28)
+        x = rng.normal(size=(1, 16, 32, 32)).astype(np.float32)
+        w = rng.normal(size=(16, 16, 3, 3)).astype(np.float32)
+        g = rng.normal(size=(1, 16, 32, 32)).astype(np.float32)
+        count = -(-34 * 34 // 16)
+        expected = T.conv2d_backward(g, x, w, 1, need_x=False)[1]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _, gw = T.conv2d_backward(g, x, w, 1, need_x=False)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert gw.tobytes() == expected.tobytes()
+        assert peak < count * gw.nbytes
 
     def test_a_worker_error_after_the_caller_ran_out_reaches_it(self, monkeypatch):
         # the worker holds a chunk until the caller has run every other one,
         # and raises in it only after the caller has run out of chunks
         monkeypatch.setattr(T, "_CHUNK_BYTES", 0)
         monkeypatch.setattr(T, "_CHUNK_MIN_COLS", 20)
-        shared = _three_tap_loop(27)
+        shared = _three_tap_loop(27, fold=False)
         chunk, taken, last = T._Loop.chunk, threading.Event(), threading.Event()
         on_the_caller = []
 

@@ -542,6 +542,20 @@ def traced_bytes(compute):
         tracemalloc.stop()
 
 
+def graph_values(model, x, out):
+    """Bytes of the arrays that ``out``'s graph holds, not counting the
+    parameters and ``x``, each base array once."""
+    before = {id(p.value) for p in model.parameters()} | {id(x.value)}
+    buffers = {}
+    for node in ag._topo_order(out):
+        base = node.value
+        while base.base is not None:
+            base = base.base
+        if id(base) not in before:
+            buffers[id(base)] = base.nbytes
+    return sum(buffers.values())
+
+
 def counting_im2col(monkeypatch):
     """A list that gets the input shape of every ``T.im2col`` call."""
     calls, im2col = [], T.im2col
@@ -556,7 +570,9 @@ def counting_im2col(monkeypatch):
 
 class TestConvHoldsNoLayout:
     """A train-mode conv keeps its parents and no im2col layout: the weight
-    gradient rebuilds the layout from the input, which the graph holds anyway."""
+    gradient rebuilds the layout from the input, which the graph holds anyway.
+    The backward frees the graph as it passes it, so its peak stays near the
+    graph's own bytes."""
 
     def test_conv_node_holds_its_output_only(self):
         rng = np.random.default_rng(51)
@@ -572,20 +588,32 @@ class TestConvHoldsNoLayout:
     def test_phresnet_holds_node_values_only(self):
         model, x = bench_phresnet()
         out, held = traced_bytes(lambda: model(x))
-        before = {id(p.value) for p in model.parameters()} | {id(x.value)}
-        buffers = {}
-        for node in ag._topo_order(out):
-            base = node.value
-            while base.base is not None:
-                base = base.base
-            if id(base) not in before:
-                buffers[id(base)] = base.nbytes
-        values = sum(buffers.values())
+        values = graph_values(model, x, out)
         # nodes, rules and per-channel statistics; the stem's layout, the
         # smallest of any conv over an image plane, is 272 KiB
         slack = 1 << 18
         assert slack < T.im2col(x.value, 3, 1).nbytes
         assert values <= held < values + slack
+
+    def test_phresnet_backward_frees_the_graph_as_it_passes_it(self):
+        # the traced peak of the step, held by its backward, over the bytes
+        # of the graph's arrays: 5.9 MB over them (48.4 against 42.4 MB)
+        # with the conv worker and 4.9 MB on one CPU, what the gradients in
+        # flight and one conv backward hold at a time; a backward that kept
+        # the graph to its end peaked at 17.0 MB over them (the weight
+        # gradient's partials have their own guard, in test_tensor.py)
+        model, x = bench_phresnet()
+        tracemalloc.start()
+        try:
+            loss = ag.nsum(model(x))
+            values = graph_values(model, x, loss)
+            tracemalloc.reset_peak()
+            ag.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        slack = 8 << 20
+        assert values < peak < values + slack
 
     def test_train_step_rebuilds_layouts_for_weight_gradients_only(self, monkeypatch):
         model, x = bench_phresnet()
