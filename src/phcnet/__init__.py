@@ -9,7 +9,10 @@ every conv, forward and backward, and train-mode batch norm (in blocks of
 channels, ``nn._BN_BLOCK_BYTES``) on two threads: the caller and one conv
 worker thread (see ``tensor``), which split the work without changing any
 result by a bit.  At the end of each such op, the caller waits for the
-worker's one chunk in flight."""
+worker's one chunk in flight.  A four-view model's eval forward that keeps
+no graph splits its encoders by side instead: the exam's two sides run side
+by side, one conv pair at a time, one whole conv of each pair on each
+thread, with every array made by the caller."""
 
 import contextlib
 import ctypes

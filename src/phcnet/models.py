@@ -191,11 +191,17 @@ class PHTrunk(Module):
         self.stages = ModuleList(ModuleList(stage) for stage in stages)
 
     def forward(self, x):
-        h = conv_bn(self.conv1, self.bn1, x)
-        for stage in self.stages:
-            for block in stage:
-                h = block(h)
-        return h
+        return self.sides([self], [x])[0]
+
+    @staticmethod
+    def sides(trunks, xs) -> list:
+        """Each of ``trunks``, built alike, on its side's input in ``xs``,
+        one conv pair over every side at a time (see ``nn.conv_bn``)."""
+        hs = conv_bn([(trunk.conv1, trunk.bn1) for trunk in trunks], xs)
+        for blocks in zip(*([block for stage in trunk.stages for block in stage]
+                            for trunk in trunks)):
+            hs = ResidualBlock.sides(blocks, hs)
+        return hs
 
 
 class RefinerStack(Module):
@@ -268,9 +274,7 @@ class PHYBOnet(Module):
         self.head_r = Linear(half, 1, seed=int(seeds[5].generate_state(1)[0]))
 
     def forward(self, x, taps=None):
-        x_left, x_right = _left_right(x)
-        fl = self.encoder_l(x_left)
-        fr = self.encoder_r(x_right)
+        fl, fr = PHTrunk.sides([self.encoder_l, self.encoder_r], _left_right(x))
         if taps is not None:
             taps["encoder_left"], taps["encoder_right"] = fl, fr
         h = ag.concat([fl, fr])
@@ -314,7 +318,7 @@ class PHYSEnet(Module):
 
     def forward(self, x, taps=None):
         # one parameter store: the same encoder instance processes both sides
-        fl, fr = (self.encoder(side) for side in _left_right(x))
+        fl, fr = PHTrunk.sides([self.encoder] * 2, _left_right(x))
         if taps is not None:
             taps["encoder_left"], taps["encoder_right"] = fl, fr
         logit_l = self.branch_l(ag.global_avg_pool(fl))
@@ -334,7 +338,8 @@ class DoubleConv(Module):
         self.bn2 = BatchNorm2d(out_channels)
 
     def forward(self, x):
-        return conv_bn(self.phc2, self.bn2, conv_bn(self.phc1, self.bn1, x))
+        h = conv_bn([(self.phc1, self.bn1)], [x])
+        return conv_bn([(self.phc2, self.bn2)], h)[0]
 
 
 class PHUNet(Module):

@@ -209,27 +209,38 @@ class BatchNorm2d(Module):
         return ag.Node(out, parents, rule)
 
 
-def conv_bn(conv: PHCConv2d, bn: BatchNorm2d, x, skip=None, relu=True) -> ag.Node:
-    """bn(conv(x)), plus ``skip`` if given, then ReLU if ``relu``.
+def conv_bn(layers, xs, skips=None, relu=True) -> list[ag.Node]:
+    """bn(conv(x)) for each side's (conv, bn) in ``layers`` and input in
+    ``xs``, plus its entry of ``skips`` if given, then ReLU if ``relu``: one
+    node per side.  The sides' layers are built alike and share one mode.
 
-    Train mode is a conv node and one :class:`BatchNorm2d` node that carries
-    the add and the ReLU.  Backward recomputes x̂ from the conv's output and
-    the conv's layout from ``x``, so nothing may write either in between.
+    Train mode is, per side, a conv node and one :class:`BatchNorm2d` node
+    that carries the add and the ReLU.  Backward recomputes x̂ from the
+    conv's output and the conv's layout from ``x``, so nothing may write
+    either in between.
 
-    Eval mode is ``conv(x, bn)``, which folds the batch norm in: it keeps a
-    graph only if ``x`` does, and carries gradients to ``x`` and ``skip``
-    only (``skip`` is ``x`` or comes from it).  Only when it keeps none, so
-    that no backward reads its output, do the add and ReLU run in place on it.
+    Eval mode folds the batch norm into the conv.  A forward that keeps a
+    graph (an ``x`` requires grad) is, per side, ``conv(x, bn)`` and add and
+    ReLU nodes, and carries gradients to ``x`` and the skip only (the skip
+    is ``x`` or comes from it).  One that keeps none is one
+    :func:`tensor.conv2d_sides` over every side, the skip add and the ReLU
+    its last steps: one side shares its chunks with the conv worker, and two
+    sides run side by side, one whole conv per thread.
     """
+    skips = [None] * len(xs) if skips is None else skips
+    if layers[0][1].training or any(x.requires_grad for x in xs):
+        return [_conv_bn_graph(conv, bn, x, skip, relu)
+                for (conv, bn), x, skip in zip(layers, xs, skips)]
+    outs = T.conv2d_sides([(x.value, *conv.constants(bn), conv.stride,
+                            None if skip is None else skip.value, relu)
+                           for (conv, bn), x, skip in zip(layers, xs, skips)])
+    return [ag.constant(out) for out in outs]
+
+
+def _conv_bn_graph(conv: PHCConv2d, bn: BatchNorm2d, x, skip, relu) -> ag.Node:
     if bn.training:
         return bn(conv(x), skip, relu)
     h = conv(x, bn)
-    if not h.requires_grad:
-        if skip is not None:
-            h.value += skip.value
-        if relu:
-            np.maximum(h.value, 0, out=h.value)
-        return h
     h = h if skip is None else ag.add(h, skip)
     return ag.relu(h) if relu else h
 
@@ -273,12 +284,22 @@ class ResidualBlock(Module):
             self.proj = None
 
     def forward(self, x: ag.Node) -> ag.Node:
-        skip = x if self.proj is None else conv_bn(self.proj, self.proj_bn, x, relu=False)
-        h = conv_bn(self.phc1, self.bn1, x)
-        if self.variant == "basic":
-            return conv_bn(self.phc2, self.bn2, h, skip)
-        h = conv_bn(self.phc2, self.bn2, h)
-        return conv_bn(self.phc3, self.bn3, h, skip)
+        return self.sides([self], [x])[0]
+
+    @staticmethod
+    def sides(blocks, xs) -> list[ag.Node]:
+        """Each of ``blocks``, built alike, on its side's input in ``xs``,
+        one :func:`conv_bn` over every side at a time."""
+        def layers(conv, bn):
+            return [(getattr(block, conv), getattr(block, bn)) for block in blocks]
+
+        first = blocks[0]
+        skips = xs if first.proj is None else conv_bn(layers("proj", "proj_bn"), xs, relu=False)
+        h = conv_bn(layers("phc1", "bn1"), xs)
+        if first.variant == "basic":
+            return conv_bn(layers("phc2", "bn2"), h, skips)
+        h = conv_bn(layers("phc2", "bn2"), h)
+        return conv_bn(layers("phc3", "bn3"), h, skips)
 
 
 # ---------------------------------------------------------------------------

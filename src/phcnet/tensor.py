@@ -30,13 +30,23 @@ step, an eval pass or a saliency map) and backward, and train-mode batch
 norm's loops over blocks of channels (``nn._Channels``).  The caller and the
 worker take chunks from one counter and write each straight into its own
 slice of the results; once no chunk is left, the caller waits for the one
-chunk that the worker holds, if any (:func:`_run`).  Every side, the caller
-alone on one CPU too, computes a chunk with the one :meth:`_Loop.chunk`.
-Chunk boundaries are fixed by the shapes, a forward chunk writes only its
-own slice of the output, and a backward chunk's weight-gradient partial is
-folded into its phase's sum in chunk order, held in a ring of two until its
-turn, so every result is the same to the bit with or without the worker,
-and so on any number of CPUs.
+chunk that the worker holds, if any (:func:`_run`).  Every thread, the
+caller alone on one CPU too, computes a chunk with the one
+:meth:`_Loop.chunk`.  Chunk boundaries are fixed by the shapes, a forward
+chunk writes only its own slice of the output, and a backward chunk's
+weight-gradient partial is folded into its phase's sum in chunk order, held
+in a ring of two until its turn, so every result is the same to the bit with
+or without the worker, and so on any number of CPUs.
+
+A conv is one side (:class:`_Side`): its input, weights, bias, and the skip
+add and the ReLU that end a residual branch.  :func:`conv2d` runs one side,
+its chunks shared as above.  :func:`conv2d_sides` runs several independent
+sides, as the two sides of a four-view exam in an eval forward that keeps no
+graph (``nn.conv_bn``), each side whole on one thread: the caller and the
+worker each take a side from the same counter, im2col, every chunk in order,
+the crop with the bias, the skip add and the ReLU.  The caller makes every
+array of every side first, so the worker allocates nothing, and with no
+worker the caller runs the sides in turn, through the same task.
 """
 
 from __future__ import annotations
@@ -49,7 +59,7 @@ from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
-from .errors import ShapeError, in_range
+from .errors import ContractError, ShapeError, in_range
 
 DEFAULT_DTYPE = np.float32
 SUPPORTED_DTYPES = (np.float32, np.float64)
@@ -213,7 +223,8 @@ class _Loop:
 
 
 def _run(loops) -> None:
-    """Run every chunk of ``loops`` (:class:`_Loop` or ``nn._Channels``).
+    """Run every chunk of ``loops`` (:class:`_Loop`, ``nn._Channels`` or
+    :class:`_Side`, one chunk).
     With a conv worker and more than one chunk, the caller and the worker
     share them: each side takes the next chunk from one counter, over every
     chunk of every loop in loop order, when it is done with its last.
@@ -266,18 +277,20 @@ def _run(loops) -> None:
         theirs.result()
 
 
-def im2col(x: np.ndarray, k, stride) -> np.ndarray:
+def im2col(x: np.ndarray, k, stride, out=None) -> np.ndarray:
     """Pad (N,C,H,W) by k // 2 and split it into the P stride phases that
-    some tap of a k x k kernel reads, (P, C, N*Hq*Wq).
+    some tap of a k x k kernel reads, (P, C, N*Hq*Wq), into ``out`` if given
+    (zeros of that shape).
 
     Each input pixel that some tap reads is stored once, so the layout is at
     most the size of the padded input whatever the kernel.
     """
     _, (hq, wq), phases, _, _ = _layout(x.shape, k, stride)
-    out = np.zeros((len(phases), x.shape[1], x.shape[0], hq, wq), dtype=x.dtype)
-    for grid, (src, dst) in zip(out, phases):
+    if out is None:
+        out = np.zeros((len(phases), x.shape[1], x.shape[0] * hq * wq), dtype=x.dtype)
+    for grid, (src, dst) in zip(out.reshape(*out.shape[:2], x.shape[0], hq, wq), phases):
         grid[dst] = x[src].transpose(1, 0, 2, 3)
-    return out.reshape(*out.shape[:2], -1)
+    return out
 
 
 def col2im(cols: np.ndarray, x_shape, k, stride) -> np.ndarray:
@@ -309,10 +322,68 @@ def _operands(x, weight):
     return cout, cin, k
 
 
-def conv2d(x, weight, bias=None, stride=1) -> np.ndarray:
+class _Side:
+    """One side's conv of (N,Cin,H,W) with square (Cout,Cin,K,K) filters at
+    ``stride``, padded by K // 2, plus ``bias``, then ``skip``, then ReLU if
+    ``relu``.  Made, it has checked its operands (:func:`_operands`), the
+    geometry (:func:`_layout`), the bias and the skip, and made no array;
+    :meth:`make` makes them all.  As a :func:`_run` loop it is one chunk,
+    the whole side: im2col, its chunk loop in order, the crop and the rest."""
+
+    count = 1
+
+    def __init__(self, x, weight, bias=None, stride=1, skip=None, relu=False):
+        self.x, self.weight = as_tensor(x), as_tensor(weight)
+        cout, _, self.k = _operands(self.x, self.weight)
+        if bias is not None and np.shape(bias) != (cout,):
+            raise ShapeError(f"conv2d bias shape {np.shape(bias)} != ({cout},)")
+        (ho, wo), *_ = _layout(self.x.shape, self.k, stride)
+        self.shape = (self.x.shape[0], cout, ho, wo)
+        if skip is not None and np.shape(skip) != self.shape:
+            raise ShapeError(f"conv2d skip shape {np.shape(skip)} != output shape {self.shape}")
+        self.bias, self.stride, self.skip, self.relu = bias, stride, skip, relu
+        self.dtype = np.result_type(self.x, self.weight)
+
+    def make(self):
+        """Make every array of the side on the calling thread: the layout, the
+        stacked weights, the padded output grid, the output, and the loop."""
+        x, weight, k = self.x, self.weight, self.k
+        (n, cout, ho, wo), cin = self.shape, weight.shape[1]
+        _, (hq, wq), phases, span, subgrids = _layout(x.shape, k, self.stride)
+        self.cols = np.zeros((len(phases), cin, n * hq * wq), dtype=x.dtype)
+        w_stack = weight.transpose(0, 2, 3, 1).reshape(cout, k * k * cin)
+        grid = np.empty((cout, n, hq, wq), dtype=self.dtype)
+        grids = [(sub, _grid(phase, 0, (wq, 1), weight[0, 0][sub].shape, span))
+                 for sub, phase in zip(subgrids, self.cols)]
+        self.loop = _Loop((k, k), grids, span, self.dtype, w_stack.astype(self.dtype, copy=False),
+                          grid.reshape(cout, -1)[:, :span])
+        self.size, self.crop = self.loop.size, grid[:, :, :ho, :wo].transpose(1, 0, 2, 3)
+        self.out = np.empty(self.shape, dtype=self.dtype)
+        self.offset = 0 if self.bias is None else as_tensor(self.bias)[None, :, None, None]
+
+    def layout(self):
+        im2col(self.x, self.k, self.stride, self.cols)
+
+    def finish(self):
+        """Crop the grid into the output with the bias, add the skip, then ReLU."""
+        np.add(self.crop, self.offset, out=self.out)
+        if self.skip is not None:
+            np.add(self.out, self.skip, out=self.out)
+        if self.relu:
+            np.maximum(self.out, 0, out=self.out)
+
+    def chunk(self, _, buf):
+        self.layout()
+        for k in range(self.loop.count):
+            self.loop.chunk(k, buf)
+        self.finish()
+
+
+def conv2d(x, weight, bias=None, stride=1, skip=None, relu=False) -> np.ndarray:
     """2D cross-correlation of (N,Cin,H,W) with square (Cout,Cin,K,K)
-    filters at ``stride``, padded by K // 2.  :func:`_operands` checks the
-    operands and :func:`_layout` the geometry.
+    filters at ``stride``, padded by K // 2, plus ``bias``, then ``skip``,
+    then ReLU if ``relu``: one side (:class:`_Side`), every array made
+    before the conv runs.
 
     Every kernel tap's shifted slice of the im2col layout is stacked along K,
     in kernel order, so each cache-sized chunk of the flat phase grid is one
@@ -322,22 +393,34 @@ def conv2d(x, weight, bias=None, stride=1) -> np.ndarray:
     shared with the conv worker, and the conv returns once the worker's
     chunk in flight, if any, is written (:func:`_run`).
     """
-    x, weight = as_tensor(x), as_tensor(weight)
-    cout, cin, k = _operands(x, weight)
-    if bias is not None and np.shape(bias) != (cout,):
-        raise ShapeError(f"conv2d bias shape {np.shape(bias)} != ({cout},)")
-    (ho, wo), (hq, wq), _, span, subgrids = _layout(x.shape, k, stride)
-    cols = im2col(x, k, stride)
-    dtype = np.result_type(cols, weight)
-    w_stack = weight.transpose(0, 2, 3, 1).reshape(cout, k * k * cin).astype(dtype, copy=False)
-    grid = np.empty((cout, x.shape[0], hq, wq), dtype=dtype)
-    grids = [(sub, _grid(phase, 0, (wq, 1), weight[0, 0][sub].shape, span))
-             for sub, phase in zip(subgrids, cols)]
-    _run([_Loop((k, k), grids, span, dtype, w_stack, grid.reshape(cout, -1)[:, :span])])
-    out = np.empty((x.shape[0], cout, ho, wo), dtype=dtype)
-    crop = grid[:, :, :ho, :wo].transpose(1, 0, 2, 3)
-    np.add(crop, 0 if bias is None else as_tensor(bias)[None, :, None, None], out=out)
-    return out
+    side = _Side(x, weight, bias, stride, skip, relu)
+    side.make()
+    side.layout()
+    _run([side.loop])
+    side.finish()
+    return side.out
+
+
+def conv2d_sides(sides) -> list:
+    """The output of each side, given as :func:`conv2d`'s arguments.  One
+    side is :func:`conv2d`.  Of several, each side's arguments are checked
+    before any array is made, the caller makes every array, and one
+    :func:`_run` gives each side whole to one thread: the caller and the
+    conv worker take sides from one counter, so each side is computed by
+    the same steps as :func:`conv2d` alone on one thread, to the bit, and
+    with no worker the caller runs them in turn.  Sides share one dtype
+    (else ContractError): the threads' chunk buffers have it.
+    """
+    if len(sides) == 1:
+        return [conv2d(*sides[0])]
+    sides = [_Side(*side) for side in sides]
+    if len({side.dtype for side in sides}) > 1:
+        raise ContractError(f"conv sides of dtypes {[side.dtype for side in sides]} "
+                            "cannot share chunk buffers")
+    for side in sides:
+        side.make()
+    _run(sides)
+    return [side.out for side in sides]
 
 
 def conv2d_backward(g, x, weight, stride=1, need_x=True, need_w=True):

@@ -2,7 +2,9 @@
 enumeration, weight sharing by identity, transfer maps, determinism, and
 the desk-scale speed bound."""
 
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import numpy.testing as npt
@@ -11,6 +13,7 @@ import pytest
 from phcnet import autograd as ag
 from phcnet import models as MD
 from phcnet import nn, phc
+from phcnet import tensor as T
 from phcnet.errors import ConfigError, ShapeError, TransferError
 
 
@@ -222,6 +225,164 @@ class TestPHYSEnet:
         assert set(g_both) == set(g_left) == set(g_right)
         for name in g_both:
             npt.assert_array_equal(g_both[name], g_left[name] + g_right[name])
+
+
+FOUR_VIEW = {
+    "phybonet": lambda: MD.PHYBOnet(MD.PHYBOnetConfig(width=8, blocks=(1, 1, 1, 1),
+                                                      refiners=1), seed=7),
+    "physenet": lambda: MD.PHYSEnet(MD.PHYSEnetConfig(width=8, blocks=(1, 1),
+                                                      refiners=1), seed=8),
+}
+
+
+def four_view(kind, dtype=np.float32):
+    """An eval-mode four-view model in ``dtype``, its batch norms' running
+    statistics drawn so that the fold moves every conv, and an exam batch."""
+    model, rng = FOUR_VIEW[kind](), np.random.default_rng(9)
+    for p in model.parameters():
+        p.value = p.value.astype(dtype)
+    for m in model.modules():
+        if isinstance(m, nn.BatchNorm2d):
+            m.running_mean[...] = rng.normal(scale=0.2, size=m.channels)
+            m.running_var[...] = rng.uniform(0.5, 2.0, size=m.channels)
+    return model.eval(), ag.constant(rng.normal(size=(2, 4, 16, 16)).astype(dtype))
+
+
+def eval_bits(model, x):
+    """The bits of the logits and of the two encoder taps of an eval forward."""
+    taps = {}
+    with phc.eval_pass():
+        logits = model(x, taps=taps)
+    return [a.value.tobytes() for a in (logits, taps["encoder_left"], taps["encoder_right"])]
+
+
+@pytest.fixture
+def sides(monkeypatch):
+    """A conv worker on any number of CPUs, conv loops of more than one
+    chunk, and every run of several conv sides recorded: ``runs`` holds,
+    per run, its sides and (thread, side) for each side begun and ended.
+    In a run with the worker, each thread waits after taking its side
+    until the other has taken one, then calls ``hook(side)`` if set, so
+    that each thread runs one side."""
+    pool = ThreadPoolExecutor(1)
+    monkeypatch.setattr(T, "_conv_worker", lambda: pool)
+    monkeypatch.setattr(T, "_CHUNK_BYTES", 0)
+    monkeypatch.setattr(T, "_CHUNK_MIN_COLS", 40)
+    run, chunk = T._run, T._Side.chunk
+    rec = type("Sides", (), {"runs": [], "hook": None, "of": {}})()
+
+    def recorded_run(loops):
+        if isinstance(loops[0], T._Side):
+            barrier = threading.Barrier(len(loops), timeout=30) if T._conv_worker() else None
+            rec.runs.append((loops, [], []))
+            rec.of.update(dict.fromkeys(loops, (barrier, *rec.runs[-1][1:])))
+        run(loops)
+
+    def recorded_chunk(side, k, buf):
+        barrier, begun, ended = rec.of[side]
+        begun.append((threading.get_ident(), side))
+        if barrier is not None:
+            barrier.wait()
+        if rec.hook is not None:
+            rec.hook(side)
+        chunk(side, k, buf)
+        ended.append((threading.get_ident(), side))
+
+    monkeypatch.setattr(T, "_run", recorded_run)
+    monkeypatch.setattr(T._Side, "chunk", recorded_chunk)
+    yield rec
+    pool.shutdown()
+
+
+class TestSidesSideBySide:
+    """In eval mode with no graph, PHYBOnet's two encoders and PHYSEnet's
+    encoder on its two sides run side by side, one conv pair at a time: one
+    side on the caller and one on the conv worker, every array made by the
+    caller, each side's bits those of a conv run alone."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", sorted(FOUR_VIEW))
+    def test_side_by_side_worker_off_and_one_side_at_a_time_bitwise(
+            self, sides, monkeypatch, kind, dtype):
+        model, x = four_view(kind, dtype)
+        together = eval_bits(model, x)
+        main = threading.get_ident()
+        convs = len([m for m in model.modules() if isinstance(m, phc.PHCConv2d)])
+        encoder = len([m for m in (model.encoder_l if kind == "phybonet" else model.encoder)
+                       .modules() if isinstance(m, phc.PHCConv2d)])
+        assert len(sides.runs) == encoder < convs
+        for loops, begun, ended in sides.runs:
+            assert len(loops) == 2 and {t for t, _ in begun} == {t for t, _ in ended}
+            assert len({t for t, _ in begun}) == 2 and main in {t for t, _ in begun}
+            assert all(side.loop.count > 1 for side in loops if side.size)
+        pool = T._conv_worker()
+        monkeypatch.setattr(T, "_conv_worker", lambda: None)
+        assert eval_bits(model, x) == together
+        assert {t for _, begun, _ in sides.runs[encoder:] for t, _ in begun} == {main}
+        monkeypatch.setattr(T, "_conv_worker", lambda: pool)
+        run = MD.PHTrunk.sides
+        monkeypatch.setattr(MD.PHTrunk, "sides", staticmethod(
+            lambda trunks, xs: [run([t], [x])[0] for t, x in zip(trunks, xs)]))
+        assert eval_bits(model, x) == together
+        assert len(sides.runs) == 2 * encoder
+
+    @pytest.mark.parametrize("kind", sorted(FOUR_VIEW))
+    def test_only_the_caller_makes_arrays(self, sides, monkeypatch, kind):
+        # what the worker allocates stays resident in its own malloc arena
+        made = []
+
+        class Recorded:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def empty(self, *args, **kwargs):
+                made.append(threading.get_ident())
+                return np.empty(*args, **kwargs)
+
+            def zeros(self, *args, **kwargs):
+                made.append(threading.get_ident())
+                return np.zeros(*args, **kwargs)
+
+        model, x = four_view(kind)
+        expected = eval_bits(model, x)
+        monkeypatch.setattr(T, "np", Recorded())
+        del sides.runs[:]
+        assert eval_bits(model, x) == expected
+        worker = {t for _, begun, _ in sides.runs for t, _ in begun} - {threading.get_ident()}
+        assert len(worker) == 1 and made and set(made) == {threading.get_ident()}
+
+    @pytest.mark.parametrize("on", ["caller", "worker"])
+    @pytest.mark.parametrize("kind", sorted(FOUR_VIEW))
+    def test_a_failed_side_reaches_the_caller_after_the_other_ends(self, sides, kind, on):
+        model, x = four_view(kind)
+        expected = eval_bits(model, x)
+        main, failing = threading.get_ident(), 3 + len(sides.runs)
+
+        def fails(side):
+            if len(sides.runs) != failing:
+                return
+            if (threading.get_ident() == main) == (on == "caller"):
+                raise RuntimeError(f"a side failed on the {on}")
+            time.sleep(0.05)  # the other side is still running when this one fails
+
+        sides.hook = fails
+        with pytest.raises(RuntimeError, match=f"on the {on}"):
+            eval_bits(model, x)
+        loops, begun, ended = sides.runs[-1]
+        assert len(sides.runs) == failing and len(begun) == 2 and len(ended) == 1
+        (_, other), = ended
+        written = other.out.tobytes()
+        time.sleep(0.1)
+        assert other.out.tobytes() == written  # nothing is written after _run returns
+        sides.hook = None
+        assert eval_bits(model, x) == expected
+
+    def test_a_forward_that_keeps_a_graph_runs_one_side_at_a_time(self, sides):
+        model, x = four_view("phybonet")
+        logits = model(ag.Node(x.value, requires_grad=True))
+        model.train()
+        model(x)
+        assert logits.requires_grad and sides.runs == []
 
 
 class TestPHUNet:

@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from phcnet import autograd as ag
 from phcnet import tensor as T
-from phcnet.errors import ShapeError
+from phcnet.errors import ContractError, ShapeError
 
 # (x shape, w shape, stride); every conv is padded by k // 2.  The ids name
 # the stride and that padding where they do not name the kernel
@@ -742,6 +742,62 @@ class TestConvWorker:
             child.kill()
             pytest.fail("a conv in a forked child did not finish in 60 s")
         assert child.exitcode == 0
+
+
+class TestConvSides:
+    """Several conv sides run in one ``_run``, one whole side per thread;
+    each side's output is that of ``conv2d`` on it alone, to the bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("x_shape,w_shape,stride", CONV_CASES)
+    def test_two_sides_equal_each_alone_bitwise(self, monkeypatch, x_shape, w_shape, stride,
+                                                dtype):
+        monkeypatch.setattr(T, "_CHUNK_BYTES", 0)
+        monkeypatch.setattr(T, "_CHUNK_MIN_COLS", 7)
+        rng = np.random.default_rng(41)
+        out_shape = T.conv2d(np.empty(x_shape), np.empty(w_shape), None, stride).shape
+        sides = [(rng.normal(size=x_shape).astype(dtype), rng.normal(size=w_shape).astype(dtype),
+                  rng.normal(size=w_shape[0]).astype(dtype), stride,
+                  rng.normal(size=out_shape).astype(dtype), relu)
+                 for relu in (True, False)]
+        alone = [T.conv2d(*side).tobytes() for side in sides]
+        with ThreadPoolExecutor(1) as pool:
+            for worker in (None, pool):
+                monkeypatch.setattr(T, "_conv_worker", lambda: worker)
+                assert [out.tobytes() for out in T.conv2d_sides(sides)] == alone
+                assert [T.conv2d(*side[:4]).tobytes() for side in sides] == [
+                    out.tobytes() for out in T.conv2d_sides([side[:4] for side in sides])]
+
+    @pytest.mark.parametrize("bad,error", [
+        ({"skip": np.zeros((2, 4, 8, 8))}, ShapeError),
+        ({"bias": np.zeros(3)}, ShapeError),
+        ({"x": np.zeros((2, 2, 8, 9))}, ShapeError),
+        ({"weight": np.zeros((4, 3, 2, 2))}, ShapeError),
+        ({"stride": 0}, ShapeError),
+        ({"x": np.zeros((2, 3, 8, 9), dtype=np.float32),
+          "weight": np.zeros((4, 3, 3, 3), dtype=np.float32)}, ContractError),
+    ], ids=["skip", "bias", "channels", "even-kernel", "stride-0", "dtype"])
+    def test_a_mis_shaped_side_raises_before_any_array_is_made(self, monkeypatch, bad, error):
+        made = []
+
+        class Recorded:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def empty(self, *args, **kwargs):
+                made.append(args)
+                return np.empty(*args, **kwargs)
+
+            def zeros(self, *args, **kwargs):
+                made.append(args)
+                return np.zeros(*args, **kwargs)
+
+        good = dict(x=np.ones((2, 3, 8, 9)), weight=np.ones((4, 3, 3, 3)), bias=np.ones(4),
+                    stride=1, skip=np.ones((2, 4, 8, 9)), relu=True)
+        monkeypatch.setattr(T, "np", Recorded())
+        with pytest.raises(error):
+            T.conv2d_sides([tuple(good.values()), tuple({**good, **bad}.values())])
+        assert made == []
 
 
 class TestPooling:
